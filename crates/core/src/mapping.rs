@@ -77,8 +77,7 @@ impl Default for MappingOptions {
 #[derive(Debug, Clone)]
 pub struct LayerLayout {
     grid: CellGrid<CellUse>,
-    /// Placements in placement order — the deterministic iteration the
-    /// scoring loop uses.
+    /// Placements in placement order.
     placed: Vec<(NodeId, Position)>,
     /// O(1) node -> position lookup (indexed by `NodeId::index`).
     node_pos: Vec<Option<Position>>,
@@ -295,6 +294,39 @@ struct Mapper<'g> {
     scratch: BfsScratch,
     seed_scans: u64,
     seed_scan_radius_max: u64,
+    /// Blocking class of each node placed on the current layer, under the
+    /// layer's committed occupancy (stale for nodes on older layers).
+    blocking: Vec<Blocking>,
+    /// How many of the current layer's nodes are in each class, indexed
+    /// by `Blocking as usize`.
+    blocked: [usize; 3],
+    /// Reusable buffer of the placed nodes a candidate's tentative cells
+    /// touch (deduplicated per score).
+    touched: Vec<(NodeId, Position)>,
+}
+
+/// A placed node's blocking class (paper §6): with `r` unmapped edges and
+/// `f` free coupled neighbours, it is totally blocked when `r > 0` and
+/// `f == 0`, partially blocked when `r > f > 0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Blocking {
+    Unblocked,
+    Partially,
+    Totally,
+}
+
+impl Blocking {
+    fn classify(remaining: usize, free: usize) -> Blocking {
+        if remaining == 0 {
+            Blocking::Unblocked
+        } else if free == 0 {
+            Blocking::Totally
+        } else if remaining > free {
+            Blocking::Partially
+        } else {
+            Blocking::Unblocked
+        }
+    }
 }
 
 impl<'g> Mapper<'g> {
@@ -315,6 +347,9 @@ impl<'g> Mapper<'g> {
             scratch: BfsScratch::new(),
             seed_scans: 0,
             seed_scan_radius_max: 0,
+            blocking: vec![Blocking::Unblocked; n],
+            blocked: [0; 3],
+            touched: Vec::new(),
         }
     }
 
@@ -445,6 +480,7 @@ impl<'g> Mapper<'g> {
     fn push_layer(&mut self) {
         self.layouts
             .push(LayerLayout::new(self.geometry, self.graph.node_count()));
+        self.blocked = [0; 3];
     }
 
     fn try_map_edge(&mut self, edge: Edge) -> bool {
@@ -503,6 +539,45 @@ impl<'g> Mapper<'g> {
         self.realized.push(edge);
         self.remaining[edge.a().index()] -= 1;
         self.remaining[edge.b().index()] -= 1;
+        self.reclassify(edge.a());
+        self.reclassify(edge.b());
+    }
+
+    /// Re-derives `n`'s blocking class and the current layer's class
+    /// counts; a no-op for nodes that are unplaced or on an older layer.
+    fn reclassify(&mut self, n: NodeId) {
+        let cur = self.cur();
+        let Some((layer, p)) = self.node_place[n.index()] else {
+            return;
+        };
+        if layer != cur {
+            return;
+        }
+        let free = self.layouts[cur].count_free_neighbors(p);
+        let class = Blocking::classify(self.remaining[n.index()], free);
+        self.blocked[self.blocking[n.index()] as usize] -= 1;
+        self.blocked[class as usize] += 1;
+        self.blocking[n.index()] = class;
+    }
+
+    /// Reclassifies the current layer's nodes coupled to `p`, whose cell
+    /// was just occupied (coupling is symmetric, so they are `p`'s
+    /// neighbours).
+    fn reclassify_around(&mut self, p: Position) {
+        let (nbuf, nn) = self.geometry.neighbors_array(p);
+        for &q in &nbuf[..nn] {
+            if let Some(CellUse::Node(n)) = self.layouts[self.cur()].cell(q) {
+                self.reclassify(n);
+            }
+        }
+    }
+
+    /// Occupies `cell` of layer `layer` with a routing state for `edge`.
+    fn add_routing(&mut self, layer: usize, cell: Position, edge: Edge) {
+        self.layouts[layer].add_routing(cell, edge);
+        if layer == self.cur() {
+            self.reclassify_around(cell);
+        }
     }
 
     /// Seed position for a fresh component: the nearest free cell to the
@@ -528,6 +603,10 @@ impl<'g> Mapper<'g> {
         let cur = self.cur();
         self.layouts[cur].place(n, p);
         self.node_place[n.index()] = Some((cur, p));
+        self.blocking[n.index()] = Blocking::Unblocked;
+        self.blocked[Blocking::Unblocked as usize] += 1;
+        self.reclassify(n);
+        self.reclassify_around(p);
     }
 
     /// Places `node` connected to the already-placed `anchor`, directly
@@ -576,7 +655,7 @@ impl<'g> Mapper<'g> {
                 if let Some(path) = maybe_path {
                     let cur = self.cur();
                     for &cell in &path {
-                        self.layouts[cur].add_routing(cell, edge);
+                        self.add_routing(cur, cell, edge);
                     }
                     self.routed_fusions += path.len() + 1;
                 } else {
@@ -617,7 +696,7 @@ impl<'g> Mapper<'g> {
         match path {
             Some(cells) => {
                 for &cell in &cells {
-                    self.layouts[layer].add_routing(cell, edge);
+                    self.add_routing(layer, cell, edge);
                 }
                 self.routed_fusions += cells.len() + 1;
                 true
@@ -629,10 +708,13 @@ impl<'g> Mapper<'g> {
     /// The paper's heuristic cost of a tentative placement.
     ///
     /// All terms run on the dense grid: the area term extends the grid's
-    /// incremental bounding box with the tentative cells (O(path)), and
-    /// the blocking terms iterate placements in placement order with O(1)
-    /// free-cell queries — no per-candidate set construction.
-    fn score_placement(&self, node: NodeId, cand: Position, path: &[Position]) -> f64 {
+    /// incremental bounding box with the tentative cells (O(path)). The
+    /// blocking terms start from the current layer's class counts, which
+    /// `Mapper` keeps up to date as cells fill and edges map, and
+    /// re-assess only the placed nodes coupled to a tentative cell (the
+    /// candidate cell plus the routed path) and the candidate itself: no
+    /// other node's free-neighbour count can change.
+    fn score_placement(&mut self, node: NodeId, cand: Position, path: &[Position]) -> f64 {
         let layout = &self.layouts[self.cur()];
         // Occupied-area term with the tentative cells added.
         let (mut rmin, mut rmax, mut cmin, mut cmax) = layout
@@ -651,8 +733,50 @@ impl<'g> Mapper<'g> {
         }
         let area = (rmax - rmin + 1) * (cmax - cmin + 1);
 
-        // Blocking terms over placed nodes, with the tentative occupancy
-        // (the candidate cell plus the routed path, if any).
+        // Blocking terms with the tentative occupancy.
+        let geometry = self.geometry;
+        let tentatively_free = |q: Position| layout.is_free(q) && q != cand && !path.contains(&q);
+        let classify = |p: Position, r: usize| {
+            let (nbuf, nn) = geometry.neighbors_array(p);
+            let free = nbuf[..nn].iter().filter(|&&q| tentatively_free(q)).count();
+            Blocking::classify(r, free)
+        };
+        let touched = &mut self.touched;
+        touched.clear();
+        for &t in std::iter::once(&cand).chain(path) {
+            let (nbuf, nn) = geometry.neighbors_array(t);
+            for &q in &nbuf[..nn] {
+                if let Some(CellUse::Node(n)) = layout.cell(q) {
+                    touched.push((n, q));
+                }
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let mut blocked = self.blocked;
+        for &(n, p) in touched.iter() {
+            blocked[self.blocking[n.index()] as usize] -= 1;
+            blocked[classify(p, self.remaining[n.index()]) as usize] += 1;
+        }
+        blocked[classify(cand, self.remaining[node.index()].saturating_sub(1)) as usize] += 1;
+        let partially = blocked[Blocking::Partially as usize];
+        let totally = blocked[Blocking::Totally as usize];
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            (partially, totally),
+            self.recount_blocking(node, cand, path),
+            "incremental blocking terms diverged from the full recount"
+        );
+
+        area as f64 + partially as f64 + self.options.alpha * totally as f64
+    }
+
+    /// The blocking terms recounted from scratch over every node placed on
+    /// the current layer: the reference the incremental counts in
+    /// [`Mapper::score_placement`] are checked against in debug builds.
+    #[cfg(debug_assertions)]
+    fn recount_blocking(&self, node: NodeId, cand: Position, path: &[Position]) -> (usize, usize) {
+        let layout = &self.layouts[self.cur()];
         let tentatively_free = |q: Position| layout.is_free(q) && q != cand && !path.contains(&q);
         let geometry = self.geometry;
         let mut partially = 0usize;
@@ -673,8 +797,7 @@ impl<'g> Mapper<'g> {
             assess(p, self.remaining[n.index()]);
         }
         assess(cand, self.remaining[node.index()].saturating_sub(1));
-
-        area as f64 + partially as f64 + self.options.alpha * totally as f64
+        (partially, totally)
     }
 
     /// Places a node anywhere (used before shuffling so every endpoint has
@@ -958,7 +1081,15 @@ pub fn plan_position_shuffles(
     // must be disjoint per layer; the endpoint cells may be shared (each
     // deferred edge spends a different photon of the endpoint's chain on
     // its temporal hop).
-    let mut layers: Vec<CellGrid<()>> = vec![CellGrid::new(geometry)];
+    //
+    // Occupancy is kept as per-cell layer bitsets: bit `j` of
+    // `used[k][cell]` is set when shuffle layer `64k + j` routes through
+    // `cell`. OR-ing the interior cells' words gives the layers the path
+    // would collide on, and the lowest zero bit is the first layer that
+    // fits. Bits of layers not yet allocated are zero, so when every
+    // allocated layer collides the lowest zero bit is the next new layer.
+    let mut used: Vec<Vec<u64>> = vec![vec![0; geometry.area()]];
+    let mut layers = 1usize;
     let mut fusions = 0usize;
     for (pa, pb) in sorted {
         let cells = geometry.path_between(*pa, *pb);
@@ -967,45 +1098,28 @@ pub fn plan_position_shuffles(
         } else {
             &[]
         };
-        let slot = layers
-            .iter()
-            .position(|used| interior.iter().all(|&c| used.is_free(c)));
-        let slot = match slot {
-            Some(s) => s,
-            None => {
-                layers.push(CellGrid::new(geometry));
-                layers.len() - 1
+        let mut slot = 64 * used.len();
+        for (k, words) in used.iter().enumerate() {
+            let busy = interior
+                .iter()
+                .fold(0u64, |acc, &c| acc | words[geometry.index_of(c)]);
+            if busy != u64::MAX {
+                slot = 64 * k + (!busy).trailing_zeros() as usize;
+                break;
             }
-        };
+        }
+        if slot == 64 * used.len() {
+            used.push(vec![0; geometry.area()]);
+        }
+        layers = layers.max(slot + 1);
+        let (words, bit) = (&mut used[slot / 64], 1u64 << (slot % 64));
         for &c in interior {
-            layers[slot].set(c, ());
+            words[geometry.index_of(c)] |= bit;
         }
         // Fusions: temporal hop in, spatial along the path, temporal out.
         fusions += cells.len() + 1;
     }
-    (layers.len(), fusions)
-}
-
-/// Cells of an L-shaped (row-then-column) path from `a` to `b`, inclusive.
-/// Kept as the reference implementation for orthogonal layers; production
-/// shuffle planning uses `LayerGeometry::path_between`, which also handles
-/// triangular and hexagonal couplings.
-#[cfg_attr(not(test), allow(dead_code))]
-fn l_path(a: Position, b: Position) -> Vec<Position> {
-    let mut cells = Vec::new();
-    let mut r = a.row;
-    let c = a.col;
-    cells.push(a);
-    while r != b.row {
-        r = if r < b.row { r + 1 } else { r - 1 };
-        cells.push(Position::new(r, c));
-    }
-    let mut c = a.col;
-    while c != b.col {
-        c = if c < b.col { c + 1 } else { c - 1 };
-        cells.push(Position::new(r, c));
-    }
-    cells
+    (layers, fusions)
 }
 
 #[cfg(test)]
@@ -1106,16 +1220,6 @@ mod tests {
     }
 
     #[test]
-    fn l_path_is_contiguous() {
-        let cells = l_path(Position::new(0, 0), Position::new(2, 3));
-        assert_eq!(cells.len(), 6);
-        for w in cells.windows(2) {
-            assert_eq!(w[0].manhattan(w[1]), 1);
-        }
-        assert_eq!(l_path(Position::new(1, 1), Position::new(1, 1)).len(), 1);
-    }
-
-    #[test]
     fn routed_paths_have_min_length() {
         // route_to_open_area only returns paths with >= 1 intermediate
         // cell (total length >= 2), per the paper's hardware constraint.
@@ -1187,6 +1291,76 @@ mod tests {
         ];
         let (layers, _) = plan_position_shuffles(&pairs, LayerGeometry::new(8, 8));
         assert_eq!(layers, 1);
+    }
+
+    /// `plan_position_shuffles` as it was before the per-cell layer
+    /// bitsets: scan one occupancy grid per shuffle layer for each pair.
+    fn first_fit_on_cell_grids(
+        pairs: &[(Position, Position)],
+        geometry: LayerGeometry,
+    ) -> (usize, usize) {
+        if pairs.is_empty() {
+            return (0, 0);
+        }
+        let mut sorted: Vec<&(Position, Position)> = pairs.iter().collect();
+        sorted.sort_by_key(|(a, b)| a.manhattan(*b));
+        let mut layers: Vec<CellGrid<()>> = vec![CellGrid::new(geometry)];
+        let mut fusions = 0usize;
+        for (pa, pb) in sorted {
+            let cells = geometry.path_between(*pa, *pb);
+            let interior: &[Position] = if cells.len() > 2 {
+                &cells[1..cells.len() - 1]
+            } else {
+                &[]
+            };
+            let slot = layers
+                .iter()
+                .position(|used| interior.iter().all(|&c| used.is_free(c)));
+            let slot = match slot {
+                Some(s) => s,
+                None => {
+                    layers.push(CellGrid::new(geometry));
+                    layers.len() - 1
+                }
+            };
+            for &c in interior {
+                layers[slot].set(c, ());
+            }
+            fusions += cells.len() + 1;
+        }
+        (layers.len(), fusions)
+    }
+
+    #[test]
+    fn position_shuffles_match_the_cell_grid_first_fit() {
+        use oneq_hardware::Topology;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut deepest = 0;
+        // (rows, cols, pairs): the 4x4 case piles hundreds of pairs onto
+        // 16 cells, so the plan runs past 128 layers and the bitsets grow
+        // a third word vector.
+        for (rows, cols, count) in [(9, 9, 40), (12, 17, 300), (23, 11, 120), (4, 4, 600)] {
+            for topo in [
+                Topology::Orthogonal,
+                Topology::Triangular,
+                Topology::Hexagonal,
+            ] {
+                let geometry = LayerGeometry::new(rows, cols).with_topology(topo);
+                let mut cell = || Position::new(rng.gen_range(0..rows), rng.gen_range(0..cols));
+                let pairs: Vec<(Position, Position)> =
+                    (0..count).map(|_| (cell(), cell())).collect();
+                let plan = plan_position_shuffles(&pairs, geometry);
+                assert_eq!(
+                    plan,
+                    first_fit_on_cell_grids(&pairs, geometry),
+                    "{topo:?} {geometry}, {count} pairs"
+                );
+                deepest = deepest.max(plan.0);
+            }
+        }
+        assert!(deepest > 128, "no case grew past two words: {deepest}");
     }
 
     #[test]

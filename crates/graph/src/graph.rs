@@ -316,6 +316,12 @@ impl Graph {
     /// Returns the new graph together with the mapping from old node ids to
     /// new node ids (position `i` of `nodes` becomes node `i`).
     ///
+    /// Edges are inserted in ascending order of their endpoints in `self`,
+    /// which fixes every node's [`Graph::neighbors`] order. Only the edges
+    /// among `nodes` are collected (from their adjacency lists) and
+    /// sorted, so the cost is linear in their degrees, not in the size of
+    /// `self`.
+    ///
     /// # Panics
     ///
     /// Panics if `nodes` contains an invalid or duplicate id.
@@ -326,14 +332,20 @@ impl Graph {
             assert!(map[old.index()] == usize::MAX, "duplicate node {old}");
             map[old.index()] = new;
         }
-        let mut g = Graph::with_nodes(nodes.len());
-        for edge in self.sorted_edges() {
-            let (a, b) = edge.endpoints();
-            let (na, nb) = (map[a.index()], map[b.index()]);
-            if na != usize::MAX && nb != usize::MAX {
-                g.add_edge(NodeId::new(na), NodeId::new(nb))
-                    .expect("induced edge endpoints are valid by construction");
+        let mut inner: Vec<Edge> = Vec::new();
+        for &a in nodes {
+            for &b in self.neighbors(a) {
+                if a < b && map[b.index()] != usize::MAX {
+                    inner.push(Edge { a, b });
+                }
             }
+        }
+        inner.sort_unstable();
+        let mut g = Graph::with_nodes(nodes.len());
+        for edge in inner {
+            let (a, b) = edge.endpoints();
+            g.add_edge(NodeId::new(map[a.index()]), NodeId::new(map[b.index()]))
+                .expect("induced edge endpoints are valid by construction");
         }
         (g, nodes.to_vec())
     }
@@ -449,6 +461,48 @@ mod tests {
         assert_eq!(map.len(), 3);
         assert!(sub.has_edge(NodeId::new(0), NodeId::new(1)));
         assert!(sub.has_edge(NodeId::new(1), NodeId::new(2)));
+    }
+
+    /// `induced_subgraph` as it was before it collected edges from the
+    /// adjacency lists: filter the whole graph's sorted edge set.
+    fn induced_by_sorting_everything(g: &Graph, nodes: &[NodeId]) -> Graph {
+        let mut map = vec![usize::MAX; g.node_count()];
+        for (new, &old) in nodes.iter().enumerate() {
+            map[old.index()] = new;
+        }
+        let mut sub = Graph::with_nodes(nodes.len());
+        for edge in g.sorted_edges() {
+            let (a, b) = edge.endpoints();
+            let (na, nb) = (map[a.index()], map[b.index()]);
+            if na != usize::MAX && nb != usize::MAX {
+                sub.add_edge(NodeId::new(na), NodeId::new(nb)).unwrap();
+            }
+        }
+        sub
+    }
+
+    #[test]
+    fn induced_subgraph_matches_the_sort_everything_version() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..200 {
+            let n = rng.gen_range(1..60);
+            let m = rng.gen_range(0..n * 4);
+            let g = crate::generators::gnm(n, m, &mut rng);
+            let mut nodes: Vec<NodeId> = g.nodes().collect();
+            for i in (1..n).rev() {
+                nodes.swap(i, rng.gen_range(0..=i));
+            }
+            nodes.truncate(rng.gen_range(0..=n));
+            let (sub, map) = g.induced_subgraph(&nodes);
+            let reference = induced_by_sorting_everything(&g, &nodes);
+            assert_eq!(map, nodes);
+            assert_eq!(sub.sorted_edges(), reference.sorted_edges());
+            for v in sub.nodes() {
+                assert_eq!(sub.neighbors(v), reference.neighbors(v), "node {v}");
+            }
+        }
     }
 
     #[test]

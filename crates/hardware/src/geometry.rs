@@ -179,7 +179,14 @@ impl LayerGeometry {
     }
 
     /// A shortest coupled path from `a` to `b`, inclusive of both
-    /// endpoints (used by shuffle-layer planning; BFS over the topology).
+    /// endpoints (used by shuffle-layer planning).
+    ///
+    /// The path is the one a breadth-first search from `a` finds when it
+    /// expands neighbours in [`LayerGeometry::neighbors`] order. On the
+    /// orthogonal grid that is always the L-path that runs along `a`'s
+    /// column to `b`'s row, then along `b`'s row, so it is built directly
+    /// in O(path). Triangular and hexagonal layers run the search on a
+    /// dense row-major predecessor array.
     ///
     /// # Panics
     ///
@@ -187,32 +194,43 @@ impl LayerGeometry {
     /// hexagonal topology, if the honeycomb is disconnected at size 1.
     pub fn path_between(&self, a: Position, b: Position) -> Vec<Position> {
         assert!(self.contains(a) && self.contains(b), "endpoints on layer");
-        if a == b {
-            return vec![a];
+        match self.topology {
+            Topology::Orthogonal => column_then_row(a, b),
+            Topology::Triangular | Topology::Hexagonal => self.bfs_path(a, b),
         }
-        let mut prev: std::collections::HashMap<Position, Position> =
-            std::collections::HashMap::new();
+    }
+
+    /// Breadth-first shortest path in neighbourhood order (FIFO queue,
+    /// first discovery wins), over a dense predecessor array.
+    fn bfs_path(&self, a: Position, b: Position) -> Vec<Position> {
+        const UNSEEN: usize = usize::MAX;
+        let (ia, ib) = (self.index_of(a), self.index_of(b));
+        let mut prev = vec![UNSEEN; self.area()];
+        prev[ia] = ia;
         let mut queue = std::collections::VecDeque::from([a]);
-        prev.insert(a, a);
         while let Some(p) = queue.pop_front() {
-            if p == b {
-                let mut path = vec![b];
-                let mut cur = b;
-                while prev[&cur] != cur {
-                    cur = prev[&cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return path;
+            let ip = self.index_of(p);
+            if ip == ib {
+                break;
             }
-            for q in self.neighbors(p) {
-                if let std::collections::hash_map::Entry::Vacant(e) = prev.entry(q) {
-                    e.insert(p);
+            let (nbuf, nn) = self.neighbors_array(p);
+            for &q in &nbuf[..nn] {
+                let iq = self.index_of(q);
+                if prev[iq] == UNSEEN {
+                    prev[iq] = ip;
                     queue.push_back(q);
                 }
             }
         }
-        panic!("layer topology must be connected");
+        assert!(prev[ib] != UNSEEN, "layer topology must be connected");
+        let mut path = vec![b];
+        let mut cur = ib;
+        while prev[cur] != cur {
+            cur = prev[cur];
+            path.push(Position::new(cur / self.cols, cur % self.cols));
+        }
+        path.reverse();
+        path
     }
 
     /// Row-major iterator over all positions.
@@ -236,6 +254,24 @@ impl fmt::Display for LayerGeometry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}x{}", self.rows, self.cols)
     }
+}
+
+/// The orthogonal-grid shuffle path from `a` to `b`, inclusive: along
+/// `a`'s column to `b`'s row, then along `b`'s row.
+fn column_then_row(a: Position, b: Position) -> Vec<Position> {
+    let mut path = Vec::with_capacity(a.manhattan(b) + 1);
+    path.push(a);
+    let mut row = a.row;
+    while row != b.row {
+        row = if row < b.row { row + 1 } else { row - 1 };
+        path.push(Position::new(row, a.col));
+    }
+    let mut col = a.col;
+    while col != b.col {
+        col = if col < b.col { col + 1 } else { col - 1 };
+        path.push(Position::new(b.row, col));
+    }
+    path
 }
 
 /// An *extended physical layer* (paper §3.1, Fig. 5b): `factor` consecutive
@@ -332,6 +368,7 @@ impl fmt::Display for ExtendedLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn manhattan_distance() {
@@ -490,6 +527,83 @@ mod tests {
         let tri = ortho.with_topology(Topology::Triangular);
         let (a, b) = (Position::new(0, 7), Position::new(7, 0));
         assert!(tri.path_between(a, b).len() <= ortho.path_between(a, b).len());
+    }
+
+    /// The hashed-map search `path_between` ran before the O(path) L-path
+    /// and the dense-array search replaced it, run to exhaustion from `a`.
+    /// That search stopped when it dequeued `b`, but a predecessor never
+    /// changes after its first discovery, so its path to `b` is the path
+    /// to `b` in this tree.
+    fn hashed_bfs_tree(g: &LayerGeometry, a: Position) -> HashMap<Position, Position> {
+        let mut prev: HashMap<Position, Position> = HashMap::new();
+        let mut queue = std::collections::VecDeque::from([a]);
+        prev.insert(a, a);
+        while let Some(p) = queue.pop_front() {
+            for q in g.neighbors(p) {
+                if let std::collections::hash_map::Entry::Vacant(e) = prev.entry(q) {
+                    e.insert(p);
+                    queue.push_back(q);
+                }
+            }
+        }
+        prev
+    }
+
+    /// The path from the tree's root to `b`, or `None` where the old
+    /// search panicked (disconnected honeycombs).
+    fn tree_path(prev: &HashMap<Position, Position>, b: Position) -> Option<Vec<Position>> {
+        let mut path = vec![b];
+        let mut cur = b;
+        while *prev.get(&cur)? != cur {
+            cur = prev[&cur];
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    #[test]
+    fn path_between_matches_the_hashed_bfs_on_every_pair() {
+        let shapes = [
+            (1, 1),
+            (1, 9),
+            (9, 1),
+            (2, 2),
+            (5, 7),
+            (9, 9),
+            (12, 17),
+            (17, 12),
+            (23, 11),
+        ];
+        for topo in [
+            Topology::Orthogonal,
+            Topology::Triangular,
+            Topology::Hexagonal,
+        ] {
+            for (rows, cols) in shapes {
+                let g = LayerGeometry::new(rows, cols).with_topology(topo);
+                for a in g.positions() {
+                    let tree = hashed_bfs_tree(&g, a);
+                    for b in g.positions() {
+                        match tree_path(&tree, b) {
+                            Some(path) => {
+                                assert_eq!(g.path_between(a, b), path, "{topo:?} {g}: {a} -> {b}")
+                            }
+                            // Only single-column honeycombs are disconnected.
+                            None => assert!(topo == Topology::Hexagonal && cols == 1),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "connected")]
+    fn path_between_panics_on_a_disconnected_honeycomb() {
+        // A single-column honeycomb couples only rows (1,2), (3,4), ...
+        let g = LayerGeometry::new(9, 1).with_topology(Topology::Hexagonal);
+        g.path_between(Position::new(0, 0), Position::new(8, 0));
     }
 
     #[test]

@@ -68,6 +68,27 @@ impl CompileConfig {
     }
 }
 
+/// The largest (extended) layer a compile may use, in cells: rows × cols
+/// × extension. 2^20 cells is about 130 times the auto-sized layer of a
+/// 400-qubit circuit. Larger requests are refused before any grid is
+/// allocated: a grid too big for memory aborts the whole process rather
+/// than panicking.
+pub(crate) const MAX_LAYER_CELLS: usize = 1 << 20;
+
+/// Checks a layer of `rows × cols` cells, extended `extension` times,
+/// against [`MAX_LAYER_CELLS`].
+pub(crate) fn check_layer_cells(rows: usize, cols: usize, extension: usize) -> Result<(), String> {
+    match rows
+        .checked_mul(cols)
+        .and_then(|a| a.checked_mul(extension))
+    {
+        Some(cells) if cells <= MAX_LAYER_CELLS => Ok(()),
+        _ => Err(format!(
+            "a {rows}x{cols} layer extended {extension} times exceeds {MAX_LAYER_CELLS} cells"
+        )),
+    }
+}
+
 /// The CLI/query label for a resource kind.
 pub fn resource_label(kind: ResourceKind) -> &'static str {
     match kind {
@@ -119,7 +140,8 @@ pub struct RecordTimings {
 }
 
 /// Compiles `source` under `config` and renders the `oneqc/v1` record
-/// labelled `file_label`. Returns `(record, ok)`; parse failures become
+/// labelled `file_label`. Returns `(record, ok)`; parse failures and
+/// layers of more than 2^20 cells (rows × cols × extension) become
 /// `"status": "error"` records with `ok = false`, never a panic.
 pub fn compile_record(file_label: &str, source: &str, config: &CompileConfig) -> (String, bool) {
     let (record, ok, _) = compile_record_timed(file_label, source, config);
@@ -130,7 +152,7 @@ pub fn compile_record(file_label: &str, source: &str, config: &CompileConfig) ->
 ///
 /// The returned record is byte-identical to `compile_record`'s for the same
 /// inputs (it *is* the same code path); timings ride alongside, `None` when
-/// the source failed to parse.
+/// the source failed to parse or the layer was refused.
 pub fn compile_record_timed(
     file_label: &str,
     source: &str,
@@ -154,6 +176,9 @@ pub fn compile_record_timed(
         GeometryChoice::Square(s) => LayerGeometry::square(s),
         GeometryChoice::Rect(r, c) => LayerGeometry::new(r, c),
     };
+    if let Err(e) = check_layer_cells(geometry.rows(), geometry.cols(), config.extension) {
+        return (error_record(file_label, &e), false, None);
+    }
     let options = CompilerOptions::new(geometry)
         .with_resource_kind(config.resource)
         .with_extension(config.extension);
@@ -270,6 +295,24 @@ mod tests {
         assert!(!ok);
         assert!(record
             .starts_with("{\"file\": \"bad.qasm\", \"status\": \"error\", \"error\": \"bad.qasm:"));
+    }
+
+    #[test]
+    fn auto_layers_past_the_cell_cap_become_error_records() {
+        // The auto-sized side is only known once the circuit is parsed, so
+        // the request parsers cannot refuse an oversized extension of it.
+        let config = CompileConfig {
+            extension: MAX_LAYER_CELLS,
+            ..CompileConfig::default()
+        };
+        let (record, ok, timings) = compile_record_timed("bell.qasm", BELL, &config);
+        assert!(!ok);
+        assert!(timings.is_none());
+        assert!(
+            record.starts_with("{\"file\": \"bell.qasm\", \"status\": \"error\""),
+            "{record}"
+        );
+        assert!(record.contains("exceeds 1048576 cells"), "{record}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! keying the same compile differently.
 
 use crate::cache::canonicalize_source;
-use crate::compile::{self, compile_record, CompileConfig, GeometryChoice};
+use crate::compile::{self, compile_record, CompileConfig, GeometryChoice, MAX_LAYER_CELLS};
 use crate::http::percent_encode;
 use crate::json;
 use oneq_hardware::ResourceKind;
@@ -93,6 +93,13 @@ impl Knobs {
         if let Some(extension) = self.extension {
             config.extension = extension;
         }
+        // An auto-sized layer is checked once the circuit's size is known.
+        let (rows, cols) = match geometry {
+            GeometryChoice::Auto => (1, 1),
+            GeometryChoice::Square(s) => (s, s),
+            GeometryChoice::Rect(r, c) => (r, c),
+        };
+        compile::check_layer_cells(rows, cols, config.extension)?;
         if let Some(resource) = self.resource {
             config.resource = resource;
         }
@@ -110,8 +117,10 @@ fn parse_dim(value: &str, name: &str) -> Result<usize, String> {
     value
         .parse::<usize>()
         .ok()
-        .filter(|&v| v >= 1)
-        .ok_or_else(|| format!("{name} must be a positive number, got `{value}`"))
+        .filter(|v| (1..=MAX_LAYER_CELLS).contains(v))
+        .ok_or_else(|| {
+            format!("{name} must be a number from 1 to {MAX_LAYER_CELLS}, got `{value}`")
+        })
 }
 
 fn parse_bool(value: &str, name: &str) -> Result<bool, String> {
@@ -321,6 +330,51 @@ mod tests {
         assert!(
             CompileRequest::from_args(&argv(&["--side", "2", "--rows", "2", "--cols", "2"]))
                 .is_err()
+        );
+    }
+
+    #[test]
+    fn from_args_rejects_layers_past_the_cell_cap() {
+        // `--side 100000` once asked for a 240 GB grid and aborted.
+        assert!(CompileRequest::from_args(&argv(&["--side", "100000"])).is_err());
+        assert!(CompileRequest::from_args(&argv(&["--extension", "1048577"])).is_err());
+        assert!(CompileRequest::from_args(&argv(&["--rows", "1024", "--cols", "1025"])).is_err());
+        assert!(CompileRequest::from_args(&argv(&["--side", "512", "--extension", "5"])).is_err());
+        let (at_cap, _) =
+            CompileRequest::from_args(&argv(&["--side", "512", "--extension", "4"])).unwrap();
+        assert_eq!(at_cap.config.geometry, GeometryChoice::Square(512));
+        assert!(CompileRequest::from_args(&argv(&["--extension", "1048576"])).is_ok());
+    }
+
+    #[test]
+    fn from_query_rejects_layers_past_the_cell_cap() {
+        for query in [
+            "side=100000",
+            "side=18446744073709551615",
+            "rows=1048576&cols=2",
+            "side=1024&extension=2",
+            "extension=1048577",
+        ] {
+            assert!(
+                CompileRequest::from_query(&parse_query(query), "").is_err(),
+                "{query}"
+            );
+        }
+        assert!(CompileRequest::from_query(&parse_query("side=1024"), "").is_ok());
+    }
+
+    #[test]
+    fn from_jsonl_line_rejects_layers_past_the_cell_cap() {
+        for line in [
+            r#"{"source": "s", "side": 100000}"#,
+            r#"{"source": "s", "rows": 2048, "cols": 1024}"#,
+            r#"{"source": "s", "side": 1000, "extension": 2}"#,
+        ] {
+            assert!(CompileRequest::from_jsonl_line(line).is_err(), "{line}");
+        }
+        assert!(
+            CompileRequest::from_jsonl_line(r#"{"source": "s", "rows": 1024, "cols": 1024}"#)
+                .is_ok()
         );
     }
 

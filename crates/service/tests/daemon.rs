@@ -92,6 +92,26 @@ fn newest_segment(dir: &Path) -> PathBuf {
         .expect("spill dir holds at least one segment")
 }
 
+/// A circuit whose compile takes well over 100 ms in both the debug and
+/// the release profile, for the tests that need a slow request: an
+/// 80-qubit QFT without the final swaps, ~0.3 s in release on a 2-vCPU
+/// VM and a few seconds in debug. Mapping and shuffling are near-linear,
+/// so a long gate chain is no longer slow in release; QFT's partition
+/// planarity tests still are. (`benchmarks::qft` stops at 64 qubits: its
+/// angle denominators are `u64` powers of two.)
+fn slow_circuit() -> String {
+    let n = 80;
+    let mut qasm = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{n}];\n");
+    for i in 0..n {
+        qasm.push_str(&format!("h q[{i}];\n"));
+        for j in i + 1..n {
+            let denominator = 1u64 << (j - i).min(62);
+            qasm.push_str(&format!("cu1(pi/{denominator}) q[{j}], q[{i}];\n"));
+        }
+    }
+    qasm
+}
+
 #[test]
 fn daemon_serves_and_shuts_down_gracefully_on_sigterm() {
     let (mut child, addr, _stdout) = spawn_daemon(&["--workers", "2", "--cache-capacity", "16"]);
@@ -328,8 +348,7 @@ fn daemon_trace_log_records_slow_requests_with_full_span_trees() {
     let dir = tempdir("trace");
     let log = dir.join("trace.jsonl");
     let log_arg = log.display().to_string();
-    // Threshold well above a trivial compile and well below a large one
-    // (a 1200-qubit cx chain takes ~500 ms in the debug profile).
+    // Threshold well above a trivial compile and well below a large one.
     let (mut child, addr, _stdout) = spawn_daemon(&["--trace-log", &log_arg, "--slow-ms", "100"]);
 
     // Fast request: finishes far under the threshold, so it must stay
@@ -348,12 +367,8 @@ fn daemon_trace_log_records_slow_requests_with_full_span_trees() {
     assert_eq!(resp.status, 200);
     assert_eq!(resp.header("x-oneqd-request-id"), Some("trace-fast-1"));
 
-    // Slow request: a long nearest-neighbor cx chain.
-    let qubits = 1200;
-    let mut slow = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{qubits}];\n");
-    for i in 0..qubits - 1 {
-        slow.push_str(&format!("cx q[{i}], q[{}];\n", i + 1));
-    }
+    // Slow request: see `slow_circuit`.
+    let slow = slow_circuit();
     let resp = http::request_with_headers(
         addr,
         "POST",
@@ -441,13 +456,8 @@ fn daemon_end_to_end_triage_from_exemplar_to_trace() {
     .expect("fast compile");
     assert_eq!(resp.status, 200);
 
-    // The offender: a long nearest-neighbor cx chain (~hundreds of ms in
-    // the debug profile), under a client-chosen request id.
-    let qubits = 1200;
-    let mut slow = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{qubits}];\n");
-    for i in 0..qubits - 1 {
-        slow.push_str(&format!("cx q[{i}], q[{}];\n", i + 1));
-    }
+    // The offender (see `slow_circuit`), under a client-chosen request id.
+    let slow = slow_circuit();
     let resp = http::request_with_headers(
         addr,
         "POST",
@@ -573,6 +583,33 @@ fn daemon_end_to_end_triage_from_exemplar_to_trace() {
             < slowest.find("triage-fast-1").unwrap_or(usize::MAX),
         "the slow compile outranks the fast one: {slowest}"
     );
+
+    send_sigterm(&child);
+    assert_eq!(child.wait().expect("wait for daemon").code(), Some(0));
+}
+
+#[test]
+fn daemon_refuses_an_oversized_layer_and_stays_up() {
+    // `side=100000` once asked for a 240 GB grid: the allocation failure
+    // aborted the whole process instead of failing the one request.
+    let (mut child, addr, _stdout) = spawn_daemon(&["--workers", "1"]);
+    let source = b"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\n";
+    for target in [
+        "/v1/compile?side=100000",
+        "/v1/compile?rows=2048&cols=1024",
+        "/v1/compile?side=1024&extension=2",
+    ] {
+        let refused = http::request(addr, "POST", target, source, TIMEOUT).expect(target);
+        assert_eq!(refused.status, 400, "{target}");
+    }
+    let health = http::request(addr, "GET", "/v1/healthz", b"", TIMEOUT).expect("GET /v1/healthz");
+    assert_eq!(
+        health.status, 200,
+        "the daemon survived the oversized requests"
+    );
+    let ok = http::request(addr, "POST", "/v1/compile?side=8", source, TIMEOUT)
+        .expect("POST /v1/compile");
+    assert_eq!(ok.status, 200, "and still compiles");
 
     send_sigterm(&child);
     assert_eq!(child.wait().expect("wait for daemon").code(), Some(0));
