@@ -11,6 +11,18 @@ use crate::circuit::Circuit;
 use rand::Rng;
 use std::f64::consts::PI;
 
+/// `2^k` as an `f64`, exactly: a zero mantissa under the biased exponent
+/// `1023 + k` is a normal `f64` for every `k <= 1023` (beyond that the
+/// result is `+inf`, and an angle divided by it is 0). Unlike
+/// `(1u64 << k) as f64` it does not overflow past `k = 63`; below that
+/// the two agree bit for bit.
+pub(crate) fn pow2(k: usize) -> f64 {
+    if k > 1023 {
+        return f64::INFINITY;
+    }
+    f64::from_bits((1023 + k as u64) << 52)
+}
+
 /// Quantum Fourier Transform on `n` qubits, with the final qubit-reversal
 /// SWAP network included.
 ///
@@ -23,8 +35,7 @@ pub fn qft(n: usize) -> Circuit {
     for i in 0..n {
         c.h(i);
         for j in (i + 1)..n {
-            let angle = PI / (1u64 << (j - i)) as f64;
-            c.cp(j, i, angle);
+            c.cp(j, i, PI / pow2(j - i));
         }
     }
     for i in 0..n / 2 {
@@ -40,8 +51,7 @@ pub fn qft_no_swaps(n: usize) -> Circuit {
     for i in 0..n {
         c.h(i);
         for j in (i + 1)..n {
-            let angle = PI / (1u64 << (j - i)) as f64;
-            c.cp(j, i, angle);
+            c.cp(j, i, PI / pow2(j - i));
         }
     }
     c
@@ -218,6 +228,31 @@ mod tests {
         assert!((angles[0] - PI / 2.0).abs() < 1e-12);
         assert!((angles[1] - PI / 4.0).abs() < 1e-12);
         assert!((angles[2] - PI / 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn qft_angles_stay_exact_past_64_qubits() {
+        // Every shift the old `1u64 << k` denominator could express gives
+        // the same bits as before.
+        for k in 0..=63 {
+            assert_eq!(pow2(k).to_bits(), ((1u64 << k) as f64).to_bits());
+            assert_eq!(
+                (PI / pow2(k)).to_bits(),
+                (PI / (1u64 << k) as f64).to_bits(),
+                "angle PI / 2^{k}"
+            );
+        }
+        // Past 64 qubits the angles keep halving instead of overflowing.
+        let c = qft(80);
+        let smallest = c
+            .gates()
+            .iter()
+            .filter_map(|g| match g {
+                Gate::Cp(_, _, a) => Some(*a),
+                _ => None,
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(smallest.to_bits(), (PI / (1u128 << 79) as f64).to_bits());
     }
 
     #[test]

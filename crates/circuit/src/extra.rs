@@ -6,7 +6,7 @@
 //! quantum-phase-estimation building blocks commonly used to exercise
 //! MBQC compilers.
 
-use crate::benchmarks::qft_no_swaps;
+use crate::benchmarks::{pow2, qft_no_swaps};
 use crate::circuit::Circuit;
 use std::f64::consts::PI;
 
@@ -159,8 +159,7 @@ pub fn phase_estimation(bits: usize, theta: f64) -> Circuit {
     // qubit q to carry phase weight 2^q; qubit 0 then reads out as the
     // most significant fraction bit of theta.
     for q in 0..bits {
-        let angle = 2.0 * PI * theta * (1u64 << q) as f64;
-        c.cp(q, target, angle);
+        c.cp(q, target, 2.0 * PI * theta * pow2(q));
     }
     // Inverse QFT on the counting register (angles negated, reversed).
     let mut iqft = inverse_qft(bits);

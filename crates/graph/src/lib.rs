@@ -42,7 +42,6 @@ pub mod biconnected;
 pub mod embedding;
 pub mod generators;
 mod graph;
-pub mod matching;
 pub mod mps;
 pub mod planarity;
 pub mod traversal;

@@ -380,7 +380,7 @@ mod tests {
         );
         assert!(report.files_scanned > 50, "walk found the workspace");
         assert!(report.unsafe_sites >= 3, "the known carve-outs are seen");
-        assert!(report.atomics_sites > 50, "the atomics audit has scope");
+        assert!(report.atomics_sites > 30, "the atomics audit has scope");
     }
 
     #[test]

@@ -37,15 +37,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Overwrite the value.
-    ///
-    /// Only for mirroring a monotone counter that is maintained elsewhere
-    /// (e.g. a cache shard's hit count) into the registry at snapshot time;
-    /// live instrumentation should use [`Counter::inc`]/[`Counter::add`].
-    pub fn set(&self, n: u64) {
-        self.value.store(n, Ordering::Relaxed);
-    }
 }
 
 /// A gauge handle: a value that can move in both directions.

@@ -11,9 +11,11 @@
 //! one of N mutex stripes by their leading bytes, so concurrent requests
 //! only contend when they land on the same shard.
 //!
-//! Hit/miss/eviction counters are process-wide atomics surfaced through
-//! `GET /v1/stats`. [`fnv1a_64`] is kept alongside as the cheap
-//! non-cryptographic hash for callers that only need routing.
+//! Hit/miss/eviction counters are handles into the daemon's metric
+//! [`Registry`], registered when the cache is built, so `GET /v1/stats`
+//! and `GET /v1/metrics` read them directly. [`fnv1a_64`] is kept
+//! alongside as the cheap non-cryptographic hash for callers that only
+//! need routing.
 //!
 //! [`SingleFlight`] is the coalescing layer *in front of* the cache: N
 //! concurrent misses on one digest elect one leader that compiles while
@@ -27,7 +29,7 @@
 //! write-behind.
 
 use crate::spill::{SpillStats, SpillTier};
-use std::sync::atomic::{AtomicU64, Ordering};
+use oneq_obs::{Counter, Registry};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// FNV-1a, 64-bit: the classic offset-basis/prime pair. Tiny and fast;
@@ -136,7 +138,7 @@ pub fn canonicalize_source(source: &str) -> String {
     out
 }
 
-/// A point-in-time snapshot of the cache counters (for `/stats`).
+/// A point-in-time read of the cache counters and occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a cached body.
@@ -172,23 +174,45 @@ struct Shard {
 pub struct CompileCache {
     shards: Box<[Mutex<Shard>]>,
     shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 impl CompileCache {
     /// A cache holding at most `capacity` entries striped over `shards`
-    /// mutexes (both clamped to ≥ 1; per-shard capacity rounds up).
-    pub fn new(capacity: usize, shards: usize) -> CompileCache {
+    /// mutexes (both clamped to ≥ 1; per-shard capacity rounds up). Its
+    /// counters and its fixed shape (capacity, shards) are registered in
+    /// `registry`.
+    pub fn new(capacity: usize, shards: usize, registry: &Registry) -> CompileCache {
         let shards = shards.max(1);
         let shard_capacity = capacity.max(1).div_ceil(shards);
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
+        let gauge = |name: &str, help: &str, value: usize| {
+            registry.gauge(name, help, &[]).set(value as u64);
+        };
+        gauge(
+            "oneqd_cache_memory_capacity",
+            "Configured memory-tier capacity.",
+            shard_capacity * shards,
+        );
+        gauge(
+            "oneqd_cache_memory_shards",
+            "Mutex stripes in the memory tier.",
+            shards,
+        );
         CompileCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: counter("oneqd_cache_memory_hits_total", "Memory-tier cache hits."),
+            misses: counter(
+                "oneqd_cache_memory_misses_total",
+                "Memory-tier cache misses.",
+            ),
+            evictions: counter(
+                "oneqd_cache_memory_evictions_total",
+                "Memory-tier LRU evictions.",
+            ),
         }
     }
 
@@ -207,8 +231,6 @@ impl CompileCache {
     /// Digest-addressed lookup (the key was already hashed — e.g. to join
     /// a [`SingleFlight`]), refreshing recency on a hit.
     pub fn get_digest(&self, digest: &[u8; 32]) -> Option<Arc<str>> {
-        // ORDERING: Relaxed — hit/miss are independent statistics counters;
-        // entry visibility is ordered by the shard Mutex held here.
         let mut shard = self.shard_of(digest).lock().expect("cache shard poisoned");
         let pos = shard.entries.iter().position(|e| e.digest == *digest);
         match pos {
@@ -216,11 +238,11 @@ impl CompileCache {
                 let entry = shard.entries.remove(pos);
                 let value = Arc::clone(&entry.value);
                 shard.entries.push(entry);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.inc();
                 Some(value)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.inc();
                 None
             }
         }
@@ -260,9 +282,7 @@ impl CompileCache {
         shard.entries.push(Entry { digest, value });
         if shard.entries.len() > self.shard_capacity {
             shard.entries.remove(0);
-            // ORDERING: Relaxed — eviction statistic; shard Mutex orders
-            // the structural change itself.
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.inc();
         }
     }
 
@@ -281,12 +301,10 @@ impl CompileCache {
 
     /// Counter + occupancy snapshot.
     pub fn stats(&self) -> CacheStats {
-        // ORDERING: Relaxed — point-in-time statistics snapshot; slight
-        // skew between the three loads is acceptable to readers.
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
             entries: self.len(),
             capacity: self.shard_capacity * self.shards.len(),
             shards: self.shards.len(),
@@ -315,17 +333,26 @@ pub enum Tier {
 pub struct TieredCache {
     memory: CompileCache,
     disk: Option<SpillTier>,
-    fills: AtomicU64,
+    fills: Counter,
 }
 
 impl TieredCache {
     /// A tiered cache over an LRU of `capacity` entries × `shards`
-    /// stripes, optionally backed by `disk`.
-    pub fn new(capacity: usize, shards: usize, disk: Option<SpillTier>) -> TieredCache {
+    /// stripes, optionally backed by `disk`, counting into `registry`.
+    pub fn new(
+        capacity: usize,
+        shards: usize,
+        disk: Option<SpillTier>,
+        registry: &Registry,
+    ) -> TieredCache {
         TieredCache {
-            memory: CompileCache::new(capacity, shards),
+            memory: CompileCache::new(capacity, shards, registry),
             disk,
-            fills: AtomicU64::new(0),
+            fills: registry.counter(
+                "oneqd_cache_fills_total",
+                "Compile results inserted into the cache.",
+                &[],
+            ),
         }
     }
 
@@ -357,9 +384,7 @@ impl TieredCache {
     /// Fills `digest → value` after a compile: into memory now, onto
     /// disk write-behind.
     pub fn fill(&self, digest: [u8; 32], value: Arc<str>) {
-        // ORDERING: Relaxed — fill statistic; the insert below publishes the
-        // value under the shard Mutex.
-        self.fills.fetch_add(1, Ordering::Relaxed);
+        self.fills.inc();
         self.memory.insert_digest(digest, Arc::clone(&value));
         if let Some(disk) = &self.disk {
             disk.append(digest, value);
@@ -369,8 +394,7 @@ impl TieredCache {
     /// Compile results written into the cache (both tiers fill from the
     /// same event, so one counter covers them).
     pub fn fills(&self) -> u64 {
-        // ORDERING: Relaxed — statistics read with no dependent data.
-        self.fills.load(Ordering::Relaxed)
+        self.fills.get()
     }
 
     /// The in-memory tier's counters.
@@ -428,16 +452,23 @@ struct Flight {
 /// find the flight (and follow) or, finding neither, elect itself leader
 /// and see the filled cache on its double-check
 /// ([`CompileCache::peek_digest`]).
-#[derive(Default)]
 pub struct SingleFlight {
     inflight: Mutex<Vec<([u8; 32], Arc<Flight>)>>,
-    coalesced: AtomicU64,
+    coalesced: Counter,
 }
 
 impl SingleFlight {
-    /// An empty coalescing table.
-    pub fn new() -> SingleFlight {
-        SingleFlight::default()
+    /// An empty coalescing table, counting coalesced serves into
+    /// `registry`.
+    pub fn new(registry: &Registry) -> SingleFlight {
+        SingleFlight {
+            inflight: Mutex::default(),
+            coalesced: registry.counter(
+                "oneqd_coalesced_total",
+                "Requests served from a concurrent leader's in-flight compile.",
+                &[],
+            ),
+        }
     }
 
     /// Joins the flight for `digest`: the first caller becomes the
@@ -453,9 +484,7 @@ impl SingleFlight {
             }
             return match &*state {
                 FlightState::Done(body, ok) => {
-                    // ORDERING: Relaxed — coalesce statistic; the result
-                    // itself travels under the flight Mutex.
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
+                    self.coalesced.inc();
                     FlightRole::Follower(Some((Arc::clone(body), *ok)))
                 }
                 FlightState::Aborted => FlightRole::Follower(None),
@@ -477,8 +506,7 @@ impl SingleFlight {
 
     /// Followers served from a leader's in-flight result so far.
     pub fn coalesced(&self) -> u64 {
-        // ORDERING: Relaxed — statistics read with no dependent data.
-        self.coalesced.load(Ordering::Relaxed)
+        self.coalesced.get()
     }
 
     /// Digests currently being compiled (test/stats visibility).
@@ -580,7 +608,7 @@ mod tests {
 
     #[test]
     fn get_miss_then_hit() {
-        let cache = CompileCache::new(8, 2);
+        let cache = CompileCache::new(8, 2, &Registry::new());
         assert!(cache.get("k").is_none());
         cache.insert("k", arc("v"));
         assert_eq!(cache.get("k").as_deref(), Some("v"));
@@ -591,7 +619,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         // Single shard so the eviction order is fully observable.
-        let cache = CompileCache::new(2, 1);
+        let cache = CompileCache::new(2, 1, &Registry::new());
         cache.insert("a", arc("1"));
         cache.insert("b", arc("2"));
         assert_eq!(cache.get("a").as_deref(), Some("1")); // refresh a
@@ -605,7 +633,7 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_instead_of_duplicating() {
-        let cache = CompileCache::new(2, 1);
+        let cache = CompileCache::new(2, 1, &Registry::new());
         cache.insert("a", arc("1"));
         cache.insert("b", arc("2"));
         cache.insert("a", arc("1'"));
@@ -617,7 +645,7 @@ mod tests {
 
     #[test]
     fn striping_spreads_and_counts_globally() {
-        let cache = CompileCache::new(64, 8);
+        let cache = CompileCache::new(64, 8, &Registry::new());
         for i in 0..64 {
             cache.insert(&format!("key-{i}"), arc("v"));
         }
@@ -634,7 +662,7 @@ mod tests {
 
     #[test]
     fn single_flight_coalesces_followers_deterministically() {
-        let flights = SingleFlight::new();
+        let flights = SingleFlight::new(&Registry::new());
         let digest = sha256(b"storm-key");
         let followers = 6usize;
 
@@ -675,7 +703,7 @@ mod tests {
 
     #[test]
     fn single_flight_aborted_leader_releases_followers() {
-        let flights = SingleFlight::new();
+        let flights = SingleFlight::new(&Registry::new());
         let digest = sha256(b"abort-key");
         let FlightRole::Leader(leader) = flights.join(digest) else {
             panic!("first join must lead");
@@ -699,7 +727,7 @@ mod tests {
 
     #[test]
     fn single_flight_distinct_digests_fly_independently() {
-        let flights = SingleFlight::new();
+        let flights = SingleFlight::new(&Registry::new());
         let a = sha256(b"a");
         let b = sha256(b"b");
         let FlightRole::Leader(la) = flights.join(a) else {
@@ -717,7 +745,7 @@ mod tests {
 
     #[test]
     fn tiered_cache_without_disk_is_memory_only() {
-        let tier = TieredCache::new(4, 1, None);
+        let tier = TieredCache::new(4, 1, None, &Registry::new());
         let digest = sha256(b"k");
         assert!(tier.get_digest(&digest).is_none());
         tier.fill(digest, arc("v"));
@@ -737,10 +765,10 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let spill = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let spill = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         // Memory capacity 1: the second fill evicts the first from the
         // LRU, leaving it disk-only.
-        let tier = TieredCache::new(1, 1, Some(spill));
+        let tier = TieredCache::new(1, 1, Some(spill), &Registry::new());
         let (a, b) = (sha256(b"a"), sha256(b"b"));
         tier.fill(a, arc("A"));
         tier.fill(b, arc("B"));
@@ -765,7 +793,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let cache = Arc::new(CompileCache::new(128, 8));
+        let cache = Arc::new(CompileCache::new(128, 8, &Registry::new()));
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let cache = Arc::clone(&cache);

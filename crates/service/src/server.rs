@@ -43,10 +43,10 @@
 //!
 //! # Telemetry
 //!
-//! Every counter either lives in, or is mirrored into, the
-//! [`crate::telemetry::Telemetry`] registry, and both `GET /v1/stats`
-//! and `GET /v1/metrics` render from *one* registry snapshot — the two
-//! surfaces cannot disagree. Every parsed request carries an
+//! Every counter is a handle into the [`crate::telemetry::Telemetry`]
+//! registry, taken when its component is built and bumped where the
+//! event happens, and both `GET /v1/stats` and `GET /v1/metrics` render
+//! from *one* registry snapshot — the two surfaces cannot disagree. Every parsed request carries an
 //! `X-Oneqd-Request-Id` (inbound value adopted when well-formed,
 //! otherwise minted) echoed on the response, and a span trace — read,
 //! queue wait, handler, per-tier cache lookup, per-stage compile times,
@@ -77,11 +77,11 @@ use crate::spill::{SpillConfig, SpillTier};
 use crate::telemetry::{
     PendingTrace, Telemetry, TraceSeed, ROUTE_BATCH, ROUTE_COMPILE, ROUTE_INLINE,
 };
-use oneq_obs::{duration_ns, Snapshot, Span};
+use oneq_obs::{duration_ns, Counter, Gauge, Snapshot, Span};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -199,7 +199,9 @@ impl Drop for SemaphoreGuard<'_> {
 }
 
 /// Shared request/connection/cache accounting, surfaced through
-/// `GET /v1/stats`.
+/// `GET /v1/stats` and `GET /v1/metrics`. Every counter and gauge here is
+/// a registry handle; the components behind `cache` and `flights` hold
+/// their own.
 pub struct ServiceState {
     started: Instant,
     /// The tiered compile cache (memory LRU + optional disk spill).
@@ -209,33 +211,31 @@ pub struct ServiceState {
     /// The metrics registry, trace ring, and request-id mint.
     pub telemetry: Telemetry,
     batch_slots: Semaphore,
-    connections: AtomicU64,
-    requests: AtomicU64,
-    healthz_requests: AtomicU64,
-    stats_requests: AtomicU64,
-    metrics_requests: AtomicU64,
-    traces_requests: AtomicU64,
-    compile_requests: AtomicU64,
-    batch_requests: AtomicU64,
-    batch_records: AtomicU64,
-    compile_ok: AtomicU64,
-    compile_errors: AtomicU64,
-    compile_executions: AtomicU64,
-    http_errors: AtomicU64,
-    workers: usize,
-    max_connections: usize,
-    // Connection-state gauges, refreshed by the event loop every
-    // iteration (so an externally rendered stats body is at most one
-    // poll cadence stale).
-    conns_open: AtomicU64,
-    conns_reading: AtomicU64,
-    conns_dispatched: AtomicU64,
-    conns_writing: AtomicU64,
-    conns_draining: AtomicU64,
-    conns_idle: AtomicU64,
-    evicted_slow_read: AtomicU64,
-    evicted_slow_write: AtomicU64,
-    idle_closed: AtomicU64,
+    connections: Counter,
+    requests: Counter,
+    healthz_requests: Counter,
+    stats_requests: Counter,
+    metrics_requests: Counter,
+    traces_requests: Counter,
+    compile_requests: Counter,
+    batch_requests: Counter,
+    batch_records: Counter,
+    compile_ok: Counter,
+    compile_errors: Counter,
+    compile_executions: Counter,
+    http_errors: Counter,
+    // Connection-state gauges, set by the event loop every iteration (so
+    // an externally rendered stats body is at most one poll cadence
+    // stale).
+    conns_reading: Gauge,
+    conns_dispatched: Gauge,
+    conns_writing: Gauge,
+    conns_draining: Gauge,
+    conns_idle: Gauge,
+    conns_open: Gauge,
+    evicted_slow_read: Counter,
+    evicted_slow_write: Counter,
+    idle_closed: Counter,
 }
 
 impl ServiceState {
@@ -243,305 +243,149 @@ impl ServiceState {
     /// may be unwritable or flocked by another daemon.
     fn new(config: &ServerConfig) -> io::Result<ServiceState> {
         let telemetry = Telemetry::new(config.trace_log.as_deref(), config.slow_ms)?;
+        let reg = &telemetry.registry;
         let disk = match &config.cache_dir {
             Some(dir) => {
                 let mut spill = SpillConfig::new(dir);
                 spill.max_bytes = config.cache_disk_bytes;
-                let tier = SpillTier::open(spill)?;
+                let tier = SpillTier::open(spill, reg)?;
                 tier.set_lag_observer(telemetry.spill_lag_histogram());
                 Some(tier)
             }
             None => None,
         };
+        let counter = |name: &str, help: &str| reg.counter(name, help, &[]);
+        let fixed = |name: &str, help: &str, value: u64| reg.gauge(name, help, &[]).set(value);
+        let route = |route: &str| {
+            reg.counter(
+                "oneqd_route_requests_total",
+                "Requests by route.",
+                &[("route", route)],
+            )
+        };
+        let conn_state = |state: &str| {
+            reg.gauge(
+                "oneqd_conn_states",
+                "Open connections by state.",
+                &[("state", state)],
+            )
+        };
+        let evicted = |reason: &str| {
+            reg.counter(
+                "oneqd_evictions_total",
+                "Connections closed by the server, by reason.",
+                &[("reason", reason)],
+            )
+        };
+        fixed(
+            "oneqd_workers",
+            "Worker threads serving compile requests.",
+            config.workers.max(1) as u64,
+        );
+        fixed(
+            "oneqd_max_connections",
+            "Configured cap on concurrently open connections.",
+            config.max_connections.max(1) as u64,
+        );
+        fixed(
+            "oneqd_spill_enabled",
+            "1 when a disk spill tier is attached.",
+            u64::from(disk.is_some()),
+        );
         Ok(ServiceState {
             started: Instant::now(),
-            cache: TieredCache::new(config.cache_capacity, config.cache_shards, disk),
-            flights: SingleFlight::new(),
-            telemetry,
+            cache: TieredCache::new(config.cache_capacity, config.cache_shards, disk, reg),
+            flights: SingleFlight::new(reg),
             batch_slots: Semaphore::new(config.batch_jobs),
-            connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            healthz_requests: AtomicU64::new(0),
-            stats_requests: AtomicU64::new(0),
-            metrics_requests: AtomicU64::new(0),
-            traces_requests: AtomicU64::new(0),
-            compile_requests: AtomicU64::new(0),
-            batch_requests: AtomicU64::new(0),
-            batch_records: AtomicU64::new(0),
-            compile_ok: AtomicU64::new(0),
-            compile_errors: AtomicU64::new(0),
-            compile_executions: AtomicU64::new(0),
-            http_errors: AtomicU64::new(0),
-            workers: config.workers.max(1),
-            max_connections: config.max_connections.max(1),
-            conns_open: AtomicU64::new(0),
-            conns_reading: AtomicU64::new(0),
-            conns_dispatched: AtomicU64::new(0),
-            conns_writing: AtomicU64::new(0),
-            conns_draining: AtomicU64::new(0),
-            conns_idle: AtomicU64::new(0),
-            evicted_slow_read: AtomicU64::new(0),
-            evicted_slow_write: AtomicU64::new(0),
-            idle_closed: AtomicU64::new(0),
+            connections: counter("oneqd_connections_total", "Connections accepted."),
+            requests: counter(
+                "oneqd_requests_total",
+                "HTTP requests received (including malformed ones).",
+            ),
+            healthz_requests: route("healthz"),
+            stats_requests: route("stats"),
+            metrics_requests: route("metrics"),
+            traces_requests: route("traces"),
+            compile_requests: route("compile"),
+            batch_requests: route("batch"),
+            batch_records: counter(
+                "oneqd_batch_records_total",
+                "Individual records served across batch requests.",
+            ),
+            compile_ok: counter(
+                "oneqd_compile_ok_total",
+                "Compile records answered with status ok.",
+            ),
+            compile_errors: counter(
+                "oneqd_compile_errors_total",
+                "Compile records answered with status error.",
+            ),
+            compile_executions: counter(
+                "oneqd_compile_executions_total",
+                "Compiles actually executed (misses + bypasses).",
+            ),
+            http_errors: counter(
+                "oneqd_http_errors_total",
+                "Requests answered with a 4xx/5xx error envelope.",
+            ),
+            conns_reading: conn_state("reading"),
+            conns_dispatched: conn_state("dispatched"),
+            conns_writing: conn_state("writing"),
+            conns_draining: conn_state("draining"),
+            conns_idle: conn_state("idle_keep_alive"),
+            conns_open: reg.gauge(
+                "oneqd_conns_open",
+                "Connections currently open (all states).",
+                &[],
+            ),
+            evicted_slow_read: evicted("slow_read"),
+            evicted_slow_write: evicted("slow_write"),
+            idle_closed: evicted("idle"),
+            telemetry,
         })
     }
 
-    /// Compiles actually executed (cache misses + bypasses); the
-    /// difference against `compile_requests + batch_records` is the work
-    /// the cache and the single-flight layer saved.
-    pub fn compile_executions(&self) -> u64 {
-        // ORDERING: Relaxed — statistics read with no dependent data.
-        self.compile_executions.load(Ordering::Relaxed)
-    }
-
-    /// Slow-client evictions so far (read-side: slow-loris uploads and
-    /// stalled drains). Tests and `loadgen`'s adversarial gate read this
-    /// without parsing the stats body.
-    pub fn evicted_slow_read(&self) -> u64 {
-        // ORDERING: Relaxed — statistics read with no dependent data.
-        self.evicted_slow_read.load(Ordering::Relaxed)
-    }
-
-    /// Mirrors every externally maintained counter and gauge — the
-    /// request atomics, cache shard counters, spill stats, coalescing
-    /// count, trace-ring total — into the telemetry registry. Called
-    /// immediately before each snapshot so both rendered surfaces see
-    /// one consistent capture; live instrumentation (histograms, cache
-    /// outcomes) records into the registry directly and needs no mirror.
-    fn refresh_registry(&self) {
+    /// One consistent capture of every metric: the registry snapshot
+    /// both `/v1/metrics` (exposition format) and `/v1/stats` (JSON)
+    /// render from. Counters are live registry handles; only the state
+    /// no single event counts — uptime and cache occupancy — is set
+    /// here, just before the capture.
+    pub fn metrics_snapshot(&self) -> Snapshot {
         let reg = &self.telemetry.registry;
-        let counter = |name: &str, help: &str, value: u64| {
-            reg.counter(name, help, &[]).set(value);
-        };
-        let gauge = |name: &str, help: &str, value: u64| {
-            reg.gauge(name, help, &[]).set(value);
-        };
-        // ORDERING: Relaxed — mirroring statistics into the registry is a
-        // point-in-time capture; counters are independent of each other.
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-
+        let gauge = |name: &str, help: &str, value: u64| reg.gauge(name, help, &[]).set(value);
         gauge(
             "oneqd_uptime_milliseconds",
             "Milliseconds since the daemon started.",
             self.started.elapsed().as_millis() as u64,
         );
         gauge(
-            "oneqd_workers",
-            "Worker threads serving compile requests.",
-            self.workers as u64,
-        );
-        gauge(
-            "oneqd_max_connections",
-            "Configured cap on concurrently open connections.",
-            self.max_connections as u64,
-        );
-        counter(
-            "oneqd_connections_total",
-            "Connections accepted.",
-            load(&self.connections),
-        );
-        counter(
-            "oneqd_requests_total",
-            "HTTP requests received (including malformed ones).",
-            load(&self.requests),
-        );
-        let route_help = "Requests by route.";
-        for (route, atomic) in [
-            ("healthz", &self.healthz_requests),
-            ("stats", &self.stats_requests),
-            ("metrics", &self.metrics_requests),
-            ("traces", &self.traces_requests),
-            ("compile", &self.compile_requests),
-            ("batch", &self.batch_requests),
-        ] {
-            reg.counter(
-                "oneqd_route_requests_total",
-                route_help,
-                &[("route", route)],
-            )
-            .set(load(atomic));
-        }
-        counter(
-            "oneqd_batch_records_total",
-            "Individual records served across batch requests.",
-            load(&self.batch_records),
-        );
-        counter(
-            "oneqd_compile_ok_total",
-            "Compile records answered with status ok.",
-            load(&self.compile_ok),
-        );
-        counter(
-            "oneqd_compile_errors_total",
-            "Compile records answered with status error.",
-            load(&self.compile_errors),
-        );
-        counter(
-            "oneqd_compile_executions_total",
-            "Compiles actually executed (misses + bypasses).",
-            load(&self.compile_executions),
-        );
-        counter(
-            "oneqd_coalesced_total",
-            "Requests served from a concurrent leader's in-flight compile.",
-            self.flights.coalesced(),
-        );
-        counter(
-            "oneqd_http_errors_total",
-            "Requests answered with a 4xx/5xx error envelope.",
-            load(&self.http_errors),
-        );
-        let conn_help = "Open connections by state.";
-        for (state, atomic) in [
-            ("reading", &self.conns_reading),
-            ("dispatched", &self.conns_dispatched),
-            ("writing", &self.conns_writing),
-            ("draining", &self.conns_draining),
-            ("idle_keep_alive", &self.conns_idle),
-        ] {
-            reg.gauge("oneqd_conn_states", conn_help, &[("state", state)])
-                .set(load(atomic));
-        }
-        gauge(
-            "oneqd_conns_open",
-            "Connections currently open (all states).",
-            load(&self.conns_open),
-        );
-        let evict_help = "Connections closed by the server, by reason.";
-        for (reason, atomic) in [
-            ("slow_read", &self.evicted_slow_read),
-            ("slow_write", &self.evicted_slow_write),
-            ("idle", &self.idle_closed),
-        ] {
-            reg.counter("oneqd_evictions_total", evict_help, &[("reason", reason)])
-                .set(load(atomic));
-        }
-
-        counter(
-            "oneqd_cache_fills_total",
-            "Compile results inserted into the cache.",
-            self.cache.fills(),
-        );
-        let memory = self.cache.memory_stats();
-        counter(
-            "oneqd_cache_memory_hits_total",
-            "Memory-tier cache hits.",
-            memory.hits,
-        );
-        counter(
-            "oneqd_cache_memory_misses_total",
-            "Memory-tier cache misses.",
-            memory.misses,
-        );
-        counter(
-            "oneqd_cache_memory_evictions_total",
-            "Memory-tier LRU evictions.",
-            memory.evictions,
-        );
-        gauge(
             "oneqd_cache_memory_entries",
             "Entries resident in the memory tier.",
-            memory.entries as u64,
+            self.cache.memory_stats().entries as u64,
         );
-        gauge(
-            "oneqd_cache_memory_capacity",
-            "Configured memory-tier capacity.",
-            memory.capacity as u64,
-        );
-        gauge(
-            "oneqd_cache_memory_shards",
-            "Mutex stripes in the memory tier.",
-            memory.shards as u64,
-        );
-        match self.cache.disk_stats() {
-            Some(spill) => {
-                gauge(
-                    "oneqd_spill_enabled",
-                    "1 when a disk spill tier is attached.",
-                    1,
-                );
-                counter(
-                    "oneqd_spill_hits_total",
-                    "Disk-tier cache hits.",
-                    spill.hits,
-                );
-                counter(
-                    "oneqd_spill_appends_total",
-                    "Records appended to the spill log.",
-                    spill.appends,
-                );
-                gauge(
-                    "oneqd_spill_entries",
-                    "Records indexed in the spill tier.",
-                    spill.entries as u64,
-                );
-                gauge(
-                    "oneqd_spill_segments",
-                    "Segment files in the spill directory.",
-                    spill.segments as u64,
-                );
-                gauge(
-                    "oneqd_spill_live_bytes",
-                    "Bytes of live records on disk.",
-                    spill.live_bytes,
-                );
-                gauge(
-                    "oneqd_spill_dead_bytes",
-                    "Bytes of superseded records awaiting compaction.",
-                    spill.dead_bytes,
-                );
-                gauge(
-                    "oneqd_spill_capacity_bytes",
-                    "Configured spill byte budget.",
-                    spill.capacity_bytes,
-                );
-                counter(
-                    "oneqd_spill_evicted_segments_total",
-                    "Whole segments dropped to stay under budget.",
-                    spill.evicted_segments,
-                );
-                counter(
-                    "oneqd_spill_compactions_total",
-                    "Compaction passes over the spill log.",
-                    spill.compactions,
-                );
-                counter(
-                    "oneqd_spill_crc_dropped_total",
-                    "Records dropped for CRC mismatch at recovery.",
-                    spill.crc_dropped,
-                );
-                counter(
-                    "oneqd_spill_recovered_records_total",
-                    "Records recovered from disk at startup.",
-                    spill.recovered_records,
-                );
-                counter(
-                    "oneqd_spill_truncated_tails_total",
-                    "Torn segment tails truncated at recovery.",
-                    spill.truncated_tails,
-                );
-            }
-            None => {
-                gauge(
-                    "oneqd_spill_enabled",
-                    "1 when a disk spill tier is attached.",
-                    0,
-                );
-            }
+        if let Some(spill) = self.cache.disk_stats() {
+            gauge(
+                "oneqd_spill_entries",
+                "Records indexed in the spill tier.",
+                spill.entries as u64,
+            );
+            gauge(
+                "oneqd_spill_segments",
+                "Segment files in the spill directory.",
+                spill.segments as u64,
+            );
+            gauge(
+                "oneqd_spill_live_bytes",
+                "Bytes of live records on disk.",
+                spill.live_bytes,
+            );
+            gauge(
+                "oneqd_spill_dead_bytes",
+                "Bytes of superseded records awaiting compaction.",
+                spill.dead_bytes,
+            );
         }
-        counter(
-            "oneqd_traces_total",
-            "Request traces closed (ring evictions included).",
-            self.telemetry.traces.pushed(),
-        );
-    }
-
-    /// One consistent capture of every metric: the registry snapshot
-    /// both `/v1/metrics` (exposition format) and `/v1/stats` (JSON)
-    /// render from. Mirrored counters are refreshed first.
-    pub fn metrics_snapshot(&self) -> Snapshot {
-        self.refresh_registry();
-        self.telemetry.registry.snapshot()
+        reg.snapshot()
     }
 
     /// Renders the `/v1/stats` body (`oneqd-stats/v6`): flat request
@@ -981,27 +825,17 @@ mod event_loop {
                 if deadline > now {
                     continue;
                 }
-                // ORDERING: Relaxed — eviction statistics; the connection
-                // teardown itself happens on this (the only) loop thread.
                 match conn.state() {
-                    ConnState::Idle => {
-                        self.state.idle_closed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ConnState::Reading | ConnState::Draining => {
-                        self.state.evicted_slow_read.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ConnState::Writing => {
-                        self.state
-                            .evicted_slow_write
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
+                    ConnState::Idle => self.state.idle_closed.inc(),
+                    ConnState::Reading | ConnState::Draining => self.state.evicted_slow_read.inc(),
+                    ConnState::Writing => self.state.evicted_slow_write.inc(),
                     ConnState::Dispatched => continue,
                 }
                 self.close(slot);
             }
         }
 
-        /// Recounts the connection-state gauges into the shared state.
+        /// Recounts the connection-state gauges.
         fn refresh_gauges(&self) {
             let (mut reading, mut dispatched, mut writing, mut draining, mut idle) =
                 (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -1015,15 +849,12 @@ mod event_loop {
                 }
             }
             let s = &self.state;
-            // ORDERING: Relaxed — connection-state gauges are point-in-time
-            // readings published for /v1/stats; no reader orders on them.
-            s.conns_open
-                .store(self.open_count as u64, Ordering::Relaxed);
-            s.conns_reading.store(reading, Ordering::Relaxed);
-            s.conns_dispatched.store(dispatched, Ordering::Relaxed);
-            s.conns_writing.store(writing, Ordering::Relaxed);
-            s.conns_draining.store(draining, Ordering::Relaxed);
-            s.conns_idle.store(idle, Ordering::Relaxed);
+            s.conns_open.set(self.open_count as u64);
+            s.conns_reading.set(reading);
+            s.conns_dispatched.set(dispatched);
+            s.conns_writing.set(writing);
+            s.conns_draining.set(draining);
+            s.conns_idle.set(idle);
         }
 
         /// Re-offers bounced jobs to the pool, preserving order.
@@ -1074,8 +905,7 @@ mod event_loop {
                         // timeout; the whole-request io_timeout arms
                         // once its first byte arrives.
                         conn.set_deadline(Some(Instant::now() + self.config.idle_timeout));
-                        // ORDERING: Relaxed — accepted-connections statistic.
-                        self.state.connections.fetch_add(1, Ordering::Relaxed);
+                        self.state.connections.inc();
                         let slot = match self.free.pop() {
                             Some(slot) => {
                                 self.conns[slot] = Some(conn);
@@ -1145,10 +975,8 @@ mod event_loop {
                             // `http_errors` + the per-route counters.
                             // The stream position is unknown → the
                             // session must end after the 400.
-                            // ORDERING: Relaxed — request/error statistics;
-                            // independent counters reconciled offline.
-                            self.state.requests.fetch_add(1, Ordering::Relaxed);
-                            self.state.http_errors.fetch_add(1, Ordering::Relaxed);
+                            self.state.requests.inc();
+                            self.state.http_errors.inc();
                             let io_timeout = self.config.io_timeout;
                             let conn = self.conns[slot].as_mut().expect("conn is live");
                             conn.queue_response(
@@ -1159,9 +987,8 @@ mod event_loop {
                             conn.set_deadline(Some(Instant::now() + io_timeout));
                         }
                         Err(RequestError::BodyTooLarge(n)) => {
-                            // ORDERING: Relaxed — request/error statistics.
-                            self.state.requests.fetch_add(1, Ordering::Relaxed);
-                            self.state.http_errors.fetch_add(1, Ordering::Relaxed);
+                            self.state.requests.inc();
+                            self.state.http_errors.inc();
                             // The oversized body was never buffered (the
                             // limit is checked against Content-Length).
                             // Drain a bounded amount before writing so
@@ -1230,8 +1057,7 @@ mod event_loop {
         /// loop, dispatches compile work to the pool. Returns `false`
         /// when the connection is now owned by a worker (stop pumping).
         fn on_request(&mut self, slot: usize, request: Request) -> bool {
-            // ORDERING: Relaxed — total-requests statistic.
-            self.state.requests.fetch_add(1, Ordering::Relaxed);
+            self.state.requests.inc();
             let conn = self.conns[slot].as_mut().expect("conn is live");
             conn.mark_served();
             // The read span covers first request byte → parse complete.
@@ -1346,9 +1172,7 @@ mod event_loop {
         let rid = || ("X-Oneqd-Request-Id", req_id.to_string());
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/v1/healthz") => {
-                // ORDERING: Relaxed — per-route request statistics, here
-                // and in every arm below; all are independent counters.
-                state.healthz_requests.fetch_add(1, Ordering::Relaxed);
+                state.healthz_requests.inc();
                 let bytes = render(
                     200,
                     &[rid()],
@@ -1358,11 +1182,11 @@ mod event_loop {
                 (bytes, 200)
             }
             ("GET", "/v1/stats") => {
-                state.stats_requests.fetch_add(1, Ordering::Relaxed);
+                state.stats_requests.inc();
                 (render(200, &[rid()], &state.stats_json(), conn), 200)
             }
             ("GET", "/v1/metrics") => {
-                state.metrics_requests.fetch_add(1, Ordering::Relaxed);
+                state.metrics_requests.inc();
                 let body = state.metrics_snapshot().render_prometheus();
                 let bytes = render_with(
                     200,
@@ -1374,18 +1198,17 @@ mod event_loop {
                 (bytes, 200)
             }
             ("GET", "/v1/traces") => {
-                // ORDERING: Relaxed — per-route request/error statistics.
-                state.traces_requests.fetch_add(1, Ordering::Relaxed);
+                state.traces_requests.inc();
                 match traces_body(state, request) {
                     Ok(body) => (render(200, &[rid()], &body, conn), 200),
                     Err(msg) => {
-                        state.http_errors.fetch_add(1, Ordering::Relaxed);
+                        state.http_errors.inc();
                         (render_error(400, &msg, &[rid()], conn), 400)
                     }
                 }
             }
             ("GET", path) if path.starts_with("/v1/traces/") => {
-                state.traces_requests.fetch_add(1, Ordering::Relaxed);
+                state.traces_requests.inc();
                 let id = &path["/v1/traces/".len()..];
                 match state.telemetry.traces.get(id) {
                     Some(record) => {
@@ -1394,7 +1217,7 @@ mod event_loop {
                         (render(200, &[rid()], &body, conn), 200)
                     }
                     None => {
-                        state.http_errors.fetch_add(1, Ordering::Relaxed);
+                        state.http_errors.inc();
                         let bytes = render_error(
                             404,
                             "no trace for that request id (the ring holds the most recent 256)",
@@ -1406,8 +1229,7 @@ mod event_loop {
                 }
             }
             (_, "/v1/healthz" | "/v1/stats" | "/v1/metrics" | "/v1/traces") => {
-                // ORDERING: Relaxed — error statistics for rejected methods.
-                state.http_errors.fetch_add(1, Ordering::Relaxed);
+                state.http_errors.inc();
                 let bytes = render_error(
                     405,
                     "method not allowed",
@@ -1417,7 +1239,7 @@ mod event_loop {
                 (bytes, 405)
             }
             (_, path) if path.starts_with("/v1/traces/") => {
-                state.http_errors.fetch_add(1, Ordering::Relaxed);
+                state.http_errors.inc();
                 let bytes = render_error(
                     405,
                     "method not allowed",
@@ -1427,8 +1249,7 @@ mod event_loop {
                 (bytes, 405)
             }
             (_, "/v1/compile" | "/v1/compile-batch") => {
-                // ORDERING: Relaxed — error statistics, as above.
-                state.http_errors.fetch_add(1, Ordering::Relaxed);
+                state.http_errors.inc();
                 let bytes = render_error(
                     405,
                     "method not allowed",
@@ -1438,7 +1259,7 @@ mod event_loop {
                 (bytes, 405)
             }
             _ => {
-                state.http_errors.fetch_add(1, Ordering::Relaxed);
+                state.http_errors.inc();
                 (render_error(404, "no such endpoint", &[rid()], conn), 404)
             }
         }
@@ -1501,8 +1322,7 @@ fn compile_via_cache_inner(
 ) -> (Arc<str>, bool, &'static str, Option<RecordTimings>) {
     let run = |state: &ServiceState| -> (Arc<str>, bool, Option<RecordTimings>) {
         let _slot = slots.map(Semaphore::acquire);
-        // ORDERING: Relaxed — executed-compiles statistic.
-        state.compile_executions.fetch_add(1, Ordering::Relaxed);
+        state.compile_executions.inc();
         let (record, ok, timings) = req.record_timed();
         (Arc::from(format!("{record}\n").as_str()), ok, timings)
     };
@@ -1717,15 +1537,13 @@ fn handle_compile(
     conn: Connection,
     req_id: &str,
 ) -> (Vec<u8>, HandlerTrace) {
-    // ORDERING: Relaxed — request/error statistics throughout this
-    // handler; all are independent counters.
-    state.compile_requests.fetch_add(1, Ordering::Relaxed);
+    state.compile_requests.inc();
     let started = Instant::now();
     let rid = || ("X-Oneqd-Request-Id", req_id.to_string());
     let source = match std::str::from_utf8(&request.body) {
         Ok(s) => s,
         Err(_) => {
-            state.http_errors.fetch_add(1, Ordering::Relaxed);
+            state.http_errors.inc();
             let bytes = render_error(400, "request body is not UTF-8", &[rid()], conn);
             return (bytes, HandlerTrace::error(400));
         }
@@ -1733,7 +1551,7 @@ fn handle_compile(
     let req = match CompileRequest::from_query(&request.query, source) {
         Ok(req) => req,
         Err(msg) => {
-            state.http_errors.fetch_add(1, Ordering::Relaxed);
+            state.http_errors.inc();
             let bytes = render_error(400, &msg, &[rid()], conn);
             return (bytes, HandlerTrace::error(400));
         }
@@ -1741,13 +1559,11 @@ fn handle_compile(
 
     let cache_off = duration_ns(started.elapsed());
     let (body, ok, outcome, trace) = compile_via_cache(state, &req, None, req_id);
-    let counter = if ok {
-        &state.compile_ok
+    if ok {
+        state.compile_ok.inc();
     } else {
-        &state.compile_errors
-    };
-    // ORDERING: Relaxed — outcome statistic.
-    counter.fetch_add(1, Ordering::Relaxed);
+        state.compile_errors.inc();
+    }
     let status = if ok { 200 } else { 422 };
     let headers = vec![("X-Oneqd-Cache", outcome.to_string()), rid()];
     let bytes = render(status, &headers, &body, conn);
@@ -1771,14 +1587,12 @@ fn handle_batch(
     conn: Connection,
     req_id: &str,
 ) -> (Vec<u8>, HandlerTrace) {
-    // ORDERING: Relaxed — request/error statistics throughout this
-    // handler; all are independent counters.
-    state.batch_requests.fetch_add(1, Ordering::Relaxed);
+    state.batch_requests.inc();
     let rid = || ("X-Oneqd-Request-Id", req_id.to_string());
     let text = match std::str::from_utf8(&request.body) {
         Ok(s) => s,
         Err(_) => {
-            state.http_errors.fetch_add(1, Ordering::Relaxed);
+            state.http_errors.inc();
             let bytes = render_error(400, "request body is not UTF-8", &[rid()], conn);
             return (bytes, HandlerTrace::error(400));
         }
@@ -1794,8 +1608,7 @@ fn handle_batch(
         match CompileRequest::from_jsonl_line(line) {
             Ok(req) => requests.push(req),
             Err(msg) => {
-                // ORDERING: Relaxed — error statistic.
-                state.http_errors.fetch_add(1, Ordering::Relaxed);
+                state.http_errors.inc();
                 let bytes =
                     render_error(400, &format!("batch line {}: {msg}", i + 1), &[rid()], conn);
                 return (bytes, HandlerTrace::error(400));
@@ -1803,7 +1616,7 @@ fn handle_batch(
         }
     }
     if requests.is_empty() {
-        state.http_errors.fetch_add(1, Ordering::Relaxed);
+        state.http_errors.inc();
         let bytes = render_error(400, "batch body holds no request lines", &[rid()], conn);
         return (bytes, HandlerTrace::error(400));
     }
@@ -1819,20 +1632,16 @@ fn handle_batch(
         compile_via_cache(state, req, Some(&state.batch_slots), req_id)
     });
 
-    // ORDERING: Relaxed — per-record outcome statistics, here and in the
-    // loop below.
-    state
-        .batch_records
-        .fetch_add(results.len() as u64, Ordering::Relaxed);
+    state.batch_records.add(results.len() as u64);
     let mut body = String::new();
     let mut errors = 0usize;
     let mut outcomes = [0usize; 5]; // memory, disk, miss, coalesced, bypass
     for (record, ok, outcome, _trace) in &results {
         body.push_str(record);
         if *ok {
-            state.compile_ok.fetch_add(1, Ordering::Relaxed);
+            state.compile_ok.inc();
         } else {
-            state.compile_errors.fetch_add(1, Ordering::Relaxed);
+            state.compile_errors.inc();
             errors += 1;
         }
         let slot = match *outcome {

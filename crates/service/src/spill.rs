@@ -28,6 +28,7 @@
 //! # Example
 //!
 //! ```
+//! use oneq_obs::Registry;
 //! use oneq_service::cache::sha256;
 //! use oneq_service::spill::{SpillConfig, SpillTier};
 //! use std::sync::Arc;
@@ -35,13 +36,13 @@
 //! let dir = std::env::temp_dir().join(format!("oneq-spill-doc-{}", std::process::id()));
 //! let digest = sha256(b"some fingerprint");
 //! {
-//!     let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+//!     let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
 //!     tier.append(digest, Arc::from("{\"status\": \"ok\"}\n"));
 //!     tier.flush(); // write-behind: force the record out for the assert
 //!     assert_eq!(tier.get(&digest).as_deref(), Some("{\"status\": \"ok\"}\n"));
 //! } // drop releases the directory lock
 //! // A new tier over the same directory recovers the record from disk.
-//! let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+//! let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
 //! assert_eq!(tier.get(&digest).as_deref(), Some("{\"status\": \"ok\"}\n"));
 //! drop(tier);
 //! std::fs::remove_dir_all(&dir).unwrap();
@@ -52,12 +53,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use oneq_obs::Histogram;
+use oneq_obs::{Counter, Histogram, Registry};
 
 /// Advisory whole-file locking via `flock(2)`. This is the crate's
 /// second `unsafe` carve-out (alongside `signal.rs` — see the manifest):
@@ -135,8 +135,7 @@ impl SpillConfig {
     }
 }
 
-/// A point-in-time snapshot of the spill tier's counters (for
-/// `/v1/stats`).
+/// A point-in-time read of the spill tier's counters and occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpillStats {
     /// Lookups served from disk (verified reads).
@@ -152,8 +151,6 @@ pub struct SpillStats {
     /// Bytes of superseded, dropped, or torn data awaiting compaction or
     /// eviction.
     pub dead_bytes: u64,
-    /// The configured directory byte budget.
-    pub capacity_bytes: u64,
     /// Whole segments deleted under capacity pressure.
     pub evicted_segments: u64,
     /// Startup compactions performed over the tier's lifetime (this
@@ -195,13 +192,13 @@ struct State {
 struct Inner {
     config: SpillConfig,
     state: Mutex<State>,
-    hits: AtomicU64,
-    appends: AtomicU64,
-    evicted_segments: AtomicU64,
-    compactions: AtomicU64,
-    crc_dropped: AtomicU64,
-    recovered_records: AtomicU64,
-    truncated_tails: AtomicU64,
+    hits: Counter,
+    appends: Counter,
+    evicted_segments: Counter,
+    compactions: Counter,
+    crc_dropped: Counter,
+    recovered_records: Counter,
+    truncated_tails: Counter,
     /// Write-behind lag observer: records enqueue → write delay per append.
     /// Set once by the daemon after open; absent in library/test use.
     lag: OnceLock<Histogram>,
@@ -246,11 +243,12 @@ fn segment_id(name: &str) -> Option<u64> {
 impl SpillTier {
     /// Opens (or creates) the spill directory: locks it, scans and
     /// recovers every segment, compacts if past the garbage threshold,
-    /// and starts the background writer.
+    /// and starts the background writer. Its counters and its byte
+    /// budget are registered in `registry`.
     ///
     /// Fails if the directory cannot be created or read, or if another
     /// live process holds its `LOCK`.
-    pub fn open(config: SpillConfig) -> io::Result<SpillTier> {
+    pub fn open(config: SpillConfig, registry: &Registry) -> io::Result<SpillTier> {
         std::fs::create_dir_all(&config.dir)?;
         let lock = OpenOptions::new()
             .create(true)
@@ -267,16 +265,42 @@ impl SpillTier {
             )
         })?;
 
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
+        registry
+            .gauge(
+                "oneqd_spill_capacity_bytes",
+                "Configured spill byte budget.",
+                &[],
+            )
+            .set(config.max_bytes);
         let inner = Arc::new(Inner {
             config,
             state: Mutex::new(State::default()),
-            hits: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
-            evicted_segments: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            crc_dropped: AtomicU64::new(0),
-            recovered_records: AtomicU64::new(0),
-            truncated_tails: AtomicU64::new(0),
+            hits: counter("oneqd_spill_hits_total", "Disk-tier cache hits."),
+            appends: counter(
+                "oneqd_spill_appends_total",
+                "Records appended to the spill log.",
+            ),
+            evicted_segments: counter(
+                "oneqd_spill_evicted_segments_total",
+                "Whole segments dropped to stay under budget.",
+            ),
+            compactions: counter(
+                "oneqd_spill_compactions_total",
+                "Compaction passes over the spill log.",
+            ),
+            crc_dropped: counter(
+                "oneqd_spill_crc_dropped_total",
+                "Records dropped for CRC mismatch at recovery.",
+            ),
+            recovered_records: counter(
+                "oneqd_spill_recovered_records_total",
+                "Records recovered from disk at startup.",
+            ),
+            truncated_tails: counter(
+                "oneqd_spill_truncated_tails_total",
+                "Torn segment tails truncated at recovery.",
+            ),
             lag: OnceLock::new(),
         });
         let active = recover(&inner)?;
@@ -310,9 +334,7 @@ impl SpillTier {
             .and_then(|bytes| String::from_utf8(bytes).ok());
         match body {
             Some(body) => {
-                // ORDERING: Relaxed — hit statistic; record bytes were read
-                // under the state Mutex's index snapshot.
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
+                self.inner.hits.inc();
                 Some(Arc::from(body.as_str()))
             }
             None => {
@@ -325,9 +347,7 @@ impl SpillTier {
                             .live
                             .saturating_sub(segment::record_size(slot.body_len as usize));
                     }
-                    // ORDERING: Relaxed — corruption-drop statistic; the
-                    // index removal happened under the state Mutex.
-                    self.inner.crc_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.inner.crc_dropped.inc();
                 }
                 None
             }
@@ -382,21 +402,18 @@ impl SpillTier {
             .values()
             .map(|s| s.total.saturating_sub(SUPERBLOCK_LEN))
             .sum();
-        // ORDERING: Relaxed — point-in-time statistics snapshot; loads may
-        // skew slightly against each other, which readers accept.
         SpillStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            appends: self.inner.appends.load(Ordering::Relaxed),
+            hits: self.inner.hits.get(),
+            appends: self.inner.appends.get(),
             entries: state.index.len(),
             segments: state.segments.len(),
             live_bytes,
             dead_bytes: total_bytes.saturating_sub(live_bytes),
-            capacity_bytes: self.inner.config.max_bytes,
-            evicted_segments: self.inner.evicted_segments.load(Ordering::Relaxed),
-            compactions: self.inner.compactions.load(Ordering::Relaxed),
-            crc_dropped: self.inner.crc_dropped.load(Ordering::Relaxed),
-            recovered_records: self.inner.recovered_records.load(Ordering::Relaxed),
-            truncated_tails: self.inner.truncated_tails.load(Ordering::Relaxed),
+            evicted_segments: self.inner.evicted_segments.get(),
+            compactions: self.inner.compactions.get(),
+            crc_dropped: self.inner.crc_dropped.get(),
+            recovered_records: self.inner.recovered_records.get(),
+            truncated_tails: self.inner.truncated_tails.get(),
         }
     }
 }
@@ -475,9 +492,7 @@ fn append_one(
                 .saturating_sub(segment::record_size(old.body_len as usize));
         }
     }
-    // ORDERING: Relaxed — append statistic; the record itself was published
-    // under the state Mutex above.
-    inner.appends.fetch_add(1, Ordering::Relaxed);
+    inner.appends.inc();
     evict_over_budget(&mut state, inner, active.id);
     Ok(())
 }
@@ -522,9 +537,7 @@ fn evict_over_budget(state: &mut State, inner: &Inner, active_id: u64) {
             let _ = std::fs::remove_file(&seg.path);
         }
         state.index.retain(|_, slot| slot.seg != oldest);
-        // ORDERING: Relaxed — eviction statistic; the structural change is
-        // ordered by the state Mutex the caller holds.
-        inner.evicted_segments.fetch_add(1, Ordering::Relaxed);
+        inner.evicted_segments.inc();
     }
 }
 
@@ -552,14 +565,10 @@ fn recover(inner: &Inner) -> io::Result<ActiveSeg> {
         let path = segment_path(&config.dir, id);
         match segment::scan(&path) {
             Ok(outcome) => {
-                // ORDERING: Relaxed — recovery statistics, written before
-                // any reader thread exists (single-threaded startup).
                 if outcome.truncated {
-                    inner.truncated_tails.fetch_add(1, Ordering::Relaxed);
+                    inner.truncated_tails.inc();
                 }
-                inner
-                    .recovered_records
-                    .fetch_add(outcome.records.len() as u64, Ordering::Relaxed);
+                inner.recovered_records.add(outcome.records.len() as u64);
                 loaded.push(LoadedSegment {
                     id,
                     path,
@@ -610,8 +619,7 @@ fn recover(inner: &Inner) -> io::Result<ActiveSeg> {
     let garbage = live_total + dead_total;
     if dead_total > 0 && (dead_total as f64) > config.compact_ratio * garbage as f64 {
         let (new_loaded, new_index, new_live) = compact(config, &loaded, &index)?;
-        // ORDERING: Relaxed — recovery-time statistic; still single-threaded.
-        inner.compactions.fetch_add(1, Ordering::Relaxed);
+        inner.compactions.inc();
         loaded = new_loaded;
         index = new_index;
         live = new_live;
@@ -777,7 +785,7 @@ mod tests {
     #[test]
     fn append_flush_get_round_trips() {
         let dir = tempdir("roundtrip");
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         let digest = sha256(b"k1");
         assert!(tier.get(&digest).is_none());
         tier.append(digest, body(1));
@@ -798,12 +806,12 @@ mod tests {
             .map(|i| sha256(format!("k{i}").as_bytes()))
             .collect();
         {
-            let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+            let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
             for (i, d) in digests.iter().enumerate() {
                 tier.append(*d, body(i));
             }
         } // drop drains the queue and releases the lock
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         for (i, d) in digests.iter().enumerate() {
             assert_eq!(tier.get(d), Some(body(i)), "record {i} survives restart");
         }
@@ -818,7 +826,7 @@ mod tests {
     #[test]
     fn duplicate_appends_do_not_grow_the_log() {
         let dir = tempdir("dedup");
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         let digest = sha256(b"k");
         tier.append(digest, body(1));
         tier.flush();
@@ -841,7 +849,7 @@ mod tests {
         // Tiny geometry: a couple of records per segment, ~4 segments.
         config.segment_bytes = 400;
         config.max_bytes = 1600;
-        let tier = SpillTier::open(config.clone()).unwrap();
+        let tier = SpillTier::open(config.clone(), &Registry::new()).unwrap();
         let digests: Vec<[u8; 32]> = (0..40)
             .map(|i| sha256(format!("k{i}").as_bytes()))
             .collect();
@@ -882,7 +890,7 @@ mod tests {
         writer.append(&other, body(99).as_bytes()).unwrap();
         drop(writer);
 
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         let stats = tier.stats();
         assert_eq!(stats.compactions, 1, "dead ratio exceeded the threshold");
         assert_eq!(stats.dead_bytes, 0, "compaction reclaimed the garbage");
@@ -893,7 +901,7 @@ mod tests {
         drop(tier);
 
         // And the compacted directory recovers cleanly.
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         assert_eq!(tier.get(&digest), Some(body(9)));
         assert_eq!(tier.stats().compactions, 0, "nothing left to compact");
         drop(tier);
@@ -905,7 +913,7 @@ mod tests {
         let dir = tempdir("torn");
         let digest = sha256(b"intact");
         {
-            let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+            let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
             tier.append(digest, body(1));
         }
         // Simulate a crash mid-write: half a record at the tail.
@@ -916,7 +924,7 @@ mod tests {
             let torn = segment::encode_record(&sha256(b"torn"), body(2).as_bytes());
             file.write_all(&torn[..torn.len() / 2]).unwrap();
         }
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         let stats = tier.stats();
         assert_eq!(stats.truncated_tails, 1);
         assert_eq!(stats.recovered_records, 1);
@@ -927,7 +935,7 @@ mod tests {
         tier.append(digest2, body(3));
         tier.flush();
         drop(tier);
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         assert_eq!(tier.get(&digest), Some(body(1)));
         assert_eq!(tier.get(&digest2), Some(body(3)));
         assert_eq!(tier.stats().truncated_tails, 0, "the tear healed");
@@ -938,8 +946,8 @@ mod tests {
     #[test]
     fn second_open_on_a_locked_directory_fails() {
         let dir = tempdir("lock");
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
-        let err = SpillTier::open(SpillConfig::new(&dir));
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
+        let err = SpillTier::open(SpillConfig::new(&dir), &Registry::new());
         if cfg!(unix) {
             let err = err.err().expect("double-open must fail on unix");
             assert!(
@@ -949,7 +957,7 @@ mod tests {
         }
         drop(tier);
         // Released on drop: the directory can be reopened.
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         drop(tier);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -962,7 +970,7 @@ mod tests {
         // reclaimed; unrelated names are left alone.
         std::fs::write(segment_path(&dir, 3), b"not a segment at all").unwrap();
         std::fs::write(dir.join("README.txt"), b"hands off").unwrap();
-        let tier = SpillTier::open(SpillConfig::new(&dir)).unwrap();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
         assert!(!segment_path(&dir, 3).exists(), "garbage was reclaimed");
         assert!(dir.join("README.txt").exists(), "unrelated files untouched");
         assert_eq!(tier.stats().entries, 0);

@@ -124,6 +124,7 @@ pub struct Telemetry {
     stage_hists: Vec<(&'static str, Histogram)>,
     tier_counters: Vec<(&'static str, Counter)>,
     tier_hists: Vec<(&'static str, Histogram)>,
+    traces_total: Counter,
     trace_log_records: Counter,
     compile_partitions: Counter,
     compile_bfs_searches: Counter,
@@ -231,6 +232,11 @@ impl Telemetry {
                 )
             })
             .collect();
+        let traces_total = registry.counter(
+            "oneqd_traces_total",
+            "Request traces closed (ring evictions included).",
+            &[],
+        );
         let trace_log_records = registry.counter(
             "oneqd_trace_log_records_total",
             "Trace records written to the --trace-log sink.",
@@ -321,6 +327,7 @@ impl Telemetry {
             stage_hists,
             tier_counters,
             tier_hists,
+            traces_total,
             trace_log_records,
             compile_partitions,
             compile_bfs_searches,
@@ -453,6 +460,7 @@ impl Telemetry {
             }
         }
         self.traces.push(record);
+        self.traces_total.inc();
     }
 }
 

@@ -94,22 +94,11 @@ fn newest_segment(dir: &Path) -> PathBuf {
 
 /// A circuit whose compile takes well over 100 ms in both the debug and
 /// the release profile, for the tests that need a slow request: an
-/// 80-qubit QFT without the final swaps, ~0.3 s in release on a 2-vCPU
-/// VM and a few seconds in debug. Mapping and shuffling are near-linear,
-/// so a long gate chain is no longer slow in release; QFT's partition
-/// planarity tests still are. (`benchmarks::qft` stops at 64 qubits: its
-/// angle denominators are `u64` powers of two.)
+/// 80-qubit QFT, ~0.3 s in release on a 2-vCPU VM and ~5 s in debug.
+/// Mapping and shuffling are near-linear, so a long gate chain is no
+/// longer slow in release; QFT's partition planarity tests still are.
 fn slow_circuit() -> String {
-    let n = 80;
-    let mut qasm = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{n}];\n");
-    for i in 0..n {
-        qasm.push_str(&format!("h q[{i}];\n"));
-        for j in i + 1..n {
-            let denominator = 1u64 << (j - i).min(62);
-            qasm.push_str(&format!("cu1(pi/{denominator}) q[{j}], q[{i}];\n"));
-        }
-    }
-    qasm
+    oneq_circuit::benchmarks::qft(80).to_qasm()
 }
 
 #[test]

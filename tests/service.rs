@@ -889,6 +889,35 @@ fn metrics_endpoint_agrees_with_stats_and_counts_every_stage() {
         ("hits", "oneqd_cache_memory_hits_total"),
         ("misses", "oneqd_cache_memory_misses_total"),
         ("batch_records", "oneqd_batch_records_total"),
+        (
+            "compile_requests",
+            "oneqd_route_requests_total{route=\"compile\"}",
+        ),
+        (
+            "batch_requests",
+            "oneqd_route_requests_total{route=\"batch\"}",
+        ),
+        (
+            "healthz_requests",
+            "oneqd_route_requests_total{route=\"healthz\"}",
+        ),
+        ("http_errors", "oneqd_http_errors_total"),
+        ("coalesced", "oneqd_coalesced_total"),
+        ("evictions", "oneqd_cache_memory_evictions_total"),
+        ("entries", "oneqd_cache_memory_entries"),
+        ("capacity", "oneqd_cache_memory_capacity"),
+        ("shards", "oneqd_cache_memory_shards"),
+        ("workers", "oneqd_workers"),
+        ("max_connections", "oneqd_max_connections"),
+        (
+            "evicted_slow_read",
+            "oneqd_evictions_total{reason=\"slow_read\"}",
+        ),
+        (
+            "evicted_slow_write",
+            "oneqd_evictions_total{reason=\"slow_write\"}",
+        ),
+        ("idle_closed", "oneqd_evictions_total{reason=\"idle\"}"),
     ] {
         assert_eq!(
             json_u64(&stats, stats_key),
