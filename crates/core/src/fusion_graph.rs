@@ -12,7 +12,7 @@
 //! the chain in the embedding's rotation order, so the fusion graph stays
 //! planar.
 
-use oneq_graph::{planarity, Graph, NodeId};
+use oneq_graph::{planarity, Embedding, Graph, NodeId};
 use oneq_hardware::ResourceKind;
 use std::collections::HashMap;
 
@@ -123,11 +123,29 @@ impl FusionGraph {
 /// assert_eq!(fg.fusion_count(), 6);
 /// ```
 pub fn generate(subgraph: &Graph, full_degree: &[usize], kind: ResourceKind) -> FusionGraph {
+    let embedding = planarity::planar_embedding(subgraph);
+    generate_embedded(subgraph, embedding.as_ref(), full_degree, kind)
+}
+
+/// [`generate`] with the subgraph's embedding already computed:
+/// `embedding` must be `planarity::planar_embedding(subgraph)` (`None`
+/// for a non-planar subgraph, whose ports then follow adjacency order).
+/// The partitioner hands over the embedding it computed, so the pipeline
+/// embeds each partition once.
+///
+/// # Panics
+///
+/// As [`generate`].
+pub fn generate_embedded(
+    subgraph: &Graph,
+    embedding: Option<&Embedding>,
+    full_degree: &[usize],
+    kind: ResourceKind,
+) -> FusionGraph {
     assert!(
         full_degree.len() >= subgraph.node_count(),
         "full_degree must cover every subgraph node"
     );
-    let embedding = planarity::planar_embedding(subgraph);
 
     let n = subgraph.node_count();
     let mut graph = Graph::new();
@@ -160,9 +178,9 @@ pub fn generate(subgraph: &Graph, full_degree: &[usize], kind: ResourceKind) -> 
     let mut port: HashMap<(usize, usize), NodeId> = HashMap::new();
     for v in 0..n {
         let vid = NodeId::new(v);
-        let neighbors: Vec<NodeId> = match &embedding {
-            Some(emb) => emb.rotation(vid).to_vec(),
-            None => subgraph.neighbors(vid).to_vec(),
+        let neighbors = match embedding {
+            Some(emb) => emb.rotation(vid),
+            None => subgraph.neighbors(vid),
         };
         let k = chain_len[v];
         // Fill the chain head-to-tail up to each state's photon budget
@@ -171,7 +189,7 @@ pub fn generate(subgraph: &Graph, full_degree: &[usize], kind: ResourceKind) -> 
         // clockwise attachment (Fig. 9).
         let mut slots = chain_caps(kind, k);
         let mut chain_cursor = 0usize;
-        for &w in &neighbors {
+        for &w in neighbors {
             while slots[chain_cursor] == 0 {
                 chain_cursor += 1;
             }

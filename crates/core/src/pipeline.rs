@@ -296,13 +296,12 @@ impl Compiler {
         };
         let t_part = Instant::now();
         let parts = partition::partition(pattern, &part_opts);
-        let dep_layers = oneq_mbqc::flow::dependency_layers(pattern).len();
         timings.partition_ns = t_part.elapsed().as_nanos();
 
         let mut stats = StageStats {
             graph_state_nodes: pattern.node_count(),
             graph_state_edges: pattern.edge_count(),
-            dependency_layers: dep_layers,
+            dependency_layers: parts.dependency_layers,
             partitions: parts.partitions.len(),
             cross_edges: parts.cross_edges.len(),
             ..StageStats::default()
@@ -318,10 +317,16 @@ impl Compiler {
 
         let mut profile = CompileProfile::default();
 
-        // Stages 2 & 3 per partition.
-        for part in &parts.partitions {
+        // Stages 2 & 3 per partition; each partition is dropped once it
+        // is mapped.
+        for part in parts.partitions {
             let t_fg = Instant::now();
-            let fg = fusion_graph::generate(&part.subgraph, &part.full_degree, opt.resource_kind);
+            let fg = fusion_graph::generate_embedded(
+                &part.subgraph,
+                part.embedding.as_ref(),
+                &part.full_degree,
+                opt.resource_kind,
+            );
             let fg_ns = t_fg.elapsed().as_nanos();
             timings.fusion_graph_ns += fg_ns;
             stats.fusion_graph_nodes += fg.node_count();

@@ -21,6 +21,114 @@ pub struct Biconnectivity {
     pub components: Vec<Vec<Edge>>,
 }
 
+/// The blocks (biconnected components) of a graph from one iterative
+/// Hopcroft–Tarjan sweep, as a flat edge list: block `i` is
+/// `edges[ends[i - 1]..ends[i]]` (from 0 for the first), with its edges in
+/// the order the sweep pops them off its edge stack. A bridge is a
+/// one-edge block.
+///
+/// This is the crate's one biconnectivity DFS: [`analyze`] and the
+/// planarity test both read its blocks.
+pub(crate) struct Blocks {
+    edges: Vec<Edge>,
+    ends: Vec<usize>,
+    /// Whether each node separates its component (swept nodes only).
+    articulation: Vec<bool>,
+}
+
+impl Blocks {
+    /// Each block's edges, in the order the sweep closed the blocks.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[Edge]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.edges[start..end])
+    }
+}
+
+/// Sweeps every component that holds one of `roots`, starting a DFS from
+/// each root not reached yet, in the order given. Nodes are visited in
+/// neighbor-list order, so the blocks and their edge order are a
+/// function of `adjacency` and the root order alone.
+pub(crate) fn blocks(adjacency: &[Vec<NodeId>], roots: impl IntoIterator<Item = NodeId>) -> Blocks {
+    const UNSEEN: usize = usize::MAX;
+    let n = adjacency.len();
+    let mut disc = vec![UNSEEN; n]; // discovery time
+    let mut low = vec![UNSEEN; n]; // lowlink
+    let mut parent = vec![UNSEEN; n];
+    let mut articulation = vec![false; n];
+    let mut timer = 0usize;
+    let mut edges: Vec<Edge> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
+    let mut edge_stack: Vec<Edge> = Vec::new();
+    // Iterative DFS frame: (node, index into neighbor list).
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+
+    for root in roots {
+        let root = root.index();
+        if disc[root] != UNSEEN {
+            continue;
+        }
+        stack.push((root, 0));
+        disc[root] = timer;
+        low[root] = timer;
+        timer += 1;
+        let mut root_children = 0usize;
+
+        while let Some(&mut (u, ref mut i)) = stack.last_mut() {
+            if let Some(&v) = adjacency[u].get(*i) {
+                let v = v.index();
+                *i += 1;
+                if disc[v] == UNSEEN {
+                    // Tree edge.
+                    parent[v] = u;
+                    edge_stack.push(Edge::new(NodeId::new(u), NodeId::new(v)));
+                    if u == root {
+                        root_children += 1;
+                    }
+                    disc[v] = timer;
+                    low[v] = timer;
+                    timer += 1;
+                    stack.push((v, 0));
+                } else if v != parent[u] && disc[v] < disc[u] {
+                    // Back edge (counted once, toward the ancestor).
+                    edge_stack.push(Edge::new(NodeId::new(u), NodeId::new(v)));
+                    low[u] = low[u].min(disc[v]);
+                }
+            } else {
+                stack.pop();
+                if let Some(&(p, _)) = stack.last() {
+                    low[p] = low[p].min(low[u]);
+                    if low[u] >= disc[p] {
+                        // p separates u's subtree: pop one block ending
+                        // with the tree edge (p, u).
+                        let sep = Edge::new(NodeId::new(p), NodeId::new(u));
+                        while let Some(e) = edge_stack.pop() {
+                            edges.push(e);
+                            if e == sep {
+                                break;
+                            }
+                        }
+                        ends.push(edges.len());
+                        if p != root {
+                            articulation[p] = true;
+                        }
+                    }
+                }
+            }
+        }
+        if root_children > 1 {
+            articulation[root] = true;
+        }
+    }
+
+    Blocks {
+        edges,
+        ends,
+        articulation,
+    }
+}
+
 /// Runs the Hopcroft–Tarjan algorithm and returns bridges, articulation
 /// points and biconnected components in one pass.
 ///
@@ -38,98 +146,31 @@ pub struct Biconnectivity {
 /// assert_eq!(b.components.len(), 2);
 /// ```
 pub fn analyze(graph: &Graph) -> Biconnectivity {
-    let n = graph.node_count();
-    let mut disc = vec![usize::MAX; n]; // discovery time
-    let mut low = vec![usize::MAX; n]; // lowlink
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut timer = 0usize;
-    let mut bridges = HashSet::new();
-    let mut articulation = HashSet::new();
-    let mut components: Vec<Vec<Edge>> = Vec::new();
-    let mut edge_stack: Vec<Edge> = Vec::new();
-
-    // Iterative DFS frame: (node, index into neighbor list).
-    for root in graph.nodes() {
-        if disc[root.index()] != usize::MAX {
-            continue;
-        }
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-        disc[root.index()] = timer;
-        low[root.index()] = timer;
-        timer += 1;
-        let mut root_children = 0usize;
-
-        while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-            let neighbors = graph.neighbors(u);
-            if *i < neighbors.len() {
-                let v = neighbors[*i];
-                *i += 1;
-                if disc[v.index()] == usize::MAX {
-                    // Tree edge.
-                    parent[v.index()] = Some(u);
-                    edge_stack.push(Edge::new(u, v));
-                    if u == root {
-                        root_children += 1;
-                    }
-                    disc[v.index()] = timer;
-                    low[v.index()] = timer;
-                    timer += 1;
-                    stack.push((v, 0));
-                } else if Some(v) != parent[u.index()] && disc[v.index()] < disc[u.index()] {
-                    // Back edge (counted once, toward the ancestor).
-                    edge_stack.push(Edge::new(u, v));
-                    low[u.index()] = low[u.index()].min(disc[v.index()]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&(p, _)) = stack.last() {
-                    low[p.index()] = low[p.index()].min(low[u.index()]);
-                    if low[u.index()] >= disc[p.index()] {
-                        // p separates u's subtree: pop one biconnected
-                        // component ending with edge (p, u).
-                        if p != root || root_children > 1 || low[u.index()] > disc[p.index()] {
-                            // Articulation unless p is a root with one child
-                            // (bridge case still recorded below).
-                        }
-                        let mut comp = Vec::new();
-                        let sep = Edge::new(p, u);
-                        while let Some(e) = edge_stack.pop() {
-                            comp.push(e);
-                            if e == sep {
-                                break;
-                            }
-                        }
-                        if !comp.is_empty() {
-                            if comp.len() == 1 {
-                                bridges.insert(comp[0]);
-                            }
-                            components.push(comp);
-                        }
-                        if p != root {
-                            articulation.insert(p);
-                        }
-                    }
-                    if low[u.index()] > disc[p.index()] {
-                        bridges.insert(Edge::new(p, u));
-                    }
-                }
-            }
-        }
-        if root_children > 1 {
-            articulation.insert(root);
-        }
-    }
-
+    let blocks = blocks(graph.adjacency(), graph.nodes());
+    let components: Vec<Vec<Edge>> = blocks.iter().map(<[Edge]>::to_vec).collect();
     Biconnectivity {
-        bridges,
-        articulation_points: articulation,
+        bridges: bridge_set(&blocks),
+        articulation_points: graph
+            .nodes()
+            .filter(|n| blocks.articulation[n.index()])
+            .collect(),
         components,
     }
 }
 
+fn bridge_set(blocks: &Blocks) -> HashSet<Edge> {
+    blocks
+        .iter()
+        .filter_map(|block| match block {
+            [bridge] => Some(*bridge),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Edges whose removal disconnects their component.
 pub fn bridges(graph: &Graph) -> HashSet<Edge> {
-    analyze(graph).bridges
+    bridge_set(&blocks(graph.adjacency(), graph.nodes()))
 }
 
 /// Edges that participate in at least one cycle (the non-bridge edges).
@@ -141,17 +182,12 @@ pub fn cycle_edges(graph: &Graph) -> HashSet<Edge> {
 /// Node sets of the biconnected components (derived from the edge sets;
 /// isolated nodes are not listed).
 pub fn biconnected_node_sets(graph: &Graph) -> Vec<Vec<NodeId>> {
-    analyze(graph)
-        .components
+    blocks(graph.adjacency(), graph.nodes())
         .iter()
-        .map(|comp| {
-            let mut nodes: Vec<NodeId> = comp
-                .iter()
-                .flat_map(|e| [e.a(), e.b()])
-                .collect::<HashSet<_>>()
-                .into_iter()
-                .collect();
-            nodes.sort();
+        .map(|block| {
+            let mut nodes: Vec<NodeId> = block.iter().flat_map(|e| [e.a(), e.b()]).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
             nodes
         })
         .collect()

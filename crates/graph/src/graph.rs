@@ -264,6 +264,11 @@ impl Graph {
         &self.adj[n.index()]
     }
 
+    /// Every node's neighbor list, indexed by node id.
+    pub(crate) fn adjacency(&self) -> &[Vec<NodeId>] {
+        &self.adj
+    }
+
     /// Degree (number of incident edges) of `n`.
     ///
     /// # Panics

@@ -147,7 +147,12 @@ pub fn measurement_order(pattern: &Pattern) -> Vec<NodeId> {
 /// layer-monotone and the partition graphs local, which is what makes the
 /// compact layouts of paper §6 possible.
 pub fn scheduled_layers(pattern: &Pattern) -> Vec<Vec<NodeId>> {
-    let earliest = dependency_layers(pattern);
+    scheduled_layers_from(pattern, &dependency_layers(pattern))
+}
+
+/// [`scheduled_layers`] from the pattern's already computed
+/// [`dependency_layers`] (`earliest`), for callers that need both.
+pub fn scheduled_layers_from(pattern: &Pattern, earliest: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
     if earliest.is_empty() {
         return Vec::new();
     }

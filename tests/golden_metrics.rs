@@ -9,7 +9,11 @@
 //!   at [`SEED`], each on the baseline-sized square layer, on the same
 //!   area at aspect ratio 1.5 (Fig. 13), and on the square with ×2
 //!   extended layers (Fig. 14);
-//! - QAOA-16 on 16×16 triangular and hexagonal layers (§7.2).
+//! - QAOA-16 on 16×16 triangular and hexagonal layers (§7.2);
+//! - the 7 instances above Table 2 sizes that `perfbench`'s `scale`
+//!   workload compiles ([`SCALE_GOLDEN`]), where partition and shuffle
+//!   do most of their work: 51 partitions on RCA-200, a 7k-node graph
+//!   state on QFT-48.
 //!
 //! Performance work on the compiler must leave every value here as it
 //! is. A change that alters one is a change to the compiler's output and
@@ -226,6 +230,51 @@ const GOLDEN: [Golden; 38] = [
     ),
 ];
 
+/// The `perfbench` `scale` set: each instance at [`SEED`] on the auto
+/// square layer (`oneq_baseline::physical_side` of its qubit count), as
+/// `oneqc` and `oneqd` size it when no geometry is given. Depths sum to
+/// 2158 and #fusions to 294881, the workload's `depth_total` and
+/// `fusions_total`.
+const SCALE_GOLDEN: [Golden; 7] = [
+    (
+        "QFT-40",
+        295,
+        56261,
+        [4840, 6420, 40, 11, 1891, 8060, 6370, 212, 49679],
+    ),
+    (
+        "QFT-48",
+        402,
+        84814,
+        [6960, 9240, 48, 13, 2703, 11592, 9126, 275, 75413],
+    ),
+    (
+        "QAOA-48",
+        241,
+        33342,
+        [1652, 2732, 3, 8, 1132, 3889, 2904, 440, 29998],
+    ),
+    (
+        "QAOA-64",
+        342,
+        63683,
+        [2852, 4804, 3, 9, 2030, 6852, 5287, 520, 57876],
+    ),
+    (
+        "RCA-120",
+        328,
+        19563,
+        [2128, 2953, 3, 31, 727, 3899, 2829, 795, 15939],
+    ),
+    (
+        "RCA-200",
+        542,
+        35105,
+        [3568, 4953, 3, 51, 1227, 6539, 4743, 1300, 29062],
+    ),
+    ("BV-400", 8, 2113, [801, 600, 1, 1, 0, 1199, 833, 4, 1276]),
+];
+
 fn stats_fields(s: &StageStats) -> [usize; 9] {
     [
         s.graph_state_nodes,
@@ -244,6 +293,7 @@ fn stats_fields(s: &StageStats) -> [usize; 9] {
 fn check(label: &str, circuit: &oneq_circuit::Circuit, options: CompilerOptions) {
     let &(_, depth, fusions, stats) = GOLDEN
         .iter()
+        .chain(&SCALE_GOLDEN)
         .find(|g| g.0 == label)
         .unwrap_or_else(|| panic!("no golden row for {label}"));
     let program = Compiler::new(options).compile(circuit);
@@ -323,4 +373,22 @@ fn every_golden_row_is_checked() {
         .map(|k| 3 * k.paper_sizes().len())
         .sum();
     assert_eq!(paper_rows + 2, GOLDEN.len());
+}
+
+#[test]
+fn scale_instances_keep_their_metrics() {
+    for &(label, ..) in &SCALE_GOLDEN {
+        let (name, n) = label.split_once('-').expect("rows are labelled KIND-n");
+        let kind = *BenchKind::ALL
+            .iter()
+            .find(|k| k.name() == name)
+            .expect("row names a benchmark kind");
+        let circuit = kind.circuit(n.parse().expect("row size is a number"), SEED);
+        let side = oneq_baseline::physical_side(circuit.n_qubits(), ResourceKind::LINE3);
+        check(
+            label,
+            &circuit,
+            CompilerOptions::new(LayerGeometry::square(side)),
+        );
+    }
 }
