@@ -2,89 +2,29 @@
 //! `tests/fixtures/qasm/` from the built-in paper-benchmark constructors.
 //!
 //! The corpus is the ground truth for the frontend's fixture-parity tests
-//! and the `oneqc` CI batch run. Because the files are produced by
+//! and the `oneqc` and service suites. Because the files are produced by
 //! [`oneq_bench::qasm_fixtures`] + [`Circuit::to_qasm`]
 //! (round-trip-exact angle formatting), the `frontend_fixtures` test can
-//! assert byte equality against a fresh render — the fixtures can never
-//! silently drift from the constructors.
+//! assert byte equality against a fresh render, and that the directory
+//! holds no other `.qasm` file — the fixtures can never silently drift
+//! from the constructors.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p oneq-bench --bin gen_qasm_fixtures [-- --check]
+//! cargo run -p oneq-bench --bin gen_qasm_fixtures
 //! ```
-//!
-//! `--check` verifies the files on disk instead of writing them (exit 1 on
-//! any mismatch), which is what CI uses.
 //!
 //! [`Circuit::to_qasm`]: oneq_circuit::Circuit::to_qasm
 
 use oneq_bench::{qasm_fixture_dir, qasm_fixtures, render_qasm_fixture};
 
 fn main() {
-    let check = std::env::args().skip(1).any(|a| a == "--check");
     let dir = qasm_fixture_dir();
-    if !check {
-        std::fs::create_dir_all(&dir).expect("create tests/fixtures/qasm");
-    }
-    let mut stale = 0usize;
+    std::fs::create_dir_all(&dir).expect("create tests/fixtures/qasm");
     for (name, circuit) in qasm_fixtures() {
         let path = dir.join(format!("{name}.qasm"));
-        let rendered = render_qasm_fixture(name, &circuit);
-        if check {
-            match std::fs::read_to_string(&path) {
-                Ok(on_disk) if on_disk == rendered => {
-                    println!("ok      {}", path.display());
-                }
-                Ok(_) => {
-                    eprintln!("STALE   {}", path.display());
-                    stale += 1;
-                }
-                Err(e) => {
-                    eprintln!("MISSING {} ({e})", path.display());
-                    stale += 1;
-                }
-            }
-        } else {
-            std::fs::write(&path, rendered).expect("write fixture");
-            println!("wrote   {}", path.display());
-        }
+        std::fs::write(&path, render_qasm_fixture(name, &circuit)).expect("write fixture");
+        println!("wrote   {}", path.display());
     }
-    if check {
-        stale += report_orphans(&dir);
-    }
-    if stale > 0 {
-        eprintln!(
-            "{stale} fixture(s) out of date; run \
-             `cargo run -p oneq-bench --bin gen_qasm_fixtures` and delete any orphans"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Flags `.qasm` files in the fixture directory that no constructor in
-/// [`qasm_fixtures`] produces — a renamed or removed fixture would
-/// otherwise linger on disk and keep passing the corpus gates.
-fn report_orphans(dir: &std::path::Path) -> usize {
-    let expected: std::collections::HashSet<String> = qasm_fixtures()
-        .iter()
-        .map(|(name, _)| format!("{name}.qasm"))
-        .collect();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0; // a missing directory is already reported per-fixture
-    };
-    let mut orphans = 0usize;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let is_qasm = path.extension().is_some_and(|e| e == "qasm");
-        let known = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| expected.contains(n));
-        if is_qasm && !known {
-            eprintln!("ORPHAN  {}", path.display());
-            orphans += 1;
-        }
-    }
-    orphans
 }

@@ -25,8 +25,8 @@
 //! `gen_qasm_fixtures` keeps the `.qasm` fixture corpus under
 //! `tests/fixtures/qasm/` in sync with the constructors.
 //!
-//! Criterion benches under `benches/` measure compiler performance per
-//! stage and end to end.
+//! The crate also owns the workspace's integration tests under the root
+//! `tests/`, including the suites that gate the served `/v1` surface.
 
 #![warn(missing_docs)]
 
@@ -178,8 +178,8 @@ pub const SEED: u64 = 2023;
 /// The `.qasm` fixture corpus: file stem and the built-in constructor it
 /// was exported from. The `gen_qasm_fixtures` bin writes these under
 /// [`qasm_fixture_dir`]; the `frontend_fixtures` integration test asserts
-/// the files on disk match these constructors bit for bit, so the corpus
-/// can never drift from the code.
+/// the files on disk are exactly these constructors' exports, bit for
+/// bit, so the corpus can never drift from the code.
 pub fn qasm_fixtures() -> Vec<(&'static str, Circuit)> {
     vec![
         ("bv-16", BenchKind::Bv.circuit(16, SEED)),

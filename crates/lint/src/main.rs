@@ -4,7 +4,6 @@
 //! oneq-lint [--root PATH]      lint the workspace tree (default: auto-detect)
 //! oneq-lint --self-test        run the seeded-violation fixture scenarios
 //! oneq-lint --print-registry   print a registry skeleton for the current tree
-//! oneq-lint --print-schema-fnv print the v5 snapshot fingerprint to pin
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations (or failed self-test scenarios),
@@ -13,7 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use oneq_lint::{lex_tree, load_docs, observed_counts, registry, run, self_test, surface, walk};
+use oneq_lint::{lex_tree, observed_counts, registry, run, self_test, walk};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
@@ -27,7 +26,6 @@ fn main() -> ExitCode {
             },
             "--self-test" => mode = Mode::SelfTest,
             "--print-registry" => mode = Mode::PrintRegistry,
-            "--print-schema-fnv" => mode = Mode::PrintSchemaFnv,
             "--help" | "-h" => {
                 print!("{}", HELP);
                 return ExitCode::SUCCESS;
@@ -113,17 +111,6 @@ fn main() -> ExitCode {
             }
             Err(e) => fail(&e),
         },
-        Mode::PrintSchemaFnv => match load_docs(&root) {
-            Ok(docs) => match docs.schema_snapshots.iter().find(|(v, _)| *v == 5) {
-                Some((_, text)) => {
-                    let canonical = surface::canonical_schema(text);
-                    println!("{:#018x}", surface::fnv1a64(canonical.as_bytes()));
-                    ExitCode::SUCCESS
-                }
-                None => fail("lint/stats_schema_v5.txt not found"),
-            },
-            Err(e) => fail(&e),
-        },
     }
 }
 
@@ -131,7 +118,6 @@ enum Mode {
     Lint,
     SelfTest,
     PrintRegistry,
-    PrintSchemaFnv,
 }
 
 const HELP: &str = "\
@@ -141,7 +127,6 @@ USAGE:
     oneq-lint [--root PATH]      lint the workspace tree
     oneq-lint --self-test        run seeded-violation fixture scenarios
     oneq-lint --print-registry   print a registry skeleton with observed counts
-    oneq-lint --print-schema-fnv print the frozen-v5 fingerprint to pin
 ";
 
 fn usage(message: &str) -> ExitCode {

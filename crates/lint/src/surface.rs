@@ -1,14 +1,10 @@
 //! Rule family 3: the observable-surface registry.
 //!
 //! Statically extracts the daemon's externally visible names from
-//! source — `oneqd_*` metric families, `/v1/*` route literals, and the
-//! `/v1/stats` schema version — and cross-checks them against
-//! `docs/OBSERVABILITY.md`, `README.md`, and the committed schema
-//! snapshots under `lint/`. The append-only stats-schema rule
-//! (`stats_schema_v6.txt` must be a strict superset of `v5`) is a
-//! build failure here, not a review comment; the runtime twin
-//! (`tests/stats_schema.rs`) pins the v6 snapshot against a live
-//! daemon.
+//! source — `oneqd_*` metric families and `/v1/*` route literals — and
+//! cross-checks them against `docs/OBSERVABILITY.md` and `README.md`.
+//! The `/v1/stats` schema is pinned at runtime instead, by
+//! `tests/stats_schema.rs` against a live server.
 
 use std::collections::BTreeSet;
 
@@ -17,13 +13,6 @@ use crate::rules::{LexedFile, Violation};
 
 const RULE: &str = "surface-registry";
 
-/// FNV-1a/64 fingerprint of the canonical `lint/stats_schema_v5.txt`
-/// key set. v5 shipped and is frozen: deleting (or editing) any key in
-/// the snapshot breaks this pin and fails the build. Regenerate only
-/// for a deliberate, documented schema epoch change — the value is
-/// printed by `oneq-lint --print-schema-fnv`.
-pub const STATS_SCHEMA_V5_FNV: u64 = 0x41ef_174b_9842_bf42;
-
 /// Everything the surface rule reads besides workspace sources.
 #[derive(Debug, Default)]
 pub struct SurfaceDocs {
@@ -31,8 +20,6 @@ pub struct SurfaceDocs {
     pub observability_md: String,
     /// `README.md` contents.
     pub readme_md: String,
-    /// `lint/stats_schema_vN.txt` snapshots as `(version, contents)`.
-    pub schema_snapshots: Vec<(u32, String)>,
 }
 
 fn violation(file: &str, line: u32, message: String) -> Violation {
@@ -42,33 +29,6 @@ fn violation(file: &str, line: u32, message: String) -> Violation {
         line,
         message,
     }
-}
-
-/// FNV-1a/64 over a byte string.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Canonical form of a schema snapshot: comment- and blank-stripped
-/// key lines, sorted, newline-joined.
-pub fn canonical_schema(text: &str) -> String {
-    let keys = schema_keys(text);
-    keys.into_iter().collect::<Vec<_>>().join("\n")
-}
-
-/// The key set of a schema snapshot (one dotted path per line; `#`
-/// comments and blank lines ignored).
-pub fn schema_keys(text: &str) -> BTreeSet<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
 }
 
 /// True when `name` is a well-formed metric family name
@@ -194,7 +154,6 @@ pub fn check_surface(files: &[LexedFile], docs: &SurfaceDocs) -> Vec<Violation> 
     let mut out = Vec::new();
     check_metrics(files, docs, &mut out);
     check_routes(files, docs, &mut out);
-    check_schema(files, docs, &mut out);
     out
 }
 
@@ -261,121 +220,6 @@ fn check_routes(files: &[LexedFile], docs: &SurfaceDocs, out: &mut Vec<Violation
     }
 }
 
-fn check_schema(files: &[LexedFile], docs: &SurfaceDocs, out: &mut Vec<Violation>) {
-    let mut versions: Vec<u32> = docs.schema_snapshots.iter().map(|(v, _)| *v).collect();
-    versions.sort_unstable();
-    let Some(&newest) = versions.last() else {
-        out.push(violation(
-            "lint",
-            0,
-            "no lint/stats_schema_vN.txt snapshots found".to_string(),
-        ));
-        return;
-    };
-
-    // Append-only: each snapshot must be a strict superset of every
-    // older one.
-    for pair in versions.windows(2) {
-        let (old_v, new_v) = (pair[0], pair[1]);
-        let old = snapshot(docs, old_v);
-        let new = snapshot(docs, new_v);
-        for key in old.difference(&new) {
-            out.push(violation(
-                &format!("lint/stats_schema_v{new_v}.txt"),
-                0,
-                format!(
-                    "append-only violation: key `{key}` from stats_schema_v{old_v}.txt is missing in v{new_v}"
-                ),
-            ));
-        }
-        if new.len() <= old.len() {
-            out.push(violation(
-                &format!("lint/stats_schema_v{new_v}.txt"),
-                0,
-                format!("v{new_v} must be a strict superset of v{old_v} (it adds no keys)"),
-            ));
-        }
-    }
-
-    // v5 is frozen: its canonical fingerprint is pinned in this source
-    // file, so deleting or editing any key is a build failure.
-    if versions.contains(&5) {
-        let canonical = canonical_schema(
-            &docs
-                .schema_snapshots
-                .iter()
-                .find(|(v, _)| *v == 5)
-                .map(|(_, t)| t.clone())
-                .unwrap_or_default(),
-        );
-        let fnv = fnv1a64(canonical.as_bytes());
-        if fnv != STATS_SCHEMA_V5_FNV {
-            out.push(violation(
-                "lint/stats_schema_v5.txt",
-                0,
-                format!(
-                    "frozen v5 snapshot changed (fnv1a64 {fnv:#018x} != pinned {STATS_SCHEMA_V5_FNV:#018x}); v5 is append-only history and must not be edited"
-                ),
-            ));
-        }
-    } else {
-        out.push(violation(
-            "lint",
-            0,
-            "lint/stats_schema_v5.txt is missing".to_string(),
-        ));
-    }
-
-    // Every leaf key of the newest snapshot must appear as a string
-    // literal in the stats renderer, so the snapshot cannot name keys
-    // the server stopped rendering.
-    let server = files
-        .iter()
-        .find(|f| f.rel_path == "crates/service/src/server.rs");
-    if let Some(server) = server {
-        let literals: BTreeSet<&str> = string_literals(server).map(|(_, s)| s).collect();
-        for key in snapshot(docs, newest) {
-            let leaf = key.rsplit('.').next().unwrap_or(&key);
-            let leaf = leaf.trim_end_matches("[]");
-            if !literals.contains(leaf) {
-                out.push(violation(
-                    &format!("lint/stats_schema_v{newest}.txt"),
-                    0,
-                    format!(
-                        "schema key `{key}`: leaf `{leaf}` is not a string literal in crates/service/src/server.rs"
-                    ),
-                ));
-            }
-        }
-        // The schema literal the server sends must match the newest
-        // committed snapshot version.
-        let declared: Vec<u32> = literals
-            .iter()
-            .filter_map(|s| s.strip_prefix("oneqd-stats/v"))
-            .filter_map(|v| v.parse().ok())
-            .collect();
-        if let Some(&max_declared) = declared.iter().max() {
-            if max_declared != newest {
-                out.push(violation(
-                    "crates/service/src/server.rs",
-                    0,
-                    format!(
-                        "server renders schema oneqd-stats/v{max_declared} but the newest committed snapshot is v{newest}; commit lint/stats_schema_v{max_declared}.txt"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-fn snapshot(docs: &SurfaceDocs, version: u32) -> BTreeSet<String> {
-    docs.schema_snapshots
-        .iter()
-        .find(|(v, _)| *v == version)
-        .map(|(_, text)| schema_keys(text))
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,7 +268,6 @@ mod tests {
         let docs = SurfaceDocs {
             observability_md: "`oneqd_requests_total`".to_string(),
             readme_md: "see `/v1/stats`".to_string(),
-            schema_snapshots: vec![(5, "a".into()), (6, "a\nb".into())],
         };
         let v = check_surface(&files, &docs);
         assert!(v.iter().any(|v| v.message.contains(&fake_metric)), "{v:?}");
@@ -434,55 +277,5 @@ mod tests {
             v.iter().any(|v| v.message.contains("oneqd_requests_total")),
             "{v:?}"
         );
-    }
-
-    #[test]
-    fn schema_superset_rule_fires_on_a_dropped_key() {
-        let docs = SurfaceDocs {
-            observability_md: String::new(),
-            readme_md: String::new(),
-            schema_snapshots: vec![(5, "alpha\nbeta\n".into()), (6, "alpha\ngamma\n".into())],
-        };
-        let v = check_surface(&[], &docs);
-        assert!(
-            v.iter()
-                .any(|v| v.message.contains("append-only violation") && v.message.contains("beta")),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn schema_equal_sets_violate_strictness() {
-        let docs = SurfaceDocs {
-            observability_md: String::new(),
-            readme_md: String::new(),
-            schema_snapshots: vec![(5, "alpha\n".into()), (6, "alpha\n".into())],
-        };
-        let v = check_surface(&[], &docs);
-        assert!(
-            v.iter().any(|v| v.message.contains("strict superset")),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn fnv_pin_detects_v5_edits() {
-        let docs = SurfaceDocs {
-            observability_md: String::new(),
-            readme_md: String::new(),
-            schema_snapshots: vec![(5, "tampered\n".into()), (6, "tampered\nmore\n".into())],
-        };
-        let v = check_surface(&[], &docs);
-        assert!(
-            v.iter().any(|v| v.message.contains("frozen v5 snapshot")),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn canonicalization_ignores_comments_blanks_and_order() {
-        let a = canonical_schema("# c\nbeta\n\nalpha\n");
-        let b = canonical_schema("alpha\nbeta");
-        assert_eq!(a, b);
     }
 }

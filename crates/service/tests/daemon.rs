@@ -6,8 +6,9 @@
 #![cfg(unix)]
 
 use oneq_service::http;
+use oneq_service::json;
 use oneq_service::segment;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -47,6 +48,17 @@ fn send_signal(child: &Child, signal: &str) {
 
 fn send_sigterm(child: &Child) {
     send_signal(child, "-TERM");
+}
+
+/// The integer after the first `"key": ` in a JSON body.
+fn json_u64(body: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\": ");
+    let at = body.find(&pat).unwrap_or_else(|| panic!("{key} in {body}")) + pat.len();
+    body[at..]
+        .split([',', '}'])
+        .next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{key} is not an integer in {body}"))
 }
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -103,7 +115,7 @@ fn slow_circuit() -> String {
 
 #[test]
 fn daemon_serves_and_shuts_down_gracefully_on_sigterm() {
-    let (mut child, addr, _stdout) = spawn_daemon(&["--workers", "2", "--cache-capacity", "16"]);
+    let (mut child, addr, mut stdout) = spawn_daemon(&["--workers", "2", "--cache-capacity", "16"]);
 
     let health = http::request(addr, "GET", "/v1/healthz", b"", TIMEOUT).expect("GET /v1/healthz");
     assert_eq!(health.status, 200);
@@ -128,6 +140,14 @@ fn daemon_serves_and_shuts_down_gracefully_on_sigterm() {
     send_sigterm(&child);
     let status = child.wait().expect("wait for daemon");
     assert_eq!(status.code(), Some(0), "SIGTERM exits gracefully with 0");
+    let mut rest = String::new();
+    stdout
+        .read_to_string(&mut rest)
+        .expect("read daemon stdout");
+    assert!(
+        rest.lines().any(|l| l == "oneqd: shutdown complete"),
+        "shutdown is announced: {rest:?}"
+    );
 }
 
 #[test]
@@ -530,6 +550,18 @@ fn daemon_end_to_end_triage_from_exemplar_to_trace() {
             "profile attribute {attr} missing from {trace_body}"
         );
     }
+    // Every BFS search expands at least the cell it starts from.
+    for (at, _) in trace_body.match_indices("\"name\": \"compile.mapping.partition\"") {
+        let span = &trace_body[at..];
+        let span = &span[..=span.find('}').expect("span closes")];
+        let attrs = &span[span.find('{').expect("partition span carries attrs")..];
+        let attrs = json::parse_flat_object(attrs).expect("attrs are a flat object");
+        let attr = |key: &str| -> u64 {
+            let (_, value) = attrs.iter().find(|(k, _)| k == key).expect("attr present");
+            value.parse().expect("integer attr")
+        };
+        assert!(attr("bfs_expansions") >= attr("bfs_searches"), "{attrs:?}");
+    }
 
     // Step 3 — the filtered list finds the same record and the filters
     // actually constrain it.
@@ -545,9 +577,31 @@ fn daemon_end_to_end_triage_from_exemplar_to_trace() {
     let list = String::from_utf8(list.body).expect("list is utf-8");
     assert!(list.contains("\"schema\": \"oneqd-traces/v1\""), "{list}");
     assert!(list.contains("\"request_id\": \"triage-slow-1\""), "{list}");
-    assert!(
-        !list.contains("\"route\": \"/v1/metrics\""),
-        "route filter holds: {list}"
+    // Listed ids are valid X-Oneqd-Request-Id values, and the counts add
+    // up: `returned` traces listed, at most `limit`, out of `total`.
+    let ids: Vec<&str> = list
+        .split("\"request_id\": \"")
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').expect("id closes")])
+        .collect();
+    for id in &ids {
+        assert!(
+            (1..=64).contains(&id.len())
+                && id
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-')),
+            "listed id {id:?} is not a valid request id"
+        );
+    }
+    let returned = json_u64(&list, "returned");
+    assert_eq!(returned, ids.len() as u64, "{list}");
+    assert!(returned <= 10, "limit=10 holds: {list}");
+    assert!(json_u64(&list, "total") >= returned, "{list}");
+    assert_eq!(
+        list.matches("\"route\": \"/v1/compile\", \"status\": 200,")
+            .count(),
+        ids.len(),
+        "route and status filters hold for every listed trace: {list}"
     );
     let bad = http::request(addr, "GET", "/v1/traces?limit=banana", b"", TIMEOUT)
         .expect("GET /v1/traces with a bad limit");

@@ -5,7 +5,8 @@
 //! `gen_qasm_fixtures` bin). This suite pins two properties:
 //!
 //! 1. **No drift** — every fixture on disk is byte-identical to a fresh
-//!    render from its constructor (regenerate with the bin if this fails).
+//!    render from its constructor (regenerate with the bin if this fails),
+//!    and the directory holds no `.qasm` file without a constructor.
 //! 2. **Parity** — parsing a fixture yields a bit-identical gate list, and
 //!    compiling it on the PR 2 determinism geometry (the Table 2 square
 //!    layer) produces bit-identical metrics to compiling the constructor
@@ -15,6 +16,7 @@ use oneq::{Compiler, CompilerOptions};
 use oneq_bench::{qasm_fixture_dir, qasm_fixtures, render_qasm_fixture};
 use oneq_frontend::parse_circuit;
 use oneq_hardware::{LayerGeometry, ResourceKind};
+use oneq_service::corpus::qasm_files_flat;
 
 fn read_fixture(name: &str) -> String {
     let path = qasm_fixture_dir().join(format!("{name}.qasm"));
@@ -28,6 +30,7 @@ fn read_fixture(name: &str) -> String {
 
 #[test]
 fn fixtures_on_disk_match_their_constructors() {
+    let mut expected = Vec::new();
     for (name, circuit) in qasm_fixtures() {
         assert_eq!(
             read_fixture(name),
@@ -35,7 +38,25 @@ fn fixtures_on_disk_match_their_constructors() {
             "{name}.qasm drifted; regenerate with \
              `cargo run -p oneq-bench --bin gen_qasm_fixtures`"
         );
+        expected.push(format!("{name}.qasm"));
     }
+    // A renamed or removed constructor must not leave an orphan behind
+    // that keeps feeding the corpus suites.
+    expected.sort();
+    let on_disk: Vec<String> = qasm_files_flat(&qasm_fixture_dir())
+        .expect("read tests/fixtures/qasm")
+        .iter()
+        .map(|path| {
+            path.file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert_eq!(
+        on_disk, expected,
+        "tests/fixtures/qasm must hold exactly the constructor exports; delete orphans"
+    );
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! 1 = some circuits failed, 2 = usage error, 3 = input paths missing or
 //! empty of `.qasm` files.
 
+use oneq_service::json::parse_flat_object;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -96,4 +97,49 @@ fn compile_failures_exit_1_but_good_corpora_exit_0() {
         "good file still compiles"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fixture_corpus_records_are_identical_across_job_counts() {
+    let dir = oneq_bench::qasm_fixture_dir();
+    let run = |jobs: &str| {
+        let output = oneqc()
+            .arg(&dir)
+            .args(["--jobs", jobs])
+            .output()
+            .expect("run oneqc");
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "oneqc --jobs {jobs}: {output:?}"
+        );
+        String::from_utf8(output.stdout).expect("oneqc emits UTF-8")
+    };
+    let serial = run("1");
+    assert_eq!(run("2"), serial, "--jobs 2 output differs from --jobs 1");
+
+    let fixtures = oneq_service::corpus::qasm_files_flat(&dir).expect("read fixture corpus");
+    let lines: Vec<&str> = serial.lines().collect();
+    assert_eq!(lines.len(), fixtures.len(), "one record per fixture");
+    for line in lines {
+        let record = parse_flat_object(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let field = |key: &str| {
+            record
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+        };
+        assert_eq!(field("status"), Some("ok"), "{line}");
+        for key in [
+            "file",
+            "qubits",
+            "gates",
+            "depth",
+            "fusions",
+            "partitions",
+            "fusion_graph_nodes",
+        ] {
+            assert!(field(key).is_some(), "`{key}` missing from {line}");
+        }
+    }
 }

@@ -8,9 +8,11 @@
 //! with a byte-identical body; a server restarted onto the same
 //! `--cache-dir` serves it from the disk tier, still byte-identical; a
 //! ≥32-thread storm on one cold key performs exactly one compile
-//! (single-flight); connections are keep-alive sessions; and `loadgen`
-//! emits a well-formed `BENCH_service.json` with the cold-vs-warm
-//! restart comparison. The record-identity properties are checked
+//! (single-flight); connections are keep-alive sessions; `/v1/metrics`
+//! passes an exposition lint; one event loop holds a 1000-connection
+//! fleet while it evicts slow-loris clients; and `loadgen` emits a
+//! well-formed `BENCH_service.json` with the cold-vs-warm restart
+//! comparison. The record-identity properties are checked
 //! against the real `oneqc` *binary*, not a shared code path re-run
 //! in-process, so a regression in either front door breaks the diff.
 //! (The unversioned PR-4 shims served their one promised release and
@@ -19,11 +21,28 @@
 use oneq_service::http::{self, ClientConn};
 use oneq_service::json;
 use oneq_service::server::{Server, ServerConfig, ServerHandle};
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::process::Command;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Tests that compare timings (`loadgen`'s close vs keep-alive ratio) or
+/// load the whole machine (the 1000-connection fleet) hold this lock for
+/// writing, so no other test in this binary shares the CPU with them;
+/// every other test holds it for reading.
+static CPU: RwLock<()> = RwLock::new(());
+
+fn shared_cpu() -> RwLockReadGuard<'static, ()> {
+    CPU.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive_cpu() -> RwLockWriteGuard<'static, ()> {
+    CPU.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn fixture_files() -> Vec<PathBuf> {
     let files = oneq_service::corpus::qasm_files_flat(&oneq_bench::qasm_fixture_dir())
@@ -58,7 +77,7 @@ fn get_stats(handle: &ServerHandle) -> String {
 /// Runs the real `oneqc` binary over `paths` (default config) and
 /// returns its JSONL stdout.
 fn oneqc_jsonl(paths: &[&str]) -> String {
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_oneqc"))
+    let output = Command::new(env!("CARGO_BIN_EXE_oneqc"))
         .args(paths)
         .output()
         .expect("run oneqc");
@@ -66,24 +85,72 @@ fn oneqc_jsonl(paths: &[&str]) -> String {
     String::from_utf8(output.stdout).expect("oneqc emits UTF-8")
 }
 
-/// Pulls `"name": <integer>` out of a stats body (the workspace has no
-/// JSON parser; the emitter is ours, so the textual shape is stable).
-fn json_u64(body: &str, name: &str) -> u64 {
+/// Pulls the first `"name": <number>` out of a JSON body (the emitters
+/// are ours, so the textual shape is stable).
+fn json_f64(body: &str, name: &str) -> f64 {
     let pat = format!("\"{name}\": ");
     let start = body
         .find(&pat)
         .unwrap_or_else(|| panic!("{name} in {body}"))
         + pat.len();
     body[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("integer stats field")
+        .split([',', '}', ']', '\n'])
+        .next()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{name} is not a number in {body}"))
+}
+
+fn json_u64(body: &str, name: &str) -> u64 {
+    json_f64(body, name) as u64
+}
+
+/// Parses the flat, all-numeric JSON object `text` starts with (the
+/// bench file's `latency_ns`, `event_loop` and per-histogram blocks).
+fn flat_numbers(text: &str) -> BTreeMap<String, f64> {
+    let end = text.find('}').expect("object closes") + 1;
+    json::parse_flat_object(&text[..end])
+        .unwrap_or_else(|e| panic!("{e}: {}", &text[..end]))
+        .into_iter()
+        .map(|(k, v)| {
+            let n = v
+                .parse()
+                .unwrap_or_else(|_| panic!("`{k}`: {v} is not a number"));
+            (k, n)
+        })
+        .collect()
+}
+
+/// [`flat_numbers`] of the object under the first `"key"` in `body`.
+fn flat_block(body: &str, key: &str) -> BTreeMap<String, f64> {
+    let pat = format!("\"{key}\": ");
+    let at = body
+        .find(&pat)
+        .unwrap_or_else(|| panic!("{key} block in {body}"));
+    flat_numbers(&body[at + pat.len()..])
+}
+
+/// Polls `GET /v1/traces/{id}` until the ring holds the trace: it closes
+/// when the response's last byte flushes, an instant after the client
+/// has read it.
+fn wait_for_trace(handle: &ServerHandle, id: &str) {
+    let deadline = Instant::now() + TIMEOUT;
+    let target = format!("/v1/traces/{id}");
+    while http::request(handle.addr(), "GET", &target, b"", TIMEOUT)
+        .expect("GET /v1/traces/{id}")
+        .status
+        != 200
+    {
+        assert!(
+            Instant::now() < deadline,
+            "trace {id} never reached the ring"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 #[test]
 fn compile_responses_match_oneqc_records_for_every_fixture() {
+    let _cpu = shared_cpu();
     // One oneqc batch over the whole corpus, default config.
     let dir = oneq_bench::qasm_fixture_dir();
     let jsonl = oneqc_jsonl(&[&dir.display().to_string()]);
@@ -115,6 +182,7 @@ fn compile_responses_match_oneqc_records_for_every_fixture() {
 
 #[test]
 fn batch_endpoint_matches_oneqc_jsonl_for_the_whole_corpus() {
+    let _cpu = shared_cpu();
     // The JSONL a batch request returns must be byte-identical to what
     // the oneqc binary prints for the same files in the same order.
     let dir = oneq_bench::qasm_fixture_dir();
@@ -187,6 +255,7 @@ fn batch_endpoint_matches_oneqc_jsonl_for_the_whole_corpus() {
 
 #[test]
 fn batch_shares_one_cache_with_single_compiles() {
+    let _cpu = shared_cpu();
     let handle = spawn_server();
     let path = &fixture_files()[0];
     let label = path.display().to_string();
@@ -220,6 +289,7 @@ fn batch_shares_one_cache_with_single_compiles() {
 
 #[test]
 fn batch_error_handling_and_limits() {
+    let _cpu = shared_cpu();
     let handle = spawn_server();
 
     // A compile failure is an inline error record, not an HTTP error.
@@ -280,6 +350,7 @@ fn batch_error_handling_and_limits() {
 
 #[test]
 fn repeated_requests_hit_the_cache_with_identical_bytes() {
+    let _cpu = shared_cpu();
     let handle = spawn_server();
     let files = fixture_files();
     let mut first = Vec::new();
@@ -321,6 +392,7 @@ fn repeated_requests_hit_the_cache_with_identical_bytes() {
 
 #[test]
 fn keep_alive_session_serves_many_requests_on_one_socket() {
+    let _cpu = shared_cpu();
     let handle = spawn_server();
     let files = fixture_files();
     let mut conn = ClientConn::connect(handle.addr(), TIMEOUT).expect("open session");
@@ -355,6 +427,7 @@ fn keep_alive_session_serves_many_requests_on_one_socket() {
 
 #[test]
 fn keep_alive_request_cap_closes_the_session() {
+    let _cpu = shared_cpu();
     let config = ServerConfig {
         keep_alive_requests: 3,
         ..ServerConfig::default()
@@ -382,6 +455,7 @@ fn keep_alive_request_cap_closes_the_session() {
 
 #[test]
 fn keep_alive_idle_timeout_closes_the_session() {
+    let _cpu = shared_cpu();
     let config = ServerConfig {
         idle_timeout: Duration::from_millis(150),
         ..ServerConfig::default()
@@ -400,6 +474,7 @@ fn keep_alive_idle_timeout_closes_the_session() {
 
 #[test]
 fn mixed_case_headers_work_over_a_real_socket() {
+    let _cpu = shared_cpu();
     // Regression (RFC 9110): header names and Connection tokens are
     // case-insensitive. Speak raw bytes so no client normalizes for us.
     let handle = spawn_server();
@@ -437,6 +512,7 @@ fn mixed_case_headers_work_over_a_real_socket() {
 
 #[test]
 fn oversized_bodies_get_413_before_buffering_and_close_the_session() {
+    let _cpu = shared_cpu();
     let config = ServerConfig {
         max_body: 64,
         ..ServerConfig::default()
@@ -458,6 +534,7 @@ fn oversized_bodies_get_413_before_buffering_and_close_the_session() {
 
 #[test]
 fn legacy_unversioned_routes_are_gone() {
+    let _cpu = shared_cpu();
     // The PR-4 shims were promised exactly one migration release (PR 5);
     // the unversioned paths are now plain 404s like any unknown route.
     let handle = spawn_server();
@@ -477,6 +554,7 @@ fn legacy_unversioned_routes_are_gone() {
 
 #[test]
 fn warm_restart_serves_from_the_disk_tier_byte_identically() {
+    let _cpu = shared_cpu();
     // ISSUE 6 acceptance (in-process variant; the daemon-level test
     // lives in crates/service/tests/daemon.rs): a server restarted onto
     // the same cache dir answers a previously-compiled fixture as a
@@ -542,6 +620,7 @@ fn warm_restart_serves_from_the_disk_tier_byte_identically() {
 
 #[test]
 fn cache_distinguishes_configs_and_labels() {
+    let _cpu = shared_cpu();
     let handle = spawn_server();
     let path = &fixture_files()[0];
     let source = std::fs::read(path).expect("read fixture");
@@ -577,6 +656,7 @@ fn cache_distinguishes_configs_and_labels() {
 
 #[test]
 fn error_and_edge_responses() {
+    let _cpu = shared_cpu();
     let handle = spawn_server();
 
     // healthz
@@ -633,6 +713,7 @@ fn error_and_edge_responses() {
 
 #[test]
 fn timings_and_bypass_requests_bypass_the_cache() {
+    let _cpu = shared_cpu();
     let handle = spawn_server();
     let path = &fixture_files()[0];
     let label = path.display().to_string();
@@ -660,6 +741,7 @@ fn timings_and_bypass_requests_bypass_the_cache() {
 
 #[test]
 fn single_flight_storm_compiles_once_with_byte_identical_responses() {
+    let _cpu = shared_cpu();
     // ISSUE 5 acceptance: a concurrent-miss burst on one key performs
     // exactly one compile, and every response is byte-identical to
     // oneqc's record for the same file.
@@ -735,10 +817,11 @@ fn single_flight_storm_compiles_once_with_byte_identical_responses() {
 
 #[test]
 fn loadgen_emits_a_well_formed_two_mode_bench_file() {
+    let _cpu = exclusive_cpu();
     let dir = tempdir();
     let out = dir.join("BENCH_service.json");
     let corpus = oneq_bench::qasm_fixture_dir();
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_loadgen"))
+    let output = Command::new(env!("CARGO_BIN_EXE_loadgen"))
         .args([
             "--corpus",
             &corpus.display().to_string(),
@@ -792,7 +875,309 @@ fn loadgen_emits_a_well_formed_two_mode_bench_file() {
     let warm = &body[body.find("\"warm\": {").expect("warm pass recorded")..];
     assert!(json_u64(warm, "disk") >= 1, "warm pass hit the disk tier");
     assert_eq!(json_u64(warm, "miss"), 0, "warm pass recompiled nothing");
+
+    for mode in ["close", "keep_alive"] {
+        let line = body
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("\"{mode}\": {{")))
+            .unwrap_or_else(|| panic!("mode {mode} in {body}"));
+        assert_eq!(json_u64(line, "requests"), 14, "{line}");
+        assert_eq!(json_u64(line, "errors"), 0, "{line}");
+        assert!(json_f64(line, "throughput_rps") > 0.0, "{line}");
+        let lat = flat_block(line, "latency_ns");
+        assert!(
+            0.0 < lat["min"]
+                && lat["min"] <= lat["p50"]
+                && lat["p50"] <= lat["p90"]
+                && lat["p90"] <= lat["p99"]
+                && lat["p99"] <= lat["max"],
+            "latency percentiles out of order: {line}"
+        );
+    }
+    // Keep-alive saves each request its TCP setup. A debug build spends
+    // so much more per request around it that the ratio of two ~6 ms
+    // runs reads 0.9–1.6, so only an optimized build (CI runs this suite
+    // in release too) gates on the ratio itself.
+    let speedup = json_f64(&body, "keep_alive_speedup");
+    assert!(speedup > 0.0, "{body}");
+    if !cfg!(debug_assertions) {
+        assert!(speedup > 1.0, "keep-alive must beat close, got {speedup}");
+    }
+
+    // Server-side percentiles scraped from /v1/metrics: monotone for
+    // every stage and tier, and the warmup compiles reached every stage.
+    let metrics = body
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"server_metrics\": {"))
+        .expect("server_metrics block");
+    let (stages, tiers) = metrics.split_once("\"tiers\": ").expect("tiers block");
+    let mut stage_series = 0;
+    for (group, text) in [("stage", stages), ("tier", tiers)] {
+        for (at, _) in text.match_indices("{\"count\": ") {
+            let name = text[..at].rsplit('"').nth(1).expect("series name");
+            let h = flat_numbers(&text[at..]);
+            assert!(
+                h["p50_ns"] <= h["p90_ns"]
+                    && h["p90_ns"] <= h["p99_ns"]
+                    && h["p99_ns"] <= h["p999_ns"],
+                "{group} {name}: percentiles out of order: {h:?}"
+            );
+            if group == "stage" {
+                assert!(h["count"] > 0.0, "stage {name} recorded no compile");
+                stage_series += 1;
+            }
+        }
+    }
+    assert!(stage_series > 0, "no stage histograms in {metrics}");
+    assert!(flat_block(tiers, "memory")["count"] > 0.0, "{metrics}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn event_loop_holds_a_thousand_connections_and_evicts_slow_clients() {
+    let _cpu = exclusive_cpu();
+    // One server sized for the fleet: it must hold every socket at once,
+    // answer every request, and evict the tricklers by deadline.
+    let handle = spawn_server_with(ServerConfig {
+        workers: 4,
+        max_connections: 2048,
+        idle_timeout: Duration::from_secs(60),
+        io_timeout: Duration::from_secs(2),
+        ..ServerConfig::default()
+    });
+    let dir = tempdir();
+    let out = dir.join("BENCH_eventloop.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+        .args(["--addr", &handle.addr().to_string()])
+        .args([
+            "--corpus",
+            &oneq_bench::qasm_fixture_dir().display().to_string(),
+        ])
+        .args(["--connections", "1000", "--slow-clients", "8"])
+        .args(["--requests", "4000", "--concurrency", "8"])
+        .args(["--out", &out.display().to_string()])
+        .output()
+        .expect("run loadgen");
+    assert!(
+        output.status.success(),
+        "loadgen failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let body = std::fs::read_to_string(&out).expect("bench file written");
+    let evt = flat_block(&body, "event_loop");
+    assert_eq!(evt["connected"], 1000.0, "{evt:?}");
+    assert!(
+        evt["open_during_run"] >= 1000.0,
+        "the server did not hold the whole fleet at once: {evt:?}"
+    );
+    assert!(evt["ok"] == 4000.0 && evt["requests"] == 4000.0, "{evt:?}");
+    assert_eq!(evt["errors"], 0.0, "errors under load: {evt:?}");
+    assert!(
+        evt["slow_evicted"] >= 1.0,
+        "no slow-loris eviction: {evt:?}"
+    );
+    assert!(evt["throughput_rps"] > 0.0, "{evt:?}");
+    handle.shutdown().expect("clean shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn oneq_top_once_shows_every_table_and_the_slow_request_id() {
+    let _cpu = shared_cpu();
+    let handle = spawn_server();
+    let files = fixture_files();
+    let path = files
+        .iter()
+        .find(|p| p.ends_with("qft-16.qasm"))
+        .unwrap_or(&files[0]);
+    let target = format!(
+        "/v1/compile?file={}&bypass=1",
+        http::percent_encode(&path.display().to_string())
+    );
+    let source = std::fs::read(path).expect("read fixture");
+    // bypass=1 forces a real compile under the client's request id.
+    let resp = http::request_with_headers(
+        handle.addr(),
+        "POST",
+        &target,
+        &[("X-Oneqd-Request-Id", "top-triage-1")],
+        &source,
+        TIMEOUT,
+    )
+    .expect("compile");
+    assert_eq!(resp.status, 200);
+    wait_for_trace(&handle, "top-triage-1");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_oneq-top"))
+        .args(["--addr", &handle.addr().to_string(), "--once"])
+        .output()
+        .expect("run oneq-top");
+    assert!(output.status.success(), "oneq-top failed: {output:?}");
+    let screen = String::from_utf8(output.stdout).expect("oneq-top prints UTF-8");
+    for want in ["ROUTES", "COMPILE STAGES", "SLOWEST", "top-triage-1"] {
+        assert!(screen.contains(want), "`{want}` missing from:\n{screen}");
+    }
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// One histogram series (a family plus its non-`le` labels) as scraped.
+#[derive(Default)]
+struct HistogramSeries {
+    buckets: Vec<(f64, u64)>,
+    sum: Option<f64>,
+    count: Option<u64>,
+}
+
+/// Lints a Prometheus text exposition the way a scraper reads it:
+/// exactly one `# TYPE` (counter, gauge or histogram) per family; every
+/// sample line parses and belongs to a typed family; in every histogram
+/// series `le` strictly increases to `+Inf`, counts are cumulative,
+/// `_count` equals the `+Inf` bucket and `_sum` is finite and ≥ 0; and
+/// exemplars sit only on `_bucket` lines. Returns the number of
+/// exemplars.
+fn lint_exposition(text: &str) -> usize {
+    let mut types: HashMap<&str, &str> = HashMap::new();
+    let mut histograms: BTreeMap<String, HistogramSeries> = BTreeMap::new();
+    let mut exemplars = 0;
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = decl
+                .split_once(' ')
+                .unwrap_or_else(|| panic!("malformed TYPE line: {line}"));
+            assert!(
+                matches!(kind, "counter" | "gauge" | "histogram"),
+                "unknown kind: {line}"
+            );
+            assert!(
+                types.insert(family, kind).is_none(),
+                "duplicate # TYPE: {line}"
+            );
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        let (name, labels, value, exemplar) = parse_sample(line);
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .filter_map(|suffix| name.strip_suffix(suffix))
+            .find(|base| types.get(base) == Some(&"histogram"))
+            .unwrap_or(name);
+        let kind = types
+            .get(family)
+            .unwrap_or_else(|| panic!("sample without a # TYPE: {line}"));
+        if exemplar {
+            assert!(name.ends_with("_bucket"), "exemplar off a bucket: {line}");
+            exemplars += 1;
+        }
+        if *kind != "histogram" {
+            continue;
+        }
+        let series_labels: Vec<String> = labels
+            .iter()
+            .filter(|(k, _)| *k != "le")
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        let slot = histograms
+            .entry(format!("{family}{{{}}}", series_labels.join(",")))
+            .or_default();
+        let count = || -> u64 {
+            value
+                .parse()
+                .unwrap_or_else(|_| panic!("bad count: {line}"))
+        };
+        if name.ends_with("_bucket") {
+            let (_, le) = labels
+                .iter()
+                .find(|(k, _)| *k == "le")
+                .unwrap_or_else(|| panic!("bucket without le: {line}"));
+            let le = if *le == "+Inf" {
+                f64::INFINITY
+            } else {
+                le.parse().unwrap_or_else(|_| panic!("bad le: {line}"))
+            };
+            slot.buckets.push((le, count()));
+        } else if name.ends_with("_sum") {
+            slot.sum = Some(value.parse().expect("sum is a number"));
+        } else if name.ends_with("_count") {
+            slot.count = Some(count());
+        } else {
+            panic!("bare sample in histogram family {family}: {line}");
+        }
+    }
+    assert!(!histograms.is_empty(), "no histogram series scraped");
+    for (series, h) in &histograms {
+        let (Some(sum), Some(count), Some(&(last_le, last))) = (h.sum, h.count, h.buckets.last())
+        else {
+            panic!("incomplete histogram {series}");
+        };
+        assert_eq!(last_le, f64::INFINITY, "{series} does not end at +Inf");
+        for pair in h.buckets.windows(2) {
+            assert!(pair[0].0 < pair[1].0, "{series}: le not increasing");
+            assert!(pair[0].1 <= pair[1].1, "{series}: counts not cumulative");
+        }
+        assert_eq!(count, last, "{series}: _count != +Inf bucket");
+        assert!(sum.is_finite() && sum >= 0.0, "{series}: bad _sum {sum}");
+    }
+    exemplars
+}
+
+/// Splits a sample line into name, labels, value and whether it carries
+/// an exemplar (` # {request_id="[A-Za-z0-9._-]+"} value timestamp`),
+/// panicking on anything a scraper could not read.
+fn parse_sample(line: &str) -> (&str, Vec<(&str, &str)>, &str, bool) {
+    let name_end = line
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+        .unwrap_or(line.len());
+    let name = &line[..name_end];
+    assert!(
+        name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_' || c == ':'),
+        "bad metric name: {line}"
+    );
+    let mut rest = &line[name_end..];
+    let mut labels = Vec::new();
+    if let Some(body) = rest.strip_prefix('{') {
+        let (inner, after) = body
+            .split_once('}')
+            .unwrap_or_else(|| panic!("unclosed labels: {line}"));
+        for pair in inner.split(',') {
+            let label = pair
+                .split_once('=')
+                .and_then(|(k, v)| Some((k, v.strip_prefix('"')?.strip_suffix('"')?)))
+                .unwrap_or_else(|| panic!("bad label: {line}"));
+            labels.push(label);
+        }
+        rest = after;
+    }
+    let rest = rest
+        .strip_prefix(' ')
+        .unwrap_or_else(|| panic!("no value: {line}"));
+    let (value, exemplar) = match rest.split_once(" # ") {
+        Some((value, exemplar)) => (value, Some(exemplar)),
+        None => (rest, None),
+    };
+    assert!(value.parse::<f64>().is_ok(), "bad value: {line}");
+    if let Some(exemplar) = exemplar {
+        let (id, tail) = exemplar
+            .strip_prefix("{request_id=\"")
+            .and_then(|e| e.split_once("\"} "))
+            .unwrap_or_else(|| panic!("malformed exemplar: {line}"));
+        assert!(
+            !id.is_empty()
+                && id
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-')),
+            "bad exemplar id: {line}"
+        );
+        let (v, ts) = tail
+            .split_once(' ')
+            .unwrap_or_else(|| panic!("exemplar without timestamp: {line}"));
+        assert!(
+            v.parse::<f64>().is_ok_and(|v| v >= 0.0) && ts.parse::<f64>().is_ok_and(|t| t > 0.0),
+            "bad exemplar value or timestamp: {line}"
+        );
+    }
+    (name, labels, value, exemplar.is_some())
 }
 
 /// Reads one exposition series value: the line starting `series ` (the
@@ -808,6 +1193,7 @@ fn metric_u64(text: &str, series: &str) -> u64 {
 
 #[test]
 fn metrics_endpoint_agrees_with_stats_and_counts_every_stage() {
+    let _cpu = shared_cpu();
     let handle = spawn_server();
     let files = fixture_files();
     // One miss then one memory hit per fixture.
@@ -824,10 +1210,14 @@ fn metrics_endpoint_agrees_with_stats_and_counts_every_stage() {
     assert_eq!(resp.status, 200);
     let content_type = resp.header("content-type").expect("content type");
     assert!(
-        content_type.starts_with("text/plain"),
+        content_type.starts_with("text/plain; version=0.0.4"),
         "exposition content type: {content_type}"
     );
     let text = String::from_utf8(resp.body).expect("exposition text");
+    assert!(
+        lint_exposition(&text) >= 1,
+        "the cold compiles left no exemplar on any bucket sample"
+    );
 
     for ty in [
         "# TYPE oneqd_requests_total counter",
@@ -934,6 +1324,7 @@ fn metrics_endpoint_agrees_with_stats_and_counts_every_stage() {
 
 #[test]
 fn request_id_is_echoed_or_minted_on_every_route() {
+    let _cpu = shared_cpu();
     let handle = spawn_server();
     let path = &fixture_files()[0];
     let label = path.display().to_string();

@@ -1,39 +1,36 @@
-//! Runtime twin of `oneq-lint`'s static schema check: boots a real
-//! server (disk tier enabled, traffic flowing so every conditional
-//! block renders), flattens the live `/v1/stats` document into dotted
-//! key paths, and pins it against the committed snapshots under
-//! `lint/`:
+//! The one pin on the `/v1/stats` schema: boots a real server (disk
+//! tier enabled, traffic flowing so every conditional block renders),
+//! flattens the live document into dotted key paths in render order,
+//! and checks them against the committed snapshots under
+//! `tests/fixtures/`:
 //!
-//!   * live keys == `lint/stats_schema_v6.txt` exactly — the server
-//!     renders precisely what the snapshot promises, no more, no less;
-//!   * live keys ⊇ `lint/stats_schema_v5.txt` — the schema stayed
-//!     append-only across the version bump.
+//!   * live keys == `stats_schema_v6.txt`, in order. The clients that
+//!     read a key's first occurrence (`oneq_bench::scrape::stats_u64`,
+//!     `loadgen`, `oneq-top`, perfbench's `serve` workload) depend on
+//!     the order, not just the set;
+//!   * `stats_schema_v5.txt` is an ordered subsequence of the live keys:
+//!     the schema stayed append-only across the version bump;
+//!   * a memory-only server renders exactly the v6 keys minus the
+//!     disk-tier counters and the `slowest[]` element keys.
 //!
-//! To regenerate after an intentional schema change, run with
-//! `ONEQ_UPDATE_SCHEMA_SNAPSHOT=1`; the test writes the observed key
-//! set to `lint/stats_schema_v6.txt.new` for review (the committed
-//! snapshot carries a curated header and is never clobbered).
+//! After an intentional schema change the failure message prints the
+//! live key sequence, ready to paste under the snapshot's header.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use oneq_bench::scrape::stats_str;
 use oneq_service::http;
 use oneq_service::server::{Server, ServerConfig, ServerHandle};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the workspace root")
-        .to_path_buf()
-}
-
-fn snapshot_keys(path: &Path) -> BTreeSet<String> {
+fn snapshot_keys(name: &str) -> Vec<String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name);
     let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -41,17 +38,24 @@ fn snapshot_keys(path: &Path) -> BTreeSet<String> {
         .collect()
 }
 
-/// Flattens a JSON document into dotted key paths: `conns.open`,
-/// `slowest[]`, `slowest[].route`. The emitter is ours (`ObjWriter`),
-/// so this only handles the shapes it produces — objects, arrays,
-/// strings, numbers, booleans — and panics loudly on anything else.
-fn flatten_keys(json: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
+/// Flattens a JSON document into dotted key paths in the order they
+/// first appear: `conns.open`, `slowest[]`, `slowest[].route`. The
+/// emitter is ours (`ObjWriter`), so this only handles the shapes it
+/// produces — objects, arrays, strings, numbers, booleans — and panics
+/// loudly on anything else.
+fn flatten_keys(json: &str) -> Vec<String> {
+    let mut out = Vec::new();
     let bytes = json.as_bytes();
     let mut pos = 0;
     skip_ws(bytes, &mut pos);
     value(bytes, &mut pos, "", &mut out);
     out
+}
+
+fn push_once(out: &mut Vec<String>, key: &str) {
+    if !out.iter().any(|k| k == key) {
+        out.push(key.to_string());
+    }
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -60,7 +64,7 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn value(b: &[u8], pos: &mut usize, path: &str, out: &mut BTreeSet<String>) {
+fn value(b: &[u8], pos: &mut usize, path: &str, out: &mut Vec<String>) {
     skip_ws(b, pos);
     match b.get(*pos) {
         Some(b'{') => {
@@ -92,7 +96,7 @@ fn value(b: &[u8], pos: &mut usize, path: &str, out: &mut BTreeSet<String>) {
             // Arrays are visible even when empty (`slowest[]`); object
             // containers are not listed, only their leaves.
             let child = format!("{path}[]");
-            out.insert(child.clone());
+            push_once(out, &child);
             loop {
                 skip_ws(b, pos);
                 if b.get(*pos) == Some(&b']') {
@@ -109,7 +113,7 @@ fn value(b: &[u8], pos: &mut usize, path: &str, out: &mut BTreeSet<String>) {
         Some(b'"') => {
             string(b, pos);
             if !path.is_empty() {
-                out.insert(path.to_string());
+                push_once(out, path);
             }
         }
         Some(_) => {
@@ -121,7 +125,7 @@ fn value(b: &[u8], pos: &mut usize, path: &str, out: &mut BTreeSet<String>) {
                 *pos += 1;
             }
             if !path.is_empty() {
-                out.insert(path.to_string());
+                push_once(out, path);
             }
         }
         None => panic!("unexpected end of stats JSON"),
@@ -144,6 +148,19 @@ fn string(b: &[u8], pos: &mut usize) -> String {
     s
 }
 
+/// True when every key of `sub` occurs in `seq`, in the same order.
+fn is_ordered_subsequence(sub: &[String], seq: &[String]) -> bool {
+    let mut rest = seq.iter();
+    sub.iter().all(|key| rest.any(|k| k == key))
+}
+
+fn get_stats(handle: &ServerHandle) -> String {
+    let stats =
+        http::request(handle.addr(), "GET", "/v1/stats", b"", TIMEOUT).expect("GET /v1/stats");
+    assert_eq!(stats.status, 200);
+    String::from_utf8(stats.body).expect("stats body is UTF-8")
+}
+
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("oneqd-stats-schema-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -151,11 +168,7 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn spawn_with_disk(dir: &Path) -> ServerHandle {
-    let config = ServerConfig {
-        cache_dir: Some(dir.to_path_buf()),
-        ..ServerConfig::default()
-    };
+fn spawn(config: ServerConfig) -> ServerHandle {
     Server::bind("127.0.0.1:0", config)
         .expect("bind loopback")
         .spawn()
@@ -165,7 +178,10 @@ fn spawn_with_disk(dir: &Path) -> ServerHandle {
 #[test]
 fn live_stats_keys_match_the_committed_snapshots() {
     let dir = tempdir("golden");
-    let handle = spawn_with_disk(&dir);
+    let handle = spawn(ServerConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
 
     // Traffic: one good compile (fills the trace ring, so `slowest` has
     // elements) and one metrics scrape (bumps the telemetry route).
@@ -183,36 +199,22 @@ fn live_stats_keys_match_the_committed_snapshots() {
         http::request(handle.addr(), "GET", "/v1/metrics", b"", TIMEOUT).expect("GET /v1/metrics");
     assert_eq!(resp.status, 200);
 
-    let stats =
-        http::request(handle.addr(), "GET", "/v1/stats", b"", TIMEOUT).expect("GET /v1/stats");
-    assert_eq!(stats.status, 200);
-    let body = String::from_utf8(stats.body).expect("stats body is UTF-8");
+    let body = get_stats(&handle);
+    assert_eq!(stats_str(&body, "schema"), Some("oneqd-stats/v6"), "{body}");
     let live = flatten_keys(&body);
-
-    let root = workspace_root();
-    if std::env::var_os("ONEQ_UPDATE_SCHEMA_SNAPSHOT").is_some() {
-        let listing = live.iter().cloned().collect::<Vec<_>>().join("\n");
-        let out = root.join("lint/stats_schema_v6.txt.new");
-        std::fs::write(&out, format!("{listing}\n")).expect("write snapshot candidate");
-        panic!(
-            "ONEQ_UPDATE_SCHEMA_SNAPSHOT set: wrote {} — fold it into the committed snapshot and re-run",
-            out.display()
-        );
-    }
-
-    let v6 = snapshot_keys(&root.join("lint/stats_schema_v6.txt"));
-    let v5 = snapshot_keys(&root.join("lint/stats_schema_v5.txt"));
-
-    let missing: Vec<_> = v6.difference(&live).collect();
-    let extra: Vec<_> = live.difference(&v6).collect();
+    let v6 = snapshot_keys("stats_schema_v6.txt");
     assert!(
-        missing.is_empty() && extra.is_empty(),
-        "live /v1/stats keys diverge from lint/stats_schema_v6.txt\n  promised but not rendered: {missing:?}\n  rendered but not promised: {extra:?}\n  body: {body}"
+        live == v6,
+        "live /v1/stats keys differ from tests/fixtures/stats_schema_v6.txt \
+         (order matters); the live sequence is:\n{}\n\nbody: {body}",
+        live.join("\n")
     );
-    let dropped: Vec<_> = v5.difference(&live).collect();
+    let v5 = snapshot_keys("stats_schema_v5.txt");
     assert!(
-        dropped.is_empty(),
-        "v5 keys missing from the live document (schema must stay append-only): {dropped:?}"
+        is_ordered_subsequence(&v5, &live),
+        "the v5 keys are no longer an ordered subsequence of the live document \
+         (the schema must stay append-only); live sequence:\n{}",
+        live.join("\n")
     );
 
     handle.shutdown().expect("clean shutdown");
@@ -222,33 +224,17 @@ fn live_stats_keys_match_the_committed_snapshots() {
 #[test]
 fn memory_only_stats_still_carry_every_unconditional_key() {
     // Without a disk tier the `cache.disk` block collapses to
-    // `{"enabled": false}` — everything else in the snapshot must still
-    // render, which pins the conditional block's exact boundary.
-    let handle = Server::bind("127.0.0.1:0", ServerConfig::default())
-        .expect("bind loopback")
-        .spawn()
-        .expect("spawn server thread");
-    let stats =
-        http::request(handle.addr(), "GET", "/v1/stats", b"", TIMEOUT).expect("GET /v1/stats");
-    let body = String::from_utf8(stats.body).expect("stats body is UTF-8");
+    // `{"enabled": false}`, and with no traffic the slowest ring is
+    // empty; everything else renders in v6 order, which pins the
+    // conditional blocks' exact boundaries.
+    let handle = spawn(ServerConfig::default());
+    let body = get_stats(&handle);
     let live = flatten_keys(&body);
-
-    let root = workspace_root();
-    let v6 = snapshot_keys(&root.join("lint/stats_schema_v6.txt"));
-    let disk_only: BTreeSet<_> = v6
-        .iter()
-        .filter(|k| k.starts_with("cache.disk.") && *k != "cache.disk.enabled")
+    let expected: Vec<String> = snapshot_keys("stats_schema_v6.txt")
+        .into_iter()
+        .filter(|k| !(k.starts_with("cache.disk.") && k != "cache.disk.enabled"))
+        .filter(|k| !k.starts_with("slowest[]."))
         .collect();
-    // With no traffic the slowest ring is empty: element keys are absent.
-    let element_only: BTreeSet<_> = v6.iter().filter(|k| k.starts_with("slowest[].")).collect();
-    for key in &v6 {
-        if disk_only.contains(key) || element_only.contains(key) {
-            continue;
-        }
-        assert!(
-            live.contains(key),
-            "unconditional key `{key}` missing from a memory-only /v1/stats: {body}"
-        );
-    }
+    assert_eq!(live, expected, "memory-only /v1/stats: {body}");
     handle.shutdown().expect("clean shutdown");
 }
