@@ -63,11 +63,6 @@ impl BaselineResult {
     pub fn physical_area(&self) -> usize {
         self.physical_side * self.physical_side
     }
-
-    /// Cluster sites per slice.
-    pub fn cluster_area(&self) -> usize {
-        self.cluster_side * self.cluster_side
-    }
 }
 
 impl fmt::Display for BaselineResult {

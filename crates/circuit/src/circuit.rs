@@ -201,16 +201,6 @@ impl Circuit {
         })
     }
 
-    /// Appends all gates of `other` (which must have the same width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn extend_from(&mut self, other: &Circuit) {
-        assert_eq!(self.n_qubits, other.n_qubits, "circuit widths must match");
-        self.gates.extend_from_slice(&other.gates);
-    }
-
     /// Circuit depth: the length of the longest chain of gates sharing
     /// qubits (each gate occupies one time step on all of its qubits).
     pub fn depth(&self) -> usize {
@@ -231,12 +221,6 @@ impl Circuit {
         }
         depth
     }
-
-    /// Count of non-Clifford gates (these induce adaptive measurements in
-    /// MBQC; paper §4).
-    pub fn non_clifford_count(&self) -> usize {
-        self.gates.iter().filter(|g| !g.is_clifford()).count()
-    }
 }
 
 impl fmt::Display for Circuit {
@@ -252,7 +236,6 @@ impl fmt::Display for Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::PI;
 
     #[test]
     fn builder_chains() {
@@ -309,31 +292,6 @@ mod tests {
     #[test]
     fn empty_circuit_depth_is_zero() {
         assert_eq!(Circuit::new(4).depth(), 0);
-    }
-
-    #[test]
-    fn non_clifford_count() {
-        let mut c = Circuit::new(2);
-        c.h(0).t(0).rz(1, PI / 4.0).rz(1, PI).cnot(0, 1);
-        assert_eq!(c.non_clifford_count(), 2);
-    }
-
-    #[test]
-    fn extend_from_appends() {
-        let mut a = Circuit::new(2);
-        a.h(0);
-        let mut b = Circuit::new(2);
-        b.cnot(0, 1);
-        a.extend_from(&b);
-        assert_eq!(a.gate_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "widths")]
-    fn extend_from_rejects_width_mismatch() {
-        let mut a = Circuit::new(2);
-        let b = Circuit::new(3);
-        a.extend_from(&b);
     }
 
     #[test]

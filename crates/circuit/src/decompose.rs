@@ -183,16 +183,6 @@ fn cancel_adjacent_hh(circuit: &Circuit) -> Circuit {
     out
 }
 
-/// Counts the J gates a circuit will lower to — this equals the number of
-/// *non-input* nodes in the translated graph state (paper §2.2.1).
-pub fn j_count(circuit: &Circuit) -> usize {
-    to_jcz(circuit)
-        .gates()
-        .iter()
-        .filter(|g| matches!(g, Gate::J(_, _)))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,19 +275,6 @@ mod tests {
         c.cnot(0, 1).cnot(0, 1);
         // J0 CZ J0 J0 CZ J0 -> inner pair cancels -> J0 CZ CZ J0.
         assert_eq!(to_jcz(&c).gate_count(), 4);
-    }
-
-    #[test]
-    fn j_count_matches_lowering() {
-        let mut c = Circuit::new(2);
-        c.h(0).cnot(0, 1).t(1);
-        let l = to_jcz(&c);
-        let js = l
-            .gates()
-            .iter()
-            .filter(|g| matches!(g, Gate::J(_, _)))
-            .count();
-        assert_eq!(j_count(&c), js);
     }
 
     #[test]

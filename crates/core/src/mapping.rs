@@ -79,18 +79,15 @@ pub struct LayerLayout {
     grid: CellGrid<CellUse>,
     /// Placements in placement order.
     placed: Vec<(NodeId, Position)>,
-    /// O(1) node -> position lookup (indexed by `NodeId::index`).
-    node_pos: Vec<Option<Position>>,
     /// Auxiliary routing cells consumed (tracked incrementally).
     routing: usize,
 }
 
 impl LayerLayout {
-    fn new(geometry: LayerGeometry, node_count: usize) -> Self {
+    fn new(geometry: LayerGeometry) -> Self {
         LayerLayout {
             grid: CellGrid::new(geometry),
             placed: Vec::new(),
-            node_pos: vec![None; node_count],
             routing: 0,
         }
     }
@@ -118,11 +115,6 @@ impl LayerLayout {
     /// Number of fusion-graph nodes placed on this layer.
     pub fn placed_count(&self) -> usize {
         self.placed.len()
-    }
-
-    /// Position of `n` if it lives on this layer.
-    pub fn position_of(&self, n: NodeId) -> Option<Position> {
-        self.node_pos.get(n.index()).copied().flatten()
     }
 
     fn is_free(&self, p: Position) -> bool {
@@ -155,7 +147,6 @@ impl LayerLayout {
         debug_assert!(self.is_free(p), "cell {p} already used");
         self.grid.set(p, CellUse::Node(n));
         self.placed.push((n, p));
-        self.node_pos[n.index()] = Some(p);
     }
 
     fn add_routing(&mut self, p: Position, edge: Edge) {
@@ -340,7 +331,7 @@ impl<'g> Mapper<'g> {
             remaining,
             mapped_edges: HashSet::new(),
             realized: Vec::with_capacity(graph.edge_count()),
-            layouts: vec![LayerLayout::new(geometry, n)],
+            layouts: vec![LayerLayout::new(geometry)],
             node_place: vec![None; n],
             direct_fusions: 0,
             routed_fusions: 0,
@@ -478,8 +469,7 @@ impl<'g> Mapper<'g> {
     }
 
     fn push_layer(&mut self) {
-        self.layouts
-            .push(LayerLayout::new(self.geometry, self.graph.node_count()));
+        self.layouts.push(LayerLayout::new(self.geometry));
         self.blocked = [0; 3];
     }
 
@@ -1231,7 +1221,7 @@ mod tests {
 
     #[test]
     fn occupied_area_tracks_bounding_box() {
-        let mut layout = LayerLayout::new(LayerGeometry::new(8, 8), 2);
+        let mut layout = LayerLayout::new(LayerGeometry::new(8, 8));
         assert_eq!(layout.occupied_area(), 0);
         layout.place(NodeId::new(0), Position::new(2, 2));
         assert_eq!(layout.occupied_area(), 1);
@@ -1394,7 +1384,7 @@ mod tests {
         // All four distance-1 neighbours of the target free: smallest row
         // wins; with the north cell occupied, west (same row as target,
         // smaller column) wins over east and south.
-        let mut layout = LayerLayout::new(LayerGeometry::new(5, 5), 4);
+        let mut layout = LayerLayout::new(LayerGeometry::new(5, 5));
         let target = Position::new(2, 2);
         layout.place(NodeId::new(0), target);
         assert_eq!(
@@ -1413,7 +1403,7 @@ mod tests {
     #[test]
     fn nearest_free_cell_on_full_layer_is_none() {
         let geom = LayerGeometry::new(2, 2);
-        let mut layout = LayerLayout::new(geom, 4);
+        let mut layout = LayerLayout::new(geom);
         for (i, p) in geom.positions().enumerate() {
             layout.place(NodeId::new(i), p);
         }
@@ -1423,7 +1413,7 @@ mod tests {
     #[test]
     fn nearest_free_cell_clips_rings_at_the_border() {
         // Target in a corner: rings extend off-grid and must be clipped.
-        let mut layout = LayerLayout::new(LayerGeometry::new(3, 3), 1);
+        let mut layout = LayerLayout::new(LayerGeometry::new(3, 3));
         layout.place(NodeId::new(0), Position::new(0, 0));
         assert_eq!(
             nearest_free_cell(&layout, Position::new(0, 0)),

@@ -198,27 +198,6 @@ pub struct CompiledProgram {
     pub profile: CompileProfile,
 }
 
-impl CompiledProgram {
-    /// Coarse program-fidelity estimate under `model`: every fusion
-    /// applies the per-fusion fidelity, and each resource state is charged
-    /// one delay-line cycle on average while it waits to be consumed.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use oneq::{Compiler, CompilerOptions};
-    /// use oneq_hardware::{ErrorModel, LayerGeometry};
-    ///
-    /// let program = Compiler::new(CompilerOptions::new(LayerGeometry::new(8, 8)))
-    ///     .compile(oneq_circuit::Circuit::new(2).h(0).cnot(0, 1));
-    /// let f = program.estimated_fidelity(&ErrorModel::default());
-    /// assert!(f > 0.0 && f <= 1.0);
-    /// ```
-    pub fn estimated_fidelity(&self, model: &oneq_hardware::ErrorModel) -> f64 {
-        model.estimate_fidelity(self.fusions, self.stats.fusion_graph_nodes)
-    }
-}
-
 impl fmt::Display for CompiledProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -496,17 +475,6 @@ mod tests {
                 assert!(program.depth <= ortho.depth + 2, "{topo:?}");
             }
         }
-    }
-
-    #[test]
-    fn fidelity_estimate_is_probability_like() {
-        use oneq_hardware::ErrorModel;
-        let program = small_compiler().compile(&benchmarks::bv(&[true, false]));
-        let f = program.estimated_fidelity(&ErrorModel::default());
-        assert!(f > 0.0 && f <= 1.0);
-        // More fusions -> lower fidelity.
-        let big = small_compiler().compile(&benchmarks::qft(5));
-        assert!(big.estimated_fidelity(&ErrorModel::default()) < f);
     }
 
     #[test]

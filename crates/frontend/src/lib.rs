@@ -63,17 +63,6 @@ pub fn parse_lowered(source: &str) -> Result<Lowered, ParseError> {
     lower::lower(&program, source)
 }
 
-/// Like [`parse_circuit`], attaching `file` to any error (shown in the
-/// rendered snippet and in [`ParseError::to_line`]).
-///
-/// # Errors
-///
-/// Returns the first lexical, syntactic, or semantic error with its
-/// source span and the file name attached.
-pub fn parse_circuit_named(source: &str, file: &str) -> Result<Circuit, ParseError> {
-    parse_circuit(source).map_err(|e| e.with_file(file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,8 +79,9 @@ mod tests {
 
     #[test]
     fn named_errors_carry_the_file() {
-        let err =
-            parse_circuit_named("OPENQASM 2.0;\nqreg q[1];\nh q[0];", "bad.qasm").unwrap_err();
+        let err = parse_circuit("OPENQASM 2.0;\nqreg q[1];\nh q[0];")
+            .unwrap_err()
+            .with_file("bad.qasm");
         assert_eq!(err.file(), Some("bad.qasm"));
         assert!(err.to_line().starts_with("bad.qasm:3:1: "));
         assert!(err.to_string().contains("--> bad.qasm:3:1"));

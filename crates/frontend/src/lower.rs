@@ -645,6 +645,14 @@ impl<'s> Lowerer<'s> {
     ) -> Result<(), ParseError> {
         match entry {
             GateEntry::Builtin(b) => {
+                // Checked here, not at the call site, so values computed
+                // inside a macro body are caught too.
+                if let Some(v) = params.iter().find(|v| !v.is_finite()) {
+                    return Err(self.error(
+                        span,
+                        format!("gate parameter evaluates to {v}; angles must be finite"),
+                    ));
+                }
                 self.emit_builtin(*b, params, qubits, span);
                 Ok(())
             }
@@ -996,6 +1004,21 @@ mod tests {
     fn top_level_param_identifier_is_rejected() {
         let err = lower_src(&format!("{HDR}qreg q[1];\nrz(theta) q[0];")).unwrap_err();
         assert!(err.message().contains("only constants and `pi`"));
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        for angle in ["0/0", "1/0", "sqrt(-1)", "ln(0)", "exp(1000)", "pi^1000"] {
+            let err = lower_src(&format!("{HDR}qreg q[2];\nrz({angle}) q[0];")).unwrap_err();
+            assert!(err.message().contains("must be finite"), "rz({angle})");
+            assert_eq!((err.line(), err.col()), (4, 1), "rz({angle})");
+        }
+        let err = lower_src(&format!(
+            "{HDR}qreg q[2];\ngate g(x) a {{ rz(1/x) a; }}\ng(0) q[0];"
+        ))
+        .unwrap_err();
+        assert!(err.message().contains("must be finite"));
+        assert_eq!(err.line(), 5, "reported at the macro application");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The fusion mapper (paper §6) traverses edges in a *cycle-prioritized*
 //! breadth-first order: edges that participate in cycles are mapped before
 //! tree edges. An edge lies on a cycle exactly when it is **not** a bridge,
-//! so the mapper consumes [`bridges`] / [`cycle_edges`] from this module.
+//! so the mapper consumes [`bridges`] from this module.
 
 use crate::{Edge, Graph, NodeId};
 use std::collections::HashSet;
@@ -173,26 +173,6 @@ pub fn bridges(graph: &Graph) -> HashSet<Edge> {
     bridge_set(&blocks(graph.adjacency(), graph.nodes()))
 }
 
-/// Edges that participate in at least one cycle (the non-bridge edges).
-pub fn cycle_edges(graph: &Graph) -> HashSet<Edge> {
-    let b = bridges(graph);
-    graph.edges().filter(|e| !b.contains(e)).collect()
-}
-
-/// Node sets of the biconnected components (derived from the edge sets;
-/// isolated nodes are not listed).
-pub fn biconnected_node_sets(graph: &Graph) -> Vec<Vec<NodeId>> {
-    blocks(graph.adjacency(), graph.nodes())
-        .iter()
-        .map(|block| {
-            let mut nodes: Vec<NodeId> = block.iter().flat_map(|e| [e.a(), e.b()]).collect();
-            nodes.sort_unstable();
-            nodes.dedup();
-            nodes
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,14 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_edges_excludes_tail() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let ce = cycle_edges(&g);
-        assert_eq!(ce.len(), 3);
-        assert!(!ce.contains(&Edge::new(NodeId::new(2), NodeId::new(3))));
-    }
-
-    #[test]
     fn disconnected_graph_is_analyzed_per_component() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]);
         let b = analyze(&g);
@@ -271,17 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn node_sets_cover_components() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
-        let sets = biconnected_node_sets(&g);
-        assert_eq!(sets.len(), 2);
-        for s in sets {
-            assert_eq!(s.len(), 3);
-            assert!(s.contains(&NodeId::new(2)));
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_graphs() {
         let b = analyze(&Graph::new());
         assert!(b.components.is_empty());
@@ -294,6 +255,5 @@ mod tests {
     fn grid_has_no_bridges() {
         let g = generators::grid(3, 3);
         assert!(bridges(&g).is_empty());
-        assert_eq!(cycle_edges(&g).len(), g.edge_count());
     }
 }

@@ -106,14 +106,6 @@ impl Embedding {
         Some(rot[(pos + 1) % rot.len()])
     }
 
-    /// The neighbor that precedes `next` in the cyclic order around `n`, or
-    /// `None` if `next` is not a neighbor of `n`.
-    pub fn prev_before(&self, n: NodeId, next: NodeId) -> Option<NodeId> {
-        let rot = &self.order[n.index()];
-        let pos = rot.iter().position(|&x| x == next)?;
-        Some(rot[(pos + rot.len() - 1) % rot.len()])
-    }
-
     /// Traces all faces induced by this rotation system.
     ///
     /// Faces are the orbits of the next-edge map
@@ -265,15 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn next_after_and_prev_before_are_inverse() {
+    fn next_after_walks_the_rotation() {
         let g = generators::star(5);
         let emb = Embedding::from_adjacency(&g);
         let hub = NodeId::new(0);
-        for &u in g.neighbors(hub) {
-            let w = emb
-                .next_after(hub, u)
-                .expect("adjacency-derived rotation must contain every hub neighbor");
-            assert_eq!(emb.prev_before(hub, w), Some(u));
+        let rot = emb.rotation(hub);
+        for (i, &u) in rot.iter().enumerate() {
+            assert_eq!(emb.next_after(hub, u), Some(rot[(i + 1) % rot.len()]));
         }
         assert_eq!(emb.next_after(hub, NodeId::new(99)), None);
     }

@@ -108,13 +108,6 @@ pub fn gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> Graph {
     g
 }
 
-/// The random-maxcut instance family used by the paper's QAOA benchmark:
-/// "graphs generated by randomly selecting half of its all possible edges".
-pub fn half_dense_random<R: Rng>(n: usize, rng: &mut R) -> Graph {
-    let max_edges = n * n.saturating_sub(1) / 2;
-    gnm(n, max_edges / 2, rng)
-}
-
 /// Random tree on `n` nodes (uniform attachment).
 pub fn random_tree<R: Rng>(n: usize, rng: &mut R) -> Graph {
     let mut g = Graph::with_nodes(n);
@@ -208,13 +201,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let g = gnm(4, 100, &mut rng);
         assert_eq!(g.edge_count(), 6);
-    }
-
-    #[test]
-    fn half_dense_has_half_the_edges() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = half_dense_random(8, &mut rng);
-        assert_eq!(g.edge_count(), 14); // C(8,2)/2 = 14
     }
 
     #[test]

@@ -135,9 +135,9 @@ impl std::error::Error for GraphError {}
 /// A simple undirected graph (no self-loops, no parallel edges) with dense
 /// node ids.
 ///
-/// This is the workhorse structure of the compiler: graph states, fusion
-/// graphs and coupling graphs are all `Graph`s (plus side tables owned by the
-/// respective crates). Neighbor lists preserve insertion order, which the
+/// This is the workhorse structure of the compiler: graph states and fusion
+/// graphs are both `Graph`s (plus side tables owned by the respective
+/// crates). Neighbor lists preserve insertion order, which the
 /// embedding code relies on for deterministic output.
 ///
 /// # Example
@@ -198,11 +198,6 @@ impl Graph {
         let id = NodeId::new(self.adj.len());
         self.adj.push(Vec::new());
         id
-    }
-
-    /// Adds `k` new isolated nodes and returns their ids.
-    pub fn add_nodes(&mut self, k: usize) -> Vec<NodeId> {
-        (0..k).map(|_| self.add_node()).collect()
     }
 
     /// Returns `true` if `n` is a valid node of this graph.

@@ -3,15 +3,14 @@
 //! Graph substrate for the OneQ compiler (ISCA'23 reproduction).
 //!
 //! The OneQ compilation pipeline is graph manipulation end to end: quantum
-//! programs become *graph states*, fusion strategies become *fusion graphs*,
-//! and the photonic hardware is a *coupling graph*. This crate provides the
-//! undirected-graph data structure and the graph algorithms those stages
-//! rely on, implemented from scratch so the workspace has no external graph
-//! dependency:
+//! programs become *graph states* and fusion strategies become *fusion
+//! graphs*. This crate provides the undirected-graph data structure and the
+//! graph algorithms those stages rely on, implemented from scratch so the
+//! workspace has no external graph dependency:
 //!
 //! * [`Graph`] — a simple undirected graph with O(1) edge queries,
-//! * traversal utilities (BFS/DFS orders, connected components, shortest
-//!   paths) in [`traversal`],
+//! * traversal utilities (BFS order, connected components, shortest paths)
+//!   in [`traversal`],
 //! * biconnectivity analysis (bridges, articulation points, biconnected
 //!   components) in [`biconnected`] — used for the cycle-prioritized edge
 //!   ordering of the fusion mapper (paper §6),

@@ -81,26 +81,6 @@ pub fn maximal_planar_subgraph(graph: &Graph) -> MaximalPlanarSubgraph {
     }
 }
 
-/// Decomposes `graph` into a sequence of planar subgraphs that together
-/// cover every edge, by repeatedly extracting a maximal planar subgraph
-/// from the remaining edges (paper §4, "Graph Planarization").
-pub fn planar_decomposition(graph: &Graph) -> Vec<Graph> {
-    let mut remaining = graph.clone();
-    let mut parts = Vec::new();
-    while remaining.edge_count() > 0 {
-        let step = maximal_planar_subgraph(&remaining);
-        for e in step.subgraph.sorted_edges() {
-            remaining.remove_edge(e.a(), e.b());
-        }
-        parts.push(step.subgraph);
-    }
-    if parts.is_empty() {
-        // Edgeless input: a single trivial part preserves the node set.
-        parts.push(Graph::with_nodes(graph.node_count()));
-    }
-    parts
-}
-
 /// Convenience predicate: can `edge` be added to `graph` while keeping it
 /// planar? (`graph` itself is assumed planar.)
 pub fn edge_addition_keeps_planar(graph: &Graph, a: NodeId, b: NodeId) -> bool {
@@ -116,8 +96,6 @@ pub fn edge_addition_keeps_planar(graph: &Graph, a: NodeId, b: NodeId) -> bool {
 mod tests {
     use super::*;
     use crate::generators;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn planar_input_is_returned_whole() {
@@ -162,46 +140,5 @@ mod tests {
         let r = maximal_planar_subgraph(&generators::complete(6));
         assert_eq!(r.subgraph.edge_count(), 12);
         assert_eq!(r.removed_edges.len(), 3);
-    }
-
-    #[test]
-    fn decomposition_covers_all_edges() {
-        let g = generators::complete(7);
-        let parts = planar_decomposition(&g);
-        assert!(parts.len() >= 2);
-        let total: usize = parts.iter().map(Graph::edge_count).sum();
-        assert_eq!(total, g.edge_count());
-        for p in &parts {
-            assert!(planarity::is_planar(p));
-            assert_eq!(p.node_count(), g.node_count());
-        }
-    }
-
-    #[test]
-    fn decomposition_of_planar_graph_is_single_part() {
-        let g = generators::grid(3, 5);
-        let parts = planar_decomposition(&g);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].edge_count(), g.edge_count());
-    }
-
-    #[test]
-    fn decomposition_of_edgeless_graph() {
-        let g = Graph::with_nodes(4);
-        let parts = planar_decomposition(&g);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].node_count(), 4);
-    }
-
-    #[test]
-    fn random_dense_graphs_decompose_validly() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = generators::gnm(12, 40, &mut rng);
-        let parts = planar_decomposition(&g);
-        let total: usize = parts.iter().map(Graph::edge_count).sum();
-        assert_eq!(total, g.edge_count());
-        for p in &parts {
-            assert!(planarity::is_planar(p));
-        }
     }
 }

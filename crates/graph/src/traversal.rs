@@ -1,4 +1,4 @@
-//! Traversal utilities: BFS/DFS orders, connected components, shortest paths.
+//! Traversal utilities: BFS order, connected components, shortest paths.
 
 use crate::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -27,27 +27,6 @@ pub fn bfs_order(graph: &Graph, start: NodeId) -> Vec<NodeId> {
             if !visited[v.index()] {
                 visited[v.index()] = true;
                 queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
-/// Depth-first (preorder) order of the nodes reachable from `start`.
-pub fn dfs_order(graph: &Graph, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(u) = stack.pop() {
-        if visited[u.index()] {
-            continue;
-        }
-        visited[u.index()] = true;
-        order.push(u);
-        // Push in reverse so neighbors are visited in adjacency order.
-        for &v in graph.neighbors(u).iter().rev() {
-            if !visited[v.index()] {
-                stack.push(v);
             }
         }
     }
@@ -173,22 +152,6 @@ mod tests {
         let order = bfs_order(&g, NodeId::new(0));
         assert_eq!(order.len(), 4);
         assert_eq!(order[0], NodeId::new(0));
-    }
-
-    #[test]
-    fn dfs_visits_all_reachable_nodes() {
-        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (1, 4)]);
-        let order = dfs_order(&g, NodeId::new(0));
-        assert_eq!(order.len(), 5);
-        assert_eq!(order[0], NodeId::new(0));
-        // Preorder with adjacency order: 0, 1, 3, 4, 2.
-        assert_eq!(
-            order,
-            vec![0, 1, 3, 4, 2]
-                .into_iter()
-                .map(NodeId::new)
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]

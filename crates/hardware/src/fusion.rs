@@ -1,4 +1,4 @@
-//! Fusion bookkeeping and the photon-loss/fidelity estimate.
+//! Fused-state arithmetic and the photon-loss/fidelity estimate.
 //!
 //! A fusion projects two photons (one from each resource state) onto an
 //! entangled basis, merging an `m`-qubit and an `n`-qubit graph state into
@@ -6,26 +6,6 @@
 //! error-prone operation of the platform, and photons waiting in delay
 //! lines accumulate loss — which is exactly why the compiler minimizes
 //! both the fusion count and the physical depth (paper §3.2).
-
-use std::fmt;
-
-/// The routing class of a fusion (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FusionKind {
-    /// Between resource states of neighbouring RSGs in the same cycle.
-    Spatial,
-    /// Between resource states of the same RSG across cycles (delay line).
-    Temporal,
-}
-
-impl fmt::Display for FusionKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FusionKind::Spatial => write!(f, "spatial"),
-            FusionKind::Temporal => write!(f, "temporal"),
-        }
-    }
-}
 
 /// Size of the graph state produced by fusing an `m`- and an `n`-qubit
 /// graph state: each fusion consumes the two measured photons.
@@ -38,58 +18,6 @@ impl fmt::Display for FusionKind {
 /// ```
 pub fn fused_size(m: usize, n: usize) -> usize {
     (m + n).saturating_sub(2)
-}
-
-/// Running tally of fusions by kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FusionTally {
-    /// Spatial fusion count.
-    pub spatial: usize,
-    /// Temporal fusion count.
-    pub temporal: usize,
-}
-
-impl FusionTally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        FusionTally::default()
-    }
-
-    /// Records one fusion.
-    pub fn record(&mut self, kind: FusionKind) {
-        match kind {
-            FusionKind::Spatial => self.spatial += 1,
-            FusionKind::Temporal => self.temporal += 1,
-        }
-    }
-
-    /// Total fusions.
-    pub fn total(&self) -> usize {
-        self.spatial + self.temporal
-    }
-
-    /// Photons destroyed by the tallied fusions (two per fusion).
-    pub fn photons_consumed(&self) -> usize {
-        2 * self.total()
-    }
-
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: FusionTally) {
-        self.spatial += other.spatial;
-        self.temporal += other.temporal;
-    }
-}
-
-impl fmt::Display for FusionTally {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} fusions ({} spatial, {} temporal)",
-            self.total(),
-            self.spatial,
-            self.temporal
-        )
-    }
 }
 
 /// A simple multiplicative error model for compiled programs.
@@ -169,20 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn tally_records_and_merges() {
-        let mut t = FusionTally::new();
-        t.record(FusionKind::Spatial);
-        t.record(FusionKind::Spatial);
-        t.record(FusionKind::Temporal);
-        assert_eq!(t.total(), 3);
-        assert_eq!(t.photons_consumed(), 6);
-        let mut u = FusionTally::new();
-        u.record(FusionKind::Temporal);
-        t.merge(u);
-        assert_eq!((t.spatial, t.temporal), (2, 2));
-    }
-
-    #[test]
     fn fidelity_decays_with_fusions() {
         let m = ErrorModel::default();
         let f1 = m.estimate_fidelity(10, 0);
@@ -202,13 +116,5 @@ mod tests {
     #[should_panic(expected = "fusion fidelity")]
     fn invalid_fidelity_rejected() {
         ErrorModel::new(0.0, 0.5);
-    }
-
-    #[test]
-    fn display_forms() {
-        let mut t = FusionTally::new();
-        t.record(FusionKind::Spatial);
-        assert!(format!("{t}").contains("1 fusions"));
-        assert_eq!(format!("{}", FusionKind::Temporal), "temporal");
     }
 }

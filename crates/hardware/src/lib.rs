@@ -15,8 +15,9 @@
 //! * physical-layer geometry ([`LayerGeometry`], [`Position`]) including
 //!   the rectangular aspect-ratio variants of Fig. 13 and the *extended
 //!   physical layers* of Fig. 5(b) ([`ExtendedLayer`]),
-//! * the extendable space-time coupling graph ([`CouplingGraph`]),
-//! * fusion bookkeeping and a loss/fidelity estimate ([`fusion`]).
+//! * the dense cell grid and BFS scratch the mapper routes on
+//!   ([`CellGrid`], [`BfsScratch`]),
+//! * fused-state arithmetic and a loss/fidelity estimate ([`fusion`]).
 //!
 //! # Example
 //!
@@ -31,14 +32,12 @@
 
 #![warn(missing_docs)]
 
-mod coupling;
 pub mod fusion;
 mod geometry;
 mod grid;
 mod resource;
 
-pub use coupling::{CouplingGraph, SiteId};
-pub use fusion::{ErrorModel, FusionKind, FusionTally};
+pub use fusion::ErrorModel;
 pub use geometry::{ExtendedLayer, LayerGeometry, Position, Topology, MAX_NEIGHBORS};
 pub use grid::{BfsScratch, CellGrid};
 pub use resource::{respects_degree_budget, ResourceKind};

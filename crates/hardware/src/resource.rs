@@ -92,27 +92,6 @@ impl ResourceKind {
             other => other,
         }
     }
-
-    /// Photons sacrificed when tailoring one resource state (ring → line).
-    pub fn tailoring_cost(&self) -> usize {
-        match *self {
-            ResourceKind::Ring(_) => 1,
-            _ => 0,
-        }
-    }
-
-    /// Free qubits available for fusions once a resource state is used as
-    /// a routing waypoint: two photons are consumed by the through-path,
-    /// the rest are removed by Z-measurements (paper §6: for small states
-    /// each location supports at most one routing path).
-    pub fn routing_capacity(&self) -> usize {
-        let q = self.effective().qubit_count();
-        if q >= 2 {
-            1
-        } else {
-            0
-        }
-    }
 }
 
 impl fmt::Display for ResourceKind {
@@ -195,16 +174,8 @@ mod tests {
     #[test]
     fn ring_is_tailored_to_shorter_line() {
         assert_eq!(ResourceKind::RING4.effective(), ResourceKind::Line(3));
-        assert_eq!(ResourceKind::RING4.tailoring_cost(), 1);
-        assert_eq!(ResourceKind::LINE3.tailoring_cost(), 0);
         // Tailored to a 3-line, the ring inherits the d-1 law.
         assert_eq!(ResourceKind::RING4.chain_nodes(5), 4);
-    }
-
-    #[test]
-    fn routing_capacity_is_one_for_small_states() {
-        assert_eq!(ResourceKind::LINE3.routing_capacity(), 1);
-        assert_eq!(ResourceKind::RING4.routing_capacity(), 1);
     }
 
     #[test]

@@ -127,11 +127,6 @@ pub fn dependency_layers(pattern: &Pattern) -> Vec<Vec<NodeId>> {
     layers
 }
 
-/// A total measurement order compatible with the dependency layers.
-pub fn measurement_order(pattern: &Pattern) -> Vec<NodeId> {
-    dependency_layers(pattern).into_iter().flatten().collect()
-}
-
 /// *Scheduled* layers: the dependency layers of [`dependency_layers`] with
 /// each measurement postponed to at least its causal-flow predecessor's
 /// layer.
@@ -321,14 +316,6 @@ mod tests {
     fn empty_pattern_has_no_layers() {
         let p = Pattern::new();
         assert!(dependency_layers(&p).is_empty());
-    }
-
-    #[test]
-    fn measurement_order_is_consistent() {
-        let c = benchmarks::qft(3);
-        let p = translate::from_circuit(&c);
-        let order = measurement_order(&p);
-        assert_eq!(order.len(), p.measured_nodes().len());
     }
 
     #[test]

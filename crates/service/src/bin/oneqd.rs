@@ -11,8 +11,9 @@
 //!
 //!   --addr HOST:PORT          listen address (default 127.0.0.1:7878; port 0
 //!                             picks an ephemeral port, printed at startup)
-//!   --workers N               worker threads (default: available parallelism)
-//!   --backlog N               bounded queue of pending connections (default 64)
+//!   --workers N               compile budget: worker threads, and the cap on
+//!                             concurrent /v1/compile-batch line compiles
+//!                             (default: available parallelism)
 //!   --cache-capacity N        cached compile responses (default 256)
 //!   --cache-shards N          cache mutex stripes (default 8)
 //!   --cache-dir PATH          persistent disk spill tier: an append-only
@@ -34,8 +35,6 @@
 //!   --max-connections N       open sockets the event loop will hold at
 //!                             once (default 4096); excess connections
 //!                             wait in the kernel accept backlog
-//!   --batch-jobs N            threads compiling one /v1/compile-batch
-//!                             request (default: available parallelism)
 //!   --trace-log PATH          append closed request traces as JSONL
 //!                             (one object per request: id, route, status,
 //!                             outcome, span tree; default: off — traces
@@ -55,11 +54,11 @@ use oneq_service::signal;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: oneqd [--addr HOST:PORT] [--workers N] [--backlog N] \
+        "usage: oneqd [--addr HOST:PORT] [--workers N] \
          [--cache-capacity N] [--cache-shards N] [--cache-dir PATH] \
          [--cache-disk-bytes BYTES] [--max-body BYTES] \
          [--keep-alive-requests N] [--idle-timeout-ms MS] [--io-timeout-ms MS] \
-         [--max-connections N] [--batch-jobs N] [--trace-log PATH] [--slow-ms MS]"
+         [--max-connections N] [--trace-log PATH] [--slow-ms MS]"
     );
     std::process::exit(2);
 }
@@ -89,7 +88,6 @@ fn parse_args() -> (String, ServerConfig) {
         match args[i].as_str() {
             "--addr" => addr = value(&mut i, "--addr"),
             "--workers" => config.workers = num(value(&mut i, "--workers"), "--workers", 1),
-            "--backlog" => config.backlog = num(value(&mut i, "--backlog"), "--backlog", 1),
             "--cache-capacity" => {
                 config.cache_capacity =
                     num(value(&mut i, "--cache-capacity"), "--cache-capacity", 1);
@@ -130,9 +128,6 @@ fn parse_args() -> (String, ServerConfig) {
                 config.max_connections =
                     num(value(&mut i, "--max-connections"), "--max-connections", 1);
             }
-            "--batch-jobs" => {
-                config.batch_jobs = num(value(&mut i, "--batch-jobs"), "--batch-jobs", 1);
-            }
             "--trace-log" => {
                 config.trace_log = Some(std::path::PathBuf::from(value(&mut i, "--trace-log")));
             }
@@ -166,11 +161,10 @@ fn main() {
     // Scripts (CI, tests) wait for this exact line before sending traffic.
     println!("oneqd: listening on http://{local}");
     println!(
-        "oneqd: {} workers, backlog {}, cache capacity {} over {} shard(s), \
+        "oneqd: {} workers, cache capacity {} over {} shard(s), \
          keep-alive {} req/conn, idle timeout {} ms, io timeout {} ms, \
          max connections {}",
         config.workers,
-        config.backlog,
         config.cache_capacity,
         config.cache_shards,
         config.keep_alive_requests,

@@ -13,9 +13,7 @@
 //!
 //! Hit/miss/eviction counters are handles into the daemon's metric
 //! [`Registry`], registered when the cache is built, so `GET /v1/stats`
-//! and `GET /v1/metrics` read them directly. [`fnv1a_64`] is kept
-//! alongside as the cheap non-cryptographic hash for callers that only
-//! need routing.
+//! and `GET /v1/metrics` read them directly.
 //!
 //! [`SingleFlight`] is the coalescing layer *in front of* the cache: N
 //! concurrent misses on one digest elect one leader that compiles while
@@ -31,18 +29,6 @@
 use crate::spill::{SpillStats, SpillTier};
 use oneq_obs::{Counter, Registry};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// FNV-1a, 64-bit: the classic offset-basis/prime pair. Tiny and fast;
-/// for routing and fingerprinting only — it is not collision-resistant,
-/// which is why the cache itself addresses by [`sha256`].
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 const SHA256_K: [u32; 64] = [
@@ -564,14 +550,6 @@ mod tests {
 
     fn arc(s: &str) -> Arc<str> {
         Arc::from(s)
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -61,14 +61,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// First query parameter named `name`, if any.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
-        self.query
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// First header named `name` (case-insensitive), if any.
     pub fn header(&self, name: &str) -> Option<&str> {
         header_lookup(&self.headers, name)
@@ -712,18 +704,6 @@ impl ClientConn {
         self.send_with(method, target, &[], body, Connection::KeepAlive)
     }
 
-    /// [`ClientConn::send`] with extra request headers (e.g. an
-    /// `X-Oneqd-Request-Id` the caller wants echoed back).
-    pub fn send_with_headers(
-        &mut self,
-        method: &str,
-        target: &str,
-        headers: &[(&str, &str)],
-        body: &[u8],
-    ) -> std::io::Result<ClientResponse> {
-        self.send_with(method, target, headers, body, Connection::KeepAlive)
-    }
-
     fn send_with(
         &mut self,
         method: &str,
@@ -889,7 +869,7 @@ mod tests {
                     assert_eq!(i, raw.len() - 1);
                     assert_eq!(req.method, "POST");
                     assert_eq!(req.path, "/v1/compile");
-                    assert_eq!(req.query_param("file"), Some("a b.qasm"));
+                    assert_eq!(req.query, [("file".to_string(), "a b.qasm".to_string())]);
                     assert_eq!(req.body, b"hello");
                     assert!(!parser.mid_request(), "parser reset after completion");
                 }
@@ -1031,7 +1011,7 @@ mod tests {
             let req = read_request(&mut reader, 1024).unwrap();
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/compile");
-            assert_eq!(req.query_param("file"), Some("a b.qasm"));
+            assert_eq!(req.query, [("file".to_string(), "a b.qasm".to_string())]);
             assert_eq!(req.body, b"hello");
             assert!(!req.wants_keep_alive(), "one-shot client sends close");
             write_response(

@@ -20,7 +20,8 @@
 //!   `loadgen`, `sweep`), from `/v1/compile` query parameters, and from
 //!   `/v1/compile-batch` JSONL lines, and its single `fingerprint`
 //!   method feeds the cache key everywhere;
-//! * a bounded worker pool ([`pool`]) shared with the batch drivers;
+//! * the worker pools ([`pool`]): the daemon's FIFO job queue, and the
+//!   input-ordered batch pool it shares with the batch drivers;
 //! * a sharded, mutex-striped, content-addressed LRU cache ([`cache`])
 //!   keyed by a hand-written SHA-256 digest over canonicalized source
 //!   bytes × compile config (entries hold the 32-byte digest, never the

@@ -6,14 +6,15 @@
 //!   shared atomic cursor hands out item indices to scoped workers, and
 //!   every result lands in its input slot, so output order is input order
 //!   no matter which thread finishes first.
-//! * [`WorkerPool`] — the long-lived bounded pool `oneqd` uses: N named
-//!   threads drain a bounded queue of boxed jobs. A full queue makes
-//!   [`WorkerPool::execute`] block (backpressure on the acceptor), and
-//!   dropping the pool joins the workers after the queue drains — the
-//!   mechanism behind graceful shutdown.
+//! * [`WorkerPool`] — the long-lived pool `oneqd` uses: N named threads
+//!   drain one unbounded FIFO queue of boxed jobs. [`WorkerPool::execute`]
+//!   never blocks, so the event loop dispatches from its own thread; the
+//!   queue needs no bound of its own because a connection holds at most
+//!   one dispatched request. Dropping the pool joins the workers after
+//!   the queue drains — the mechanism behind graceful shutdown.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -78,23 +79,20 @@ where
         .collect()
 }
 
-/// A boxed unit of work for a [`WorkerPool`]. Public so the event loop
-/// can hold jobs it failed to enqueue (the pool was full) and retry them
-/// without re-boxing.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A bounded pool of long-lived worker threads draining a job queue.
+/// A pool of long-lived worker threads draining one FIFO job queue.
 pub struct WorkerPool {
-    tx: Option<SyncSender<Job>>,
+    tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     depth: Arc<AtomicUsize>,
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads (named `{name}-{i}`) behind a queue
-    /// holding at most `backlog` pending jobs.
-    pub fn new(name: &str, workers: usize, backlog: usize) -> WorkerPool {
-        let (tx, rx) = sync_channel::<Job>(backlog.max(1));
+    /// Spawns `workers` threads (named `{name}-{i}`) behind an unbounded
+    /// queue.
+    pub fn new(name: &str, workers: usize) -> WorkerPool {
+        let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let depth = Arc::new(AtomicUsize::new(0));
         let workers = (0..workers.max(1))
@@ -114,8 +112,8 @@ impl WorkerPool {
         }
     }
 
-    /// Enqueues a job, blocking while the queue is full. Returns `false`
-    /// only after [`WorkerPool::shutdown`].
+    /// Enqueues a job behind every job already queued, without blocking.
+    /// Returns `false` only after [`WorkerPool::shutdown`].
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
         match &self.tx {
             Some(tx) => {
@@ -129,29 +127,6 @@ impl WorkerPool {
                 sent
             }
             None => false,
-        }
-    }
-
-    /// Enqueues a boxed job without blocking. On a full (or shut-down)
-    /// queue the job is handed back so the caller can retry later — the
-    /// event loop must never block on dispatch, or a saturated pool
-    /// would stall every other connection.
-    pub fn try_execute_boxed(&self, job: Job) -> Result<(), Job> {
-        use std::sync::mpsc::TrySendError;
-        match &self.tx {
-            Some(tx) => {
-                // ORDERING: Relaxed — same statistics gauge as `execute`;
-                // the channel orders the handoff.
-                self.depth.fetch_add(1, Ordering::Relaxed);
-                let result = tx.try_send(job).map_err(|e| match e {
-                    TrySendError::Full(job) | TrySendError::Disconnected(job) => job,
-                });
-                if result.is_err() {
-                    self.depth.fetch_sub(1, Ordering::Relaxed);
-                }
-                result
-            }
-            None => Err(job),
         }
     }
 
@@ -257,47 +232,26 @@ mod tests {
     }
 
     #[test]
-    fn try_execute_hands_the_job_back_when_the_queue_is_full() {
-        // One worker parked on a barrier job + a 1-slot queue: the first
-        // try fills the queue, the second must bounce without blocking.
+    fn queued_jobs_run_in_enqueue_order() {
+        // One worker held behind a gate while 100 jobs queue up: every
+        // execute returns at once, and the jobs run in the order queued.
         let gate = Arc::new(Mutex::new(()));
         let hold = gate.lock().unwrap();
-        let mut pool = WorkerPool::new("test-try", 1, 1);
+        let mut pool = WorkerPool::new("test-fifo", 1);
         let gate_for_worker = Arc::clone(&gate);
         assert!(pool.execute(move || {
             let _held = gate_for_worker.lock();
         }));
-        // Wait until the worker has dequeued the blocker so the queue
-        // slot is genuinely free for the next job.
-        let queued = Arc::new(AtomicU64::new(0));
-        let queued_for_job = Arc::clone(&queued);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            match pool.try_execute_boxed(Box::new({
-                let queued = Arc::clone(&queued_for_job);
-                move || {
-                    // ORDERING: SeqCst — test assertion counter.
-                    queued.fetch_add(1, Ordering::SeqCst);
-                }
-            })) {
-                Ok(()) => break,
-                Err(_) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                Err(_) => panic!("queue never freed a slot"),
-            }
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..100 {
+            let ran = Arc::clone(&ran);
+            assert!(pool.execute(move || ran.lock().unwrap().push(i)));
         }
-        // Queue now holds one job while the worker is blocked: full.
-        let bounced = pool.try_execute_boxed(Box::new(|| {}));
-        assert!(bounced.is_err(), "full queue hands the job back");
+        assert!(pool.depth() >= 100, "all 100 jobs wait behind the gate");
         drop(hold);
         pool.shutdown();
-        // ORDERING: SeqCst — test assertion read after join.
-        assert_eq!(queued.load(Ordering::SeqCst), 1);
-        assert!(
-            pool.try_execute_boxed(Box::new(|| {})).is_err(),
-            "after shutdown the job comes back too"
-        );
+        assert_eq!(*ran.lock().unwrap(), (0..100).collect::<Vec<_>>());
+        assert_eq!(pool.depth(), 0, "drained pool reads zero depth");
     }
 
     #[test]
@@ -306,7 +260,7 @@ mod tests {
         // show up in depth(), and a drained pool must read zero.
         let gate = Arc::new(Mutex::new(()));
         let hold = gate.lock().unwrap();
-        let mut pool = WorkerPool::new("test-depth", 1, 4);
+        let mut pool = WorkerPool::new("test-depth", 1);
         let gate_for_worker = Arc::clone(&gate);
         assert!(pool.execute(move || {
             let _held = gate_for_worker.lock();
@@ -332,7 +286,7 @@ mod tests {
     #[test]
     fn worker_pool_runs_all_jobs_before_shutdown() {
         let counter = Arc::new(AtomicU64::new(0));
-        let mut pool = WorkerPool::new("test", 4, 2);
+        let mut pool = WorkerPool::new("test", 4);
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
             assert!(pool.execute(move || {

@@ -24,7 +24,7 @@
 //! ([`crate::conn::Conn`]), so an open connection costs a file
 //! descriptor — never a thread. Reads are nonblocking and feed the
 //! resumable [`crate::http::RequestParser`]; only once a request is
-//! *complete* is it dispatched to the bounded [`WorkerPool`], whose
+//! *complete* is it queued on the [`WorkerPool`]'s FIFO queue, whose
 //! completion comes back over a channel (plus a waker nudge) as fully
 //! rendered response bytes the loop writes out as the socket accepts
 //! them. Trivial routes (`healthz`, `stats`, 404/405) are answered on
@@ -88,12 +88,12 @@ use std::time::{Duration, Instant};
 /// Tunables for a server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads compiling dispatched requests.
+    /// The compile budget: worker threads serving dispatched requests,
+    /// and the global cap on concurrent batch-line compiles (a shared
+    /// semaphore, so N simultaneous `/v1/compile-batch` requests still run
+    /// at most this many compiles at once). Batches use scoped threads,
+    /// not pool workers, so a batch cannot deadlock the connection pool.
     pub workers: usize,
-    /// Bounded backlog of dispatched-but-unstarted requests in the
-    /// worker pool; when full, further dispatches wait on the event
-    /// loop's retry queue (the loop itself never blocks).
-    pub backlog: usize,
     /// Total cached compile responses.
     pub cache_capacity: usize,
     /// Mutex stripes in the cache.
@@ -111,12 +111,6 @@ pub struct ServerConfig {
     /// How long a kept-alive connection may sit idle between requests
     /// before the server closes it.
     pub idle_timeout: Duration,
-    /// Upper bound on concurrent batch-line compiles — per request *and*
-    /// globally (a shared semaphore budget, so N simultaneous
-    /// `/v1/compile-batch` requests still run at most this many compiles
-    /// at once). Batches use scoped threads, not pool workers, so a
-    /// batch cannot deadlock the connection pool.
-    pub batch_jobs: usize,
     /// Directory for the persistent disk spill tier (`oneqd
     /// --cache-dir`). `None` (the default) runs memory-only, exactly the
     /// pre-spill behavior.
@@ -139,18 +133,14 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let parallelism =
-            std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
         ServerConfig {
-            workers: parallelism,
-            backlog: 64,
+            workers: std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
             cache_capacity: 256,
             cache_shards: 8,
             max_body: 4 * 1024 * 1024,
             io_timeout: Duration::from_secs(10),
             keep_alive_requests: 256,
             idle_timeout: Duration::from_secs(5),
-            batch_jobs: parallelism,
             cache_dir: None,
             cache_disk_bytes: 256 * 1024 * 1024,
             max_connections: 4096,
@@ -163,9 +153,9 @@ impl Default for ServerConfig {
 /// A minimal counting semaphore (std has none): the global budget of
 /// concurrent batch-compile slots. Each `/v1/compile-batch` request
 /// spawns its own scoped threads, so without a *shared* budget N
-/// concurrent batches would run `N × batch_jobs` compiles at once and
+/// concurrent batches would run `N × workers` compiles at once and
 /// oversubscribe every core; with it, total batch compile concurrency is
-/// `batch_jobs` regardless of how many batches are in flight.
+/// `workers` regardless of how many batches are in flight.
 struct Semaphore {
     permits: Mutex<usize>,
     cv: Condvar,
@@ -296,7 +286,7 @@ impl ServiceState {
             started: Instant::now(),
             cache: TieredCache::new(config.cache_capacity, config.cache_shards, disk, reg),
             flights: SingleFlight::new(reg),
-            batch_slots: Semaphore::new(config.batch_jobs),
+            batch_slots: Semaphore::new(config.workers),
             connections: counter("oneqd_connections_total", "Connections accepted."),
             requests: counter(
                 "oneqd_requests_total",
@@ -641,8 +631,6 @@ mod event_loop {
     use crate::conn::{Conn, ConnState, FillOutcome};
     use crate::http::RequestError;
     use crate::poll::{poll, PollFd, Waker, POLLIN, POLLOUT};
-    use crate::pool::Job;
-    use std::collections::VecDeque;
     use std::os::fd::AsRawFd as _;
     use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -674,7 +662,7 @@ mod event_loop {
 
     pub(super) fn run(server: super::Server, stop: &dyn Fn() -> bool) -> io::Result<()> {
         server.listener.set_nonblocking(true)?;
-        let pool = WorkerPool::new("oneqd-worker", server.config.workers, server.config.backlog);
+        let pool = WorkerPool::new("oneqd-worker", server.config.workers);
         let (done_tx, done_rx) = channel();
         let mut lp = Loop {
             listener: server.listener,
@@ -685,7 +673,6 @@ mod event_loop {
             free: Vec::new(),
             open_count: 0,
             next_id: 1,
-            pending_jobs: VecDeque::new(),
             done_tx,
             done_rx,
             waker: Arc::new(Waker::new()?),
@@ -706,9 +693,6 @@ mod event_loop {
         free: Vec<usize>,
         open_count: usize,
         next_id: u64,
-        /// Jobs that bounced off a full worker queue, retried each
-        /// iteration — the loop never blocks on dispatch.
-        pending_jobs: VecDeque<Job>,
         done_tx: Sender<Completion>,
         done_rx: Receiver<Completion>,
         waker: Arc<Waker>,
@@ -736,7 +720,6 @@ mod event_loop {
                 }
                 self.sweep_deadlines();
                 self.refresh_gauges();
-                self.retry_pending_jobs();
 
                 let now = Instant::now();
                 let mut fds = Vec::with_capacity(self.conns.len() + 2);
@@ -784,7 +767,7 @@ mod event_loop {
                     }
                 }
                 // Completions first: they free Dispatched connections
-                // (and pool slots) before new work is pumped in.
+                // before new work is pumped in.
                 self.collect_completions();
                 if accept_ready {
                     self.accept_ready();
@@ -795,10 +778,9 @@ mod event_loop {
                 self.state
                     .telemetry
                     .observe_iteration(duration_ns(work_started.elapsed()));
-                self.state.telemetry.set_loop_gauges(
-                    ready_fds,
-                    (self.pool.depth() + self.pending_jobs.len()) as u64,
-                );
+                self.state
+                    .telemetry
+                    .set_loop_gauges(ready_fds, self.pool.depth() as u64);
             }
             Ok(())
         }
@@ -855,16 +837,6 @@ mod event_loop {
             s.conns_writing.set(writing);
             s.conns_draining.set(draining);
             s.conns_idle.set(idle);
-        }
-
-        /// Re-offers bounced jobs to the pool, preserving order.
-        fn retry_pending_jobs(&mut self) {
-            while let Some(job) = self.pending_jobs.pop_front() {
-                if let Err(job) = self.pool.try_execute_boxed(job) {
-                    self.pending_jobs.push_front(job);
-                    return;
-                }
-            }
         }
 
         /// Drains the completion channel, attaching each finished
@@ -1088,7 +1060,7 @@ mod event_loop {
                 let done = self.done_tx.clone();
                 let waker = Arc::clone(&self.waker);
                 let enqueued = Instant::now();
-                let job: Job = Box::new(move || {
+                let queued = self.pool.execute(move || {
                     let queue_ns = duration_ns(enqueued.elapsed());
                     state.telemetry.observe_queue_wait(queue_ns);
                     let handler_started = Instant::now();
@@ -1130,9 +1102,7 @@ mod event_loop {
                     });
                     waker.wake();
                 });
-                if let Err(job) = self.pool.try_execute_boxed(job) {
-                    self.pending_jobs.push_back(job);
-                }
+                debug_assert!(queued, "the pool shuts down only after the loop exits");
                 return false;
             }
             let handler_started = Instant::now();
@@ -1625,9 +1595,9 @@ fn handle_batch(
     // same pool shape `oneqc` batches with); results land in their input
     // slots, so the response preserves request order no matter which
     // line finishes first. Actual compiles draw on the *global* batch
-    // budget (`state.batch_slots`, sized `batch_jobs`), so concurrent
+    // budget (`state.batch_slots`, sized `workers`), so concurrent
     // batches share the compile slots instead of multiplying them.
-    let jobs = config.batch_jobs.max(1);
+    let jobs = config.workers.max(1);
     let results = run_indexed(jobs, &requests, |_, req| {
         compile_via_cache(state, req, Some(&state.batch_slots), req_id)
     });

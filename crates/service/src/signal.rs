@@ -1,11 +1,12 @@
 //! SIGTERM/SIGINT → shutdown flag, for graceful daemon exit.
 //!
-//! This is the single module in the workspace that contains `unsafe`
-//! (see the crate manifest): std offers no way to register a signal
-//! handler, so [`install`] calls libc's `signal(2)` — already linked by
-//! std on every Unix target — twice. The handler body does the only
-//! thing that is async-signal-safe here: a relaxed store to a static
-//! atomic, which the accept loop polls between `accept` attempts.
+//! This is one of the workspace's three `unsafe` modules (with `poll.rs`
+//! and `spill.rs`'s `flock`; see `lint/unsafe_registry.toml`): std offers
+//! no way to register a signal handler, so [`install`] calls libc's
+//! `signal(2)` — already linked by std on every Unix target — twice. The
+//! handler body does the only thing that is async-signal-safe here: a
+//! relaxed store to a static atomic, which the event loop polls every
+//! iteration.
 //!
 //! On non-Unix targets [`install`] is a no-op and the daemon stops only
 //! when the process is killed.

@@ -59,8 +59,9 @@ use std::time::Instant;
 
 use oneq_obs::{Counter, Histogram, Registry};
 
-/// Advisory whole-file locking via `flock(2)`. This is the crate's
-/// second `unsafe` carve-out (alongside `signal.rs` — see the manifest):
+/// Advisory whole-file locking via `flock(2)`. This is one of the
+/// crate's three `unsafe` carve-outs (with `poll.rs` and `signal.rs` —
+/// see `lint/unsafe_registry.toml`):
 /// std exposes no file-locking API, and a `create_new` lockfile would go
 /// stale after SIGKILL, exactly the crash the spill tier must restart
 /// from. A kernel flock is released automatically when the process dies,
@@ -352,17 +353,6 @@ impl SpillTier {
                 None
             }
         }
-    }
-
-    /// `true` when `digest` is currently indexed (no hit accounting, no
-    /// read).
-    pub fn contains(&self, digest: &[u8; 32]) -> bool {
-        self.inner
-            .state
-            .lock()
-            .expect("spill state poisoned")
-            .index
-            .contains_key(digest)
     }
 
     /// Enqueues `digest → body` for the background writer (write-behind:
@@ -790,7 +780,7 @@ mod tests {
         assert!(tier.get(&digest).is_none());
         tier.append(digest, body(1));
         tier.flush();
-        assert!(tier.contains(&digest));
+        assert_eq!(tier.stats().entries, 1);
         assert_eq!(tier.get(&digest), Some(body(1)));
         let stats = tier.stats();
         assert_eq!((stats.hits, stats.appends, stats.entries), (1, 1, 1));

@@ -178,7 +178,7 @@ impl Telemetry {
         );
         let queue_depth = registry.gauge(
             "oneqd_queue_depth",
-            "Compile jobs waiting for a worker (pool queue + loop retry list).",
+            "Compile jobs waiting for a worker.",
             &[],
         );
         let request_hist = |route: &str| {

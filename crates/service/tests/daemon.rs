@@ -660,14 +660,18 @@ fn daemon_refuses_an_oversized_layer_and_stays_up() {
 
 #[test]
 fn daemon_rejects_bad_flags_with_usage_exit() {
-    let output = Command::new(env!("CARGO_BIN_EXE_oneqd"))
-        .args(["--workers", "zero"])
-        .output()
-        .expect("run oneqd");
-    assert_eq!(output.status.code(), Some(2));
-    let output = Command::new(env!("CARGO_BIN_EXE_oneqd"))
-        .args(["--frobnicate"])
-        .output()
-        .expect("run oneqd");
-    assert_eq!(output.status.code(), Some(2));
+    // `--workers` is the one compile budget and the connection cap bounds
+    // the job queue, so neither a queue bound nor a batch width is a flag.
+    for args in [
+        &["--workers", "zero"][..],
+        &["--frobnicate"],
+        &["--backlog", "4"],
+        &["--batch-jobs", "4"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_oneqd"))
+            .args(args)
+            .output()
+            .expect("run oneqd");
+        assert_eq!(output.status.code(), Some(2), "oneqd {args:?}");
+    }
 }

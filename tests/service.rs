@@ -748,7 +748,6 @@ fn single_flight_storm_compiles_once_with_byte_identical_responses() {
     const STORM: usize = 32;
     let config = ServerConfig {
         workers: STORM + 4, // every racer gets a live connection
-        backlog: STORM + 4,
         ..ServerConfig::default()
     };
     let handle = spawn_server_with(config);
