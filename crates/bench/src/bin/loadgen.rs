@@ -2,9 +2,9 @@
 //!
 //! Replays the `.qasm` fixture corpus against an `oneqd` instance at a
 //! configurable concurrency and writes `BENCH_service.json` with
-//! throughput, latency percentiles, and per-request cache outcomes — the
-//! served counterpart of `sweep`'s `BENCH_pipeline.json`, extending the
-//! repo's measured perf trajectory onto the requests/sec axis.
+//! throughput, latency percentiles, and per-request cache outcomes. The
+//! file is a report for a person to read; no gate compares it with an
+//! earlier run (the repository's benchmark is `perfbench`).
 //!
 //! Since the `/v1` redesign it measures *both* connection disciplines:
 //! the default `--mode both` run replays the same workload once over

@@ -423,7 +423,9 @@ impl<'g> Mapper<'g> {
             self.realized.push(edge);
         }
 
-        let (shuffle_layers, shuffle_fusions) = plan_shuffles(&shuffled, self.geometry);
+        let pairs: Vec<(Position, Position)> =
+            shuffled.iter().map(|s| (s.from.1, s.to.1)).collect();
+        let (shuffle_layers, shuffle_fusions) = plan_position_shuffles(&pairs, self.geometry);
 
         let placement: HashMap<NodeId, (usize, Position)> = self
             .node_place
@@ -625,15 +627,20 @@ impl<'g> Mapper<'g> {
         // placement is impossible or the node still has many edges.
         let need_room = self.remaining[node.index()] > direct.len();
         if self.options.allow_routing && (direct.is_empty() || need_room) {
-            let needed = self.remaining[node.index()].saturating_sub(1);
-            let routed = route_to_open_area(
-                &self.layouts[cur],
+            // Destination test: the paper requires routed paths of length
+            // >= 2 (at least one auxiliary state between the endpoints),
+            // ending on a cell with room for the node's other edges.
+            let open = self.remaining[node.index()].saturating_sub(1).min(3);
+            let layout = &self.layouts[cur];
+            let routed = bfs_free_path(
+                layout,
                 ap,
-                needed,
                 self.options.max_route_len,
                 &mut self.scratch,
+                |p, depth| depth >= 2 && layout.count_free_neighbors(p) >= open,
             );
-            if let Some((path, dest)) = routed {
+            if let Some(mut path) = routed {
+                let dest = path.pop().expect("a found path ends at its goal");
                 let cost = self.score_placement(node, dest, &path);
                 if best.as_ref().map_or(true, |(b, _, _)| cost < *b) {
                     best = Some((cost, dest, Some(path)));
@@ -676,12 +683,14 @@ impl<'g> Mapper<'g> {
         if !self.options.allow_routing {
             return false;
         }
-        let path = route_path(
+        // The cells strictly between `pa` and `pb`: at least one, so the
+        // routed path has the length >= 2 the hardware requires.
+        let path = bfs_free_path(
             &self.layouts[layer],
             pa,
-            pb,
             self.options.max_route_len,
             &mut self.scratch,
+            |p, _| p.manhattan(pb) == 1,
         );
         match path {
             Some(cells) => {
@@ -933,36 +942,38 @@ fn pos_at(geometry: LayerGeometry, idx: usize) -> Position {
     Position::new(idx / geometry.cols(), idx % geometry.cols())
 }
 
-/// BFS a free-cell path between `a` and `b` (exclusive); `None` when no
-/// path of length `<= max_len` exists. Paths have at least one cell
-/// (length >= 2 edges), matching the hardware constraint. Runs entirely on
-/// the dense grid with the reusable [`BfsScratch`] — no per-call maps.
-fn route_path(
+/// BFS through free cells from `from`'s free neighbours to the first cell
+/// that passes `goal(cell, depth)`, where depth 1 is a neighbour of
+/// `from`. Returns the cells from `from` (exclusive) to that cell
+/// (inclusive); `None` when no goal lies within `max_len` cells. Runs
+/// entirely on the dense grid with the reusable [`BfsScratch`] — no
+/// per-call maps.
+fn bfs_free_path(
     layout: &LayerLayout,
-    a: Position,
-    b: Position,
+    from: Position,
     max_len: usize,
     bfs: &mut BfsScratch,
+    goal: impl Fn(Position, u32) -> bool,
 ) -> Option<Vec<Position>> {
     let geom = layout.geometry();
     bfs.begin(geom.area());
-    let a_idx = geom.index_of(a);
-    bfs.try_visit(a_idx, a_idx);
-    let (nbuf, nn) = geom.neighbors_array(a);
+    let from_idx = geom.index_of(from);
+    bfs.try_visit(from_idx, from_idx);
+    let (nbuf, nn) = geom.neighbors_array(from);
     for &q in &nbuf[..nn] {
         if layout.is_free(q) {
             let qi = geom.index_of(q);
-            bfs.try_visit(qi, a_idx);
+            bfs.try_visit(qi, from_idx);
             bfs.queue.push_back((qi as u32, 1));
         }
     }
     while let Some((pi, depth)) = bfs.queue.pop_front() {
         let pi = pi as usize;
         let p = pos_at(geom, pi);
-        if p.manhattan(b) == 1 {
+        if goal(p, depth) {
             let mut path = vec![p];
             let mut cur = pi;
-            while bfs.prev(cur) != a_idx {
+            while bfs.prev(cur) != from_idx {
                 cur = bfs.prev(cur);
                 path.push(pos_at(geom, cur));
             }
@@ -983,68 +994,6 @@ fn route_path(
         }
     }
     None
-}
-
-/// BFS through free cells from `from`'s neighborhood to any free cell
-/// with at least `needed.min(3)` free neighbors. Returns the cells
-/// strictly between `from` and the destination, plus the destination.
-fn route_to_open_area(
-    layout: &LayerLayout,
-    from: Position,
-    needed: usize,
-    max_len: usize,
-    bfs: &mut BfsScratch,
-) -> Option<(Vec<Position>, Position)> {
-    let geom = layout.geometry();
-    bfs.begin(geom.area());
-    let from_idx = geom.index_of(from);
-    bfs.try_visit(from_idx, from_idx);
-    let (nbuf, nn) = geom.neighbors_array(from);
-    for &q in &nbuf[..nn] {
-        if layout.is_free(q) {
-            let qi = geom.index_of(q);
-            bfs.try_visit(qi, from_idx);
-            bfs.queue.push_back((qi as u32, 1));
-        }
-    }
-    while let Some((pi, depth)) = bfs.queue.pop_front() {
-        let pi = pi as usize;
-        let p = pos_at(geom, pi);
-        // Destination test: the paper requires routed paths of length
-        // >= 2 (at least one auxiliary state between the endpoints).
-        if depth >= 2 && layout.count_free_neighbors(p) >= needed.min(3) {
-            // Reconstruct: cells strictly between `from` and `p`.
-            let mut path = Vec::new();
-            let mut cur = bfs.prev(pi);
-            while cur != from_idx {
-                path.push(pos_at(geom, cur));
-                cur = bfs.prev(cur);
-            }
-            path.reverse();
-            return Some((path, p));
-        }
-        if depth as usize >= max_len {
-            continue;
-        }
-        let (nbuf, nn) = geom.neighbors_array(p);
-        for &q in &nbuf[..nn] {
-            if layout.is_free(q) {
-                let qi = geom.index_of(q);
-                if bfs.try_visit(qi, pi) {
-                    bfs.queue.push_back((qi as u32, depth + 1));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Plans the inter-layer shuffling: pairs are sorted by distance and each
-/// shuffle layer hosts disjoint routing paths; a new layer is allocated
-/// when paths would overlap (paper §6). Returns `(layers, fusions)`.
-fn plan_shuffles(edges: &[ShuffleEdge], geometry: LayerGeometry) -> (usize, usize) {
-    let pairs: Vec<(Position, Position)> = edges.iter().map(|s| (s.from.1, s.to.1)).collect();
-    plan_position_shuffles(&pairs, geometry)
 }
 
 /// Plans shuffle layers for raw position pairs: used both for in-mapping
@@ -1211,8 +1160,9 @@ mod tests {
 
     #[test]
     fn routed_paths_have_min_length() {
-        // route_to_open_area only returns paths with >= 1 intermediate
-        // cell (total length >= 2), per the paper's hardware constraint.
+        // Routing to an open area only returns paths with >= 1
+        // intermediate cell (total length >= 2), per the paper's hardware
+        // constraint.
         let g = generators::star(10);
         let r = map_graph(&g, LayerGeometry::new(12, 12), &opts());
         // All fusions accounted: direct are 1 each; routed are >= 2 each.

@@ -9,12 +9,13 @@
 //!
 //! ```text
 //!  Idle ──first byte──▶ Reading ──complete request──▶ Dispatched
-//!   ▲                      │                              │
-//!   │                      │ (parse error)                │ worker done
-//!   │                      ▼                              ▼
-//!   └──keep-alive────── Writing ◀─────────────────────────┘
+//!   ▲                    │    │                           │
+//!   │      (parse error) │    └─413─▶ Draining            │ worker done
+//!   │                    │              │ budget/EOF      │
+//!   │                    ▼              ▼                 ▼
+//!   └──keep-alive────── Writing ◀───────┴─────────────────┘
 //!                          │
-//!                          └──413──▶ Draining ──budget/EOF──▶ close
+//!                          └──error, 413 or Connection: close──▶ close
 //! ```
 //!
 //! The loop in `server.rs` drives the transitions; this module supplies
@@ -50,9 +51,10 @@ pub enum ConnState {
     Dispatched,
     /// A response is buffered and being flushed as the socket drains.
     Writing,
-    /// Response sent for an oversized request; discarding the remainder
-    /// of the client's body (bounded) before closing, so the close does
-    /// not race the client's own write and clobber the response.
+    /// A 413 is queued for an oversized request; the remainder of the
+    /// client's body is discarded (bounded) before the response is
+    /// written and the connection closes, so the close does not race the
+    /// client's own write and clobber the response.
     Draining,
 }
 
@@ -144,7 +146,6 @@ impl Conn {
     }
 
     /// Raw fd for the poll set.
-    #[cfg(unix)]
     pub fn fd(&self) -> i32 {
         std::os::fd::AsRawFd::as_raw_fd(&self.stream)
     }
@@ -158,14 +159,6 @@ impl Conn {
     /// Records one served request.
     pub fn mark_served(&mut self) {
         self.served += 1;
-    }
-
-    /// Whether some bytes of the *next* request already arrived (either
-    /// buffered past the last request's end, or consumed by the
-    /// parser). The loop re-runs [`Conn::fill`] without waiting for
-    /// readiness when this is true.
-    pub fn has_buffered_input(&self) -> bool {
-        !self.inbuf.is_empty()
     }
 
     /// Whether the parser holds a partially assembled request —
@@ -282,8 +275,8 @@ impl Conn {
 
     /// Enters the lingering-close drain: up to `budget` bytes of the
     /// peer's in-flight body will be read and discarded before the
-    /// socket closes. Bytes already buffered count against the budget
-    /// immediately.
+    /// queued response is written and the socket closes. Bytes already
+    /// buffered count against the budget immediately.
     pub fn begin_drain(&mut self, budget: usize) {
         let buffered = self.inbuf.len().min(budget);
         self.drain_budget = budget - buffered;
@@ -314,7 +307,7 @@ impl Conn {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
@@ -373,7 +366,7 @@ mod tests {
             other => panic!("expected first request, got {other:?}"),
         };
         assert_eq!(first.path, "/v1/healthz");
-        assert!(conn.has_buffered_input(), "second request is buffered");
+        assert!(conn.mid_request(), "second request is buffered");
         // The second request parses from the buffer alone — no socket
         // readiness involved.
         let second = match conn.fill().expect("fill from buffer") {

@@ -519,17 +519,14 @@ pub fn percent_encode(s: &str) -> String {
 }
 
 /// The reason phrase for the status codes this service emits.
-pub fn status_reason(status: u16) -> &'static str {
+fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
-        308 => "Permanent Redirect",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Content Too Large",
         422 => "Unprocessable Content",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
         _ => "Unknown",
     }
 }

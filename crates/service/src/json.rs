@@ -1,7 +1,7 @@
 //! Hand-rolled JSON emission helpers and a flat-object reader.
 //!
 //! The workspace has no serde: every JSON producer (`oneqc`'s JSONL
-//! writer, `oneqd`'s responses, `sweep`'s and `loadgen`'s BENCH files)
+//! writer, `oneqd`'s responses, `loadgen`'s `BENCH_service.json`)
 //! formats records by hand. This module is the single implementation of
 //! the parts that are easy to get subtly wrong — string escaping, `f64`
 //! formatting, and (for the `/v1/compile-batch` JSONL request lines)

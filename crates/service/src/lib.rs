@@ -10,14 +10,15 @@
 //!   `std::net::TcpListener` with persistent (keep-alive) connection
 //!   sessions on both sides — no external dependencies, consistent with
 //!   the workspace's vendored-offline policy;
-//! * a readiness-driven connection core ([`poll`], [`conn`]): one event
-//!   loop owns every socket via `poll(2)`, feeding nonblocking reads
-//!   through the resumable [`http::RequestParser`], so open connections
-//!   cost a file descriptor each — never a thread — and a slow-loris
-//!   client is evicted by deadline instead of pinning a worker;
+//! * a readiness-driven connection core (the Unix-only `poll` and `conn`
+//!   modules): one event loop owns every socket via `poll(2)`, feeding
+//!   nonblocking reads through the resumable [`http::RequestParser`], so
+//!   open connections cost a file descriptor each — never a thread — and
+//!   a slow-loris client is evicted by deadline instead of pinning a
+//!   worker;
 //! * one shared request model ([`request`]): the same
 //!   [`request::CompileRequest`] is built from CLI flags (`oneqc`,
-//!   `loadgen`, `sweep`), from `/v1/compile` query parameters, and from
+//!   `loadgen`), from `/v1/compile` query parameters, and from
 //!   `/v1/compile-batch` JSONL lines, and its single `fingerprint`
 //!   method feeds the cache key everywhere;
 //! * the worker pools ([`pool`]): the daemon's FIFO job queue, and the
@@ -72,11 +73,13 @@
 
 pub mod cache;
 pub mod compile;
-pub mod conn;
+#[cfg(unix)]
+mod conn;
 pub mod corpus;
 pub mod http;
 pub mod json;
-pub mod poll;
+#[cfg(unix)]
+mod poll;
 pub mod pool;
 pub mod request;
 pub mod segment;

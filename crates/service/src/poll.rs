@@ -12,9 +12,9 @@
 //! This is the third and final unsafe carve-out in the crate (after
 //! `signal.rs`'s `signal(2)` and `spill.rs`'s `flock(2)`; see the crate
 //! manifest): one `extern "C"` declaration, one `unsafe` call site. The
-//! `Waker` itself is pure safe std — `UnixStream::pair` — and on
-//! non-Unix targets everything degrades to `Unsupported` errors, which
-//! the server surfaces at startup.
+//! `Waker` itself is pure safe std — `UnixStream::pair`. The module is
+//! Unix-only, like the event loop that uses it; elsewhere the server
+//! reports `Unsupported` at startup.
 
 #![allow(unsafe_code)]
 
@@ -40,12 +40,6 @@ pub struct PollFd {
 pub const POLLIN: i16 = 0x001;
 /// Data may be written without blocking.
 pub const POLLOUT: i16 = 0x004;
-/// An error condition on the fd (always reported; never requested).
-pub const POLLERR: i16 = 0x008;
-/// The peer hung up (always reported; never requested).
-pub const POLLHUP: i16 = 0x010;
-/// The fd is not open (always reported; never requested).
-pub const POLLNVAL: i16 = 0x020;
 
 impl PollFd {
     /// A `PollFd` watching `fd` for the given `events`.
@@ -56,86 +50,19 @@ impl PollFd {
             revents: 0,
         }
     }
-
-    /// Whether a read attempt will make progress: data is available, the
-    /// peer hung up (the read returns 0), or the fd errored (the read
-    /// returns the error). All three mean "call read now".
-    pub fn readable(&self) -> bool {
-        self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
-    }
-
-    /// Whether a write attempt will make progress — including hangup and
-    /// error conditions, which a write surfaces as `EPIPE`/reset.
-    pub fn writable(&self) -> bool {
-        self.revents & (POLLOUT | POLLHUP | POLLERR | POLLNVAL) != 0
-    }
 }
 
-#[cfg(unix)]
-mod imp {
-    use super::PollFd;
-    use std::io;
-    use std::time::Duration;
+/// `nfds_t` from `<poll.h>`: `unsigned long` on Linux, `unsigned int` on
+/// the BSDs.
+#[cfg(target_os = "linux")]
+type NfdsT = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::os::raw::c_uint;
 
-    /// `nfds_t` from `<poll.h>`: `unsigned long` on Linux, `unsigned
-    /// int` on the BSDs.
-    #[cfg(target_os = "linux")]
-    type NfdsT = std::os::raw::c_ulong;
-    #[cfg(not(target_os = "linux"))]
-    type NfdsT = std::os::raw::c_uint;
-
-    extern "C" {
-        /// `int poll(struct pollfd *fds, nfds_t nfds, int timeout)` from
-        /// libc.
-        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
-    }
-
-    pub fn poll_impl(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-        let timeout_ms: i32 = match timeout {
-            // A negative timeout means "wait forever".
-            None => -1,
-            Some(t) => {
-                // Round sub-millisecond waits up to 1ms: rounding down
-                // would turn a short deadline into a busy spin.
-                let ms = t.as_millis();
-                if ms == 0 && !t.is_zero() {
-                    1
-                } else {
-                    i32::try_from(ms).unwrap_or(i32::MAX)
-                }
-            }
-        };
-        // SAFETY: `fds` is a valid, exclusively borrowed slice of
-        // `#[repr(C)]` structs layout-identical to `struct pollfd`, and
-        // the kernel writes only within its bounds (`nfds` is the exact
-        // length). The call does not retain the pointer past return.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
-        if rc < 0 {
-            let err = io::Error::last_os_error();
-            // EINTR (a signal landed mid-wait) is not a failure: report
-            // "nothing ready" and let the caller's loop re-check its
-            // stop flag and deadlines, exactly as on a timeout.
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(0);
-            }
-            return Err(err);
-        }
-        Ok(rc as usize)
-    }
-}
-
-#[cfg(not(unix))]
-mod imp {
-    use super::PollFd;
-    use std::io;
-    use std::time::Duration;
-
-    pub fn poll_impl(_fds: &mut [PollFd], _timeout: Option<Duration>) -> io::Result<usize> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "poll(2) requires a Unix target",
-        ))
-    }
+extern "C" {
+    /// `int poll(struct pollfd *fds, nfds_t nfds, int timeout)` from libc.
+    #[link_name = "poll"]
+    fn poll_ffi(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
 }
 
 /// Waits until at least one fd in `fds` is ready, the timeout elapses
@@ -143,7 +70,36 @@ mod imp {
 /// re-check their stop flags on every wakeup anyway). `None` waits
 /// forever. Returns the number of entries with nonzero `revents`.
 pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-    imp::poll_impl(fds, timeout)
+    let timeout_ms: i32 = match timeout {
+        // A negative timeout means "wait forever".
+        None => -1,
+        Some(t) => {
+            // Round sub-millisecond waits up to 1ms: rounding down would
+            // turn a short deadline into a busy spin.
+            let ms = t.as_millis();
+            if ms == 0 && !t.is_zero() {
+                1
+            } else {
+                i32::try_from(ms).unwrap_or(i32::MAX)
+            }
+        }
+    };
+    // SAFETY: `fds` is a valid, exclusively borrowed slice of
+    // `#[repr(C)]` structs layout-identical to `struct pollfd`, and the
+    // kernel writes only within its bounds (`nfds` is the exact length).
+    // The call does not retain the pointer past return.
+    let rc = unsafe { poll_ffi(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
+    if rc < 0 {
+        let err = io::Error::last_os_error();
+        // EINTR (a signal landed mid-wait) is not a failure: report
+        // "nothing ready" and let the caller's loop re-check its stop
+        // flag and deadlines, exactly as on a timeout.
+        if err.kind() == io::ErrorKind::Interrupted {
+            return Ok(0);
+        }
+        return Err(err);
+    }
+    Ok(rc as usize)
 }
 
 /// A wakeup channel for a [`poll`] loop: the read end sits in the poll
@@ -154,13 +110,11 @@ pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> 
 /// extra unsafe. Both ends are nonblocking: a `wake` when the pipe is
 /// already full is a no-op (the loop is waking anyway), and `drain`
 /// reads until empty without stalling.
-#[cfg(unix)]
 pub struct Waker {
     read: std::os::unix::net::UnixStream,
     write: std::os::unix::net::UnixStream,
 }
 
-#[cfg(unix)]
 impl Waker {
     /// Creates a connected, nonblocking wake pair.
     pub fn new() -> io::Result<Waker> {
@@ -192,34 +146,7 @@ impl Waker {
     }
 }
 
-/// Non-Unix stand-in so the crate still compiles; construction fails.
-#[cfg(not(unix))]
-pub struct Waker {}
-
-#[cfg(not(unix))]
-impl Waker {
-    /// Always fails off-Unix.
-    pub fn new() -> io::Result<Waker> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "Waker requires a Unix target",
-        ))
-    }
-
-    /// Unreachable off-Unix (construction fails); present for type
-    /// parity.
-    pub fn fd(&self) -> i32 {
-        -1
-    }
-
-    /// No-op off-Unix.
-    pub fn wake(&self) {}
-
-    /// No-op off-Unix.
-    pub fn drain(&self) {}
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
@@ -232,7 +159,7 @@ mod tests {
         let start = Instant::now();
         let n = poll(&mut fds, Some(Duration::from_millis(30))).unwrap();
         assert_eq!(n, 0, "nothing was ready");
-        assert!(!fds[0].readable());
+        assert_eq!(fds[0].revents, 0);
         assert!(
             start.elapsed() >= Duration::from_millis(25),
             "waited it out"
@@ -246,8 +173,7 @@ mod tests {
         let mut fds = [PollFd::new(std::os::fd::AsRawFd::as_raw_fd(&a), POLLIN)];
         let n = poll(&mut fds, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(n, 1);
-        assert!(fds[0].readable());
-        assert!(!fds[0].writable() || fds[0].revents & POLLOUT == 0);
+        assert_eq!(fds[0].revents, POLLIN, "readable, and only what was asked");
     }
 
     #[test]
@@ -257,7 +183,7 @@ mod tests {
         let mut fds = [PollFd::new(std::os::fd::AsRawFd::as_raw_fd(&a), POLLIN)];
         let n = poll(&mut fds, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(n, 1);
-        assert!(fds[0].readable(), "hangup means a read will not block");
+        assert_ne!(fds[0].revents, 0, "hangup means a read will not block");
     }
 
     #[test]
@@ -268,7 +194,7 @@ mod tests {
         let mut fds = [PollFd::new(waker.fd(), POLLIN)];
         let n = poll(&mut fds, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(n, 1);
-        assert!(fds[0].readable());
+        assert_ne!(fds[0].revents & POLLIN, 0);
         waker.drain();
         let mut fds = [PollFd::new(waker.fd(), POLLIN)];
         let n = poll(&mut fds, Some(Duration::from_millis(20))).unwrap();

@@ -6,8 +6,8 @@
 //! construction. [`CompileRequest`] replaces all of them: one knob table
 //! (the private `Knobs::apply`) is fed by three thin front-ends —
 //!
-//! * [`CompileRequest::from_args`] — CLI flags (`oneqc`, `loadgen`,
-//!   `sweep`); unrecognized flags pass through to the caller,
+//! * [`CompileRequest::from_args`] — CLI flags (`oneqc`, `loadgen`);
+//!   unrecognized flags pass through to the caller,
 //! * [`CompileRequest::from_query`] — `/v1/compile` query parameters,
 //! * [`CompileRequest::from_jsonl_line`] — one `/v1/compile-batch` line,
 //!
@@ -132,7 +132,8 @@ fn parse_bool(value: &str, name: &str) -> Result<bool, String> {
 }
 
 impl CompileRequest {
-    /// A request with the default configuration.
+    /// A request for `source` under the default configuration, whose
+    /// record is labelled `label`.
     pub fn new(label: impl Into<String>, source: impl Into<String>) -> CompileRequest {
         CompileRequest {
             label: label.into(),

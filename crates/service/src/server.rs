@@ -19,9 +19,9 @@
 //!
 //! # The event loop
 //!
-//! One thread owns every socket. It runs `poll(2)` ([`crate::poll`])
-//! over the listener, a wake pipe, and all open connections
-//! ([`crate::conn::Conn`]), so an open connection costs a file
+//! One thread owns every socket. It runs `poll(2)` (`poll.rs`) over
+//! the listener, a wake pipe, and all open connections (`Conn` in
+//! `conn.rs`), so an open connection costs a file
 //! descriptor — never a thread. Reads are nonblocking and feed the
 //! resumable [`crate::http::RequestParser`]; only once a request is
 //! *complete* is it queued on the [`WorkerPool`]'s FIFO queue, whose
