@@ -80,13 +80,6 @@ fn parse_args() -> Options {
         eprintln!("oneqc: {msg}");
         usage();
     });
-    // --bypass is a daemon/loadgen knob (cache opt-out); oneqc has no
-    // cache, and an accepted-but-dead flag is a usage error, not a
-    // silent no-op.
-    if template.bypass {
-        eprintln!("oneqc: --bypass only applies to the cached entrypoints (oneqd, loadgen)");
-        usage();
-    }
     let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = None;
     let mut paths = Vec::new();

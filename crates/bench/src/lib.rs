@@ -18,14 +18,12 @@
 //!
 //! Beyond the paper artifacts, `oneqc` batch-compiles arbitrary OpenQASM
 //! 2.0 files (via `oneq-frontend`) to JSONL metrics (with per-stage
-//! timings under `--timings`), `loadgen` replays the fixture corpus
-//! against the `oneqd` compile service and reports throughput, latency
-//! and cache-hit rate (`BENCH_service.json`), `oneq-top` is a live
-//! terminal cockpit over a running daemon's `/v1/metrics` and
-//! `/v1/stats` (see [`scrape`]), and `gen_qasm_fixtures` keeps the
-//! `.qasm` fixture corpus under `tests/fixtures/qasm/` in sync with the
-//! constructors. The repository's benchmark is the separate `perfbench`
-//! package.
+//! timings under `--timings`), `oneq-top` is a live terminal cockpit
+//! over a running daemon's `/v1/metrics` and `/v1/stats` (see
+//! [`scrape`]), and `gen_qasm_fixtures` keeps the `.qasm` fixture corpus
+//! under `tests/fixtures/qasm/` in sync with the constructors. The
+//! repository's benchmark, for the compiler and for `oneqd`, is the
+//! separate `perfbench` package.
 //!
 //! The crate also owns the workspace's integration tests under the root
 //! `tests/`, including the suites that gate the served `/v1` surface.

@@ -1,7 +1,7 @@
 //! Scraping `oneqd`'s observability surfaces from client-side tools.
 //!
-//! `loadgen` (the throughput harness) and `oneq-top` (the live cockpit)
-//! both read the daemon's `/v1/metrics` Prometheus text exposition and
+//! `oneq-top` (the live cockpit) and `perfbench`'s `serve` workload both
+//! read the daemon's `/v1/metrics` Prometheus text exposition and
 //! `/v1/stats` JSON; this module holds the one parser each of those
 //! formats gets. The histogram helpers understand the server's exact
 //! rendering — nine-fractional-digit `le` boundaries, cumulative bucket

@@ -140,9 +140,10 @@ pub struct RecordTimings {
 }
 
 /// Compiles `source` under `config` and renders the `oneqc/v1` record
-/// labelled `file_label`. Returns `(record, ok)`; parse failures and
-/// layers of more than 2^20 cells (rows × cols × extension) become
-/// `"status": "error"` records with `ok = false`, never a panic.
+/// labelled `file_label`. Returns `(record, ok)`; parse failures, auto
+/// geometry for a program with no qubits and layers of more than 2^20
+/// cells (rows × cols × extension) become `"status": "error"` records
+/// with `ok = false`, never a panic.
 pub fn compile_record(file_label: &str, source: &str, config: &CompileConfig) -> (String, bool) {
     let (record, ok, _) = compile_record_timed(file_label, source, config);
     (record, ok)
@@ -169,6 +170,12 @@ pub fn compile_record_timed(
     let parse_ns = t0.elapsed().as_nanos();
 
     let geometry = match config.geometry {
+        // `physical_side` sizes the layer from the qubit count and
+        // panics on zero.
+        GeometryChoice::Auto if circuit.n_qubits() == 0 => {
+            let e = "the program declares no qubits, so auto geometry has no layer to size";
+            return (error_record(file_label, e), false, None);
+        }
         GeometryChoice::Auto => LayerGeometry::square(oneq_baseline::physical_side(
             circuit.n_qubits(),
             config.resource,
@@ -313,6 +320,30 @@ mod tests {
             "{record}"
         );
         assert!(record.contains("exceeds 1048576 cells"), "{record}");
+    }
+
+    #[test]
+    fn auto_geometry_refuses_a_program_without_qubits() {
+        // `physical_side(0, _)` panics, so the refusal must come first.
+        for source in ["OPENQASM 2.0;", "OPENQASM 2.0;\ncreg c[2];\n"] {
+            let (record, ok, timings) =
+                compile_record_timed("none.qasm", source, &CompileConfig::default());
+            assert!(!ok, "{source}");
+            assert!(timings.is_none());
+            assert!(
+                record.starts_with("{\"file\": \"none.qasm\", \"status\": \"error\""),
+                "{record}"
+            );
+            assert!(record.contains("declares no qubits"), "{record}");
+        }
+        // An explicit layer needs no qubit count and still compiles.
+        let config = CompileConfig {
+            geometry: GeometryChoice::Square(3),
+            ..CompileConfig::default()
+        };
+        let (record, ok) = compile_record("none.qasm", "OPENQASM 2.0;", &config);
+        assert!(ok, "{record}");
+        assert!(record.contains("\"qubits\": 0"), "{record}");
     }
 
     #[test]

@@ -335,6 +335,14 @@ mod tests {
     }
 
     #[test]
+    fn accepted_streams_turn_off_nagle() {
+        // A small response held back by Nagle behind the client's delayed
+        // ACK stalls each keep-alive exchange by about 40 ms.
+        let (_client, conn) = pair(1024);
+        assert!(conn.stream.nodelay().unwrap());
+    }
+
+    #[test]
     fn fill_assembles_a_request_delivered_in_pieces() {
         let (mut client, mut conn) = pair(1024);
         client

@@ -1,6 +1,6 @@
-//! `.qasm` corpus discovery shared by `loadgen` and the integration
-//! tests (one implementation of "which files are the corpus", so replay
-//! and verification can never disagree). `oneqc`'s recursive CLI walker
+//! `.qasm` corpus discovery shared by the integration tests (one
+//! implementation of "which files are the corpus", so the suites that
+//! replay it can never disagree). `oneqc`'s recursive CLI walker
 //! stays in the binary: its contract — multiple roots, recursion,
 //! per-path exit codes — is a command-line interface, not a library one.
 

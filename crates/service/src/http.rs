@@ -1,18 +1,19 @@
 //! A deliberately small HTTP/1.1 implementation over `std::net`.
 //!
-//! `oneqd` serves a handful of fixed routes to trusted clients (CI,
-//! `loadgen`, `curl`); it needs request-line + header + `Content-Length`
-//! body parsing, percent-decoding for query strings, and persistent
-//! (`Connection: keep-alive`) framing in both directions — nothing more.
-//! Pulling in an HTTP stack would break the workspace's vendored-offline
-//! policy, so this module implements exactly that subset, with hard
-//! limits on line, header, and body sizes.
+//! `oneqd` serves a handful of fixed routes to trusted clients (the
+//! tests, `oneq-top`, `perfbench`, `curl`); it needs request-line +
+//! header + `Content-Length` body parsing, percent-decoding for query
+//! strings, and persistent (`Connection: keep-alive`) framing in both
+//! directions — nothing more. Pulling in an HTTP stack would break the
+//! workspace's vendored-offline policy, so this module implements
+//! exactly that subset, with hard limits on line, header, and body
+//! sizes.
 //!
 //! Since the `/v1` redesign, connections are sessions: the server reads
 //! many requests off one socket and the client side has a matching
-//! reusable [`ClientConn`] that `loadgen` drives. The one-shot
-//! [`request`] helper remains for tests and scripts; it opens a
-//! connection, sends `Connection: close`, and reads one response.
+//! reusable [`ClientConn`]. The one-shot [`request`] helper remains for
+//! tests and scripts; it opens a connection, sends `Connection: close`,
+//! and reads one response.
 //!
 //! Since the readiness-loop rewrite the server never blocks on a socket,
 //! so request parsing is *resumable*: [`RequestParser`] accepts bytes as
@@ -36,7 +37,7 @@ const MAX_HEADERS: usize = 64;
 /// Upper bound on a response body the *client* side will buffer. The
 /// server enforces its own `max_body` on requests; this is the symmetric
 /// guard so a misbehaving endpoint declaring a huge `Content-Length`
-/// cannot make `loadgen` or a test attempt an absurd allocation.
+/// cannot make a client attempt an absurd allocation.
 const MAX_CLIENT_BODY: usize = 64 * 1024 * 1024;
 /// Bodies up to this size are copied into one buffer with their head so
 /// the message leaves in a single write; larger bodies are written
@@ -115,35 +116,6 @@ pub enum RequestError {
 impl From<std::io::Error> for RequestError {
     fn from(e: std::io::Error) -> Self {
         RequestError::Io(e)
-    }
-}
-
-/// Coarse classification of a transport failure, so callers can report
-/// "the server was slow" separately from "the server hung up on us".
-/// `loadgen`'s adversarial mode uses this to count timeouts and resets
-/// as distinct outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoFailureKind {
-    /// The operation ran out of time (`TimedOut`, or `WouldBlock` — the
-    /// kind Unix read timeouts surface as).
-    Timeout,
-    /// The peer dropped the connection: reset, aborted, broken pipe, or
-    /// a clean-but-premature EOF.
-    Reset,
-    /// Any other I/O failure.
-    Other,
-}
-
-/// Classifies an I/O error into an [`IoFailureKind`].
-pub fn classify_io_error(e: &std::io::Error) -> IoFailureKind {
-    use std::io::ErrorKind;
-    match e.kind() {
-        ErrorKind::TimedOut | ErrorKind::WouldBlock => IoFailureKind::Timeout,
-        ErrorKind::ConnectionReset
-        | ErrorKind::ConnectionAborted
-        | ErrorKind::BrokenPipe
-        | ErrorKind::UnexpectedEof => IoFailureKind::Reset,
-        _ => IoFailureKind::Other,
     }
 }
 
@@ -659,9 +631,9 @@ pub fn read_client_response(reader: &mut impl BufRead) -> std::io::Result<Client
 }
 
 /// A persistent client connection: one socket carrying many
-/// request/response exchanges. `loadgen`'s keep-alive mode holds one of
-/// these per worker; the integration tests drive interleaved hit/miss
-/// sessions through it.
+/// request/response exchanges. `oneq-top` and `perfbench`'s `serve`
+/// workload each hold one; the integration tests drive interleaved
+/// hit/miss sessions and a 1000-connection fleet through it.
 pub struct ClientConn {
     reader: BufReader<TcpStream>,
     peer: SocketAddr,
@@ -681,11 +653,6 @@ impl ClientConn {
             reader: BufReader::new(stream),
             peer: addr,
         })
-    }
-
-    /// The address this connection was opened to.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
     }
 
     /// Sends one request and reads its response, leaving the connection
@@ -745,7 +712,7 @@ impl ClientConn {
 
 /// One-shot HTTP client: opens a connection, sends `method target` with
 /// `body` and `Connection: close`, reads the single response. Used by
-/// scripts, `loadgen`'s close mode, and the integration tests.
+/// `perfbench` and the integration tests.
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -906,32 +873,13 @@ mod tests {
     }
 
     #[test]
-    fn io_errors_classify_into_timeouts_and_resets() {
-        use std::io::{Error, ErrorKind};
-        assert_eq!(
-            classify_io_error(&Error::new(ErrorKind::TimedOut, "t")),
-            IoFailureKind::Timeout
-        );
-        assert_eq!(
-            classify_io_error(&Error::new(ErrorKind::WouldBlock, "t")),
-            IoFailureKind::Timeout,
-            "unix read timeouts surface as WouldBlock"
-        );
-        for kind in [
-            ErrorKind::ConnectionReset,
-            ErrorKind::ConnectionAborted,
-            ErrorKind::BrokenPipe,
-            ErrorKind::UnexpectedEof,
-        ] {
-            assert_eq!(
-                classify_io_error(&Error::new(kind, "r")),
-                IoFailureKind::Reset
-            );
-        }
-        assert_eq!(
-            classify_io_error(&Error::new(ErrorKind::PermissionDenied, "o")),
-            IoFailureKind::Other
-        );
+    fn client_connections_turn_off_nagle() {
+        // A small request held back by Nagle behind the server's delayed
+        // ACK stalls each keep-alive exchange by about 40 ms.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn =
+            ClientConn::connect(listener.local_addr().unwrap(), Duration::from_secs(5)).unwrap();
+        assert!(conn.reader.get_ref().nodelay().unwrap());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Hand-rolled JSON emission helpers and a flat-object reader.
 //!
 //! The workspace has no serde: every JSON producer (`oneqc`'s JSONL
-//! writer, `oneqd`'s responses, `loadgen`'s `BENCH_service.json`)
-//! formats records by hand. This module is the single implementation of
-//! the parts that are easy to get subtly wrong — string escaping, `f64`
-//! formatting, and (for the `/v1/compile-batch` JSONL request lines)
-//! parsing one *flat* JSON object — so the producers cannot drift apart.
+//! writer, `oneqd`'s responses) formats records by hand. This module is
+//! the single implementation of the parts that are easy to get subtly
+//! wrong — string escaping, object layout, and (for the
+//! `/v1/compile-batch` JSONL request lines) parsing one *flat* JSON
+//! object — so the producers cannot drift apart.
 
 use std::fmt::Write as _;
 
@@ -33,18 +33,6 @@ pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     escape_into(&mut out, s);
     out
-}
-
-/// Formats an `f64` as a JSON value. Finite values print in Rust's
-/// shortest round-trip decimal form (always a valid JSON number);
-/// non-finite values (`NaN`, `±inf`) have no JSON representation and
-/// print as `null`.
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Incremental writer for one JSON object: handles comma placement, key
@@ -386,24 +374,6 @@ mod tests {
         let mut out = String::from("x");
         escape_into(&mut out, "\"");
         assert_eq!(out, "x\\\"");
-    }
-
-    #[test]
-    fn finite_floats_round_trip() {
-        assert_eq!(fmt_f64(1.0), "1");
-        assert_eq!(fmt_f64(-0.5), "-0.5");
-        let v = 0.1 + 0.2;
-        assert_eq!(fmt_f64(v).parse::<f64>().unwrap(), v);
-        // Display never uses exponent notation, so even huge values stay
-        // valid JSON numbers and round-trip exactly.
-        assert_eq!(fmt_f64(1e300).parse::<f64>().unwrap(), 1e300);
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
-        assert_eq!(fmt_f64(f64::NEG_INFINITY), "null");
     }
 
     #[test]

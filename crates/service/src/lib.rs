@@ -17,8 +17,8 @@
 //!   a slow-loris client is evicted by deadline instead of pinning a
 //!   worker;
 //! * one shared request model ([`request`]): the same
-//!   [`request::CompileRequest`] is built from CLI flags (`oneqc`,
-//!   `loadgen`), from `/v1/compile` query parameters, and from
+//!   [`request::CompileRequest`] is built from CLI flags (`oneqc`),
+//!   from `/v1/compile` query parameters, and from
 //!   `/v1/compile-batch` JSONL lines, and its single `fingerprint`
 //!   method feeds the cache key everywhere;
 //! * the worker pools ([`pool`]): the daemon's FIFO job queue, and the

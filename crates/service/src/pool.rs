@@ -2,10 +2,10 @@
 //!
 //! Two shapes of parallelism live here:
 //!
-//! * [`run_indexed`] — the batch pool `oneqc` (and `loadgen`) use: a
-//!   shared atomic cursor hands out item indices to scoped workers, and
-//!   every result lands in its input slot, so output order is input order
-//!   no matter which thread finishes first.
+//! * [`run_indexed`] — the batch pool `oneqc` and `/v1/compile-batch`
+//!   use: a shared atomic cursor hands out item indices to scoped
+//!   workers, and every result lands in its input slot, so output order
+//!   is input order no matter which thread finishes first.
 //! * [`WorkerPool`] — the long-lived pool `oneqd` uses: N named threads
 //!   drain one unbounded FIFO queue of boxed jobs. [`WorkerPool::execute`]
 //!   never blocks, so the event loop dispatches from its own thread; the
@@ -33,21 +33,6 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_indexed_with(jobs, items, || (), |(), i, item| f(i, item))
-}
-
-/// [`run_indexed`] with per-worker state: each worker thread calls
-/// `init` once and threads the value through every item it processes.
-/// `loadgen`'s keep-alive mode uses this to hold one persistent
-/// connection per worker; `init` runs *on* the worker thread, so the
-/// state type need not be `Send`.
-pub fn run_indexed_with<T, R, S, I, F>(jobs: usize, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
@@ -56,7 +41,6 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let mut state = init();
                 loop {
                     // ORDERING: Relaxed — the cursor only needs fetch_add's
                     // atomicity for unique indices; results are published
@@ -65,7 +49,7 @@ where
                     if i >= items.len() {
                         break;
                     }
-                    let result = f(&mut state, i, &items[i]);
+                    let result = f(i, &items[i]);
                     slots.lock().expect("pool slot mutex poisoned")[i] = Some(result);
                 }
             });
@@ -195,40 +179,6 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(run_indexed(4, &empty, |_, v| *v).is_empty());
         assert_eq!(run_indexed(0, &[7], |_, v| *v), vec![7]);
-    }
-
-    #[test]
-    fn run_indexed_with_reuses_per_worker_state() {
-        // Each worker initializes its state exactly once and reuses it
-        // for every item it claims: across 64 items on 4 workers, the
-        // number of distinct states observed equals the worker count.
-        let items: Vec<usize> = (0..64).collect();
-        let inits = Arc::new(AtomicU64::new(0));
-        let inits_for_workers = Arc::clone(&inits);
-        let out = run_indexed_with(
-            4,
-            &items,
-            move || {
-                // Per-worker state: (stable worker tag, items handled).
-                // ORDERING: SeqCst — test assertion counter; strongest
-                // ordering so the test never races its own bookkeeping.
-                (inits_for_workers.fetch_add(1, Ordering::SeqCst), 0u64)
-            },
-            |(tag, handled), i, v| {
-                assert_eq!(i, *v);
-                *handled += 1;
-                (*tag, *handled)
-            },
-        );
-        assert_eq!(inits.load(Ordering::SeqCst), 4, "one init per worker");
-        // Every item was processed, and per-worker `handled` counts sum
-        // to the item count (each worker's max handled == its item count).
-        let mut per_worker = std::collections::HashMap::new();
-        for (tag, handled) in out {
-            let max = per_worker.entry(tag).or_insert(0u64);
-            *max = (*max).max(handled);
-        }
-        assert_eq!(per_worker.values().sum::<u64>(), items.len() as u64);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! construction. [`CompileRequest`] replaces all of them: one knob table
 //! (the private `Knobs::apply`) is fed by three thin front-ends —
 //!
-//! * [`CompileRequest::from_args`] — CLI flags (`oneqc`, `loadgen`);
-//!   unrecognized flags pass through to the caller,
+//! * [`CompileRequest::from_args`] — CLI flags (`oneqc`); unrecognized
+//!   flags pass through to the caller,
 //! * [`CompileRequest::from_query`] — `/v1/compile` query parameters,
 //! * [`CompileRequest::from_jsonl_line`] — one `/v1/compile-batch` line,
 //!
@@ -144,14 +144,15 @@ impl CompileRequest {
     }
 
     /// Parses the shared compile flags (`--side`, `--rows`, `--cols`,
-    /// `--extension`, `--resource`, `--timings`, `--bypass`) out of a
-    /// CLI argument list. Returns a template request plus every argument
-    /// the parser did not consume, in their original order, for the
-    /// caller's own flag loop. There is deliberately no `--file` here:
-    /// the batch drivers label each record by its path via
+    /// `--extension`, `--resource`, `--timings`) out of a CLI argument
+    /// list. Returns a template request plus every argument the parser
+    /// did not consume, in their original order, for the caller's own
+    /// flag loop. There is deliberately no `--file` here: the batch
+    /// drivers label each record by its path via
     /// [`CompileRequest::with_source`], so a label flag would be
     /// accepted-but-dead — callers that don't define their own `--file`
-    /// reject it as unknown instead.
+    /// reject it as unknown instead. Nor is there a `--bypass`: no CLI
+    /// entrypoint has a cache to skip.
     pub fn from_args(args: &[String]) -> Result<(CompileRequest, Vec<String>), String> {
         let mut knobs = Knobs::default();
         let mut rest = Vec::new();
@@ -160,8 +161,8 @@ impl CompileRequest {
             let arg = &args[i];
             match arg.strip_prefix("--") {
                 // Value-less boolean spelling: `--timings` == `--timings 1`.
-                Some(name @ ("timings" | "bypass")) => {
-                    knobs.apply(name, "1")?;
+                Some("timings") => {
+                    knobs.apply("timings", "1")?;
                 }
                 Some(name) if is_valued_knob(name) => {
                     i += 1;
@@ -257,7 +258,7 @@ impl CompileRequest {
 
     /// Renders the request as an HTTP request target (`path` plus the
     /// non-default knobs as a query string) — the client-side counterpart
-    /// of [`CompileRequest::from_query`], used by `loadgen`.
+    /// of [`CompileRequest::from_query`], used by `perfbench`.
     pub fn query_target(&self, path: &str) -> String {
         let mut target = format!("{path}?file={}", percent_encode(&self.label));
         match self.config.geometry {
@@ -483,10 +484,10 @@ mod tests {
             "2",
             "--resource",
             "ring4",
-            "--bypass",
         ]))
         .unwrap();
-        let req = template.with_source("dir/a b.qasm", "src");
+        let mut req = template.with_source("dir/a b.qasm", "src");
+        req.bypass = true;
         let target = req.query_target("/v1/compile");
         let (path, query) = target.split_once('?').unwrap();
         assert_eq!(path, "/v1/compile");

@@ -516,7 +516,8 @@ pub struct Server {
     config: ServerConfig,
 }
 
-/// Handle to a server running on a background thread (test/loadgen use).
+/// Handle to a server running on a background thread (tests and
+/// `perfbench` use).
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServiceState>,

@@ -6,10 +6,10 @@
 //! with each other, so a change that moved every compile's metrics the
 //! same way would still pass it. This suite pins the values themselves:
 //!
-//! - the 36 configurations of the `sweep` set: the 12 Table 2 instances
-//!   at [`SEED`], each on the baseline-sized square layer, on the same
-//!   area at aspect ratio 1.5 (Fig. 13), and on the square with ×2
-//!   extended layers (Fig. 14);
+//! - the 36 paper configurations, which `perfbench`'s `paper` workload
+//!   also compiles: the 12 Table 2 instances at [`SEED`], each on the
+//!   baseline-sized square layer, on the same area at aspect ratio 1.5
+//!   (Fig. 13), and on the square with ×2 extended layers (Fig. 14);
 //! - QAOA-16 on 16×16 triangular and hexagonal layers (§7.2);
 //! - the 7 instances above Table 2 sizes that `perfbench`'s `scale`
 //!   workload compiles ([`SCALE_GOLDEN`]), where partition and shuffle
@@ -410,7 +410,8 @@ fn check(label: &str, circuit: &oneq_circuit::Circuit, options: CompilerOptions)
     );
 }
 
-/// The three `sweep` layer shapes for every Table 2 size of `kind`.
+/// The three paper layer shapes (square, aspect ratio 1.5, square with
+/// ×2 extension) for every Table 2 size of `kind`.
 fn check_paper_configurations(kind: BenchKind) {
     for &n in kind.paper_sizes() {
         let circuit = kind.circuit(n, SEED);

@@ -59,6 +59,9 @@ fn usage_errors_still_exit_2() {
         .output()
         .unwrap();
     assert_eq!(output.status.code(), Some(2));
+    // `bypass` is a query and batch-line knob only: oneqc has no cache.
+    let output = oneqc().arg("--bypass").arg("f.qasm").output().unwrap();
+    assert_eq!(output.status.code(), Some(2), "--bypass is an unknown flag");
     let output = oneqc().output().unwrap();
     assert_eq!(
         output.status.code(),
@@ -95,6 +98,26 @@ fn compile_failures_exit_1_but_good_corpora_exit_0() {
     assert!(
         stdout.contains("\"status\": \"ok\""),
         "good file still compiles"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_program_without_qubits_is_an_error_record_not_a_crash() {
+    // Auto geometry sizes the layer from the qubit count; with none the
+    // file gets an error record and the run exits 1, not a panic's 101.
+    let dir = tempdir("no-qubits");
+    let path = dir.join("none.qasm");
+    std::fs::write(&path, "OPENQASM 2.0;\ncreg c[2];\n").unwrap();
+    let output = oneqc().arg(&path).output().expect("run oneqc");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("oneqc emits UTF-8");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 1, "one record: {stdout}");
+    let record = parse_flat_object(lines[0]).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    assert!(
+        record.contains(&("status".to_string(), "error".to_string())),
+        "{stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,9 +10,9 @@
 //! ≥32-thread storm on one cold key performs exactly one compile
 //! (single-flight); connections are keep-alive sessions; `/v1/metrics`
 //! passes an exposition lint; one event loop holds a 1000-connection
-//! fleet while it evicts slow-loris clients; and `loadgen` emits a
-//! well-formed `BENCH_service.json` with the cold-vs-warm restart
-//! comparison. The record-identity properties are checked
+//! fleet while it evicts slow-loris clients; and a program that would
+//! have panicked a worker gets an error record instead, with the worker
+//! still serving. The record-identity properties are checked
 //! against the real `oneqc` *binary*, not a shared code path re-run
 //! in-process, so a regression in either front door breaks the diff.
 //! (The unversioned PR-4 shims served their one promised release and
@@ -22,7 +22,8 @@ use oneq_service::http::{self, ClientConn};
 use oneq_service::json;
 use oneq_service::server::{Server, ServerConfig, ServerHandle};
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
+use std::mem::ManuallyDrop;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -30,10 +31,9 @@ use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Tests that compare timings (`loadgen`'s close vs keep-alive ratio) or
-/// load the whole machine (the 1000-connection fleet) hold this lock for
-/// writing, so no other test in this binary shares the CPU with them;
-/// every other test holds it for reading.
+/// The test that loads the whole machine (the 1000-connection fleet)
+/// holds this lock for writing, so no other test in this binary shares
+/// the CPU with it; every other test holds it for reading.
 static CPU: RwLock<()> = RwLock::new(());
 
 fn shared_cpu() -> RwLockReadGuard<'static, ()> {
@@ -102,31 +102,6 @@ fn json_f64(body: &str, name: &str) -> f64 {
 
 fn json_u64(body: &str, name: &str) -> u64 {
     json_f64(body, name) as u64
-}
-
-/// Parses the flat, all-numeric JSON object `text` starts with (the
-/// bench file's `latency_ns`, `event_loop` and per-histogram blocks).
-fn flat_numbers(text: &str) -> BTreeMap<String, f64> {
-    let end = text.find('}').expect("object closes") + 1;
-    json::parse_flat_object(&text[..end])
-        .unwrap_or_else(|e| panic!("{e}: {}", &text[..end]))
-        .into_iter()
-        .map(|(k, v)| {
-            let n = v
-                .parse()
-                .unwrap_or_else(|_| panic!("`{k}`: {v} is not a number"));
-            (k, n)
-        })
-        .collect()
-}
-
-/// [`flat_numbers`] of the object under the first `"key"` in `body`.
-fn flat_block(body: &str, key: &str) -> BTreeMap<String, f64> {
-    let pat = format!("\"{key}\": ");
-    let at = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("{key} block in {body}"));
-    flat_numbers(&body[at + pat.len()..])
 }
 
 /// Polls `GET /v1/traces/{id}` until the ring holds the trace: it closes
@@ -815,125 +790,11 @@ fn single_flight_storm_compiles_once_with_byte_identical_responses() {
 }
 
 #[test]
-fn loadgen_emits_a_well_formed_two_mode_bench_file() {
-    let _cpu = exclusive_cpu();
-    let dir = tempdir();
-    let out = dir.join("BENCH_service.json");
-    let corpus = oneq_bench::qasm_fixture_dir();
-    let output = Command::new(env!("CARGO_BIN_EXE_loadgen"))
-        .args([
-            "--corpus",
-            &corpus.display().to_string(),
-            "--requests",
-            "14",
-            "--concurrency",
-            "2",
-            "--out",
-            &out.display().to_string(),
-        ])
-        .output()
-        .expect("run loadgen");
-    assert!(
-        output.status.success(),
-        "loadgen failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let body = std::fs::read_to_string(&out).expect("BENCH_service.json written");
-    for key in [
-        "\"schema\": \"oneq-bench-service/v5\"",
-        // No --connections: the adversarial block is explicitly null.
-        "\"event_loop\": null",
-        "\"requests_per_mode\": 14",
-        "\"concurrency\": 2",
-        "\"close\": {\"mode\": \"close\"",
-        "\"keep_alive\": {\"mode\": \"keep-alive\"",
-        "\"throughput_rps\": ",
-        "\"keep_alive_speedup\": ",
-        "\"coalesced\": ",
-        "\"p50\": ",
-        "\"p99\": ",
-        "\"server_stats\": {",
-        "\"warm_restart\": {",
-        "\"warm_speedup\": ",
-        // v5: server-side histogram percentiles diffed from /v1/metrics.
-        "\"server_metrics\": {",
-        "\"stages\": {",
-        "\"tiers\": {",
-        "\"p999_ns\": ",
-        // v5 stats: the appended telemetry block rides along verbatim.
-        "\"telemetry\": {",
-        "\"traces_recorded\": ",
-    ] {
-        assert!(body.contains(key), "missing {key} in {body}");
-    }
-    // The warmup pass means every measured request is a memory hit.
-    assert!(json_u64(&body, "memory") >= 1, "loadgen saw cache hits");
-    assert_eq!(json_u64(&body, "errors"), 0);
-    // The warm-restart block's second pass answered purely from disk:
-    // same files, zero fresh compiles.
-    let warm = &body[body.find("\"warm\": {").expect("warm pass recorded")..];
-    assert!(json_u64(warm, "disk") >= 1, "warm pass hit the disk tier");
-    assert_eq!(json_u64(warm, "miss"), 0, "warm pass recompiled nothing");
-
-    for mode in ["close", "keep_alive"] {
-        let line = body
-            .lines()
-            .find(|l| l.trim_start().starts_with(&format!("\"{mode}\": {{")))
-            .unwrap_or_else(|| panic!("mode {mode} in {body}"));
-        assert_eq!(json_u64(line, "requests"), 14, "{line}");
-        assert_eq!(json_u64(line, "errors"), 0, "{line}");
-        assert!(json_f64(line, "throughput_rps") > 0.0, "{line}");
-        let lat = flat_block(line, "latency_ns");
-        assert!(
-            0.0 < lat["min"]
-                && lat["min"] <= lat["p50"]
-                && lat["p50"] <= lat["p90"]
-                && lat["p90"] <= lat["p99"]
-                && lat["p99"] <= lat["max"],
-            "latency percentiles out of order: {line}"
-        );
-    }
-    // Keep-alive saves each request its TCP setup. A debug build spends
-    // so much more per request around it that the ratio of two ~6 ms
-    // runs reads 0.9–1.6, so only an optimized build (CI runs this suite
-    // in release too) gates on the ratio itself.
-    let speedup = json_f64(&body, "keep_alive_speedup");
-    assert!(speedup > 0.0, "{body}");
-    if !cfg!(debug_assertions) {
-        assert!(speedup > 1.0, "keep-alive must beat close, got {speedup}");
-    }
-
-    // Server-side percentiles scraped from /v1/metrics: monotone for
-    // every stage and tier, and the warmup compiles reached every stage.
-    let metrics = body
-        .lines()
-        .find(|l| l.trim_start().starts_with("\"server_metrics\": {"))
-        .expect("server_metrics block");
-    let (stages, tiers) = metrics.split_once("\"tiers\": ").expect("tiers block");
-    let mut stage_series = 0;
-    for (group, text) in [("stage", stages), ("tier", tiers)] {
-        for (at, _) in text.match_indices("{\"count\": ") {
-            let name = text[..at].rsplit('"').nth(1).expect("series name");
-            let h = flat_numbers(&text[at..]);
-            assert!(
-                h["p50_ns"] <= h["p90_ns"]
-                    && h["p90_ns"] <= h["p99_ns"]
-                    && h["p99_ns"] <= h["p999_ns"],
-                "{group} {name}: percentiles out of order: {h:?}"
-            );
-            if group == "stage" {
-                assert!(h["count"] > 0.0, "stage {name} recorded no compile");
-                stage_series += 1;
-            }
-        }
-    }
-    assert!(stage_series > 0, "no stage histograms in {metrics}");
-    assert!(flat_block(tiers, "memory")["count"] > 0.0, "{metrics}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn event_loop_holds_a_thousand_connections_and_evicts_slow_clients() {
+    const FLEET: usize = 1000;
+    const SENDERS: usize = 8;
+    const REQUESTS: usize = 4000;
+    const TRICKLERS: usize = 8;
     let _cpu = exclusive_cpu();
     // One server sized for the fleet: it must hold every socket at once,
     // answer every request, and evict the tricklers by deadline.
@@ -944,40 +805,172 @@ fn event_loop_holds_a_thousand_connections_and_evicts_slow_clients() {
         io_timeout: Duration::from_secs(2),
         ..ServerConfig::default()
     });
-    let dir = tempdir();
-    let out = dir.join("BENCH_eventloop.json");
-    let output = Command::new(env!("CARGO_BIN_EXE_loadgen"))
-        .args(["--addr", &handle.addr().to_string()])
-        .args([
-            "--corpus",
-            &oneq_bench::qasm_fixture_dir().display().to_string(),
-        ])
-        .args(["--connections", "1000", "--slow-clients", "8"])
-        .args(["--requests", "4000", "--concurrency", "8"])
-        .args(["--out", &out.display().to_string()])
-        .output()
-        .expect("run loadgen");
+    let addr = handle.addr();
+    // One warm-up compile per fixture; its answer is the reference every
+    // request over the fleet must reproduce byte for byte.
+    let targets: Vec<(String, Vec<u8>, Vec<u8>)> = fixture_files()
+        .iter()
+        .map(|path| {
+            let label = path.display().to_string();
+            let source = std::fs::read(path).expect("read fixture");
+            let warm = post_compile(&handle, &label, &source);
+            assert_eq!(warm.status, 200, "{label}");
+            let target = format!("/v1/compile?file={}", http::percent_encode(&label));
+            (target, source, warm.body)
+        })
+        .collect();
+
+    let mut fleet: Vec<ClientConn> = (0..FLEET)
+        .map(|_| ClientConn::connect(addr, TIMEOUT).expect("open a fleet connection"))
+        .collect();
+    // The loop recounts its gauges once per iteration.
+    let deadline = Instant::now() + TIMEOUT;
+    loop {
+        let open = json_u64(&get_stats(&handle), "open");
+        if open >= FLEET as u64 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the server holds {open} of the {FLEET} fleet sockets"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let slow_before = json_u64(&get_stats(&handle), "evicted_slow_read");
+    // The scope joins every thread and fails if any of them panicked.
+    std::thread::scope(|scope| {
+        // Slow-loris clients: a partial request line, then silence until
+        // the whole-exchange deadline evicts them.
+        let tricklers: Vec<_> = (0..TRICKLERS)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut stream = std::net::TcpStream::connect(addr).expect("trickler connects");
+                    stream
+                        .set_read_timeout(Some(TIMEOUT))
+                        .expect("read timeout");
+                    stream
+                        .write_all(b"POST /v1/compile?file=slow.qasm HTT")
+                        .expect("write a partial request line");
+                    let mut probe = [0u8; 64];
+                    stream.read(&mut probe).expect("the server hangs up")
+                })
+            })
+            .collect();
+        // Each sender owns an eighth of the fleet and sends an eighth of
+        // the requests round-robin over its sockets and the fixtures.
+        for (w, share) in fleet.chunks_mut(FLEET / SENDERS).enumerate() {
+            let targets = &targets;
+            scope.spawn(move || {
+                for r in 0..REQUESTS / SENDERS {
+                    let (target, source, expected) = &targets[(w + r * SENDERS) % targets.len()];
+                    let resp = share[r % share.len()]
+                        .send("POST", target, source)
+                        .expect("request over the fleet");
+                    assert_eq!(resp.status, 200, "{target}");
+                    assert!(
+                        resp.body == *expected,
+                        "{target}: the answer differs from the warm-up's"
+                    );
+                }
+            });
+        }
+        for trickler in tricklers {
+            let read = trickler.join().expect("trickler");
+            assert_eq!(read, 0, "a trickler read a response instead of EOF");
+        }
+    });
+    let slow_evicted = json_u64(&get_stats(&handle), "evicted_slow_read") - slow_before;
     assert!(
-        output.status.success(),
-        "loadgen failed: {}",
-        String::from_utf8_lossy(&output.stderr)
+        slow_evicted >= TRICKLERS as u64,
+        "{slow_evicted} slow-read evictions for {TRICKLERS} tricklers"
     );
-    let body = std::fs::read_to_string(&out).expect("bench file written");
-    let evt = flat_block(&body, "event_loop");
-    assert_eq!(evt["connected"], 1000.0, "{evt:?}");
-    assert!(
-        evt["open_during_run"] >= 1000.0,
-        "the server did not hold the whole fleet at once: {evt:?}"
-    );
-    assert!(evt["ok"] == 4000.0 && evt["requests"] == 4000.0, "{evt:?}");
-    assert_eq!(evt["errors"], 0.0, "errors under load: {evt:?}");
-    assert!(
-        evt["slow_evicted"] >= 1.0,
-        "no slow-loris eviction: {evt:?}"
-    );
-    assert!(evt["throughput_rps"] > 0.0, "{evt:?}");
+    drop(fleet);
     handle.shutdown().expect("clean shutdown");
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A program with no `qreg`: it parses to a circuit of zero qubits,
+/// which auto geometry cannot size a layer for.
+const NO_QUBITS: &str = "OPENQASM 2.0;\n";
+
+/// Ample for one small compile in a debug build, and short, so a request
+/// stuck behind a dead worker fails the test quickly.
+const SHORT: Duration = Duration::from_secs(10);
+
+#[test]
+fn a_program_without_qubits_gets_422_and_the_worker_keeps_serving() {
+    let _cpu = shared_cpu();
+    // One worker: had the request killed it, the next compile would wait
+    // for it forever. Joining a server wedged that way never returns, so
+    // a failing run leaks the server thread instead of dropping it.
+    let handle = ManuallyDrop::new(spawn_server_with(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    }));
+    let resp = http::request(
+        handle.addr(),
+        "POST",
+        "/v1/compile?file=none.qasm",
+        NO_QUBITS.as_bytes(),
+        SHORT,
+    )
+    .expect("an answer for a program without qubits");
+    assert_eq!(resp.status, 422);
+    let body = String::from_utf8(resp.body).expect("JSON body");
+    assert!(
+        body.starts_with("{\"file\": \"none.qasm\", \"status\": \"error\""),
+        "{body}"
+    );
+
+    let path = &fixture_files()[0];
+    let source = std::fs::read(path).expect("read fixture");
+    let target = format!(
+        "/v1/compile?file={}",
+        http::percent_encode(&path.display().to_string())
+    );
+    let next = http::request(handle.addr(), "POST", &target, &source, SHORT)
+        .expect("the one worker still compiles");
+    assert_eq!(next.status, 200);
+    ManuallyDrop::into_inner(handle)
+        .shutdown()
+        .expect("clean shutdown");
+}
+
+#[test]
+fn a_batch_line_without_qubits_is_an_error_record() {
+    let _cpu = shared_cpu();
+    // See the test above for why a failing run leaks the server.
+    let handle = ManuallyDrop::new(spawn_server());
+    let batch = format!(
+        "{{\"file\": \"none.qasm\", \"source\": \"{}\"}}\n\
+         {{\"file\": \"one.qasm\", \"source\": \"{}\"}}\n",
+        json::escape(NO_QUBITS),
+        json::escape("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\nh q[0];\n"),
+    );
+    let resp = http::request(
+        handle.addr(),
+        "POST",
+        "/v1/compile-batch",
+        batch.as_bytes(),
+        SHORT,
+    )
+    .expect("an answer for the batch");
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("x-oneqd-batch-errors"), Some("1"));
+    let body = String::from_utf8(resp.body).expect("JSONL body");
+    let lines: Vec<&str> = body.lines().collect();
+    assert_eq!(lines.len(), 2, "{body}");
+    assert!(
+        lines[0].starts_with("{\"file\": \"none.qasm\", \"status\": \"error\""),
+        "{body}"
+    );
+    assert!(
+        lines[1].starts_with("{\"file\": \"one.qasm\", \"status\": \"ok\""),
+        "{body}"
+    );
+    ManuallyDrop::into_inner(handle)
+        .shutdown()
+        .expect("clean shutdown");
 }
 
 #[test]

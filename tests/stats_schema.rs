@@ -6,8 +6,8 @@
 //!
 //!   * live keys == `stats_schema_v6.txt`, in order. The clients that
 //!     read a key's first occurrence (`oneq_bench::scrape::stats_u64`,
-//!     `loadgen`, `oneq-top`, perfbench's `serve` workload) depend on
-//!     the order, not just the set;
+//!     `oneq-top`, perfbench's `serve` workload) depend on the order,
+//!     not just the set;
 //!   * `stats_schema_v5.txt` is an ordered subsequence of the live keys:
 //!     the schema stayed append-only across the version bump;
 //!   * a memory-only server renders exactly the v6 keys minus the
