@@ -42,16 +42,17 @@ pub enum CellUse {
     Routing(Edge),
 }
 
-/// Mapper tuning knobs.
+/// Weight of totally blocked nodes in the cost function (`α`; the paper
+/// suggests the maximum degree of the physical layer).
+const ALPHA: f64 = 64.0;
+/// Maximum routed-path length explored by the in-layer router.
+const MAX_ROUTE_LEN: usize = 14;
+/// Number of placement candidates scored per node.
+const CANDIDATE_LIMIT: usize = 24;
+
+/// Mapper switches the ablation study flips.
 #[derive(Debug, Clone, Copy)]
 pub struct MappingOptions {
-    /// Weight of totally blocked nodes in the cost function (`α`; the
-    /// paper suggests the maximum degree of the physical layer).
-    pub alpha: f64,
-    /// Maximum routed-path length explored by the in-layer router.
-    pub max_route_len: usize,
-    /// Number of placement candidates scored per node.
-    pub candidate_limit: usize,
     /// Traverse cycle edges before tree edges (paper §6); disable for the
     /// plain-BFS ablation.
     pub cycle_priority: bool,
@@ -63,9 +64,6 @@ pub struct MappingOptions {
 impl Default for MappingOptions {
     fn default() -> Self {
         MappingOptions {
-            alpha: 64.0,
-            max_route_len: 14,
-            candidate_limit: 24,
             cycle_priority: true,
             allow_routing: true,
         }
@@ -616,7 +614,7 @@ impl<'g> Mapper<'g> {
         let (nbuf, nn) = self.layouts[cur].free_neighbors_array(ap);
         let direct = &nbuf[..nn];
         let mut best: Option<(f64, Position, Option<Vec<Position>>)> = None;
-        for &cand in direct.iter().take(self.options.candidate_limit) {
+        for &cand in direct.iter().take(CANDIDATE_LIMIT) {
             let cost = self.score_placement(node, cand, &[]);
             if best.as_ref().map_or(true, |(b, _, _)| cost < *b) {
                 best = Some((cost, cand, None));
@@ -632,13 +630,9 @@ impl<'g> Mapper<'g> {
             // ending on a cell with room for the node's other edges.
             let open = self.remaining[node.index()].saturating_sub(1).min(3);
             let layout = &self.layouts[cur];
-            let routed = bfs_free_path(
-                layout,
-                ap,
-                self.options.max_route_len,
-                &mut self.scratch,
-                |p, depth| depth >= 2 && layout.count_free_neighbors(p) >= open,
-            );
+            let routed = bfs_free_path(layout, ap, MAX_ROUTE_LEN, &mut self.scratch, |p, depth| {
+                depth >= 2 && layout.count_free_neighbors(p) >= open
+            });
             if let Some(mut path) = routed {
                 let dest = path.pop().expect("a found path ends at its goal");
                 let cost = self.score_placement(node, dest, &path);
@@ -688,7 +682,7 @@ impl<'g> Mapper<'g> {
         let path = bfs_free_path(
             &self.layouts[layer],
             pa,
-            self.options.max_route_len,
+            MAX_ROUTE_LEN,
             &mut self.scratch,
             |p, _| p.manhattan(pb) == 1,
         );
@@ -767,7 +761,7 @@ impl<'g> Mapper<'g> {
             "incremental blocking terms diverged from the full recount"
         );
 
-        area as f64 + partially as f64 + self.options.alpha * totally as f64
+        area as f64 + partially as f64 + ALPHA * totally as f64
     }
 
     /// The blocking terms recounted from scratch over every node placed on

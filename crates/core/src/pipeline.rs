@@ -28,7 +28,7 @@ pub struct CompilerOptions {
     /// Fraction of the (extended) layer area targeted by each partition's
     /// fusion-node budget, in percent.
     pub fill_percent: usize,
-    /// Mapping heuristics.
+    /// Mapper switches (cycle priority, in-layer routing).
     pub mapping: MappingOptions,
 }
 

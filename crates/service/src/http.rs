@@ -499,6 +499,7 @@ fn status_reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Content Too Large",
         422 => "Unprocessable Content",
+        500 => "Internal Server Error",
         _ => "Unknown",
     }
 }

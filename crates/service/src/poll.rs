@@ -11,12 +11,11 @@
 //!
 //! This is the third and final unsafe carve-out in the crate (after
 //! `signal.rs`'s `signal(2)` and `spill.rs`'s `flock(2)`; see the crate
-//! manifest): one `extern "C"` declaration, one `unsafe` call site. The
-//! `Waker` itself is pure safe std — `UnixStream::pair`. The module is
+//! manifest): one `extern "C"` declaration, and one `unsafe` call site
+//! in [`poll`], the only function here that may hold one. The `Waker`
+//! itself is pure safe std — `UnixStream::pair`. The module is
 //! Unix-only, like the event loop that uses it; elsewhere the server
 //! reports `Unsupported` at startup.
-
-#![allow(unsafe_code)]
 
 use std::io;
 use std::time::Duration;
@@ -69,6 +68,7 @@ extern "C" {
 /// (`Ok(0)`), or a signal interrupts the wait (also `Ok(0)` — callers
 /// re-check their stop flags on every wakeup anyway). `None` waits
 /// forever. Returns the number of entries with nonzero `revents`.
+#[allow(unsafe_code)]
 pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
     let timeout_ms: i32 = match timeout {
         // A negative timeout means "wait forever".

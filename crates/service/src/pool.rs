@@ -11,7 +11,9 @@
 //!   never blocks, so the event loop dispatches from its own thread; the
 //!   queue needs no bound of its own because a connection holds at most
 //!   one dispatched request. Dropping the pool joins the workers after
-//!   the queue drains — the mechanism behind graceful shutdown.
+//!   the queue drains — the mechanism behind graceful shutdown. A job
+//!   that panics ends its worker thread, so `oneqd`'s jobs catch their
+//!   own panics (see `server.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};

@@ -28,7 +28,9 @@
 //! completion comes back over a channel (plus a waker nudge) as fully
 //! rendered response bytes the loop writes out as the socket accepts
 //! them. Trivial routes (`healthz`, `stats`, 404/405) are answered on
-//! the loop itself.
+//! the loop itself. A compile handler that panics is caught on its
+//! worker: the request completes with a 500 and `Connection: close`,
+//! and the worker takes the next job.
 //!
 //! Connections are *sessions*: requests are read off one socket until
 //! the client sends `Connection: close`, the per-connection request cap
@@ -1065,11 +1067,14 @@ mod event_loop {
                     let queue_ns = duration_ns(enqueued.elapsed());
                     state.telemetry.observe_queue_wait(queue_ns);
                     let handler_started = Instant::now();
-                    let (bytes, handler) = if request.path == "/v1/compile" {
-                        handle_compile(&state, &request, disposition, &req_id)
-                    } else {
-                        handle_batch(&state, &config, &request, disposition, &req_id)
-                    };
+                    let (bytes, handler, panicked) =
+                        run_guarded(&state.http_errors, &req_id, || {
+                            if request.path == "/v1/compile" {
+                                handle_compile(&state, &request, disposition, &req_id)
+                            } else {
+                                handle_batch(&state, &config, &request, disposition, &req_id)
+                            }
+                        });
                     let handler_ns = duration_ns(handler_started.elapsed());
                     let base = read_ns.saturating_add(queue_ns);
                     let mut spans = vec![
@@ -1098,7 +1103,7 @@ mod event_loop {
                         slot,
                         id,
                         bytes,
-                        close: !keep,
+                        close: !keep || panicked,
                         trace,
                     });
                     waker.wake();
@@ -1499,6 +1504,32 @@ fn compile_spans(cache_off: u64, trace: &CompileTrace) -> Vec<Span> {
     spans
 }
 
+/// Runs a pool job's handler so that a panic cannot take its worker
+/// thread or its connection with it: the panic becomes a `500` error
+/// envelope with `Connection: close` (the returned flag), counted in
+/// `http_errors` and traced with status 500. A panic in a batch line's
+/// scoped thread re-raises from `thread::scope` inside `handler`, so it
+/// lands here too.
+fn run_guarded(
+    http_errors: &Counter,
+    req_id: &str,
+    handler: impl FnOnce() -> (Vec<u8>, HandlerTrace),
+) -> (Vec<u8>, HandlerTrace, bool) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)) {
+        Ok((bytes, trace)) => (bytes, trace, false),
+        Err(_) => {
+            http_errors.inc();
+            let bytes = render_error(
+                500,
+                "internal error: the compile job panicked",
+                &[("X-Oneqd-Request-Id", req_id.to_string())],
+                Connection::Close,
+            );
+            (bytes, HandlerTrace::error(500), true)
+        }
+    }
+}
+
 /// Serves `POST /v1/compile`, returning the fully rendered response
 /// bytes and the handler's trace. Runs on a pool worker; it touches
 /// only the shared state, so the event loop never waits on a compile.
@@ -1678,4 +1709,46 @@ fn render_error(status: u16, message: &str, extra: &[(&str, String)], conn: Conn
         json::escape(message)
     );
     render(status, extra, &body, conn)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    #[test]
+    fn a_panicking_job_answers_500_and_its_worker_runs_the_next_job() {
+        let registry = oneq_obs::Registry::new();
+        let errors = registry.counter("oneqd_http_errors_total", "non-2xx responses", &[]);
+        let mut pool = WorkerPool::new("test-guard", 1);
+        let (tx, rx) = channel();
+        let panicking = tx.clone();
+        let guarded_errors = errors.clone();
+        assert!(pool.execute(move || {
+            let (bytes, trace, close) = run_guarded(&guarded_errors, "rid-1", || {
+                panic!("a compile bug");
+            });
+            panicking.send((bytes, trace.status, close)).unwrap();
+        }));
+        assert!(pool.execute(move || tx.send((b"next".to_vec(), 0, false)).unwrap()));
+
+        let timeout = Duration::from_secs(10);
+        let (bytes, status, close) = rx.recv_timeout(timeout).expect("the guarded job completes");
+        let text = String::from_utf8(bytes).unwrap();
+        for part in [
+            "HTTP/1.1 500 Internal Server Error\r\n",
+            "Connection: close\r\n",
+            "X-Oneqd-Request-Id: rid-1\r\n",
+            "\r\n\r\n{\"status\": \"error\", \"error\": \"internal error: the compile job panicked\"}\n",
+        ] {
+            assert!(text.contains(part), "missing {part:?} in {text}");
+        }
+        assert_eq!((status, close), (500, true));
+        assert_eq!(errors.get(), 1);
+        let next = rx
+            .recv_timeout(timeout)
+            .expect("the one worker survived the panic");
+        assert_eq!(next.0, b"next");
+        pool.shutdown();
+    }
 }

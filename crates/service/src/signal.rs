@@ -1,16 +1,16 @@
 //! SIGTERM/SIGINT → shutdown flag, for graceful daemon exit.
 //!
-//! This is one of the workspace's three `unsafe` modules (with `poll.rs`
-//! and `spill.rs`'s `flock`; see `lint/unsafe_registry.toml`): std offers
-//! no way to register a signal handler, so [`install`] calls libc's
-//! `signal(2)` — already linked by std on every Unix target — twice. The
+//! This is one of the workspace's three `unsafe` carve-outs (with
+//! `poll::poll` and `spill.rs`'s `flock`; see the crate manifest): std
+//! offers no way to register a signal handler, so [`install`] calls
+//! libc's `signal(2)` — already linked by std on every Unix target —
+//! twice, from the one function allowed to hold the `unsafe` block. The
 //! handler body does the only thing that is async-signal-safe here: a
 //! relaxed store to a static atomic, which the event loop polls every
 //! iteration.
 //!
 //! On non-Unix targets [`install`] is a no-op and the daemon stops only
 //! when the process is killed.
-#![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -52,6 +52,7 @@ mod imp {
         super::SHUTDOWN.store(true, Ordering::Relaxed);
     }
 
+    #[allow(unsafe_code)]
     pub fn install() {
         // SAFETY: `signal` is the documented libc entry point; the
         // handler is an `extern "C" fn(i32)` performing a single

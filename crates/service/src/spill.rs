@@ -60,19 +60,19 @@ use std::time::Instant;
 use oneq_obs::{Counter, Histogram, Registry};
 
 /// Advisory whole-file locking via `flock(2)`. This is one of the
-/// crate's three `unsafe` carve-outs (with `poll.rs` and `signal.rs` —
-/// see `lint/unsafe_registry.toml`):
+/// crate's three `unsafe` carve-outs (with `poll::poll` and
+/// `signal.rs`'s `install` — see the crate manifest), confined to
+/// `try_lock_exclusive`:
 /// std exposes no file-locking API, and a `create_new` lockfile would go
 /// stale after SIGKILL, exactly the crash the spill tier must restart
 /// from. A kernel flock is released automatically when the process dies,
 /// whatever way it dies.
 mod flock {
-    #![allow(unsafe_code)]
-
     use std::fs::File;
     use std::io;
 
     #[cfg(unix)]
+    #[allow(unsafe_code)]
     pub fn try_lock_exclusive(file: &File) -> io::Result<()> {
         use std::os::unix::io::AsRawFd as _;
 

@@ -15,7 +15,13 @@
 //!
 //! After an intentional schema change the failure message prints the
 //! live key sequence, ready to paste under the snapshot's header.
+//!
+//! The same disk-tier server pins the `/v1/metrics` surface: its
+//! `# TYPE` families must be exactly the `oneqd_*` families that
+//! `docs/OBSERVABILITY.md` names, so a renamed metric or a documented
+//! family nothing registers fails here.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -175,16 +181,16 @@ fn spawn(config: ServerConfig) -> ServerHandle {
         .expect("spawn server thread")
 }
 
-#[test]
-fn live_stats_keys_match_the_committed_snapshots() {
-    let dir = tempdir("golden");
+/// A server with the disk tier enabled, after one good compile (fills
+/// the trace ring, so `slowest` has elements) and one metrics scrape
+/// (bumps the telemetry route). Returns the handle, the scrape's body
+/// and the cache directory.
+fn golden_server(tag: &str) -> (ServerHandle, String, PathBuf) {
+    let dir = tempdir(tag);
     let handle = spawn(ServerConfig {
         cache_dir: Some(dir.clone()),
         ..ServerConfig::default()
     });
-
-    // Traffic: one good compile (fills the trace ring, so `slowest` has
-    // elements) and one metrics scrape (bumps the telemetry route).
     let qasm = b"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\nh q[0];\n";
     let resp = http::request(
         handle.addr(),
@@ -198,7 +204,83 @@ fn live_stats_keys_match_the_committed_snapshots() {
     let resp =
         http::request(handle.addr(), "GET", "/v1/metrics", b"", TIMEOUT).expect("GET /v1/metrics");
     assert_eq!(resp.status, 200);
+    let metrics = String::from_utf8(resp.body).expect("metrics body is UTF-8");
+    (handle, metrics, dir)
+}
 
+/// Expands `{a,b,c}` groups, left to right.
+fn expand_braces(pattern: &str) -> Vec<String> {
+    let Some(open) = pattern.find('{') else {
+        return vec![pattern.to_string()];
+    };
+    let Some(close) = pattern[open..].find('}').map(|n| open + n) else {
+        return vec![pattern.to_string()];
+    };
+    pattern[open + 1..close]
+        .split(',')
+        .flat_map(|alt| {
+            expand_braces(&format!(
+                "{}{alt}{}",
+                &pattern[..open],
+                &pattern[close + 1..]
+            ))
+        })
+        .collect()
+}
+
+/// The `oneqd_*` families `docs/OBSERVABILITY.md` names: brace groups
+/// expand, `_bucket`/`_count`/`_sum` series map to their family, and
+/// neither a bare prefix (a name ending in `_`) nor a sample with an
+/// unclosed label set (`..._bucket{stage="mapping"`) names one.
+fn documented_families() -> BTreeSet<String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/OBSERVABILITY.md");
+    let md = std::fs::read_to_string(&path).expect("read docs/OBSERVABILITY.md");
+    let mut families = BTreeSet::new();
+    for (at, _) in md.match_indices("oneqd_") {
+        let end = md[at..]
+            .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || "_{},".contains(c)))
+            .map_or(md.len(), |n| at + n);
+        for name in expand_braces(md[at..end].trim_end_matches(',')) {
+            let well_formed = name
+                .bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_');
+            if !well_formed || name.ends_with('_') {
+                continue;
+            }
+            let family = ["_bucket", "_count", "_sum"]
+                .iter()
+                .find_map(|suffix| name.strip_suffix(suffix))
+                .unwrap_or(&name);
+            families.insert(family.to_string());
+        }
+    }
+    families
+}
+
+#[test]
+fn live_metric_families_match_the_documented_reference() {
+    let (handle, metrics, dir) = golden_server("metrics");
+    let live: BTreeSet<String> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_whitespace().next())
+        .map(str::to_string)
+        .collect();
+    let documented = documented_families();
+    assert!(
+        live == documented,
+        "/v1/metrics families differ from docs/OBSERVABILITY.md's metric reference\n\
+         served but not documented: {:?}\ndocumented but not served: {:?}",
+        live.difference(&documented).collect::<Vec<_>>(),
+        documented.difference(&live).collect::<Vec<_>>()
+    );
+    handle.shutdown().expect("clean shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn live_stats_keys_match_the_committed_snapshots() {
+    let (handle, _, dir) = golden_server("golden");
     let body = get_stats(&handle);
     assert_eq!(stats_str(&body, "schema"), Some("oneqd-stats/v6"), "{body}");
     let live = flatten_keys(&body);
