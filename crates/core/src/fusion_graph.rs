@@ -14,7 +14,6 @@
 
 use oneq_graph::{planarity, Embedding, Graph, NodeId};
 use oneq_hardware::ResourceKind;
-use std::collections::HashMap;
 
 /// The fusion strategy for one partition.
 ///
@@ -31,10 +30,14 @@ pub struct FusionGraph {
     chain_start: Vec<NodeId>,
     /// Chain length per graph-state node.
     chain_len: Vec<usize>,
-    /// Port table: `(gs_node, gs_neighbor) -> fusion node` hosting that
-    /// graph-state edge. Cross-partition edges are not listed here; they
-    /// attach to the chain head (see [`FusionGraph::representative`]).
-    port: HashMap<(usize, usize), NodeId>,
+    /// Port table: graph-state node `v`'s ports are
+    /// `ports[port_start[v]..port_start[v + 1]]`, one `(neighbor, fusion
+    /// node hosting that graph-state edge)` per subgraph edge of `v`, in
+    /// the rotation order they were assigned. Cross-partition edges are
+    /// not listed here; they attach to the chain head (see
+    /// [`FusionGraph::representative`]).
+    ports: Vec<(usize, NodeId)>,
+    port_start: Vec<usize>,
     intra_edges: usize,
     inter_edges: usize,
 }
@@ -80,9 +83,10 @@ impl FusionGraph {
     }
 
     /// The fusion node hosting the edge from local node `v` toward local
-    /// neighbor `w`, if that edge is part of this partition.
+    /// neighbor `w`, if that edge is part of this partition. Scans `v`'s
+    /// ports: O(degree of `v`).
     pub fn port(&self, v: usize, w: usize) -> Option<NodeId> {
-        self.port.get(&(v, w)).copied()
+        find_port(&self.ports, &self.port_start, v, w)
     }
 
     /// The fusion node representing local graph-state node `v` (the head
@@ -175,8 +179,10 @@ pub fn generate_embedded(
     // 2. Assign ports: each incident graph-state edge of node v gets a
     //    slot on v's chain, walking the chain head-to-tail while the
     //    neighbor order follows the planar rotation when available.
-    let mut port: HashMap<(usize, usize), NodeId> = HashMap::new();
+    let mut ports: Vec<(usize, NodeId)> = Vec::with_capacity(2 * subgraph.edge_count());
+    let mut port_start: Vec<usize> = Vec::with_capacity(n + 1);
     for v in 0..n {
+        port_start.push(ports.len());
         let vid = NodeId::new(v);
         let neighbors = match embedding {
             Some(emb) => emb.rotation(vid),
@@ -195,18 +201,21 @@ pub fn generate_embedded(
             }
             slots[chain_cursor] -= 1;
             let fnode = NodeId::new(chain_start[v].index() + chain_cursor);
-            port.insert((v, w.index()), fnode);
+            ports.push((w.index(), fnode));
         }
     }
+    port_start.push(ports.len());
 
     // 3. Connect ports across each graph-state edge (graph connection
     //    pattern, Fig. 7c).
+    let port = |v, w| find_port(&ports, &port_start, v, w).expect("every subgraph edge has a port");
     let mut inter_edges = 0usize;
     for e in subgraph.sorted_edges() {
         let (u, w) = (e.a().index(), e.b().index());
-        let pu = port[&(u, w)];
-        let pw = port[&(w, u)];
-        if graph.add_edge(pu, pw).expect("ports are distinct chains") {
+        if graph
+            .add_edge(port(u, w), port(w, u))
+            .expect("ports are distinct chains")
+        {
             inter_edges += 1;
         }
     }
@@ -216,10 +225,23 @@ pub fn generate_embedded(
         owner,
         chain_start,
         chain_len,
-        port,
+        ports,
+        port_start,
         intra_edges,
         inter_edges,
     }
+}
+
+/// The fusion node in `v`'s slice of the port table that hosts the edge
+/// toward `w`.
+fn find_port(
+    ports: &[(usize, NodeId)],
+    port_start: &[usize],
+    v: usize,
+    w: usize,
+) -> Option<NodeId> {
+    let own = ports.get(*port_start.get(v)?..*port_start.get(v + 1)?)?;
+    own.iter().find(|&&(x, _)| x == w).map(|&(_, f)| f)
 }
 
 /// Free-photon capacity of each state along a `k`-chain: every fusion
@@ -362,6 +384,66 @@ mod tests {
             assert!(fg.graph().has_edge(pu, pw));
             assert_eq!(fg.owner_of(pu).0, u);
             assert_eq!(fg.owner_of(pw).0, w);
+        }
+    }
+
+    /// The port table as it was before the per-node slices: a `HashMap`
+    /// filled by the same head-to-tail walk over each node's rotation.
+    fn hashed_ports(
+        subgraph: &Graph,
+        kind: ResourceKind,
+        fg: &FusionGraph,
+    ) -> std::collections::HashMap<(usize, usize), NodeId> {
+        let embedding = planarity::planar_embedding(subgraph);
+        let mut port = std::collections::HashMap::new();
+        for v in 0..subgraph.node_count() {
+            let vid = NodeId::new(v);
+            let neighbors = match &embedding {
+                Some(emb) => emb.rotation(vid),
+                None => subgraph.neighbors(vid),
+            };
+            let mut slots = chain_caps(kind, fg.chain_length(v));
+            let mut chain_cursor = 0usize;
+            for &w in neighbors {
+                while slots[chain_cursor] == 0 {
+                    chain_cursor += 1;
+                }
+                slots[chain_cursor] -= 1;
+                let fnode = NodeId::new(fg.representative(v).index() + chain_cursor);
+                port.insert((v, w.index()), fnode);
+            }
+        }
+        port
+    }
+
+    #[test]
+    fn ports_match_the_hashed_port_table() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
+        let mut graphs = vec![
+            generators::grid(4, 5),
+            generators::star(12),
+            generators::complete(6), // non-planar: ports follow adjacency
+            generators::cycle(9),
+        ];
+        for _ in 0..20 {
+            let n = rand::Rng::gen_range(&mut rng, 2..40);
+            let m = rand::Rng::gen_range(&mut rng, 0..3 * n);
+            graphs.push(generators::gnm(n, m, &mut rng));
+        }
+        for g in &graphs {
+            for kind in [ResourceKind::LINE3, ResourceKind::STAR4] {
+                let fg = generate(g, &degrees(g), kind);
+                let reference = hashed_ports(g, kind, &fg);
+                for v in 0..g.node_count() + 1 {
+                    for w in 0..g.node_count() + 1 {
+                        assert_eq!(
+                            fg.port(v, w),
+                            reference.get(&(v, w)).copied(),
+                            "{g} {kind} port({v}, {w})"
+                        );
+                    }
+                }
+            }
         }
     }
 

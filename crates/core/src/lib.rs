@@ -49,7 +49,7 @@ mod pipeline;
 pub mod viz;
 
 pub use fusion_graph::FusionGraph;
-pub use mapping::{CellUse, LayerLayout, MapProfile, MappingOptions, MappingResult};
+pub use mapping::{CellUse, LayerLayout, MapProfile, MappingOptions, MappingResult, Placement};
 pub use partition::{Partition, PartitionOptions, PartitionResult};
 pub use pipeline::{
     CompileProfile, CompiledProgram, Compiler, CompilerOptions, PartitionProfile, StageStats,

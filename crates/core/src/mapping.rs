@@ -20,18 +20,18 @@
 //! # Determinism
 //!
 //! The entire placement path runs on dense, row-major grids
-//! ([`oneq_hardware::CellGrid`]) — no hashed-map iteration anywhere, so
-//! compiling the same circuit twice always yields bit-identical layouts,
-//! depth, and fusion counts. The only hashed containers left are
-//! lookup-only sets (`mapped_edges`) whose iteration order is never
-//! observed. Tie-breaks are fixed and documented: candidate cells are
-//! scored in coupling-neighbourhood order, BFS frontiers expand in that
-//! same order, and nearest-free-cell searches scan Manhattan rings in
-//! row-major order (see the private `Mapper::pick_seed_cell`).
+//! ([`oneq_hardware::CellGrid`]) and on vectors indexed by node id: no
+//! hashed container anywhere, so compiling the same circuit twice always
+//! yields bit-identical layouts, depth, and fusion counts. Tie-breaks are
+//! fixed and documented: edges are ordered by sorted keys, candidate
+//! cells are scored in coupling-neighbourhood order, BFS frontiers expand
+//! in that same order, and nearest-free-cell searches scan Manhattan
+//! rings in row-major order (see the private `Mapper::pick_seed_cell`).
 
 use oneq_graph::{biconnected, Edge, Graph, NodeId};
 use oneq_hardware::{BfsScratch, CellGrid, LayerGeometry, Position};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 
 /// What occupies a grid cell in a layer layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,6 +202,35 @@ pub struct MapProfile {
     pub routing_cells: u64,
 }
 
+/// Where each fusion node landed: `(layout index, position)`, indexed by
+/// node id. Every node of the mapped graph is placed by the end of
+/// [`map_graph`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placement(Vec<Option<(usize, Position)>>);
+
+impl Placement {
+    /// The layout index and position of `n`, or `None` when `n` is not a
+    /// placed node of the mapped graph.
+    pub fn get(&self, n: &NodeId) -> Option<&(usize, Position)> {
+        self.0.get(n.index())?.as_ref()
+    }
+
+    /// Number of placed nodes.
+    pub fn len(&self) -> usize {
+        self.0.iter().flatten().count()
+    }
+
+    /// Returns `true` if no node is placed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The placed nodes' `(layout index, position)`, in node-id order.
+    pub fn values(&self) -> impl Iterator<Item = &(usize, Position)> + '_ {
+        self.0.iter().flatten()
+    }
+}
+
 /// The result of mapping one fusion graph.
 #[derive(Debug, Clone)]
 pub struct MappingResult {
@@ -219,7 +248,7 @@ pub struct MappingResult {
     /// temporal hops).
     pub shuffle_fusions: usize,
     /// Node placements: fusion node -> (layout index, position).
-    pub placement: HashMap<NodeId, (usize, Position)>,
+    pub placement: Placement,
     /// Every input edge the mapper realized, in realization order: first
     /// the directly mapped / in-layer routed edges, then the shuffled
     /// ones. Contains each input edge exactly once.
@@ -270,9 +299,8 @@ struct Mapper<'g> {
     /// Remaining unmapped edge count per node (the `r` of the blocking
     /// definition).
     remaining: Vec<usize>,
-    /// Lookup-only membership set; never iterated (determinism).
-    mapped_edges: HashSet<Edge>,
-    /// Realized edges in realization order.
+    /// Realized edges in realization order. Each edge is tried until it
+    /// is realized and never after, so its length is the progress count.
     realized: Vec<Edge>,
     layouts: Vec<LayerLayout>,
     /// Node -> (layout index, position), indexed by `NodeId::index`.
@@ -281,6 +309,9 @@ struct Mapper<'g> {
     routed_fusions: usize,
     /// Reusable BFS buffers for the in-layer router.
     scratch: BfsScratch,
+    /// Where the current layer's seed search around the grid centre
+    /// resumes.
+    seed_cursor: RingCursor,
     seed_scans: u64,
     seed_scan_radius_max: u64,
     /// Blocking class of each node placed on the current layer, under the
@@ -327,13 +358,13 @@ impl<'g> Mapper<'g> {
             geometry,
             options,
             remaining,
-            mapped_edges: HashSet::new(),
             realized: Vec::with_capacity(graph.edge_count()),
             layouts: vec![LayerLayout::new(geometry)],
             node_place: vec![None; n],
             direct_fusions: 0,
             routed_fusions: 0,
             scratch: BfsScratch::new(),
+            seed_cursor: RingCursor::new(center_of(geometry)),
             seed_scans: 0,
             seed_scan_radius_max: 0,
             blocking: vec![Blocking::Unblocked; n],
@@ -362,13 +393,13 @@ impl<'g> Mapper<'g> {
         while !pending.is_empty() {
             self.push_layer();
             let mut next = Vec::new();
-            let before = self.mapped_edges.len();
+            let before = self.realized.len();
             for edge in pending {
                 if !self.try_map_edge(edge) {
                     next.push(edge);
                 }
             }
-            if self.mapped_edges.len() == before {
+            if self.realized.len() == before {
                 // No in-layer progress: everything left shuffles.
                 pending = next;
                 break;
@@ -417,20 +448,12 @@ impl<'g> Mapper<'g> {
                 from: (la, pa),
                 to: (lb, pb),
             });
-            self.mapped_edges.insert(edge);
             self.realized.push(edge);
         }
 
         let pairs: Vec<(Position, Position)> =
             shuffled.iter().map(|s| (s.from.1, s.to.1)).collect();
         let (shuffle_layers, shuffle_fusions) = plan_position_shuffles(&pairs, self.geometry);
-
-        let placement: HashMap<NodeId, (usize, Position)> = self
-            .node_place
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &slot)| slot.map(|lp| (NodeId::new(i), lp)))
-            .collect();
 
         // The mapper only ever adds cells, so the end-of-run occupancy of
         // each layer IS its high-water mark.
@@ -457,7 +480,7 @@ impl<'g> Mapper<'g> {
             direct_fusions: self.direct_fusions,
             routed_fusions: self.routed_fusions,
             shuffle_fusions,
-            placement,
+            placement: Placement(self.node_place),
             realized_edges: self.realized,
             profile,
         }
@@ -471,12 +494,10 @@ impl<'g> Mapper<'g> {
     fn push_layer(&mut self) {
         self.layouts.push(LayerLayout::new(self.geometry));
         self.blocked = [0; 3];
+        self.seed_cursor = RingCursor::new(center_of(self.geometry));
     }
 
     fn try_map_edge(&mut self, edge: Edge) -> bool {
-        if self.mapped_edges.contains(&edge) {
-            return true;
-        }
         let (u, v) = (edge.a(), edge.b());
         let pu = self.node_place[u.index()];
         let pv = self.node_place[v.index()];
@@ -525,7 +546,6 @@ impl<'g> Mapper<'g> {
     }
 
     fn mark_mapped(&mut self, edge: Edge) {
-        self.mapped_edges.insert(edge);
         self.realized.push(edge);
         self.remaining[edge.a().index()] -= 1;
         self.remaining[edge.b().index()] -= 1;
@@ -571,18 +591,35 @@ impl<'g> Mapper<'g> {
     }
 
     /// Seed position for a fresh component: the nearest free cell to the
-    /// grid center, found by a deterministic Manhattan ring scan
-    /// (see [`nearest_free_cell`] for the tie-break rule).
+    /// grid center, in [`nearest_free_cell`]'s ring order (see there for
+    /// the tie-break rule).
+    ///
+    /// A layer only gains cells, so every cell the ring walk has passed on
+    /// the current layer stays occupied: the search resumes at the
+    /// layer's [`RingCursor`] instead of rescanning the occupied rings,
+    /// and the cursor only moves forward. It is counted as a scan like
+    /// any other.
     fn pick_seed_cell(&mut self) -> Option<Position> {
-        let center = Position::new(self.geometry.rows() / 2, self.geometry.cols() / 2);
-        self.tracked_nearest_free(center)
+        let layout = &self.layouts[self.cur()];
+        let found = self.seed_cursor.next_free(layout);
+        debug_assert_eq!(
+            found,
+            nearest_free_cell(layout, self.seed_cursor.target),
+            "the seed cursor diverged from the ring scan"
+        );
+        self.count_scan(self.seed_cursor.target, found)
     }
 
-    /// [`nearest_free_cell`] on the current layer, with the scan counted
-    /// and its ring radius folded into the congestion high-water mark.
+    /// [`nearest_free_cell`] on the current layer, counted as a scan.
     fn tracked_nearest_free(&mut self, target: Position) -> Option<Position> {
-        self.seed_scans += 1;
         let found = nearest_free_cell(&self.layouts[self.cur()], target);
+        self.count_scan(target, found)
+    }
+
+    /// Counts one seed scan and folds its ring radius into the congestion
+    /// high-water mark; returns `found`.
+    fn count_scan(&mut self, target: Position, found: Option<Position>) -> Option<Position> {
+        self.seed_scans += 1;
         if let Some(p) = found {
             self.seed_scan_radius_max = self.seed_scan_radius_max.max(p.manhattan(target) as u64);
         }
@@ -797,11 +834,11 @@ impl<'g> Mapper<'g> {
     /// coordinates), preferring cells near `hint`. Allocates a new layer
     /// when everything is full.
     fn force_place(&mut self, n: NodeId, hint: Option<Position>) {
-        let target = hint.unwrap_or(Position::new(
-            self.geometry.rows() / 2,
-            self.geometry.cols() / 2,
-        ));
-        if let Some(p) = self.tracked_nearest_free(target) {
+        let found = match hint {
+            Some(target) => self.tracked_nearest_free(target),
+            None => self.pick_seed_cell(),
+        };
+        if let Some(p) = found {
             self.place_node(n, p);
             return;
         }
@@ -809,6 +846,11 @@ impl<'g> Mapper<'g> {
         let seed = self.pick_seed_cell().expect("fresh layer always has room");
         self.place_node(n, seed);
     }
+}
+
+/// The grid centre, where every layer's first component is seeded.
+fn center_of(geometry: LayerGeometry) -> Position {
+    Position::new(geometry.rows() / 2, geometry.cols() / 2)
 }
 
 /// The free cell nearest to `target` by Manhattan distance, or `None` when
@@ -848,79 +890,153 @@ fn nearest_free_cell(layout: &LayerLayout, target: Position) -> Option<Position>
     None
 }
 
+/// A resumable walk over [`nearest_free_cell`]'s ring order around a
+/// fixed `target`: `(radius, row, side)` of the next cell to probe. The
+/// cells it has passed were occupied when it passed them, so on a layer
+/// that only gains cells it answers every later query from where it
+/// stopped: all queries on one layer together walk the ring order at
+/// most once, where each scan from the target walks it up to its answer.
+#[derive(Debug, Clone, Copy)]
+struct RingCursor {
+    target: Position,
+    /// Ring radius (Manhattan distance to `target`).
+    radius: usize,
+    /// Row within the ring.
+    row: usize,
+    /// Whether the row's west cell has been passed (its east cell next).
+    east: bool,
+}
+
+impl RingCursor {
+    fn new(target: Position) -> Self {
+        RingCursor {
+            target,
+            radius: 0,
+            row: target.row,
+            east: false,
+        }
+    }
+
+    /// The first free cell at or after the cursor in ring order, or `None`
+    /// when the layer is full. The cursor stays on the cell it returns:
+    /// the cell is free until someone occupies it.
+    fn next_free(&mut self, layout: &LayerLayout) -> Option<Position> {
+        let geom = layout.geometry();
+        let t = self.target;
+        while self.radius <= geom.rows() + geom.cols() {
+            let last_row = (t.row + self.radius).min(geom.rows() - 1);
+            while self.row <= last_row {
+                let k = self.radius - t.row.abs_diff(self.row);
+                if !self.east {
+                    if let Some(c) = t.col.checked_sub(k) {
+                        let p = Position::new(self.row, c);
+                        if layout.is_free(p) {
+                            return Some(p);
+                        }
+                    }
+                    self.east = true;
+                }
+                if k > 0 && t.col + k < geom.cols() {
+                    let p = Position::new(self.row, t.col + k);
+                    if layout.is_free(p) {
+                        return Some(p);
+                    }
+                }
+                self.row += 1;
+                self.east = false;
+            }
+            self.radius += 1;
+            self.row = t.row.saturating_sub(self.radius);
+        }
+        None
+    }
+}
+
 /// Cycle-prioritized breadth-first edge order (paper §6): starting from a
 /// highest-degree node, BFS the graph; at each node emit unvisited cycle
 /// edges before tree edges.
+///
+/// At node `u` the incident edges go in ascending
+/// `(is_bridge, Reverse(degree(w)), w)` order of the far end `w`, and
+/// `(u, w)` is emitted unless `w` was dequeued before `u` (then `w`
+/// already emitted it). All cycle edges are then put before all bridges,
+/// each class in emission order.
 pub fn edge_order(graph: &Graph) -> Vec<Edge> {
     let bridges = biconnected::bridges(graph);
-    let mut order = Vec::with_capacity(graph.edge_count());
-    let mut seen_edges: HashSet<Edge> = HashSet::new();
-    let mut visited = vec![false; graph.node_count()];
-
-    let mut components: Vec<NodeId> = graph.nodes().collect();
-    // Highest-degree seeds first for deterministic, hub-centric layouts.
-    components.sort_by_key(|&n| std::cmp::Reverse(graph.degree(n)));
-
-    // One scratch buffer reused across every BFS step: neighbor lists must
-    // be sorted before emission, but allocating per node would put a heap
-    // round-trip in the innermost compile loop.
-    let mut incident: Vec<NodeId> = Vec::new();
-    for seed in components {
-        if visited[seed.index()] {
-            continue;
-        }
-        visited[seed.index()] = true;
-        let mut queue = VecDeque::from([seed]);
-        while let Some(u) = queue.pop_front() {
-            incident.clear();
-            incident.extend_from_slice(graph.neighbors(u));
-            incident.sort_by_key(|&w| {
-                (
-                    bridges.contains(&Edge::new(u, w)),
-                    std::cmp::Reverse(graph.degree(w)),
-                    w,
-                )
-            });
-            for &w in &incident {
-                let e = Edge::new(u, w);
-                if seen_edges.insert(e) {
-                    order.push(e);
-                }
-                if !visited[w.index()] {
-                    visited[w.index()] = true;
-                    queue.push_back(w);
-                }
+    let is_bridge = |e: Edge| bridges.binary_search(&e).is_ok();
+    let mut cycles = Vec::with_capacity(graph.edge_count());
+    let mut trees = Vec::with_capacity(bridges.len());
+    // One scratch buffer reused across every BFS step: each node's
+    // incident edges are sorted by precomputed keys before emission, and
+    // allocating per node would put a heap round-trip in the innermost
+    // compile loop.
+    let mut incident: Vec<(bool, Reverse<usize>, NodeId)> = Vec::new();
+    bfs_by_degree(graph, |u, done, next| {
+        incident.clear();
+        incident.extend(
+            graph
+                .neighbors(u)
+                .iter()
+                .map(|&w| (is_bridge(Edge::new(u, w)), Reverse(graph.degree(w)), w)),
+        );
+        incident.sort_unstable();
+        for &(bridge, _, w) in &incident {
+            if !done[w.index()] {
+                // Global cycle priority: all cycle edges (in BFS discovery
+                // order) before all tree edges (same order) — tree edges
+                // are flexible and can attach later without hurting
+                // compactness (paper §6).
+                let class = if bridge { &mut trees } else { &mut cycles };
+                class.push(Edge::new(u, w));
             }
         }
-    }
-    // Global cycle priority: all cycle edges (in BFS discovery order)
-    // before all tree edges (same order) — tree edges are flexible and
-    // can attach later without hurting compactness (paper §6).
-    let (cycles, trees): (Vec<Edge>, Vec<Edge>) =
-        order.into_iter().partition(|e| !bridges.contains(e));
-    cycles.into_iter().chain(trees).collect()
+        next.extend(incident.iter().map(|&(_, _, w)| w));
+    });
+    cycles.append(&mut trees);
+    cycles
 }
 
 /// Plain breadth-first edge order without cycle priority (the ablation
-/// counterpart of [`edge_order`]).
+/// counterpart of [`edge_order`]): at node `u` the incident edges go in
+/// neighbor-list order.
 pub fn plain_bfs_edge_order(graph: &Graph) -> Vec<Edge> {
     let mut order = Vec::with_capacity(graph.edge_count());
-    let mut seen_edges: HashSet<Edge> = HashSet::new();
-    let mut visited = vec![false; graph.node_count()];
+    bfs_by_degree(graph, |u, done, next| {
+        let near = graph.neighbors(u);
+        order.extend(
+            near.iter()
+                .filter(|w| !done[w.index()])
+                .map(|&w| Edge::new(u, w)),
+        );
+        next.extend_from_slice(near);
+    });
+    order
+}
+
+/// Breadth-first search of every component of `graph`, each started from
+/// its highest-degree node (ties: the smaller id). `visit(u, done, next)`
+/// runs when `u` is dequeued, with `done[x]` telling whether `x` was
+/// dequeued earlier (`u` included), and appends `u`'s neighbors to the
+/// empty `next` in the order to enqueue them.
+fn bfs_by_degree(graph: &Graph, mut visit: impl FnMut(NodeId, &[bool], &mut Vec<NodeId>)) {
     let mut seeds: Vec<NodeId> = graph.nodes().collect();
-    seeds.sort_by_key(|&n| std::cmp::Reverse(graph.degree(n)));
+    // Highest-degree seeds first for deterministic, hub-centric layouts.
+    seeds.sort_by_key(|&n| Reverse(graph.degree(n)));
+    let mut visited = vec![false; graph.node_count()];
+    let mut done = vec![false; graph.node_count()];
+    let mut queue = VecDeque::new();
+    let mut next: Vec<NodeId> = Vec::new();
     for seed in seeds {
         if visited[seed.index()] {
             continue;
         }
         visited[seed.index()] = true;
-        let mut queue = VecDeque::from([seed]);
+        queue.push_back(seed);
         while let Some(u) = queue.pop_front() {
-            for &w in graph.neighbors(u) {
-                let e = Edge::new(u, w);
-                if seen_edges.insert(e) {
-                    order.push(e);
-                }
+            done[u.index()] = true;
+            next.clear();
+            visit(u, &done, &mut next);
+            for &w in &next {
                 if !visited[w.index()] {
                     visited[w.index()] = true;
                     queue.push_back(w);
@@ -928,7 +1044,6 @@ pub fn plain_bfs_edge_order(graph: &Graph) -> Vec<Edge> {
             }
         }
     }
-    order
 }
 
 /// Row-major position of a flat cell index.
@@ -1059,6 +1174,7 @@ pub fn plan_position_shuffles(
 mod tests {
     use super::*;
     use oneq_graph::generators;
+    use std::collections::HashSet;
 
     fn opts() -> MappingOptions {
         MappingOptions::default()
@@ -1363,6 +1479,56 @@ mod tests {
             nearest_free_cell(&layout, Position::new(0, 0)),
             Some(Position::new(0, 1))
         );
+    }
+
+    #[test]
+    fn the_seed_cursor_matches_the_ring_scan_on_randomly_filled_layers() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        for (rows, cols) in [
+            (1, 1),
+            (1, 7),
+            (7, 1),
+            (2, 2),
+            (5, 5),
+            (6, 9),
+            (9, 6),
+            (13, 13),
+        ] {
+            let geometry = LayerGeometry::new(rows, cols);
+            let random = Position::new(rng.gen_range(0..rows), rng.gen_range(0..cols));
+            let targets = [
+                center_of(geometry),
+                Position::new(0, 0),
+                Position::new(rows - 1, cols - 1),
+                random,
+            ];
+            for target in targets {
+                for _ in 0..4 {
+                    let mut order: Vec<Position> = geometry.positions().collect();
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.gen_range(0..=i));
+                    }
+                    let mut layout = LayerLayout::new(geometry);
+                    let mut cursor = RingCursor::new(target);
+                    for (i, &p) in order.iter().enumerate() {
+                        // Ask a varying number of times between fills: a
+                        // query must not move the cursor past a free cell.
+                        for _ in 0..rng.gen_range(0..3) {
+                            assert_eq!(
+                                cursor.next_free(&layout),
+                                nearest_free_cell(&layout, target),
+                                "{geometry} around {target}, {i} cells filled"
+                            );
+                        }
+                        layout.place(NodeId::new(i), p);
+                    }
+                    assert_eq!(cursor.next_free(&layout), None);
+                    assert_eq!(nearest_free_cell(&layout, target), None);
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,8 @@ use crate::fusion_graph;
 use crate::mapping::{self, LayerLayout, MappingOptions};
 use crate::partition::{self, PartitionOptions};
 use oneq_circuit::Circuit;
-use oneq_graph::NodeId;
 use oneq_hardware::{ExtendedLayer, LayerGeometry, Position, ResourceKind};
 use oneq_mbqc::{translate, Pattern};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -290,8 +288,9 @@ impl Compiler {
         let mut fusions = 0usize;
         let mut layouts = Vec::new();
         // Where each *global* graph-state node's representative fusion
-        // node landed: (global layer index, position).
-        let mut global_place: HashMap<NodeId, (usize, Position)> = HashMap::new();
+        // node landed: (global layer index, position), indexed by pattern
+        // node.
+        let mut global_place: Vec<Option<(usize, Position)>> = vec![None; pattern.node_count()];
         let mut global_layer_base = 0usize;
 
         let mut profile = CompileProfile::default();
@@ -329,7 +328,7 @@ impl Compiler {
             for (local, &global) in part.global_nodes.iter().enumerate() {
                 let rep = fg.representative(local);
                 if let Some(&(layer_idx, pos)) = map.placement.get(&rep) {
-                    global_place.insert(global, (global_layer_base + layer_idx, pos));
+                    global_place[global.index()] = Some((global_layer_base + layer_idx, pos));
                 }
             }
 
@@ -347,8 +346,8 @@ impl Compiler {
                 .cross_edges
                 .iter()
                 .filter_map(
-                    |&(u, v)| match (global_place.get(&u), global_place.get(&v)) {
-                        (Some(&(_, pu)), Some(&(_, pv))) => Some((pu, pv)),
+                    |&(u, v)| match (global_place[u.index()], global_place[v.index()]) {
+                        (Some((_, pu)), Some((_, pv))) => Some((pu, pv)),
                         _ => None,
                     },
                 )

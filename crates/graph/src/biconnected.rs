@@ -7,15 +7,14 @@
 //! so the mapper consumes [`bridges`] from this module.
 
 use crate::{Edge, Graph, NodeId};
-use std::collections::HashSet;
 
 /// The result of a single biconnectivity sweep over a graph.
 #[derive(Debug, Clone)]
 pub struct Biconnectivity {
-    /// Edges whose removal disconnects their component.
-    pub bridges: HashSet<Edge>,
-    /// Nodes whose removal disconnects their component.
-    pub articulation_points: HashSet<NodeId>,
+    /// Edges whose removal disconnects their component, sorted.
+    pub bridges: Vec<Edge>,
+    /// Nodes whose removal disconnects their component, in ascending order.
+    pub articulation_points: Vec<NodeId>,
     /// Edge sets of the biconnected components (bridges form singleton
     /// components).
     pub components: Vec<Vec<Edge>>,
@@ -149,7 +148,7 @@ pub fn analyze(graph: &Graph) -> Biconnectivity {
     let blocks = blocks(graph.adjacency(), graph.nodes());
     let components: Vec<Vec<Edge>> = blocks.iter().map(<[Edge]>::to_vec).collect();
     Biconnectivity {
-        bridges: bridge_set(&blocks),
+        bridges: sorted_bridges(&blocks),
         articulation_points: graph
             .nodes()
             .filter(|n| blocks.articulation[n.index()])
@@ -158,19 +157,22 @@ pub fn analyze(graph: &Graph) -> Biconnectivity {
     }
 }
 
-fn bridge_set(blocks: &Blocks) -> HashSet<Edge> {
-    blocks
+fn sorted_bridges(blocks: &Blocks) -> Vec<Edge> {
+    let mut bridges: Vec<Edge> = blocks
         .iter()
         .filter_map(|block| match block {
             [bridge] => Some(*bridge),
             _ => None,
         })
-        .collect()
+        .collect();
+    bridges.sort_unstable();
+    bridges
 }
 
-/// Edges whose removal disconnects their component.
-pub fn bridges(graph: &Graph) -> HashSet<Edge> {
-    bridge_set(&blocks(graph.adjacency(), graph.nodes()))
+/// Edges whose removal disconnects their component (the one-edge blocks),
+/// sorted, so membership is a `binary_search`.
+pub fn bridges(graph: &Graph) -> Vec<Edge> {
+    sorted_bridges(&blocks(graph.adjacency(), graph.nodes()))
 }
 
 #[cfg(test)]
@@ -217,7 +219,7 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
         let b = analyze(&g);
         assert!(b.bridges.is_empty());
-        assert_eq!(b.articulation_points, HashSet::from([NodeId::new(2)]));
+        assert_eq!(b.articulation_points, [NodeId::new(2)]);
         assert_eq!(b.components.len(), 2);
         for comp in &b.components {
             assert_eq!(comp.len(), 3);

@@ -1,6 +1,5 @@
 //! Core undirected graph type.
 
-use std::collections::HashSet;
 use std::fmt;
 
 /// Identifier of a node inside a [`Graph`].
@@ -140,6 +139,11 @@ impl std::error::Error for GraphError {}
 /// crates). Neighbor lists preserve insertion order, which the
 /// embedding code relies on for deterministic output.
 ///
+/// The adjacency lists are the only edge store: [`Graph::has_edge`] scans
+/// the shorter of the two endpoints' lists, and every edge iteration walks
+/// the lists, so no operation hashes and every order is a function of the
+/// insertion sequence alone.
+///
 /// # Example
 ///
 /// ```
@@ -160,7 +164,7 @@ impl std::error::Error for GraphError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
     adj: Vec<Vec<NodeId>>,
-    edges: HashSet<Edge>,
+    edge_count: usize,
 }
 
 impl Graph {
@@ -173,7 +177,7 @@ impl Graph {
     pub fn with_nodes(n: usize) -> Self {
         Graph {
             adj: vec![Vec::new(); n],
-            edges: HashSet::new(),
+            edge_count: 0,
         }
     }
 
@@ -224,30 +228,44 @@ impl Graph {
         if a == b {
             return Err(GraphError::SelfLoop(a));
         }
-        let edge = Edge::new(a, b);
-        if !self.edges.insert(edge) {
+        if self.has_edge(a, b) {
             return Ok(false);
         }
+        self.push_edge(a, b);
+        Ok(true)
+    }
+
+    /// Appends the edge `(a, b)`, which the caller knows joins two distinct
+    /// nodes of this graph and is not present yet.
+    fn push_edge(&mut self, a: NodeId, b: NodeId) {
+        debug_assert!(a != b && !self.has_edge(a, b), "edge ({a}, {b}) is new");
         self.adj[a.index()].push(b);
         self.adj[b.index()].push(a);
-        Ok(true)
+        self.edge_count += 1;
     }
 
     /// Removes the undirected edge `(a, b)` if present; returns whether an
     /// edge was removed.
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let edge = Edge::new(a, b);
-        if !self.edges.remove(&edge) {
+        if !self.has_edge(a, b) {
             return false;
         }
         self.adj[a.index()].retain(|&x| x != b);
         self.adj[b.index()].retain(|&x| x != a);
+        self.edge_count -= 1;
         true
     }
 
-    /// Returns `true` if the edge `(a, b)` exists.
+    /// Returns `true` if the edge `(a, b)` exists; `false` when either id
+    /// is not a node of this graph.
+    ///
+    /// Scans the shorter of the two neighbor lists: O(min degree).
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.edges.contains(&Edge::new(a, b))
+        match (self.adj.get(a.index()), self.adj.get(b.index())) {
+            (Some(na), Some(nb)) if na.len() <= nb.len() => na.contains(&b),
+            (Some(_), Some(nb)) => nb.contains(&a),
+            _ => false,
+        }
     }
 
     /// Neighbors of `n` in insertion order.
@@ -280,7 +298,7 @@ impl Graph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_count
     }
 
     /// Returns `true` if the graph has no nodes.
@@ -293,16 +311,34 @@ impl Graph {
         (0..self.adj.len()).map(NodeId::new)
     }
 
-    /// Iterator over all edges in an unspecified but deterministic-per-build
-    /// order. Use [`Graph::sorted_edges`] when a stable order is required.
+    /// Iterator over all edges, each once: by ascending smaller endpoint
+    /// `a`, and for one `a` in the order of `a`'s neighbor list (insertion
+    /// order). Use [`Graph::sorted_edges`] when fully sorted edges are
+    /// needed.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use oneq_graph::Graph;
+    ///
+    /// let g = Graph::from_edges(4, &[(0, 3), (2, 1), (0, 1)]);
+    /// let edges: Vec<(usize, usize)> =
+    ///     g.edges().map(|e| (e.a().index(), e.b().index())).collect();
+    /// assert_eq!(edges, [(0, 3), (0, 1), (1, 2)]);
+    /// ```
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.edges.iter().copied()
+        self.adj.iter().enumerate().flat_map(|(a, row)| {
+            let a = NodeId::new(a);
+            row.iter()
+                .filter(move |&&b| a < b)
+                .map(move |&b| Edge { a, b })
+        })
     }
 
     /// All edges sorted by endpoints; use for deterministic iteration.
     pub fn sorted_edges(&self) -> Vec<Edge> {
-        let mut v: Vec<Edge> = self.edges.iter().copied().collect();
-        v.sort();
+        let mut v: Vec<Edge> = self.edges().collect();
+        v.sort_unstable();
         v
     }
 
@@ -344,8 +380,7 @@ impl Graph {
         let mut g = Graph::with_nodes(nodes.len());
         for edge in inner {
             let (a, b) = edge.endpoints();
-            g.add_edge(NodeId::new(map[a.index()]), NodeId::new(map[b.index()]))
-                .expect("induced edge endpoints are valid by construction");
+            g.push_edge(NodeId::new(map[a.index()]), NodeId::new(map[b.index()]));
         }
         (g, nodes.to_vec())
     }
@@ -361,11 +396,10 @@ impl Graph {
         }
         for edge in other.sorted_edges() {
             let (a, b) = edge.endpoints();
-            self.add_edge(
+            self.push_edge(
                 NodeId::new(a.index() + offset),
                 NodeId::new(b.index() + offset),
-            )
-            .expect("offset edge endpoints are valid by construction");
+            );
         }
         offset
     }
@@ -526,6 +560,40 @@ mod tests {
             .map(|e| (e.a().index(), e.b().index()))
             .collect();
         assert_eq!(e, vec![(0, 1), (1, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn edges_walk_ascending_a_then_adjacency_order() {
+        let mut g = Graph::from_edges(5, &[(3, 0), (0, 2), (4, 1), (1, 0), (2, 4), (1, 3)]);
+        let pairs = |g: &Graph| -> Vec<(usize, usize)> {
+            g.edges().map(|e| (e.a().index(), e.b().index())).collect()
+        };
+        // Node 0's list is [3, 2, 1], node 1's [4, 0, 3], node 2's [0, 4].
+        assert_eq!(pairs(&g), [(0, 3), (0, 2), (0, 1), (1, 4), (1, 3), (2, 4)]);
+        assert!(g.remove_edge(NodeId::new(2), NodeId::new(0)));
+        g.add_edge(NodeId::new(2), NodeId::new(0)).unwrap();
+        // A removed and re-added edge moves to the end of both lists.
+        assert_eq!(pairs(&g), [(0, 3), (0, 1), (0, 2), (1, 4), (1, 3), (2, 4)]);
+        let mut sorted = pairs(&g);
+        sorted.sort_unstable();
+        let from_sorted: Vec<(usize, usize)> = g
+            .sorted_edges()
+            .iter()
+            .map(|e| (e.a().index(), e.b().index()))
+            .collect();
+        assert_eq!(from_sorted, sorted);
+    }
+
+    #[test]
+    fn has_edge_is_false_for_ids_outside_the_graph() {
+        let mut g = Graph::from_edges(2, &[(0, 1)]);
+        let (a, bad) = (NodeId::new(0), NodeId::new(9));
+        assert!(!g.has_edge(a, bad));
+        assert!(!g.has_edge(bad, a));
+        assert!(!g.has_edge(bad, bad));
+        assert!(!g.has_edge(a, a));
+        assert!(!g.remove_edge(a, bad));
+        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]

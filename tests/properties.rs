@@ -1,9 +1,14 @@
 //! Property-based tests (proptest) over the core data structures and the
-//! invariants DESIGN.md commits to.
+//! invariants DESIGN.md commits to, and equivalence tests of the
+//! index-addressed graph and edge orders against the hashed code they
+//! replaced, kept here as references.
 
-use oneq_graph::{biconnected, generators, mps, planarity, traversal, Graph, NodeId};
+use oneq_graph::{
+    biconnected, generators, mps, planarity, traversal, Edge, Graph, GraphError, NodeId,
+};
 use oneq_hardware::{fusion, ExtendedLayer, LayerGeometry, Position, ResourceKind};
 use proptest::prelude::*;
+use std::collections::{HashSet, VecDeque};
 
 /// Strategy: a random simple graph as (n, edge list).
 fn graph_strategy(max_n: usize, max_m: usize) -> impl Strategy<Value = Graph> {
@@ -254,4 +259,291 @@ proptest! {
             }
         }
     }
+}
+
+/// `Graph` as it was before it dropped its edge set: the same adjacency
+/// lists plus a `HashSet<Edge>` that answered `has_edge` and sized the
+/// edge count. The reference the index-addressed `Graph` must match.
+struct HashedGraph {
+    adj: Vec<Vec<NodeId>>,
+    edges: HashSet<Edge>,
+}
+
+impl HashedGraph {
+    fn with_nodes(n: usize) -> Self {
+        HashedGraph {
+            adj: vec![Vec::new(); n],
+            edges: HashSet::new(),
+        }
+    }
+
+    fn add_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool, GraphError> {
+        for n in [a, b] {
+            if n.index() >= self.adj.len() {
+                return Err(GraphError::InvalidNode(n));
+            }
+        }
+        if a == b {
+            return Err(GraphError::SelfLoop(a));
+        }
+        if !self.edges.insert(Edge::new(a, b)) {
+            return Ok(false);
+        }
+        self.adj[a.index()].push(b);
+        self.adj[b.index()].push(a);
+        Ok(true)
+    }
+
+    fn remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
+        if !self.edges.remove(&Edge::new(a, b)) {
+            return false;
+        }
+        self.adj[a.index()].retain(|&x| x != b);
+        self.adj[b.index()].retain(|&x| x != a);
+        true
+    }
+
+    fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
+        self.edges.contains(&Edge::new(a, b))
+    }
+
+    fn sorted_edges(&self) -> Vec<Edge> {
+        let mut v: Vec<Edge> = self.edges.iter().copied().collect();
+        v.sort();
+        v
+    }
+}
+
+/// One mutation or query of the graph model test: `(kind, on_hub, a, b)`.
+/// Kinds: 0 add, 1 remove, 2 toggle (as `Pattern::add_entangling_edge`
+/// does: remove when present, else add), 3 `has_edge`. With `on_hub`, `a`
+/// is node 0, the hub.
+type GraphOp = (usize, bool, usize, usize);
+
+/// Strategy: `n` in 65..80 nodes and a random op sequence over ids
+/// `0..n + 2`, so ops name invalid ids and self-loops too.
+fn graph_ops_strategy() -> impl Strategy<Value = (usize, Vec<GraphOp>)> {
+    (65usize..80).prop_flat_map(|n| {
+        proptest::collection::vec((0usize..4, any::<bool>(), 0..n + 2, 0..n + 2), 0..400)
+            .prop_map(move |ops| (n, ops))
+    })
+}
+
+/// `mapping::edge_order` as it was before it dropped its hashed sets:
+/// bridges looked up in a `HashSet` inside the sort, and emitted edges
+/// tracked in a `HashSet`.
+fn hashed_edge_order(graph: &Graph) -> Vec<Edge> {
+    let bridges: HashSet<Edge> = biconnected::bridges(graph).into_iter().collect();
+    let mut order = Vec::with_capacity(graph.edge_count());
+    let mut seen_edges: HashSet<Edge> = HashSet::new();
+    let mut visited = vec![false; graph.node_count()];
+    let mut components: Vec<NodeId> = graph.nodes().collect();
+    components.sort_by_key(|&n| std::cmp::Reverse(graph.degree(n)));
+    let mut incident: Vec<NodeId> = Vec::new();
+    for seed in components {
+        if visited[seed.index()] {
+            continue;
+        }
+        visited[seed.index()] = true;
+        let mut queue = VecDeque::from([seed]);
+        while let Some(u) = queue.pop_front() {
+            incident.clear();
+            incident.extend_from_slice(graph.neighbors(u));
+            incident.sort_by_key(|&w| {
+                (
+                    bridges.contains(&Edge::new(u, w)),
+                    std::cmp::Reverse(graph.degree(w)),
+                    w,
+                )
+            });
+            for &w in &incident {
+                let e = Edge::new(u, w);
+                if seen_edges.insert(e) {
+                    order.push(e);
+                }
+                if !visited[w.index()] {
+                    visited[w.index()] = true;
+                    queue.push_back(w);
+                }
+            }
+        }
+    }
+    let (cycles, trees): (Vec<Edge>, Vec<Edge>) =
+        order.into_iter().partition(|e| !bridges.contains(e));
+    cycles.into_iter().chain(trees).collect()
+}
+
+/// `mapping::plain_bfs_edge_order` as it was, with its `HashSet` of
+/// emitted edges.
+fn hashed_plain_bfs_edge_order(graph: &Graph) -> Vec<Edge> {
+    let mut order = Vec::with_capacity(graph.edge_count());
+    let mut seen_edges: HashSet<Edge> = HashSet::new();
+    let mut visited = vec![false; graph.node_count()];
+    let mut seeds: Vec<NodeId> = graph.nodes().collect();
+    seeds.sort_by_key(|&n| std::cmp::Reverse(graph.degree(n)));
+    for seed in seeds {
+        if visited[seed.index()] {
+            continue;
+        }
+        visited[seed.index()] = true;
+        let mut queue = VecDeque::from([seed]);
+        while let Some(u) = queue.pop_front() {
+            for &w in graph.neighbors(u) {
+                let e = Edge::new(u, w);
+                if seen_edges.insert(e) {
+                    order.push(e);
+                }
+                if !visited[w.index()] {
+                    visited[w.index()] = true;
+                    queue.push_back(w);
+                }
+            }
+        }
+    }
+    order
+}
+
+/// Both edge orders equal their hashed references on `g`.
+fn assert_edge_orders_match(g: &Graph, what: &str) {
+    use oneq::mapping::{edge_order, plain_bfs_edge_order};
+    assert_eq!(edge_order(g), hashed_edge_order(g), "edge_order on {what}");
+    assert_eq!(
+        plain_bfs_edge_order(g),
+        hashed_plain_bfs_edge_order(g),
+        "plain_bfs_edge_order on {what}"
+    );
+}
+
+proptest! {
+    #[test]
+    fn graph_matches_the_hashed_model(case in graph_ops_strategy()) {
+        let (n, ops) = case;
+        let mut g = Graph::with_nodes(n);
+        let mut model = HashedGraph::with_nodes(n);
+        // Start from a star on node 0, so the hub has degree n - 1 >= 64.
+        for leaf in 1..n {
+            let (a, b) = (NodeId::new(0), NodeId::new(leaf));
+            prop_assert_eq!(g.add_edge(a, b), model.add_edge(a, b));
+        }
+        for (kind, on_hub, a, b) in ops {
+            let (a, b) = (NodeId::new(if on_hub { 0 } else { a }), NodeId::new(b));
+            match kind {
+                0 => prop_assert_eq!(g.add_edge(a, b), model.add_edge(a, b), "add {} {}", a, b),
+                1 => prop_assert_eq!(g.remove_edge(a, b), model.remove_edge(a, b), "remove {} {}", a, b),
+                2 => {
+                    let present = g.has_edge(a, b);
+                    prop_assert_eq!(present, model.has_edge(a, b));
+                    if present {
+                        prop_assert!(g.remove_edge(a, b) && model.remove_edge(a, b));
+                    } else {
+                        prop_assert_eq!(g.add_edge(a, b), model.add_edge(a, b), "toggle {} {}", a, b);
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(g.has_edge(a, b), model.has_edge(a, b), "has_edge {} {}", a, b);
+                    prop_assert_eq!(g.has_edge(b, a), model.has_edge(b, a));
+                }
+            }
+            prop_assert_eq!(g.edge_count(), model.edges.len());
+        }
+        prop_assert_eq!(g.sorted_edges(), model.sorted_edges());
+        for v in g.nodes() {
+            prop_assert_eq!(g.neighbors(v), &model.adj[v.index()][..], "neighbors of {}", v);
+            prop_assert_eq!(g.degree(v), model.adj[v.index()].len());
+        }
+        // `edges()`: ascending `a`, then `a`'s neighbor-list order.
+        let walk: Vec<Edge> = model
+            .adj
+            .iter()
+            .enumerate()
+            .flat_map(|(a, row)| {
+                let a = NodeId::new(a);
+                row.iter().filter(move |&&b| a < b).map(move |&b| Edge::new(a, b))
+            })
+            .collect();
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), walk);
+        prop_assert_eq!(g.max_degree(), model.adj.iter().map(Vec::len).max().unwrap_or(0));
+    }
+
+    #[test]
+    fn edge_orders_match_the_hashed_originals(g in graph_strategy(40, 90)) {
+        assert_edge_orders_match(&g, &format!("{g}"));
+    }
+
+    #[test]
+    fn edge_orders_match_on_connected_graphs(g in connected_graph_strategy(40, 30)) {
+        assert_edge_orders_match(&g, &format!("{g}"));
+    }
+}
+
+#[test]
+fn edge_orders_match_on_the_generator_families() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut families = vec![
+        ("path(1)", generators::path(1)),
+        ("path(9)", generators::path(9)),
+        ("cycle(12)", generators::cycle(12)),
+        ("star(70)", generators::star(70)),
+        ("complete(9)", generators::complete(9)),
+        (
+            "complete_bipartite(3, 7)",
+            generators::complete_bipartite(3, 7),
+        ),
+        ("grid(6, 7)", generators::grid(6, 7)),
+    ];
+    for n in [2, 10, 33, 80] {
+        families.push(("random_tree", generators::random_tree(n, &mut rng)));
+        families.push(("gnm", generators::gnm(n, 2 * n, &mut rng)));
+    }
+    for (what, g) in &families {
+        assert_edge_orders_match(g, what);
+    }
+}
+
+/// The fusion graphs the compiler maps for the 12 Table 2 instances on the
+/// baseline-sized square and on the square with x2 extended layers, built
+/// the way `Compiler::compile_pattern` builds them.
+#[test]
+fn edge_orders_match_on_the_paper_fusion_graphs() {
+    use oneq::{fusion_graph, partition, CompilerOptions, PartitionOptions};
+    use oneq_bench::{BenchKind, SEED};
+    let mut checked = 0;
+    for kind in BenchKind::ALL {
+        for &n in kind.paper_sizes() {
+            let circuit = kind.circuit(n, SEED);
+            let pattern = oneq_mbqc::translate::from_circuit(&circuit);
+            let side = oneq_baseline::physical_side(n, ResourceKind::LINE3);
+            for extension in [1, 2] {
+                let opt =
+                    CompilerOptions::new(LayerGeometry::square(side)).with_extension(extension);
+                let area = ExtendedLayer::new(opt.geometry, extension)
+                    .geometry()
+                    .area();
+                let capacity = area.saturating_mul(opt.fill_percent).saturating_mul(8) / 100;
+                let parts = partition::partition(
+                    &pattern,
+                    &PartitionOptions {
+                        max_dependency_layers: opt.max_dependency_layers,
+                        capacity_hint: Some(capacity.max(64)),
+                        enforce_planarity: opt.enforce_planarity,
+                        resource_kind: opt.resource_kind,
+                    },
+                );
+                for (i, part) in parts.partitions.iter().enumerate() {
+                    let fg = fusion_graph::generate_embedded(
+                        &part.subgraph,
+                        part.embedding.as_ref(),
+                        &part.full_degree,
+                        opt.resource_kind,
+                    );
+                    let what = format!("{}-{n} x{extension} partition {i}", kind.name());
+                    assert_edge_orders_match(fg.graph(), &what);
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked >= 24, "only {checked} fusion graphs checked");
 }

@@ -8,7 +8,14 @@
 //! - every `/v1/...` route the code names is documented in
 //!   `docs/OBSERVABILITY.md` or `README.md`;
 //! - the non-test code of the mapper's hot path (`mapping.rs`,
-//!   `grid.rs`) has no `.to_vec()` and no `collect::<Vec`.
+//!   `grid.rs`) has no `.to_vec()` and no `collect::<Vec`;
+//! - the non-test code of the compile path from the graph type to the
+//!   shuffle planner ([`HASH_FREE`]) names no `HashMap` or `HashSet`:
+//!   every key there is a dense index, so state is index-addressed.
+//!
+//! "Non-test code" is the text before the `#[cfg(test)]` line that opens
+//! the file's `mod tests`; a listed file without one fails the rule
+//! rather than passing unscoped or unscanned.
 //!
 //! Where `unsafe` may appear is rustc's `unsafe_code` lint, and the
 //! metric families are pinned against the docs on a live server in
@@ -34,6 +41,18 @@ const ATOMICS: [(&str, usize); 6] = [
 ];
 
 const HOT_PATH: [&str; 2] = ["crates/core/src/mapping.rs", "crates/hardware/src/grid.rs"];
+
+/// The compile path whose state is index-addressed: no hashed container
+/// in its non-test code.
+const HASH_FREE: [&str; 7] = [
+    "crates/graph/src/graph.rs",
+    "crates/core/src/fusion_graph.rs",
+    "crates/core/src/mapping.rs",
+    "crates/core/src/partition.rs",
+    "crates/core/src/pipeline.rs",
+    "crates/hardware/src/grid.rs",
+    "crates/hardware/src/geometry.rs",
+];
 
 fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -77,6 +96,34 @@ fn crate_sources() -> Vec<(String, String)> {
 
 fn is_comment(line: &str) -> bool {
     line.trim_start().starts_with("//")
+}
+
+/// The part of `rel`'s `text` before the `#[cfg(test)]` line that opens
+/// its `mod tests`. Cutting at the first `#[cfg(test)]` instead would let a
+/// `#[cfg(test)] use ...` near the top exempt the whole file.
+fn non_test_code<'a>(rel: &str, text: &'a str) -> &'a str {
+    let opener = text
+        .find("#[cfg(test)]\nmod tests {")
+        .unwrap_or_else(|| panic!("{rel}: no `#[cfg(test)]` line opening `mod tests`"));
+    &text[..opener]
+}
+
+/// Fails on any non-comment line of `files`' non-test code that holds one
+/// of `idioms`.
+fn forbid_in_non_test_code(files: &[&str], idioms: &[&str], why: &str) {
+    for rel in files {
+        let text = read(rel);
+        let code = non_test_code(rel, &text);
+        for (i, line) in code.lines().enumerate() {
+            for idiom in idioms {
+                assert!(
+                    is_comment(line) || !line.contains(idiom),
+                    "{rel}:{}: `{idiom}` {why}",
+                    i + 1
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -146,17 +193,36 @@ fn every_route_in_the_code_is_documented() {
 
 #[test]
 fn the_mapping_hot_path_does_not_allocate_per_call() {
-    for rel in HOT_PATH {
-        let text = read(rel);
-        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
-        for (i, line) in code.lines().enumerate() {
-            for idiom in [".to_vec()", "collect::<Vec"] {
-                assert!(
-                    is_comment(line) || !line.contains(idiom),
-                    "{rel}:{}: `{idiom}` in the mapper's hot path; reuse a buffer",
-                    i + 1
-                );
-            }
-        }
-    }
+    forbid_in_non_test_code(
+        &HOT_PATH,
+        &[".to_vec()", "collect::<Vec"],
+        "in the mapper's hot path; reuse a buffer",
+    );
+}
+
+#[test]
+fn the_compile_path_is_hash_free() {
+    forbid_in_non_test_code(
+        &HASH_FREE,
+        &["HashMap", "HashSet"],
+        "on the index-addressed compile path; key the state by its dense index",
+    );
+}
+
+#[test]
+fn only_the_test_module_is_exempt() {
+    let text = "#[cfg(test)]\nuse std::fmt;\n\nfn cur() -> Vec<u8> { V.to_vec() }\n\n\
+                #[cfg(test)]\nmod tests {\n    fn t() { W.to_vec(); }\n}\n";
+    let code = non_test_code("example.rs", text);
+    assert!(
+        code.contains("fn cur()"),
+        "a `#[cfg(test)] use` ended the scan"
+    );
+    assert!(!code.contains("fn t()"), "the test module was scanned");
+}
+
+#[test]
+#[should_panic(expected = "no `#[cfg(test)]` line opening `mod tests`")]
+fn a_file_without_a_test_module_fails_the_scan() {
+    non_test_code("example.rs", "#[cfg(test)]\nuse std::fmt;\nfn f() {}\n");
 }
