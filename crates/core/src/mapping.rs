@@ -20,16 +20,20 @@
 //! # Determinism
 //!
 //! The entire placement path runs on dense, row-major grids
-//! ([`oneq_hardware::CellGrid`]) and on vectors indexed by node id: no
-//! hashed container anywhere, so compiling the same circuit twice always
-//! yields bit-identical layouts, depth, and fusion counts. Tie-breaks are
-//! fixed and documented: edges are ordered by sorted keys, candidate
-//! cells are scored in coupling-neighbourhood order, BFS frontiers expand
-//! in that same order, and nearest-free-cell searches scan Manhattan
-//! rings in row-major order (see the private `Mapper::pick_seed_cell`).
+//! ([`oneq_hardware::CellGrid`]) and on vectors indexed by node id or by
+//! flat cell index: no hashed container anywhere, so compiling the same
+//! circuit twice always yields bit-identical layouts, depth, and fusion
+//! counts. Tie-breaks are fixed and documented: edges are ordered by
+//! sorted keys, candidate cells are scored in coupling-neighbourhood
+//! order, BFS frontiers expand in that same order, and nearest-free-cell
+//! searches scan Manhattan rings in row-major order (see the private
+//! `Mapper::pick_seed_cell`). The coupling-neighbourhood order is the
+//! order of a row of the mapper's neighbour table, which each
+//! [`map_graph`] call builds once from [`LayerGeometry::neighbors`]; a
+//! test holds every row to that order.
 
 use oneq_graph::{biconnected, Edge, Graph, NodeId};
-use oneq_hardware::{BfsScratch, CellGrid, LayerGeometry, Position};
+use oneq_hardware::{BfsScratch, CellGrid, LayerGeometry, Position, MAX_NEIGHBORS};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
@@ -119,26 +123,9 @@ impl LayerLayout {
         self.grid.is_free(p)
     }
 
-    /// Free cells of `p`'s coupling neighbourhood, in neighbourhood order.
-    fn free_neighbors_array(
-        &self,
-        p: Position,
-    ) -> ([Position; oneq_hardware::MAX_NEIGHBORS], usize) {
-        let (nbuf, nn) = self.geometry().neighbors_array(p);
-        let mut out = [Position::new(0, 0); oneq_hardware::MAX_NEIGHBORS];
-        let mut k = 0;
-        for &q in &nbuf[..nn] {
-            if self.is_free(q) {
-                out[k] = q;
-                k += 1;
-            }
-        }
-        (out, k)
-    }
-
-    fn count_free_neighbors(&self, p: Position) -> usize {
-        let (nbuf, nn) = self.geometry().neighbors_array(p);
-        nbuf[..nn].iter().filter(|&&q| self.is_free(q)).count()
+    /// Whether the cell at row-major index `i` is free.
+    fn is_free_at(&self, i: usize) -> bool {
+        self.grid.at(i).is_none()
     }
 
     fn place(&mut self, n: NodeId, p: Position) {
@@ -162,6 +149,62 @@ impl LayerLayout {
     /// `occupied_area`); O(1) via the grid's incremental bounding box.
     pub fn occupied_area(&self) -> usize {
         self.grid.bounding_box_area()
+    }
+}
+
+/// The coupled neighbours of every cell of one geometry, as row-major cell
+/// indices: row `i` lists cell `i`'s neighbours in
+/// [`LayerGeometry::neighbors`] order, which is the order candidate
+/// scoring and BFS expansion break ties by. [`map_graph`] builds one table
+/// per call and every layer of the call reads it (25 bytes per cell).
+struct NeighborTable {
+    cols: usize,
+    /// Each cell's neighbours; the first `len[i]` entries of row `i` hold
+    /// them.
+    rows: Vec<[u32; MAX_NEIGHBORS]>,
+    /// Each cell's neighbour count, which is also its free-neighbour count
+    /// on an empty layer.
+    len: Vec<u8>,
+}
+
+impl NeighborTable {
+    fn new(geometry: LayerGeometry) -> Self {
+        let area = geometry.area();
+        assert!(
+            u32::try_from(area).is_ok(),
+            "{geometry} has more cells than u32 indices address"
+        );
+        let mut rows = Vec::with_capacity(area);
+        let mut len = Vec::with_capacity(area);
+        for p in geometry.positions() {
+            let (nbuf, nn) = geometry.neighbors_array(p);
+            let mut row = [0u32; MAX_NEIGHBORS];
+            for (slot, &q) in row.iter_mut().zip(&nbuf[..nn]) {
+                *slot = geometry.index_of(q) as u32;
+            }
+            rows.push(row);
+            len.push(nn as u8);
+        }
+        NeighborTable {
+            cols: geometry.cols(),
+            rows,
+            len,
+        }
+    }
+
+    /// Cell `i`'s coupled neighbours, in neighbourhood order.
+    fn row(&self, i: usize) -> &[u32] {
+        &self.rows[i][..usize::from(self.len[i])]
+    }
+
+    /// Row-major index of `p`, which must lie on the table's geometry.
+    fn index(&self, p: Position) -> usize {
+        p.row * self.cols + p.col
+    }
+
+    /// Position of the row-major cell index `i`.
+    fn position(&self, i: usize) -> Position {
+        Position::new(i / self.cols, i % self.cols)
     }
 }
 
@@ -321,8 +364,15 @@ struct Mapper<'g> {
     /// by `Blocking as usize`.
     blocked: [usize; 3],
     /// Reusable buffer of the placed nodes a candidate's tentative cells
-    /// touch (deduplicated per score).
-    touched: Vec<(NodeId, Position)>,
+    /// touch, with their cells: a node appears once per tentative cell
+    /// coupled to it.
+    touched: Vec<(NodeId, u32)>,
+    /// The coupled neighbours of every cell.
+    table: NeighborTable,
+    /// Free coupled neighbours of each cell of the current layer, indexed
+    /// by cell: a cell's row length on a fresh layer, decremented each
+    /// time one of its neighbours fills.
+    free: Vec<u8>,
 }
 
 /// A placed node's blocking class (paper §6): with `r` unmapped edges and
@@ -353,6 +403,8 @@ impl<'g> Mapper<'g> {
     fn new(graph: &'g Graph, geometry: LayerGeometry, options: MappingOptions) -> Self {
         let remaining = graph.nodes().map(|n| graph.degree(n)).collect();
         let n = graph.node_count();
+        let table = NeighborTable::new(geometry);
+        let free = table.len.clone();
         Mapper {
             graph,
             geometry,
@@ -370,6 +422,8 @@ impl<'g> Mapper<'g> {
             blocking: vec![Blocking::Unblocked; n],
             blocked: [0; 3],
             touched: Vec::new(),
+            table,
+            free,
         }
     }
 
@@ -494,6 +548,7 @@ impl<'g> Mapper<'g> {
     fn push_layer(&mut self) {
         self.layouts.push(LayerLayout::new(self.geometry));
         self.blocked = [0; 3];
+        self.free.copy_from_slice(&self.table.len);
         self.seed_cursor = RingCursor::new(center_of(self.geometry));
     }
 
@@ -563,30 +618,44 @@ impl<'g> Mapper<'g> {
         if layer != cur {
             return;
         }
-        let free = self.layouts[cur].count_free_neighbors(p);
+        let free = usize::from(self.free[self.table.index(p)]);
+        debug_assert_eq!(
+            free,
+            self.geometry
+                .neighbors(p)
+                .into_iter()
+                .filter(|&q| self.layouts[cur].is_free(q))
+                .count(),
+            "free count of {p} diverged from a recount"
+        );
         let class = Blocking::classify(self.remaining[n.index()], free);
         self.blocked[self.blocking[n.index()] as usize] -= 1;
         self.blocked[class as usize] += 1;
         self.blocking[n.index()] = class;
     }
 
-    /// Reclassifies the current layer's nodes coupled to `p`, whose cell
-    /// was just occupied (coupling is symmetric, so they are `p`'s
-    /// neighbours).
-    fn reclassify_around(&mut self, p: Position) {
-        let (nbuf, nn) = self.geometry.neighbors_array(p);
-        for &q in &nbuf[..nn] {
-            if let Some(CellUse::Node(n)) = self.layouts[self.cur()].cell(q) {
+    /// Accounts for cell `i` of the current layer having just filled: its
+    /// neighbours lose a free neighbour, and the nodes among them are
+    /// reclassified (coupling is symmetric, so the nodes coupled to `i`
+    /// are its neighbours).
+    fn fill_current(&mut self, i: usize) {
+        let (row, len) = (self.table.rows[i], usize::from(self.table.len[i]));
+        for &q in &row[..len] {
+            self.free[q as usize] -= 1;
+        }
+        let cur = self.cur();
+        for &q in &row[..len] {
+            if let Some(&CellUse::Node(n)) = self.layouts[cur].grid().at(q as usize) {
                 self.reclassify(n);
             }
         }
     }
 
-    /// Occupies `cell` of layer `layer` with a routing state for `edge`.
-    fn add_routing(&mut self, layer: usize, cell: Position, edge: Edge) {
-        self.layouts[layer].add_routing(cell, edge);
+    /// Occupies cell `i` of layer `layer` with a routing state for `edge`.
+    fn add_routing(&mut self, layer: usize, i: usize, edge: Edge) {
+        self.layouts[layer].add_routing(self.table.position(i), edge);
         if layer == self.cur() {
-            self.reclassify_around(cell);
+            self.fill_current(i);
         }
     }
 
@@ -633,7 +702,7 @@ impl<'g> Mapper<'g> {
         self.blocking[n.index()] = Blocking::Unblocked;
         self.blocked[Blocking::Unblocked as usize] += 1;
         self.reclassify(n);
-        self.reclassify_around(p);
+        self.fill_current(self.table.index(p));
     }
 
     /// Places `node` connected to the already-placed `anchor`, directly
@@ -645,12 +714,20 @@ impl<'g> Mapper<'g> {
         if al != cur {
             return false;
         }
+        let a = self.table.index(ap);
         // Direct candidates: free neighbors of the anchor, scored in
         // neighbourhood order with strict improvement — ties keep the
         // earliest candidate.
-        let (nbuf, nn) = self.layouts[cur].free_neighbors_array(ap);
-        let direct = &nbuf[..nn];
-        let mut best: Option<(f64, Position, Option<Vec<Position>>)> = None;
+        let mut direct = [0usize; MAX_NEIGHBORS];
+        let mut nd = 0;
+        for &q in self.table.row(a) {
+            if self.layouts[cur].is_free_at(q as usize) {
+                direct[nd] = q as usize;
+                nd += 1;
+            }
+        }
+        let direct = &direct[..nd];
+        let mut best: Option<(f64, usize, Option<Vec<usize>>)> = None;
         for &cand in direct.iter().take(CANDIDATE_LIMIT) {
             let cost = self.score_placement(node, cand, &[]);
             if best.as_ref().map_or(true, |(b, _, _)| cost < *b) {
@@ -666,10 +743,14 @@ impl<'g> Mapper<'g> {
             // >= 2 (at least one auxiliary state between the endpoints),
             // ending on a cell with room for the node's other edges.
             let open = self.remaining[node.index()].saturating_sub(1).min(3);
-            let layout = &self.layouts[cur];
-            let routed = bfs_free_path(layout, ap, MAX_ROUTE_LEN, &mut self.scratch, |p, depth| {
-                depth >= 2 && layout.count_free_neighbors(p) >= open
-            });
+            let free = &self.free;
+            let routed = bfs_free_path(
+                &self.layouts[cur],
+                &self.table,
+                a,
+                &mut self.scratch,
+                |p, depth| depth >= 2 && usize::from(free[p]) >= open,
+            );
             if let Some(mut path) = routed {
                 let dest = path.pop().expect("a found path ends at its goal");
                 let cost = self.score_placement(node, dest, &path);
@@ -689,7 +770,7 @@ impl<'g> Mapper<'g> {
                 } else {
                     self.direct_fusions += 1;
                 }
-                self.place_node(node, dest);
+                self.place_node(node, self.table.position(dest));
                 true
             }
             None => false,
@@ -716,12 +797,13 @@ impl<'g> Mapper<'g> {
         }
         // The cells strictly between `pa` and `pb`: at least one, so the
         // routed path has the length >= 2 the hardware requires.
+        let table = &self.table;
         let path = bfs_free_path(
             &self.layouts[layer],
-            pa,
-            MAX_ROUTE_LEN,
+            table,
+            table.index(pa),
             &mut self.scratch,
-            |p, _| p.manhattan(pb) == 1,
+            |p, _| table.position(p).manhattan(pb) == 1,
         );
         match path {
             Some(cells) => {
@@ -744,51 +826,53 @@ impl<'g> Mapper<'g> {
     /// re-assess only the placed nodes coupled to a tentative cell (the
     /// candidate cell plus the routed path) and the candidate itself: no
     /// other node's free-neighbour count can change.
-    fn score_placement(&mut self, node: NodeId, cand: Position, path: &[Position]) -> f64 {
+    fn score_placement(&mut self, node: NodeId, cand: usize, path: &[usize]) -> f64 {
         let layout = &self.layouts[self.cur()];
+        let table = &self.table;
         // Occupied-area term with the tentative cells added.
+        let c = table.position(cand);
         let (mut rmin, mut rmax, mut cmin, mut cmax) = layout
             .grid()
             .bounding_box()
-            .unwrap_or((cand.row, cand.row, cand.col, cand.col));
-        let mut consider = |p: Position| {
+            .unwrap_or((c.row, c.row, c.col, c.col));
+        for p in std::iter::once(cand)
+            .chain(path.iter().copied())
+            .map(|i| table.position(i))
+        {
             rmin = rmin.min(p.row);
             rmax = rmax.max(p.row);
             cmin = cmin.min(p.col);
             cmax = cmax.max(p.col);
-        };
-        consider(cand);
-        for &p in path {
-            consider(p);
         }
         let area = (rmax - rmin + 1) * (cmax - cmin + 1);
 
-        // Blocking terms with the tentative occupancy.
-        let geometry = self.geometry;
-        let tentatively_free = |q: Position| layout.is_free(q) && q != cand && !path.contains(&q);
-        let classify = |p: Position, r: usize| {
-            let (nbuf, nn) = geometry.neighbors_array(p);
-            let free = nbuf[..nn].iter().filter(|&&q| tentatively_free(q)).count();
-            Blocking::classify(r, free)
-        };
+        // Blocking terms with the tentative occupancy. Every tentative
+        // cell is free now, so each one coupled to a cell takes one off
+        // that cell's free count: a placed node loses one per time it
+        // appears in `touched`, and the candidate one per path cell among
+        // its neighbours.
         let touched = &mut self.touched;
         touched.clear();
-        for &t in std::iter::once(&cand).chain(path) {
-            let (nbuf, nn) = geometry.neighbors_array(t);
-            for &q in &nbuf[..nn] {
-                if let Some(CellUse::Node(n)) = layout.cell(q) {
-                    touched.push((n, q));
+        let mut cand_free = usize::from(self.free[cand]);
+        for t in std::iter::once(cand).chain(path.iter().copied()) {
+            for &q in table.row(t) {
+                match layout.grid().at(q as usize) {
+                    Some(&CellUse::Node(n)) => touched.push((n, q)),
+                    None if q as usize == cand => cand_free -= 1,
+                    _ => {}
                 }
             }
         }
         touched.sort_unstable();
-        touched.dedup();
         let mut blocked = self.blocked;
-        for &(n, p) in touched.iter() {
+        for run in touched.chunk_by(|x, y| x == y) {
+            let (n, q) = run[0];
+            let free = usize::from(self.free[q as usize]) - run.len();
             blocked[self.blocking[n.index()] as usize] -= 1;
-            blocked[classify(p, self.remaining[n.index()]) as usize] += 1;
+            blocked[Blocking::classify(self.remaining[n.index()], free) as usize] += 1;
         }
-        blocked[classify(cand, self.remaining[node.index()].saturating_sub(1)) as usize] += 1;
+        let r = self.remaining[node.index()].saturating_sub(1);
+        blocked[Blocking::classify(r, cand_free) as usize] += 1;
         let partially = blocked[Blocking::Partially as usize];
         let totally = blocked[Blocking::Totally as usize];
         #[cfg(debug_assertions)]
@@ -805,9 +889,12 @@ impl<'g> Mapper<'g> {
     /// the current layer: the reference the incremental counts in
     /// [`Mapper::score_placement`] are checked against in debug builds.
     #[cfg(debug_assertions)]
-    fn recount_blocking(&self, node: NodeId, cand: Position, path: &[Position]) -> (usize, usize) {
+    fn recount_blocking(&self, node: NodeId, cand: usize, path: &[usize]) -> (usize, usize) {
         let layout = &self.layouts[self.cur()];
-        let tentatively_free = |q: Position| layout.is_free(q) && q != cand && !path.contains(&q);
+        let cand = self.table.position(cand);
+        let tentatively_free = |q: Position| {
+            layout.is_free(q) && q != cand && !path.iter().any(|&i| self.table.position(i) == q)
+        };
         let geometry = self.geometry;
         let mut partially = 0usize;
         let mut totally = 0usize;
@@ -962,10 +1049,9 @@ impl RingCursor {
 /// already emitted it). All cycle edges are then put before all bridges,
 /// each class in emission order.
 pub fn edge_order(graph: &Graph) -> Vec<Edge> {
-    let bridges = biconnected::bridges(graph);
-    let is_bridge = |e: Edge| bridges.binary_search(&e).is_ok();
+    let bridges = biconnected::bridge_marks(graph);
     let mut cycles = Vec::with_capacity(graph.edge_count());
-    let mut trees = Vec::with_capacity(bridges.len());
+    let mut trees = Vec::new();
     // One scratch buffer reused across every BFS step: each node's
     // incident edges are sorted by precomputed keys before emission, and
     // allocating per node would put a heap round-trip in the innermost
@@ -977,7 +1063,7 @@ pub fn edge_order(graph: &Graph) -> Vec<Edge> {
             graph
                 .neighbors(u)
                 .iter()
-                .map(|&w| (is_bridge(Edge::new(u, w)), Reverse(graph.degree(w)), w)),
+                .map(|&w| (bridges.is_bridge(u, w), Reverse(graph.degree(w)), w)),
         );
         incident.sort_unstable();
         for &(bridge, _, w) in &incident {
@@ -1046,59 +1132,46 @@ fn bfs_by_degree(graph: &Graph, mut visit: impl FnMut(NodeId, &[bool], &mut Vec<
     }
 }
 
-/// Row-major position of a flat cell index.
-fn pos_at(geometry: LayerGeometry, idx: usize) -> Position {
-    Position::new(idx / geometry.cols(), idx % geometry.cols())
-}
-
-/// BFS through free cells from `from`'s free neighbours to the first cell
-/// that passes `goal(cell, depth)`, where depth 1 is a neighbour of
-/// `from`. Returns the cells from `from` (exclusive) to that cell
-/// (inclusive); `None` when no goal lies within `max_len` cells. Runs
-/// entirely on the dense grid with the reusable [`BfsScratch`] — no
-/// per-call maps.
+/// BFS through free cells of `layout` from cell `from`'s free neighbours
+/// to the first cell that passes `goal(cell, depth)`, where depth 1 is a
+/// neighbour of `from`, expanding each cell's `table` row in order.
+/// Returns the cells from `from` (exclusive) to that cell (inclusive);
+/// `None` when no goal lies within [`MAX_ROUTE_LEN`] cells. Runs entirely
+/// on flat cell indices with the reusable [`BfsScratch`] — no per-call
+/// maps.
 fn bfs_free_path(
     layout: &LayerLayout,
-    from: Position,
-    max_len: usize,
+    table: &NeighborTable,
+    from: usize,
     bfs: &mut BfsScratch,
-    goal: impl Fn(Position, u32) -> bool,
-) -> Option<Vec<Position>> {
-    let geom = layout.geometry();
-    bfs.begin(geom.area());
-    let from_idx = geom.index_of(from);
-    bfs.try_visit(from_idx, from_idx);
-    let (nbuf, nn) = geom.neighbors_array(from);
-    for &q in &nbuf[..nn] {
-        if layout.is_free(q) {
-            let qi = geom.index_of(q);
-            bfs.try_visit(qi, from_idx);
-            bfs.queue.push_back((qi as u32, 1));
+    goal: impl Fn(usize, u32) -> bool,
+) -> Option<Vec<usize>> {
+    bfs.begin(layout.geometry().area());
+    bfs.try_visit(from, from);
+    for &q in table.row(from) {
+        if layout.is_free_at(q as usize) {
+            bfs.try_visit(q as usize, from);
+            bfs.queue.push_back((q, 1));
         }
     }
-    while let Some((pi, depth)) = bfs.queue.pop_front() {
-        let pi = pi as usize;
-        let p = pos_at(geom, pi);
+    while let Some((p, depth)) = bfs.queue.pop_front() {
+        let p = p as usize;
         if goal(p, depth) {
             let mut path = vec![p];
-            let mut cur = pi;
-            while bfs.prev(cur) != from_idx {
+            let mut cur = p;
+            while bfs.prev(cur) != from {
                 cur = bfs.prev(cur);
-                path.push(pos_at(geom, cur));
+                path.push(cur);
             }
             path.reverse();
             return Some(path);
         }
-        if depth as usize >= max_len {
+        if depth as usize >= MAX_ROUTE_LEN {
             continue;
         }
-        let (nbuf, nn) = geom.neighbors_array(p);
-        for &q in &nbuf[..nn] {
-            if layout.is_free(q) {
-                let qi = geom.index_of(q);
-                if bfs.try_visit(qi, pi) {
-                    bfs.queue.push_back((qi as u32, depth + 1));
-                }
+        for &q in table.row(p) {
+            if layout.is_free_at(q as usize) && bfs.try_visit(q as usize, p) {
+                bfs.queue.push_back((q, depth + 1));
             }
         }
     }
@@ -1174,6 +1247,7 @@ pub fn plan_position_shuffles(
 mod tests {
     use super::*;
     use oneq_graph::generators;
+    use oneq_hardware::{ExtendedLayer, Topology};
     use std::collections::HashSet;
 
     fn opts() -> MappingOptions {
@@ -1383,7 +1457,6 @@ mod tests {
 
     #[test]
     fn position_shuffles_match_the_cell_grid_first_fit() {
-        use oneq_hardware::Topology;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(29);
@@ -1527,6 +1600,82 @@ mod tests {
                     assert_eq!(cursor.next_free(&layout), None);
                     assert_eq!(nearest_free_cell(&layout, target), None);
                 }
+            }
+        }
+    }
+
+    const TOPOLOGIES: [Topology; 3] = [
+        Topology::Orthogonal,
+        Topology::Triangular,
+        Topology::Hexagonal,
+    ];
+
+    #[test]
+    fn neighbor_table_rows_follow_the_geometry_order() {
+        for topo in TOPOLOGIES {
+            let extended = ExtendedLayer::new(LayerGeometry::new(4, 3).with_topology(topo), 2);
+            let mut shapes: Vec<LayerGeometry> = [(1, 1), (1, 7), (7, 1), (5, 6)]
+                .iter()
+                .map(|&(rows, cols)| LayerGeometry::new(rows, cols).with_topology(topo))
+                .collect();
+            shapes.push(extended.geometry());
+            for geometry in shapes {
+                let table = NeighborTable::new(geometry);
+                for p in geometry.positions() {
+                    let i = geometry.index_of(p);
+                    assert_eq!(table.index(p), i);
+                    assert_eq!(table.position(i), p);
+                    let row: Vec<Position> = table
+                        .row(i)
+                        .iter()
+                        .map(|&q| table.position(q as usize))
+                        .collect();
+                    assert_eq!(row, geometry.neighbors(p), "{topo:?} {geometry} at {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn free_counts_match_a_recount_as_random_cells_fill() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..60 {
+            let topo = TOPOLOGIES[case % 3];
+            let (rows, cols) = (rng.gen_range(1..10), rng.gen_range(1..10));
+            let geometry = LayerGeometry::new(rows, cols).with_topology(topo);
+            let graph = Graph::with_nodes(geometry.area());
+            let mut mapper = Mapper::new(&graph, geometry, MappingOptions::default());
+            let edge = Edge::new(NodeId::new(0), NodeId::new(1));
+            // Two layers: the second starts from the counts `push_layer`
+            // resets.
+            for layer in 0..2 {
+                let mut order: Vec<usize> = (0..geometry.area()).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                for (step, &i) in order.iter().enumerate() {
+                    if rng.gen_bool(0.5) {
+                        mapper.place_node(NodeId::new(i), mapper.table.position(i));
+                    } else {
+                        mapper.add_routing(mapper.cur(), i, edge);
+                    }
+                    let layout = &mapper.layouts[mapper.cur()];
+                    for p in geometry.positions() {
+                        let recount = geometry
+                            .neighbors(p)
+                            .into_iter()
+                            .filter(|&q| layout.is_free(q))
+                            .count();
+                        assert_eq!(
+                            usize::from(mapper.free[geometry.index_of(p)]),
+                            recount,
+                            "{topo:?} {geometry}, layer {layer}, step {step}, at {p}"
+                        );
+                    }
+                }
+                mapper.push_layer();
             }
         }
     }

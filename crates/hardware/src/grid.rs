@@ -45,6 +45,7 @@ enum BboxCache {
 /// grid.set(Position::new(1, 2), 7);
 /// assert!(grid.is_free(Position::new(0, 0)));
 /// assert_eq!(grid.get(Position::new(1, 2)), Some(&7));
+/// assert_eq!(grid.at(6), Some(&7)); // row-major: 1 * 4 + 2
 /// assert_eq!(grid.occupied_cells(), 1);
 /// assert_eq!(grid.bounding_box_area(), 1);
 /// ```
@@ -81,6 +82,17 @@ impl<T> CellGrid<T> {
             return None;
         }
         self.cells[self.geometry.index_of(p)].as_ref()
+    }
+
+    /// The occupant of the cell at row-major index `i` (`row * cols +
+    /// col`), or `None` when it is free: the by-index probe for callers
+    /// that already hold a cell index, with no position arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the grid's area.
+    pub fn at(&self, i: usize) -> Option<&T> {
+        self.cells[i].as_ref()
     }
 
     /// `true` when `p` lies inside the grid and is unoccupied.

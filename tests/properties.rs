@@ -116,6 +116,11 @@ proptest! {
     }
 
     #[test]
+    fn bridge_marks_match_the_one_edge_blocks(g in graph_strategy(40, 90)) {
+        assert_bridge_marks_match_the_blocks(&g, &format!("{g}"));
+    }
+
+    #[test]
     fn bfs_reaches_exactly_the_component(g in graph_strategy(12, 24)) {
         let comps = traversal::connected_components(&g);
         for comp in comps {
@@ -504,12 +509,11 @@ fn edge_orders_match_on_the_generator_families() {
 
 /// The fusion graphs the compiler maps for the 12 Table 2 instances on the
 /// baseline-sized square and on the square with x2 extended layers, built
-/// the way `Compiler::compile_pattern` builds them.
-#[test]
-fn edge_orders_match_on_the_paper_fusion_graphs() {
+/// the way `Compiler::compile_pattern` builds them, each with a label.
+fn paper_fusion_graphs() -> Vec<(String, Graph)> {
     use oneq::{fusion_graph, partition, CompilerOptions, PartitionOptions};
     use oneq_bench::{BenchKind, SEED};
-    let mut checked = 0;
+    let mut graphs = Vec::new();
     for kind in BenchKind::ALL {
         for &n in kind.paper_sizes() {
             let circuit = kind.circuit(n, SEED);
@@ -539,11 +543,38 @@ fn edge_orders_match_on_the_paper_fusion_graphs() {
                         opt.resource_kind,
                     );
                     let what = format!("{}-{n} x{extension} partition {i}", kind.name());
-                    assert_edge_orders_match(fg.graph(), &what);
-                    checked += 1;
+                    graphs.push((what, fg.graph().clone()));
                 }
             }
         }
     }
-    assert!(checked >= 24, "only {checked} fusion graphs checked");
+    assert!(graphs.len() >= 24, "only {} fusion graphs", graphs.len());
+    graphs
+}
+
+#[test]
+fn edge_orders_match_on_the_paper_fusion_graphs() {
+    for (what, g) in &paper_fusion_graphs() {
+        assert_edge_orders_match(g, what);
+    }
+}
+
+/// `biconnected::bridges` and the marks it is read off agree with the
+/// one-edge blocks of `analyze`, the block sweep's other consumer.
+fn assert_bridge_marks_match_the_blocks(g: &Graph, what: &str) {
+    let blocks = biconnected::analyze(g).bridges;
+    assert_eq!(biconnected::bridges(g), blocks, "bridges of {what}");
+    let marks = biconnected::bridge_marks(g);
+    for e in g.edges() {
+        let expected = blocks.binary_search(&e).is_ok();
+        assert_eq!(marks.is_bridge(e.a(), e.b()), expected, "{e:?} of {what}");
+        assert_eq!(marks.is_bridge(e.b(), e.a()), expected, "{e:?} of {what}");
+    }
+}
+
+#[test]
+fn bridge_marks_match_the_blocks_on_the_paper_fusion_graphs() {
+    for (what, g) in &paper_fusion_graphs() {
+        assert_bridge_marks_match_the_blocks(g, what);
+    }
 }
