@@ -197,6 +197,11 @@ impl NeighborTable {
         &self.rows[i][..usize::from(self.len[i])]
     }
 
+    /// Whether cells `a` and `b` are coupled.
+    fn coupled(&self, a: usize, b: usize) -> bool {
+        self.row(a).contains(&(b as u32))
+    }
+
     /// Row-major index of `p`, which must lie on the table's geometry.
     fn index(&self, p: Position) -> usize {
         p.row * self.cols + p.col
@@ -584,10 +589,9 @@ impl<'g> Mapper<'g> {
                 }
             }
             (Some((lu, qu)), Some((lv, qv))) => {
-                if lu == lv && lu == cur {
-                    self.connect_placed(qu, qv, edge)
-                } else if lu == lv {
-                    // Both on a finished layer: route there if possible.
+                if lu == lv {
+                    // Both on one layer, the current or a finished one:
+                    // fuse or route there if possible.
                     self.connect_on_layer(lu, qu, qv, edge)
                 } else {
                     false
@@ -777,18 +781,12 @@ impl<'g> Mapper<'g> {
         }
     }
 
-    /// Connects two nodes already placed on the current layer.
-    fn connect_placed(&mut self, pa: Position, pb: Position, edge: Edge) -> bool {
-        if pa.manhattan(pb) == 1 {
-            self.direct_fusions += 1;
-            return true;
-        }
-        self.connect_on_layer(self.cur(), pa, pb, edge)
-    }
-
-    /// Routes a fusion path between two positions on layer `layer`.
+    /// Connects two nodes placed on layer `layer`: one fusion when their
+    /// cells are coupled, else a routed fusion path between them.
     fn connect_on_layer(&mut self, layer: usize, pa: Position, pb: Position, edge: Edge) -> bool {
-        if pa.manhattan(pb) == 1 {
+        let table = &self.table;
+        let (a, b) = (table.index(pa), table.index(pb));
+        if table.coupled(a, b) {
             self.direct_fusions += 1;
             return true;
         }
@@ -796,15 +794,11 @@ impl<'g> Mapper<'g> {
             return false;
         }
         // The cells strictly between `pa` and `pb`: at least one, so the
-        // routed path has the length >= 2 the hardware requires.
-        let table = &self.table;
-        let path = bfs_free_path(
-            &self.layouts[layer],
-            table,
-            table.index(pa),
-            &mut self.scratch,
-            |p, _| table.position(p).manhattan(pb) == 1,
-        );
+        // routed path has the length >= 2 the hardware requires. It ends
+        // on a cell coupled to `pb`.
+        let path = bfs_free_path(&self.layouts[layer], table, a, &mut self.scratch, |p, _| {
+            table.coupled(p, b)
+        });
         match path {
             Some(cells) => {
                 for &cell in &cells {
@@ -1677,6 +1671,34 @@ mod tests {
                 }
                 mapper.push_layer();
             }
+        }
+    }
+
+    #[test]
+    fn placed_pairs_fuse_directly_only_when_coupled() {
+        // (the topology, two placed cells, whether they are coupled)
+        let cases = [
+            (Topology::Orthogonal, (2, 2), (2, 3), true),
+            (Topology::Orthogonal, (2, 2), (1, 3), false),
+            // The NE/SW diagonals couple on triangular layers.
+            (Topology::Triangular, (2, 2), (1, 3), true),
+            (Topology::Triangular, (2, 2), (3, 1), true),
+            (Topology::Triangular, (2, 2), (3, 3), false),
+            // (2, 2) has an even parity and couples north, not south.
+            (Topology::Hexagonal, (2, 2), (1, 2), true),
+            (Topology::Hexagonal, (2, 2), (3, 2), false),
+        ];
+        for (topo, a, b, coupled) in cases {
+            let geometry = LayerGeometry::new(6, 6).with_topology(topo);
+            let graph = Graph::from_edges(2, &[(0, 1)]);
+            let mut mapper = Mapper::new(&graph, geometry, MappingOptions::default());
+            let (pa, pb) = (Position::new(a.0, a.1), Position::new(b.0, b.1));
+            mapper.place_node(NodeId::new(0), pa);
+            mapper.place_node(NodeId::new(1), pb);
+            assert!(mapper.try_map_edge(Edge::new(NodeId::new(0), NodeId::new(1))));
+            let what = format!("{topo:?} {pa} {pb}");
+            assert_eq!(mapper.direct_fusions, usize::from(coupled), "{what}");
+            assert_eq!(mapper.routed_fusions > 0, !coupled, "{what}");
         }
     }
 

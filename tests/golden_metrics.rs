@@ -300,10 +300,10 @@ const GOLDEN: [Golden; 38] = [
     ),
     (
         "QAOA-16 triangular",
-        42,
-        2040,
-        [200, 304, 3, 3, 92, 432, 333, 84, 1623],
-        [231, 1787, 97, 67, 214, 2, 229, 9],
+        40,
+        2031,
+        [200, 304, 3, 3, 92, 432, 334, 80, 1617],
+        [233, 1785, 96, 62, 214, 2, 231, 9],
     ),
     (
         "QAOA-16 hexagonal",

@@ -2,13 +2,14 @@
 //! crate boundaries the stages communicate over.
 
 use oneq::fusion_graph;
-use oneq::mapping::{map_graph, MappingOptions};
+use oneq::mapping::{map_graph, CellUse, MappingOptions};
 use oneq::partition::{partition, PartitionOptions};
+use oneq::CompilerOptions;
 use oneq_bench::{BenchKind, SEED};
-use oneq_graph::{planarity, NodeId};
-use oneq_hardware::{LayerGeometry, ResourceKind};
+use oneq_graph::{planarity, Edge, NodeId};
+use oneq_hardware::{LayerGeometry, Position, ResourceKind, Topology};
 use oneq_mbqc::translate;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 #[test]
 fn partitions_cover_nodes_and_edges_exactly() {
@@ -150,4 +151,104 @@ fn cross_edges_reference_real_nodes() {
         assert!(all.contains(&u) && all.contains(&v));
         assert!(pattern.graph().has_edge(u, v));
     }
+}
+
+/// Whether `cells`, in some order, chain `from` to `to` by coupling: each
+/// step has exactly one coupled cell left to go to, and the last cell is
+/// coupled to `to`.
+fn is_coupled_chain(
+    geometry: LayerGeometry,
+    from: Position,
+    cells: &[Position],
+    to: Position,
+) -> bool {
+    let mut left = cells.to_vec();
+    let mut at = from;
+    while !left.is_empty() {
+        let next: Vec<usize> = (0..left.len())
+            .filter(|&i| geometry.neighbors(at).contains(&left[i]))
+            .collect();
+        let [i] = next[..] else {
+            return false;
+        };
+        at = left.swap_remove(i);
+    }
+    geometry.neighbors(at).contains(&to)
+}
+
+/// Every in-layer edge is realized by coupling. Each partition of the
+/// four n = 16 benchmarks, partitioned as `Compiler` partitions for a
+/// 16x16 layer, is mapped on orthogonal, triangular and hexagonal layers:
+/// - an edge that is neither shuffled nor routed joins coupled cells of
+///   one layer;
+/// - the `CellUse::Routing(e)` cells of a routed edge `e` form a coupled
+///   chain from one endpoint to the other.
+#[test]
+fn in_layer_edges_are_realized_by_coupling() {
+    let mut violations = Vec::new();
+    let mut checked = 0;
+    for topology in [
+        Topology::Orthogonal,
+        Topology::Triangular,
+        Topology::Hexagonal,
+    ] {
+        let geometry = LayerGeometry::new(16, 16).with_topology(topology);
+        let opt = CompilerOptions::new(geometry);
+        let capacity = geometry.area() * opt.fill_percent * 8 / 100;
+        for kind in BenchKind::ALL {
+            let pattern = translate::from_circuit(&kind.circuit(16, SEED));
+            let parts = partition(
+                &pattern,
+                &PartitionOptions {
+                    max_dependency_layers: opt.max_dependency_layers,
+                    capacity_hint: Some(capacity.max(64)),
+                    enforce_planarity: opt.enforce_planarity,
+                    resource_kind: opt.resource_kind,
+                },
+            );
+            for (i, part) in parts.partitions.iter().enumerate() {
+                let fg = fusion_graph::generate_embedded(
+                    &part.subgraph,
+                    part.embedding.as_ref(),
+                    &part.full_degree,
+                    opt.resource_kind,
+                );
+                let mapped = map_graph(fg.graph(), geometry, &opt.mapping);
+                let shuffled: HashSet<Edge> = mapped.shuffled.iter().map(|s| s.edge).collect();
+                let mut routes: HashMap<Edge, Vec<(usize, Position)>> = HashMap::new();
+                for (layer, layout) in mapped.layouts.iter().enumerate() {
+                    for (p, cell) in layout.grid().iter() {
+                        if let CellUse::Routing(e) = *cell {
+                            routes.entry(e).or_default().push((layer, p));
+                        }
+                    }
+                }
+                for &e in &mapped.realized_edges {
+                    if shuffled.contains(&e) {
+                        continue;
+                    }
+                    checked += 1;
+                    let what = format!("{topology:?} {}-16 partition {i} {e:?}", kind.name());
+                    let (la, pa) = *mapped.placement.get(&e.a()).expect("endpoint placed");
+                    let (lb, pb) = *mapped.placement.get(&e.b()).expect("endpoint placed");
+                    let route = routes.get(&e).map_or(&[][..], Vec::as_slice);
+                    let cells: Vec<Position> = route.iter().map(|&(_, p)| p).collect();
+                    if la != lb || route.iter().any(|&(l, _)| l != la) {
+                        violations.push(format!("{what}: spans layers"));
+                    } else if route.is_empty() && !geometry.neighbors(pa).contains(&pb) {
+                        violations.push(format!("{what}: direct fusion of uncoupled {pa}, {pb}"));
+                    } else if !route.is_empty() && !is_coupled_chain(geometry, pa, &cells, pb) {
+                        violations.push(format!("{what}: route {cells:?} from {pa} to {pb}"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 1000, "only {checked} in-layer edges checked");
+    assert!(
+        violations.is_empty(),
+        "{} in-layer edges not realized by coupling:\n{}",
+        violations.len(),
+        violations.join("\n")
+    );
 }
