@@ -1151,13 +1151,13 @@ fn bfs_free_path(
     while let Some((p, depth)) = bfs.queue.pop_front() {
         let p = p as usize;
         if goal(p, depth) {
-            let mut path = vec![p];
-            let mut cur = p;
-            while bfs.prev(cur) != from {
-                cur = bfs.prev(cur);
-                path.push(cur);
+            // One cell per BFS level, so the path is `depth` cells long:
+            // allocate it once and fill it back from the goal.
+            let mut path = vec![p; depth as usize];
+            for i in (0..path.len() - 1).rev() {
+                path[i] = bfs.prev(path[i + 1]);
             }
-            path.reverse();
+            debug_assert_eq!(bfs.prev(path[0]), from, "the path starts next to `from`");
             return Some(path);
         }
         if depth as usize >= MAX_ROUTE_LEN {
