@@ -1,14 +1,19 @@
 //! Abstract syntax tree for the supported OpenQASM 2.0 subset, plus
-//! parameter-expression evaluation.
+//! parameter-expression evaluation. Names borrow from the source.
 
 use crate::error::Span;
-use std::collections::HashMap;
-use std::f64::consts::PI;
 use std::fmt;
+use std::ops::Range;
+
+/// How deeply an expression may nest (parentheses, unary minus, function
+/// calls, `^` operands) and how deeply gate definitions may nest inside
+/// one another. The bound keeps the recursive-descent parser and macro
+/// expansion inside a worker thread's stack whatever the input.
+pub(crate) const MAX_NESTING: usize = 256;
 
 /// A binary operator in a parameter expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     /// `+`
     Add,
     /// `-`
@@ -21,9 +26,21 @@ pub enum BinOp {
     Pow,
 }
 
+impl BinOp {
+    fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul => a * b,
+            BinOp::Div => a / b,
+            BinOp::Pow => a.powf(b),
+        }
+    }
+}
+
 /// A unary function usable in parameter expressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Func {
+pub(crate) enum Func {
     /// `sin`
     Sin,
     /// `cos`
@@ -40,7 +57,7 @@ pub enum Func {
 
 impl Func {
     /// Looks a function name up.
-    pub fn from_name(name: &str) -> Option<Func> {
+    pub(crate) fn from_name(name: &str) -> Option<Func> {
         Some(match name {
             "sin" => Func::Sin,
             "cos" => Func::Cos,
@@ -64,70 +81,116 @@ impl Func {
     }
 }
 
-/// A parameter expression (gate angles).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
-    /// Real literal.
-    Real(f64),
-    /// Integer literal (promoted to `f64` on evaluation).
-    Int(u64),
-    /// The constant `pi`.
-    Pi,
-    /// A formal gate parameter, resolved at expansion time.
-    Param(String, Span),
-    /// Unary negation.
-    Neg(Box<Expr>),
-    /// Binary operation.
-    Binary(BinOp, Box<Expr>, Box<Expr>),
-    /// Function application.
-    Call(Func, Box<Expr>),
+/// One step of a parameter expression in postfix order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Op<'s> {
+    /// Pushes a constant: a literal, `pi`, or a folded constant
+    /// subexpression.
+    Const(f64),
+    /// Pushes the value of a gate's formal parameter (its position in the
+    /// definition's parameter list).
+    Slot(usize),
+    /// An identifier that names no formal parameter in scope; evaluating
+    /// it is an error.
+    Unbound(&'s str, Span),
+    /// Negates the top of the stack.
+    Neg,
+    /// Combines the top two values.
+    Binary(BinOp),
+    /// Applies a function to the top of the stack.
+    Call(Func),
 }
 
-impl Expr {
-    /// Evaluates the expression with the given parameter bindings.
-    ///
-    /// # Errors
-    ///
-    /// Returns the span and name of the first unbound [`Expr::Param`].
-    pub fn eval(&self, params: &HashMap<String, f64>) -> Result<f64, (Span, String)> {
-        Ok(match self {
-            Expr::Real(v) => *v,
-            Expr::Int(v) => *v as f64,
-            Expr::Pi => PI,
-            Expr::Param(name, span) => match params.get(name) {
-                Some(&v) => v,
-                None => return Err((*span, name.clone())),
-            },
-            Expr::Neg(e) => -e.eval(params)?,
-            Expr::Binary(op, a, b) => {
-                let a = a.eval(params)?;
-                let b = b.eval(params)?;
-                match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a / b,
-                    BinOp::Pow => a.powf(b),
+/// Appends `op` to the postfix `code` of the expression being built. An
+/// operator whose operands are all constants is folded into one constant,
+/// computed with the same operations evaluation would run, so the value is
+/// bit-identical and a constant expression costs one op. An operator's
+/// operands are the ops just before it, so the fold never reaches into an
+/// earlier expression.
+pub(crate) fn push_op<'s>(code: &mut Vec<Op<'s>>, op: Op<'s>) {
+    match (op, code.as_mut_slice()) {
+        (Op::Neg, [.., Op::Const(a)]) => *a = -*a,
+        (Op::Call(f), [.., Op::Const(a)]) => *a = f.apply(*a),
+        (Op::Binary(b), [.., Op::Const(x), Op::Const(y)]) => {
+            *x = b.apply(*x, *y);
+            code.pop();
+        }
+        _ => code.push(op),
+    }
+}
+
+/// The first identifier in `code`, in evaluation order, that names no
+/// formal parameter.
+pub(crate) fn first_unbound<'s>(code: &[Op<'s>]) -> Option<(Span, &'s str)> {
+    code.iter().find_map(|op| match *op {
+        Op::Unbound(name, span) => Some((span, name)),
+        _ => None,
+    })
+}
+
+/// Evaluates postfix `code` (one or more expressions in a row) against the
+/// formal parameter values `slots`, leaving one value per expression on
+/// `stack`, in order. A loop over a value stack: neither evaluating nor
+/// dropping an expression recurses, however long it is.
+///
+/// # Errors
+///
+/// Returns the span and name of the first [`Op::Unbound`].
+pub(crate) fn eval<'s>(
+    code: &[Op<'s>],
+    slots: &[f64],
+    stack: &mut Vec<f64>,
+) -> Result<(), (Span, &'s str)> {
+    stack.clear();
+    for op in code {
+        match *op {
+            Op::Const(v) => stack.push(v),
+            Op::Slot(i) => stack.push(slots[i]),
+            Op::Unbound(name, span) => return Err((span, name)),
+            Op::Neg => {
+                if let Some(a) = stack.last_mut() {
+                    *a = -*a;
                 }
             }
-            Expr::Call(f, e) => f.apply(e.eval(params)?),
-        })
+            Op::Call(f) => {
+                if let Some(a) = stack.last_mut() {
+                    *a = f.apply(*a);
+                }
+            }
+            Op::Binary(b) => {
+                let y = stack.pop().unwrap_or(f64::NAN);
+                if let Some(x) = stack.last_mut() {
+                    *x = b.apply(*x, y);
+                }
+            }
+        }
     }
+    Ok(())
+}
+
+/// Where one application's parameter expressions sit in the program's op
+/// pool ([`Program::ops`]), and how many there are.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Params {
+    /// The expressions' postfix code, one after another.
+    pub(crate) ops: Range<usize>,
+    /// Number of parameters.
+    pub(crate) len: usize,
 }
 
 /// A qubit (or classical-bit) argument at statement level: a whole register
 /// or one indexed element.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Argument {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Argument<'s> {
     /// Register name.
-    pub reg: String,
+    pub(crate) reg: &'s str,
     /// `Some(i)` for `reg[i]`, `None` for the whole register.
-    pub index: Option<usize>,
+    pub(crate) index: Option<usize>,
     /// Where the argument starts.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
-impl fmt::Display for Argument {
+impl fmt::Display for Argument<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.index {
             Some(i) => write!(f, "{}[{i}]", self.reg),
@@ -139,39 +202,40 @@ impl fmt::Display for Argument {
 /// One operation inside a `gate` body. Arguments are the definition's
 /// formal qubit names (OpenQASM 2.0 forbids indexing inside bodies).
 #[derive(Debug, Clone, PartialEq)]
-pub struct GateOp {
-    /// Gate name being applied (or `barrier`, kept as a no-op).
-    pub name: String,
-    /// Parameter expressions (may reference the formal parameters).
-    pub params: Vec<Expr>,
+pub(crate) struct GateOp<'s> {
+    /// Gate name being applied.
+    pub(crate) name: &'s str,
+    /// Parameter expressions; identifiers naming a formal parameter are
+    /// already [`Op::Slot`]s.
+    pub(crate) params: Params,
     /// Formal qubit argument names.
-    pub args: Vec<String>,
+    pub(crate) args: Vec<&'s str>,
     /// Where the operation starts.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// A user `gate` definition (a macro over its body).
 #[derive(Debug, Clone, PartialEq)]
-pub struct GateDef {
+pub(crate) struct GateDef<'s> {
     /// Gate name.
-    pub name: String,
+    pub(crate) name: &'s str,
     /// Formal parameter names.
-    pub params: Vec<String>,
+    pub(crate) params: Vec<&'s str>,
     /// Formal qubit argument names.
-    pub qargs: Vec<String>,
+    pub(crate) qargs: Vec<&'s str>,
     /// Body operations in program order.
-    pub body: Vec<GateOp>,
+    pub(crate) body: Vec<GateOp<'s>>,
     /// Where the definition starts.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// A top-level statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt<'s> {
     /// `qreg name[n];`
     QReg {
         /// Register name.
-        name: String,
+        name: &'s str,
         /// Number of qubits.
         size: usize,
         /// Statement span.
@@ -180,86 +244,121 @@ pub enum Stmt {
     /// `creg name[n];`
     CReg {
         /// Register name.
-        name: String,
+        name: &'s str,
         /// Number of bits.
         size: usize,
         /// Statement span.
         span: Span,
     },
     /// `gate name(params) qargs { ... }`
-    Gate(GateDef),
+    Gate(Box<GateDef<'s>>),
     /// `name(params) args;` — a gate application.
     Apply {
         /// Gate name.
-        name: String,
+        name: &'s str,
         /// Parameter expressions (fully constant at top level).
-        params: Vec<Expr>,
-        /// Qubit arguments (registers broadcast).
-        args: Vec<Argument>,
+        params: Params,
+        /// Qubit arguments (registers broadcast), in [`Program::args`].
+        args: Range<usize>,
         /// Statement span.
         span: Span,
     },
     /// `barrier args;` — validated, no IR effect.
     Barrier {
-        /// Qubit arguments.
-        args: Vec<Argument>,
-        /// Statement span.
-        span: Span,
+        /// Qubit arguments, in [`Program::args`].
+        args: Range<usize>,
     },
     /// `measure src -> dst;` — validated, no IR effect (the OneQ pipeline
     /// measures every photon as part of the pattern).
     Measure {
-        /// Quantum source.
-        src: Argument,
-        /// Classical destination.
-        dst: Argument,
+        /// Quantum source and classical destination, in [`Program::args`].
+        args: Range<usize>,
         /// Statement span.
         span: Span,
     },
 }
 
 /// A parsed program: the statement list plus whether `qelib1.inc` was
-/// included (which unlocks the standard gate names).
+/// included (which unlocks the standard gate names). Every statement's
+/// arguments and parameter expressions live in two pools, so parsing a
+/// statement allocates nothing once the pools have grown.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Program {
+pub(crate) struct Program<'s> {
     /// Top-level statements in source order.
-    pub stmts: Vec<Stmt>,
+    pub(crate) stmts: Vec<Stmt<'s>>,
+    /// Statement arguments, in source order.
+    pub(crate) args: Vec<Argument<'s>>,
+    /// Parameter expressions' postfix code, in source order.
+    pub(crate) ops: Vec<Op<'s>>,
     /// `true` once `include "qelib1.inc";` was seen.
-    pub includes_qelib1: bool,
+    pub(crate) includes_qelib1: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::PI;
+
+    fn code(ops: &[Op<'static>]) -> Vec<Op<'static>> {
+        let mut code = Vec::new();
+        for &op in ops {
+            push_op(&mut code, op);
+        }
+        code
+    }
+
+    fn value(code: &[Op<'static>], slots: &[f64]) -> Result<f64, (Span, &'static str)> {
+        let mut stack = Vec::new();
+        eval(code, slots, &mut stack)?;
+        assert_eq!(stack.len(), 1);
+        Ok(stack[0])
+    }
 
     #[test]
     fn eval_constant_folds() {
-        let e = Expr::Binary(BinOp::Div, Box::new(Expr::Pi), Box::new(Expr::Int(4)));
-        assert_eq!(e.eval(&HashMap::new()).unwrap(), PI / 4.0);
+        let folded = code(&[Op::Const(PI), Op::Const(4.0), Op::Binary(BinOp::Div)]);
+        assert_eq!(folded, vec![Op::Const(PI / 4.0)]);
+        assert_eq!(value(&folded, &[]).unwrap(), PI / 4.0);
+        // An operand that is not constant stops the fold.
+        let open = code(&[Op::Slot(0), Op::Const(4.0), Op::Binary(BinOp::Div)]);
+        assert_eq!(open.len(), 3);
+        assert_eq!(value(&open, &[PI]).unwrap(), PI / 4.0);
+        // Two expressions in a row evaluate to two values.
+        let mut stack = Vec::new();
+        eval(
+            &code(&[Op::Const(1.0), Op::Slot(0), Op::Neg]),
+            &[2.0],
+            &mut stack,
+        )
+        .unwrap();
+        assert_eq!(stack, vec![1.0, -2.0]);
     }
 
     #[test]
     fn eval_resolves_params() {
-        let mut params = HashMap::new();
-        params.insert("theta".to_string(), 0.5);
-        let e = Expr::Neg(Box::new(Expr::Param("theta".into(), Span::new(1, 1))));
-        assert_eq!(e.eval(&params).unwrap(), -0.5);
+        let c = code(&[Op::Slot(1), Op::Neg]);
+        assert_eq!(value(&c, &[2.0, 0.5]).unwrap(), -0.5);
     }
 
     #[test]
     fn eval_unbound_param_reports_span() {
-        let e = Expr::Param("phi".into(), Span::new(3, 7));
-        let (span, name) = e.eval(&HashMap::new()).unwrap_err();
-        assert_eq!(span, Span::new(3, 7));
-        assert_eq!(name, "phi");
+        let c = code(&[
+            Op::Const(1.0),
+            Op::Unbound("phi", Span::new(3, 7)),
+            Op::Binary(BinOp::Add),
+            Op::Unbound("psi", Span::new(3, 9)),
+            Op::Binary(BinOp::Mul),
+        ]);
+        assert_eq!(value(&c, &[]).unwrap_err(), (Span::new(3, 7), "phi"));
+        assert_eq!(first_unbound(&c), Some((Span::new(3, 7), "phi")));
     }
 
     #[test]
     fn eval_pow_and_funcs() {
-        let e = Expr::Binary(BinOp::Pow, Box::new(Expr::Int(2)), Box::new(Expr::Int(10)));
-        assert_eq!(e.eval(&HashMap::new()).unwrap(), 1024.0);
-        let s = Expr::Call(Func::Sqrt, Box::new(Expr::Int(9)));
-        assert_eq!(s.eval(&HashMap::new()).unwrap(), 3.0);
+        let c = code(&[Op::Const(2.0), Op::Const(10.0), Op::Binary(BinOp::Pow)]);
+        assert_eq!(value(&c, &[]).unwrap(), 1024.0);
+        let s = code(&[Op::Slot(0), Op::Call(Func::Sqrt)]);
+        assert_eq!(value(&s, &[9.0]).unwrap(), 3.0);
         assert_eq!(Func::from_name("cos"), Some(Func::Cos));
         assert_eq!(Func::from_name("nope"), None);
     }
@@ -267,13 +366,13 @@ mod tests {
     #[test]
     fn argument_display() {
         let a = Argument {
-            reg: "q".into(),
+            reg: "q",
             index: Some(2),
             span: Span::new(1, 1),
         };
         assert_eq!(a.to_string(), "q[2]");
         let whole = Argument {
-            reg: "q".into(),
+            reg: "q",
             index: None,
             span: Span::new(1, 1),
         };

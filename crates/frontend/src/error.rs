@@ -39,82 +39,114 @@ impl fmt::Display for Span {
 
 /// A frontend error: what went wrong, where, and the source line it
 /// happened on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
+///
+/// One pointer wide, so every `Result` on the parser's recursive paths
+/// stays small and a deeply nested expression fits a worker's stack.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ParseError(Box<Detail>);
+
+#[derive(Clone, PartialEq, Eq)]
+struct Detail {
     message: String,
     span: Span,
     line_text: String,
     file: Option<String>,
 }
 
+impl fmt::Debug for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ParseError")
+            .field("message", &self.0.message)
+            .field("span", &self.0.span)
+            .field("line_text", &self.0.line_text)
+            .field("file", &self.0.file)
+            .finish()
+    }
+}
+
 impl ParseError {
     /// Creates an error at `span`; `line_text` is the full source line the
     /// span points into (used for the caret snippet).
     pub fn new(message: impl Into<String>, span: Span, line_text: impl Into<String>) -> Self {
-        ParseError {
+        ParseError(Box::new(Detail {
             message: message.into(),
             span,
             line_text: line_text.into(),
             file: None,
-        }
+        }))
+    }
+
+    /// Creates an error at `span` of `source`, cutting the source line the
+    /// span points into (empty past the last line) for the snippet.
+    pub(crate) fn at(source: &str, span: Span, message: impl Into<String>) -> Self {
+        let text = source
+            .lines()
+            .nth(span.line.saturating_sub(1))
+            .unwrap_or("");
+        ParseError::new(message, span, text)
     }
 
     /// Attaches a file name, shown in the rendered snippet.
     #[must_use]
     pub fn with_file(mut self, file: impl Into<String>) -> Self {
-        self.file = Some(file.into());
+        self.0.file = Some(file.into());
         self
     }
 
     /// The error message (no location).
     pub fn message(&self) -> &str {
-        &self.message
+        &self.0.message
     }
 
     /// 1-based line of the error.
     pub fn line(&self) -> usize {
-        self.span.line
+        self.0.span.line
     }
 
     /// 1-based column of the error.
     pub fn col(&self) -> usize {
-        self.span.col
+        self.0.span.col
     }
 
     /// The source location.
     pub fn span(&self) -> Span {
-        self.span
+        self.0.span
     }
 
     /// The file name, if one was attached.
     pub fn file(&self) -> Option<&str> {
-        self.file.as_deref()
+        self.0.file.as_deref()
     }
 
     /// One-line rendering: `file:line:col: message` (no snippet). Useful
     /// for logs and machine-readable output.
     pub fn to_line(&self) -> String {
-        match &self.file {
-            Some(f) => format!("{f}:{}: {}", self.span, self.message),
-            None => format!("{}: {}", self.span, self.message),
+        match &self.0.file {
+            Some(f) => format!("{f}:{}: {}", self.0.span, self.0.message),
+            None => format!("{}: {}", self.0.span, self.0.message),
         }
     }
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "error: {}", self.message)?;
-        let file = self.file.as_deref().unwrap_or("<qasm>");
-        writeln!(f, "  --> {file}:{}", self.span)?;
+        writeln!(f, "error: {}", self.0.message)?;
+        let file = self.0.file.as_deref().unwrap_or("<qasm>");
+        writeln!(f, "  --> {file}:{}", self.0.span)?;
         // Gutter width follows the line number so the pipes align.
-        let num = self.span.line.to_string();
+        let num = self.0.span.line.to_string();
         let pad = " ".repeat(num.len());
         writeln!(f, " {pad} |")?;
-        writeln!(f, " {num} | {}", self.line_text)?;
+        writeln!(f, " {num} | {}", self.0.line_text)?;
         // The caret lands under column `col` (1-based). Tabs in the source
         // line are echoed into the pad so the caret stays aligned.
         let mut caret_pad = String::new();
-        for ch in self.line_text.chars().take(self.span.col.saturating_sub(1)) {
+        for ch in self
+            .0
+            .line_text
+            .chars()
+            .take(self.0.span.col.saturating_sub(1))
+        {
             caret_pad.push(if ch == '\t' { '\t' } else { ' ' });
         }
         write!(f, " {pad} | {caret_pad}^")

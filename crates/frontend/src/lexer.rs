@@ -1,23 +1,26 @@
 //! Hand-written OpenQASM 2.0 lexer.
 //!
-//! Produces a flat token stream with 1-based line/column spans. The lexer
-//! keeps a copy of every source line so downstream errors can render caret
-//! snippets without re-reading the file.
+//! Scans the source's bytes one token per call, so the parser reads a
+//! stream and no token buffer is built. Identifier and string tokens are
+//! slices of the source. Spans are 1-based, and a column counts
+//! characters, not bytes: it advances on every byte that does not continue
+//! a UTF-8 sequence. The source line an error points into is cut from the
+//! source only when the error is built.
 
 use crate::error::{ParseError, Span};
 use std::fmt;
 
 /// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum TokenKind<'s> {
     /// Identifier or keyword (`qreg`, `h`, `my_gate`, `U`, `CX`, ...).
-    Ident(String),
+    Ident(&'s str),
     /// Unsigned integer literal.
     Int(u64),
     /// Real literal (decimal point and/or exponent).
     Real(f64),
     /// String literal (the text between the quotes).
-    Str(String),
+    Str(&'s str),
     /// `;`
     Semicolon,
     /// `,`
@@ -48,11 +51,11 @@ pub enum TokenKind {
     Arrow,
     /// `==`
     EqEq,
-    /// End of input (always the final token).
+    /// End of input (returned by every call once the input is exhausted).
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "`{s}`"),
@@ -80,248 +83,206 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Token<'s> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind<'s>,
     /// Where it starts (1-based).
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
-/// The token stream plus the source lines (for error snippets).
-#[derive(Debug, Clone)]
-pub struct TokenStream {
-    /// Tokens in source order; the last is always [`TokenKind::Eof`].
-    pub tokens: Vec<Token>,
-    /// Source split into lines, without terminators.
-    pub lines: Vec<String>,
+/// Characters in `bytes`: the bytes that do not continue a UTF-8 sequence.
+fn char_count(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b & 0xC0 != 0x80).count()
 }
 
-impl TokenStream {
-    /// The source line a span points into (empty if out of range).
-    pub fn line_text(&self, span: Span) -> &str {
-        self.lines
-            .get(span.line.saturating_sub(1))
-            .map_or("", |s| s.as_str())
-    }
-
-    /// Builds a [`ParseError`] at `span` with the matching source line.
-    pub fn error_at(&self, span: Span, message: impl Into<String>) -> ParseError {
-        ParseError::new(message, span, self.line_text(span))
-    }
-}
-
-/// Lexes `source` into a token stream.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] on unterminated strings, malformed numbers,
-/// stray characters, or a lone `=`/`-` that does not form `==`/`->`.
-pub fn lex(source: &str) -> Result<TokenStream, ParseError> {
-    let lines: Vec<String> = source.lines().map(str::to_string).collect();
-    let mut lx = Lexer {
-        chars: source.chars().collect(),
-        pos: 0,
-        line: 1,
-        col: 1,
-        lines,
-        tokens: Vec::new(),
-    };
-    lx.run()?;
-    Ok(TokenStream {
-        tokens: lx.tokens,
-        lines: lx.lines,
-    })
-}
-
-struct Lexer {
-    chars: Vec<char>,
+/// A cursor over the source that yields one token per
+/// [`Lexer::next_token`] call.
+pub(crate) struct Lexer<'s> {
+    source: &'s str,
     pos: usize,
     line: usize,
     col: usize,
-    lines: Vec<String>,
-    tokens: Vec<Token>,
 }
 
-impl Lexer {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+impl<'s> Lexer<'s> {
+    /// A lexer at the start of `source`.
+    pub(crate) fn new(source: &'s str) -> Self {
+        Lexer {
+            source,
+            pos: 0,
+            line: 1,
+            col: 1,
         }
-        Some(c)
+    }
+
+    /// The next token, or [`TokenKind::Eof`] once the input is exhausted.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] on an unterminated string, a malformed
+    /// number, a stray character, or a lone `=` that does not form `==`.
+    /// The lexer is exhausted after an error.
+    pub(crate) fn next_token(&mut self) -> Result<Token<'s>, ParseError> {
+        let token = self.scan();
+        if token.is_err() {
+            self.pos = self.source.len();
+        }
+        token
+    }
+
+    /// Lexes the rest of the input and returns its first error, if any.
+    pub(crate) fn first_error(&mut self) -> Option<ParseError> {
+        loop {
+            match self.next_token() {
+                Ok(t) if t.kind == TokenKind::Eof => return None,
+                Ok(_) => {}
+                Err(e) => return Some(e),
+            }
+        }
     }
 
     fn error(&self, span: Span, message: impl Into<String>) -> ParseError {
-        let text = self
-            .lines
-            .get(span.line.saturating_sub(1))
-            .map_or("", |s| s.as_str());
-        ParseError::new(message, span, text)
+        ParseError::at(self.source, span, message)
     }
 
-    fn push(&mut self, kind: TokenKind, span: Span) {
-        self.tokens.push(Token { kind, span });
+    /// Steps over `n` ASCII bytes on the current line.
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.col += n;
     }
 
-    fn run(&mut self) -> Result<(), ParseError> {
-        while let Some(c) = self.peek() {
+    fn scan(&mut self) -> Result<Token<'s>, ParseError> {
+        let bytes = self.source.as_bytes();
+        loop {
             let span = Span::new(self.line, self.col);
-            match c {
-                ' ' | '\t' | '\r' | '\n' => {
-                    self.bump();
+            let Some(&b) = bytes.get(self.pos) else {
+                return Ok(Token {
+                    kind: TokenKind::Eof,
+                    span,
+                });
+            };
+            let next = bytes.get(self.pos + 1).copied();
+            let (kind, len) = match b {
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
+                    self.col = 1;
+                    continue;
                 }
-                '/' if self.peek2() == Some('/') => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                b' ' | b'\t' | b'\r' => {
+                    self.advance(1);
+                    continue;
                 }
-                ';' => self.single(TokenKind::Semicolon, span),
-                ',' => self.single(TokenKind::Comma, span),
-                '(' => self.single(TokenKind::LParen, span),
-                ')' => self.single(TokenKind::RParen, span),
-                '[' => self.single(TokenKind::LBracket, span),
-                ']' => self.single(TokenKind::RBracket, span),
-                '{' => self.single(TokenKind::LBrace, span),
-                '}' => self.single(TokenKind::RBrace, span),
-                '+' => self.single(TokenKind::Plus, span),
-                '*' => self.single(TokenKind::Star, span),
-                '/' => self.single(TokenKind::Slash, span),
-                '^' => self.single(TokenKind::Caret, span),
-                '-' => {
-                    self.bump();
-                    if self.peek() == Some('>') {
-                        self.bump();
-                        self.push(TokenKind::Arrow, span);
-                    } else {
-                        self.push(TokenKind::Minus, span);
-                    }
+                b'/' if next == Some(b'/') => {
+                    let rest = &bytes[self.pos..];
+                    let len = rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                    self.col += char_count(&rest[..len]);
+                    self.pos += len;
+                    continue;
                 }
-                '=' => {
-                    self.bump();
-                    if self.peek() == Some('=') {
-                        self.bump();
-                        self.push(TokenKind::EqEq, span);
-                    } else {
-                        return Err(self.error(span, "stray `=`; did you mean `==`?"));
-                    }
+                b';' => (TokenKind::Semicolon, 1),
+                b',' => (TokenKind::Comma, 1),
+                b'(' => (TokenKind::LParen, 1),
+                b')' => (TokenKind::RParen, 1),
+                b'[' => (TokenKind::LBracket, 1),
+                b']' => (TokenKind::RBracket, 1),
+                b'{' => (TokenKind::LBrace, 1),
+                b'}' => (TokenKind::RBrace, 1),
+                b'+' => (TokenKind::Plus, 1),
+                b'*' => (TokenKind::Star, 1),
+                b'/' => (TokenKind::Slash, 1),
+                b'^' => (TokenKind::Caret, 1),
+                b'-' if next == Some(b'>') => (TokenKind::Arrow, 2),
+                b'-' => (TokenKind::Minus, 1),
+                b'=' if next == Some(b'=') => (TokenKind::EqEq, 2),
+                b'=' => return Err(self.error(span, "stray `=`; did you mean `==`?")),
+                b'"' => return self.string(span),
+                b'0'..=b'9' | b'.' => return self.number(span),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                    let len = bytes[self.pos..]
+                        .iter()
+                        .position(|c| !(c.is_ascii_alphanumeric() || *c == b'_'))
+                        .unwrap_or(bytes.len() - self.pos);
+                    let ident = &self.source[self.pos..self.pos + len];
+                    (TokenKind::Ident(ident), len)
                 }
-                '"' => self.string(span)?,
-                c if c.is_ascii_digit() || c == '.' => self.number(span)?,
-                c if c.is_ascii_alphabetic() || c == '_' => self.ident(span),
-                c => {
+                _ => {
+                    // Every earlier token ended on an ASCII byte, so `pos`
+                    // starts a character.
+                    let c = self.source[self.pos..].chars().next().unwrap_or('\u{fffd}');
                     return Err(self.error(span, format!("unexpected character `{c}`")));
                 }
-            }
-        }
-        let span = Span::new(self.line, self.col);
-        self.push(TokenKind::Eof, span);
-        Ok(())
-    }
-
-    fn single(&mut self, kind: TokenKind, span: Span) {
-        self.bump();
-        self.push(kind, span);
-    }
-
-    fn string(&mut self, span: Span) -> Result<(), ParseError> {
-        self.bump(); // opening quote
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                Some('"') => {
-                    self.bump();
-                    self.push(TokenKind::Str(s), span);
-                    return Ok(());
-                }
-                Some('\n') | None => {
-                    return Err(self.error(span, "unterminated string literal"));
-                }
-                Some(c) => {
-                    s.push(c);
-                    self.bump();
-                }
-            }
+            };
+            self.advance(len);
+            return Ok(Token { kind, span });
         }
     }
 
-    fn ident(&mut self, span: Span) {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
+    fn string(&mut self, span: Span) -> Result<Token<'s>, ParseError> {
+        let start = self.pos + 1;
+        let rest = &self.source.as_bytes()[start..];
+        match rest.iter().position(|&c| c == b'"' || c == b'\n') {
+            Some(len) if rest[len] == b'"' => {
+                let text = &self.source[start..start + len];
+                self.col += char_count(text.as_bytes()) + 2;
+                self.pos = start + len + 1;
+                Ok(Token {
+                    kind: TokenKind::Str(text),
+                    span,
+                })
             }
+            _ => Err(self.error(span, "unterminated string literal")),
         }
-        self.push(TokenKind::Ident(s), span);
     }
 
-    fn number(&mut self, span: Span) -> Result<(), ParseError> {
-        let mut s = String::new();
+    fn number(&mut self, span: Span) -> Result<Token<'s>, ParseError> {
+        let bytes = self.source.as_bytes();
+        let start = self.pos;
+        let mut end = start;
         let mut is_real = false;
-        while let Some(c) = self.peek() {
+        while let Some(&c) = bytes.get(end) {
             if c.is_ascii_digit() {
-                s.push(c);
-                self.bump();
-            } else if c == '.' && !is_real {
+                end += 1;
+            } else if c == b'.' && !is_real {
                 is_real = true;
-                s.push(c);
-                self.bump();
-            } else if (c == 'e' || c == 'E') && !s.is_empty() {
+                end += 1;
+            } else if (c == b'e' || c == b'E') && end > start {
                 // Exponent: consumed only if followed by digits (with an
                 // optional sign); otherwise it starts an identifier.
-                let mut look = self.pos + 1;
-                if matches!(self.chars.get(look), Some('+') | Some('-')) {
+                let mut look = end + 1;
+                if matches!(bytes.get(look), Some(b'+' | b'-')) {
                     look += 1;
                 }
-                if !matches!(self.chars.get(look), Some(d) if d.is_ascii_digit()) {
+                if !matches!(bytes.get(look), Some(d) if d.is_ascii_digit()) {
                     break;
                 }
                 is_real = true;
-                s.push(c);
-                self.bump();
-                if matches!(self.peek(), Some('+') | Some('-')) {
-                    s.push(self.bump().expect("peeked sign"));
-                }
-                while matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
-                    s.push(self.bump().expect("peeked digit"));
+                end = look;
+                while matches!(bytes.get(end), Some(d) if d.is_ascii_digit()) {
+                    end += 1;
                 }
             } else {
                 break;
             }
         }
-        if s == "." {
+        let text = &self.source[start..end];
+        self.advance(end - start);
+        if text == "." {
             return Err(self.error(span, "expected digits around `.`"));
         }
-        if is_real {
-            let v: f64 = s
-                .parse()
-                .map_err(|_| self.error(span, format!("malformed real literal `{s}`")))?;
-            self.push(TokenKind::Real(v), span);
+        let kind = if is_real {
+            TokenKind::Real(
+                text.parse()
+                    .map_err(|_| self.error(span, format!("malformed real literal `{text}`")))?,
+            )
         } else {
-            let v: u64 = s
-                .parse()
-                .map_err(|_| self.error(span, format!("integer literal `{s}` overflows")))?;
-            self.push(TokenKind::Int(v), span);
-        }
-        Ok(())
+            TokenKind::Int(
+                text.parse()
+                    .map_err(|_| self.error(span, format!("integer literal `{text}` overflows")))?,
+            )
+        };
+        Ok(Token { kind, span })
     }
 }
 
@@ -329,13 +290,20 @@ impl Lexer {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        lex(src)
-            .unwrap()
-            .tokens
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+    fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
+        let mut lexer = Lexer::new(src);
+        let mut tokens = Vec::new();
+        loop {
+            let t = lexer.next_token()?;
+            tokens.push(t);
+            if t.kind == TokenKind::Eof {
+                return Ok(tokens);
+            }
+        }
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
+        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -343,7 +311,7 @@ mod tests {
         assert_eq!(
             kinds("OPENQASM 2.0;"),
             vec![
-                TokenKind::Ident("OPENQASM".into()),
+                TokenKind::Ident("OPENQASM"),
                 TokenKind::Real(2.0),
                 TokenKind::Semicolon,
                 TokenKind::Eof
@@ -353,15 +321,26 @@ mod tests {
 
     #[test]
     fn spans_are_one_based() {
-        let ts = lex("qreg q[4];\nh q[0];").unwrap();
-        assert_eq!(ts.tokens[0].span, Span::new(1, 1));
-        let h = ts
-            .tokens
+        let tokens = lex("qreg q[4];\nh q[0];").unwrap();
+        assert_eq!(tokens[0].span, Span::new(1, 1));
+        let h = tokens
             .iter()
-            .find(|t| t.kind == TokenKind::Ident("h".into()))
+            .find(|t| t.kind == TokenKind::Ident("h"))
             .unwrap();
         assert_eq!(h.span, Span::new(2, 1));
-        assert_eq!(ts.line_text(h.span), "h q[0];");
+        // Columns count characters: `é` is two bytes but one column.
+        let tokens = lex("\"é\" x\n\"\" // ü\ny").unwrap();
+        let spans: Vec<Span> = tokens.iter().map(|t| t.span).collect();
+        assert_eq!(
+            spans,
+            vec![
+                Span::new(1, 1),
+                Span::new(1, 5),
+                Span::new(2, 1),
+                Span::new(3, 1),
+                Span::new(3, 2)
+            ]
+        );
     }
 
     #[test]
@@ -369,8 +348,8 @@ mod tests {
         assert_eq!(
             kinds("// header\nh q; // trailing"),
             vec![
-                TokenKind::Ident("h".into()),
-                TokenKind::Ident("q".into()),
+                TokenKind::Ident("h"),
+                TokenKind::Ident("q"),
                 TokenKind::Semicolon,
                 TokenKind::Eof
             ]
@@ -409,11 +388,7 @@ mod tests {
         // `2e` is the integer 2 followed by identifier `e`.
         assert_eq!(
             kinds("2e"),
-            vec![
-                TokenKind::Int(2),
-                TokenKind::Ident("e".into()),
-                TokenKind::Eof
-            ]
+            vec![TokenKind::Int(2), TokenKind::Ident("e"), TokenKind::Eof]
         );
     }
 
@@ -422,8 +397,8 @@ mod tests {
         assert_eq!(
             kinds("include \"qelib1.inc\";"),
             vec![
-                TokenKind::Ident("include".into()),
-                TokenKind::Str("qelib1.inc".into()),
+                TokenKind::Ident("include"),
+                TokenKind::Str("qelib1.inc"),
                 TokenKind::Semicolon,
                 TokenKind::Eof
             ]
@@ -438,6 +413,10 @@ mod tests {
         let err = lex("h q;\n  @").unwrap_err();
         assert!(err.message().contains('@'));
         assert_eq!((err.line(), err.col()), (2, 3));
+        // After an error the lexer is exhausted.
+        let mut lexer = Lexer::new("@ x");
+        assert!(lexer.next_token().is_err());
+        assert_eq!(lexer.next_token().unwrap().kind, TokenKind::Eof);
     }
 
     #[test]

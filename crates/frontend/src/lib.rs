@@ -1,8 +1,8 @@
 //! # oneq-frontend
 //!
 //! OpenQASM 2.0 frontend for the OneQ compiler (ISCA'23 reproduction):
-//! a hand-written [`lexer`], a recursive-descent [`parser`], and a
-//! semantic-analysis + lowering pass ([`lower`]) that turns `.qasm`
+//! a hand-written lexer, a recursive-descent parser, and a
+//! semantic-analysis + lowering pass that turns `.qasm`
 //! programs into the [`oneq_circuit::Circuit`] IR the pipeline compiles.
 //!
 //! Supported subset: `OPENQASM 2.0;`, `include "qelib1.inc";`,
@@ -10,8 +10,20 @@
 //! expressions over `pi`), gate applications with whole-register
 //! broadcasting, `barrier` and `measure` (validated, no IR effect).
 //! `opaque`, `if` and `reset` are rejected with targeted messages.
-//! Every error is a [`ParseError`] carrying a 1-based line/column span and
-//! rendering a compiler-style caret snippet via `Display`.
+//! Every error is a [`ParseError`] carrying a 1-based line/column span
+//! (columns count characters, not bytes) and rendering a compiler-style
+//! caret snippet via `Display`.
+//!
+//! Every input gets a circuit or a [`ParseError`], never a stack overflow
+//! or an unbounded allocation: an expression may nest at most 256 levels
+//! deep (parentheses, unary minus, function calls, `^` operands), so may a
+//! gate definition's macros, and a program may lower to at most 2^20 IR
+//! gates.
+//!
+//! The lexer scans bytes and hands out tokens that borrow from the source,
+//! the parser pulls them one at a time, and the qelib1 prelude is parsed
+//! and checked once per process, so a parse allocates about once per
+//! statement.
 //!
 //! # Example
 //!
@@ -30,14 +42,13 @@
 
 #![warn(missing_docs)]
 
-pub mod ast;
+mod ast;
 pub mod error;
-pub mod lexer;
-pub mod lower;
-pub mod parser;
+mod lexer;
+mod lower;
+mod parser;
 
 pub use error::{ParseError, Span};
-pub use lower::Lowered;
 
 use oneq_circuit::Circuit;
 
@@ -48,19 +59,7 @@ use oneq_circuit::Circuit;
 /// Returns the first lexical, syntactic, or semantic error with its
 /// source span.
 pub fn parse_circuit(source: &str) -> Result<Circuit, ParseError> {
-    parse_lowered(source).map(|l| l.circuit)
-}
-
-/// Like [`parse_circuit`], but keeps the register tables alongside the
-/// circuit.
-///
-/// # Errors
-///
-/// Returns the first lexical, syntactic, or semantic error with its
-/// source span.
-pub fn parse_lowered(source: &str) -> Result<Lowered, ParseError> {
-    let program = parser::parse_program(source)?;
-    lower::lower(&program, source)
+    lower::lower(parser::parse_program(source)?, source)
 }
 
 #[cfg(test)]

@@ -6,11 +6,20 @@
 //!   order (the flat index space of the output [`Circuit`]);
 //! * `creg`, `measure` and `barrier` are validated but emit nothing — the
 //!   OneQ pipeline measures every photon as part of the pattern anyway;
-//! * `gate` definitions become macros, checked at definition time (every
-//!   referenced gate must already exist with matching parameter and
-//!   argument counts, so expansion can never recurse);
+//! * `gate` definitions become macros, checked and resolved at definition
+//!   time: every referenced gate must already exist with matching
+//!   parameter and argument counts (so expansion can never recurse), each
+//!   body operation names its callee, parameter slots and formal qubit
+//!   positions directly, and the macro's nesting depth and expanded gate
+//!   count are computed once;
 //! * gate applications broadcast over whole-register arguments and expand
-//!   through macros down to *builtin* gates.
+//!   through macros down to *builtin* gates, evaluating parameters against
+//!   the enclosing application's values on a reused stack.
+//!
+//! Two bounds keep any input inside a worker's stack and memory: a gate
+//! definition may nest macros at most [`MAX_NESTING`] levels deep, and a
+//! program may lower to at most [`MAX_LOWERED_GATES`] IR gates. Both are
+//! checked before anything is emitted.
 //!
 //! Builtins map onto the IR as directly as possible — `h`/`x`/`y`/`z`/
 //! `s`/`sdg`/`t`/`tdg`/`rz`/`rx`/`cz`/`cx`/`swap`/`cu1`/`cp`/`ccx` are
@@ -33,19 +42,25 @@
 //! `CX` exist; the include unlocks the named builtins above plus a prelude
 //! of composite qelib1 gates (`cy`, `ch`, `crz`, `cu3`, `cswap`, `rzz`)
 //! that are themselves defined as macros over the builtins — parsed with
-//! this crate's own parser.
+//! this crate's own parser, once per process.
 
-use crate::ast::{Argument, Expr, GateOp, Program, Stmt};
+use crate::ast::{eval, first_unbound, Argument, GateDef, Op, Program, Stmt, MAX_NESTING};
 use crate::error::{ParseError, Span};
 use crate::parser::parse_program;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::f64::consts::PI;
-use std::rc::Rc;
+use std::sync::OnceLock;
 
 use oneq_circuit::{Circuit, Gate, Qubit};
 
+/// The most IR gates one program may lower to: about 330 times the
+/// largest benchmark input (QAOA-64, 3,152 gates), and small enough that
+/// a program of doubling macros is refused before it allocates.
+const MAX_LOWERED_GATES: usize = 1 << 20;
+
 /// qelib1 composite gates, defined over the builtins with the standard
-/// qelib1.inc bodies. Parsed by this crate's own parser at lowering time.
+/// qelib1.inc bodies. Parsed by this crate's own parser, once per process.
 const QELIB1_PRELUDE: &str = r#"OPENQASM 2.0;
 gate cy a,b { sdg b; cx a,b; s b; }
 gate ch a,b { h b; sdg b; cx a,b; h b; t b; cx a,b; t b; h b; s b; x b; s a; }
@@ -88,6 +103,42 @@ enum Builtin {
 }
 
 impl Builtin {
+    /// The OpenQASM primitives, defined with or without the include.
+    fn primitive(name: &str) -> Option<Builtin> {
+        match name {
+            "U" => Some(Builtin::U3),
+            "CX" => Some(Builtin::Cx),
+            _ => None,
+        }
+    }
+
+    /// The builtins `include "qelib1.inc";` adds.
+    fn qelib1(name: &str) -> Option<Builtin> {
+        Some(match name {
+            "u3" => Builtin::U3,
+            "u2" => Builtin::U2,
+            "u1" | "p" => Builtin::U1,
+            "cx" => Builtin::Cx,
+            "id" => Builtin::Id,
+            "h" => Builtin::H,
+            "x" => Builtin::X,
+            "y" => Builtin::Y,
+            "z" => Builtin::Z,
+            "s" => Builtin::S,
+            "sdg" => Builtin::Sdg,
+            "t" => Builtin::T,
+            "tdg" => Builtin::Tdg,
+            "rx" => Builtin::Rx,
+            "ry" => Builtin::Ry,
+            "rz" => Builtin::Rz,
+            "cz" => Builtin::Cz,
+            "cu1" | "cp" => Builtin::Cp,
+            "swap" => Builtin::Swap,
+            "ccx" => Builtin::Ccx,
+            _ => return None,
+        })
+    }
+
     /// `(parameter count, qubit count)`.
     fn signature(self) -> (usize, usize) {
         match self {
@@ -108,48 +159,75 @@ impl Builtin {
             | Builtin::Tdg => (0, 1),
         }
     }
-}
 
-/// A user (or prelude) gate definition ready for expansion.
-#[derive(Debug)]
-struct MacroDef {
-    params: Vec<String>,
-    qargs: Vec<String>,
-    body: Vec<GateOp>,
-}
-
-#[derive(Debug, Clone)]
-enum GateEntry {
-    Builtin(Builtin),
-    Macro(Rc<MacroDef>),
-}
-
-impl GateEntry {
-    fn signature(&self) -> (usize, usize) {
+    /// IR gates one application emits.
+    fn size(self) -> usize {
         match self {
-            GateEntry::Builtin(b) => b.signature(),
-            GateEntry::Macro(m) => (m.params.len(), m.qargs.len()),
+            Builtin::U3 | Builtin::U2 => 5,
+            Builtin::Ry => 3,
+            Builtin::Id => 0,
+            _ => 1,
         }
     }
 }
 
-/// A declared register: contiguous wires `offset..offset + size`.
-#[derive(Debug, Clone, Copy)]
-struct RegInfo {
-    offset: usize,
-    size: usize,
+/// A gate a name resolves to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Callee {
+    Builtin(Builtin),
+    Macro(MacroId),
 }
 
-/// The result of lowering a program.
-#[derive(Debug, Clone)]
-pub struct Lowered {
-    /// The circuit over all declared qubits (qregs concatenated in
-    /// declaration order).
-    pub circuit: Circuit,
-    /// Quantum registers as `(name, size)` in declaration order.
-    pub qregs: Vec<(String, usize)>,
-    /// Classical registers as `(name, size)` in declaration order.
-    pub cregs: Vec<(String, usize)>,
+/// Where a macro's definition lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MacroId {
+    /// Index into the qelib1 prelude.
+    Prelude(usize),
+    /// Index into the program's own definitions.
+    User(usize),
+}
+
+/// One operation of a macro body, resolved at definition time.
+#[derive(Debug)]
+struct MacroOp<'s> {
+    callee: Callee,
+    /// Postfix code of the parameter expressions, over the macro's
+    /// parameter slots.
+    code: Vec<Op<'s>>,
+    /// The macro's formal qubit positions the callee acts on.
+    qubits: Vec<usize>,
+}
+
+/// A user (or prelude) gate definition ready for expansion.
+#[derive(Debug)]
+struct MacroDef<'s> {
+    n_params: usize,
+    n_qubits: usize,
+    body: Vec<MacroOp<'s>>,
+    /// IR gates one application emits (saturating).
+    size: usize,
+    /// Macro levels of one application, this one included.
+    depth: usize,
+}
+
+/// The qelib1 prelude's macros with their names, parsed and checked once
+/// per process.
+fn prelude() -> &'static [(&'static str, MacroDef<'static>)] {
+    static PRELUDE: OnceLock<Vec<(&'static str, MacroDef<'static>)>> = OnceLock::new();
+    PRELUDE.get_or_init(|| {
+        let program = parse_program(QELIB1_PRELUDE).expect("embedded qelib1 prelude must parse");
+        // Prelude bodies reference only builtins, so the table under
+        // construction is never consulted.
+        let mut lw = Lowerer::new(QELIB1_PRELUDE, true, &[]);
+        for stmt in program.stmts {
+            let Stmt::Gate(def) = stmt else {
+                unreachable!("prelude contains only gate definitions");
+            };
+            lw.define_gate(*def, &program.ops)
+                .expect("embedded qelib1 prelude must lower");
+        }
+        lw.gates.macros
+    })
 }
 
 /// Lowers a parsed program into the IR.
@@ -161,9 +239,28 @@ pub struct Lowered {
 ///
 /// Returns a [`ParseError`] for unknown gates or registers, arity or
 /// parameter-count mismatches, out-of-range indices, broadcast size
-/// mismatches, duplicate qubit arguments, and redefinitions.
-pub fn lower(program: &Program, source: &str) -> Result<Lowered, ParseError> {
-    Lowerer::new(source, program.includes_qelib1).run(program)
+/// mismatches, duplicate qubit arguments, redefinitions, macros nested
+/// past [`MAX_NESTING`], and programs past [`MAX_LOWERED_GATES`].
+pub(crate) fn lower<'s>(program: Program<'s>, source: &'s str) -> Result<Circuit, ParseError> {
+    let prelude = if program.includes_qelib1 {
+        prelude()
+    } else {
+        &[]
+    };
+    Lowerer::new(source, program.includes_qelib1, prelude).run(program)
+}
+
+/// A declared register.
+#[derive(Debug, Clone, Copy)]
+enum Reg {
+    /// Contiguous wires `offset..offset + size`.
+    Quantum {
+        offset: usize,
+        size: usize,
+    },
+    Classical {
+        size: usize,
+    },
 }
 
 /// An argument resolved against the register table.
@@ -173,205 +270,264 @@ enum Resolved {
     Whole { offset: usize, size: usize },
 }
 
-struct Lowerer<'s> {
-    lines: Vec<&'s str>,
-    gates: HashMap<String, GateEntry>,
-    qregs: HashMap<String, RegInfo>,
-    cregs: HashMap<String, RegInfo>,
-    qreg_order: Vec<(String, usize)>,
-    creg_order: Vec<(String, usize)>,
-    n_qubits: usize,
-    emitted: Vec<(Gate, Span)>,
+/// The gates a name can resolve to.
+struct Gates<'s> {
     qelib1: bool,
+    prelude: &'s [(&'static str, MacroDef<'static>)],
+    /// The program's own definitions with their names, in order.
+    macros: Vec<(&'s str, MacroDef<'s>)>,
+    by_name: HashMap<&'s str, usize>,
+}
+
+impl<'s> Gates<'s> {
+    fn lookup(&self, name: &str) -> Option<Callee> {
+        if let Some(b) = Builtin::primitive(name) {
+            return Some(Callee::Builtin(b));
+        }
+        if self.qelib1 {
+            if let Some(b) = Builtin::qelib1(name) {
+                return Some(Callee::Builtin(b));
+            }
+            if let Some(i) = self.prelude.iter().position(|(n, _)| *n == name) {
+                return Some(Callee::Macro(MacroId::Prelude(i)));
+            }
+        }
+        let &i = self.by_name.get(name)?;
+        Some(Callee::Macro(MacroId::User(i)))
+    }
+
+    fn macro_def(&self, id: MacroId) -> &MacroDef<'s> {
+        match id {
+            MacroId::Prelude(i) => &self.prelude[i].1,
+            MacroId::User(i) => &self.macros[i].1,
+        }
+    }
+
+    /// `(parameter count, qubit count)`.
+    fn signature(&self, callee: Callee) -> (usize, usize) {
+        match callee {
+            Callee::Builtin(b) => b.signature(),
+            Callee::Macro(id) => {
+                let m = self.macro_def(id);
+                (m.n_params, m.n_qubits)
+            }
+        }
+    }
+
+    /// `(IR gates one application emits, macro levels it expands)`.
+    fn cost(&self, callee: Callee) -> (usize, usize) {
+        match callee {
+            Callee::Builtin(b) => (b.size(), 0),
+            Callee::Macro(id) => {
+                let m = self.macro_def(id);
+                (m.size, m.depth)
+            }
+        }
+    }
+}
+
+/// The lowered gates, plus the scratch state of expanding applications
+/// into them: every application's parameters and wires live on two stacks
+/// reused across the program, so an expansion allocates nothing once they
+/// have grown.
+struct Emitter<'s> {
+    source: &'s str,
+    gates: Vec<Gate>,
+    /// Parameter values of the applications being expanded, outermost
+    /// first.
+    slots: Vec<f64>,
+    /// Their wires, likewise.
+    wires: Vec<usize>,
+    /// Expression evaluation stack.
+    stack: Vec<f64>,
+}
+
+impl Emitter<'_> {
+    /// Emits `callee` applied to the parameters `slots[params..]` and the
+    /// wires `wires[wires..]`.
+    fn expand(
+        &mut self,
+        gates: &Gates<'_>,
+        callee: Callee,
+        params: usize,
+        wires: usize,
+        span: Span,
+    ) -> Result<(), ParseError> {
+        let m = match callee {
+            Callee::Macro(id) => gates.macro_def(id),
+            Callee::Builtin(b) => {
+                let (n_params, n_qubits) = b.signature();
+                let values = &self.slots[params..params + n_params];
+                // Checked here, not at the call site, so values computed
+                // inside a macro body are caught too.
+                if let Some(v) = values.iter().find(|v| !v.is_finite()) {
+                    return Err(ParseError::at(
+                        self.source,
+                        span,
+                        format!("gate parameter evaluates to {v}; angles must be finite"),
+                    ));
+                }
+                emit_builtin(
+                    &mut self.gates,
+                    b,
+                    values,
+                    &self.wires[wires..wires + n_qubits],
+                );
+                return Ok(());
+            }
+        };
+        for op in &m.body {
+            let (inner_params, inner_wires) = (self.slots.len(), self.wires.len());
+            let scope = &self.slots[params..params + m.n_params];
+            eval(&op.code, scope, &mut self.stack).map_err(|(pspan, p)| {
+                ParseError::at(self.source, pspan, format!("unknown identifier `{p}`"))
+            })?;
+            self.slots.extend_from_slice(&self.stack);
+            for &q in &op.qubits {
+                let wire = self.wires[wires + q];
+                self.wires.push(wire);
+            }
+            self.expand(gates, op.callee, inner_params, inner_wires, span)?;
+            self.slots.truncate(inner_params);
+            self.wires.truncate(inner_wires);
+        }
+        Ok(())
+    }
+}
+
+struct Lowerer<'s> {
+    source: &'s str,
+    gates: Gates<'s>,
+    regs: HashMap<&'s str, Reg>,
+    /// The register looked up last: most statements name the same one, so
+    /// a name comparison usually saves hashing it.
+    last_reg: Cell<Option<(&'s str, Reg)>>,
+    n_qubits: usize,
+    /// Scratch for one application's resolved arguments.
+    resolved: Vec<Resolved>,
+    out: Emitter<'s>,
 }
 
 impl<'s> Lowerer<'s> {
-    fn new(source: &'s str, qelib1: bool) -> Self {
-        let mut lw = Lowerer {
-            lines: source.lines().collect(),
-            gates: HashMap::new(),
-            qregs: HashMap::new(),
-            cregs: HashMap::new(),
-            qreg_order: Vec::new(),
-            creg_order: Vec::new(),
+    fn new(
+        source: &'s str,
+        qelib1: bool,
+        prelude: &'s [(&'static str, MacroDef<'static>)],
+    ) -> Self {
+        Lowerer {
+            source,
+            gates: Gates {
+                qelib1,
+                prelude,
+                macros: Vec::new(),
+                by_name: HashMap::new(),
+            },
+            regs: HashMap::new(),
+            last_reg: Cell::new(None),
             n_qubits: 0,
-            emitted: Vec::new(),
-            qelib1,
-        };
-        lw.gates.insert("U".into(), GateEntry::Builtin(Builtin::U3));
-        lw.gates
-            .insert("CX".into(), GateEntry::Builtin(Builtin::Cx));
-        if qelib1 {
-            lw.install_qelib1();
-        }
-        lw
-    }
-
-    fn install_qelib1(&mut self) {
-        for (name, b) in [
-            ("u3", Builtin::U3),
-            ("u2", Builtin::U2),
-            ("u1", Builtin::U1),
-            ("p", Builtin::U1),
-            ("cx", Builtin::Cx),
-            ("id", Builtin::Id),
-            ("h", Builtin::H),
-            ("x", Builtin::X),
-            ("y", Builtin::Y),
-            ("z", Builtin::Z),
-            ("s", Builtin::S),
-            ("sdg", Builtin::Sdg),
-            ("t", Builtin::T),
-            ("tdg", Builtin::Tdg),
-            ("rx", Builtin::Rx),
-            ("ry", Builtin::Ry),
-            ("rz", Builtin::Rz),
-            ("cz", Builtin::Cz),
-            ("cu1", Builtin::Cp),
-            ("cp", Builtin::Cp),
-            ("swap", Builtin::Swap),
-            ("ccx", Builtin::Ccx),
-        ] {
-            self.gates.insert(name.into(), GateEntry::Builtin(b));
-        }
-        let prelude = parse_program(QELIB1_PRELUDE).expect("embedded qelib1 prelude must parse");
-        for stmt in &prelude.stmts {
-            let Stmt::Gate(def) = stmt else {
-                unreachable!("prelude contains only gate definitions");
-            };
-            // Prelude bodies reference only builtins, so definition-time
-            // checking against the already-filled table must succeed.
-            self.define_gate(def.name.clone(), def, QELIB1_PRELUDE)
-                .expect("embedded qelib1 prelude must lower");
+            resolved: Vec::new(),
+            out: Emitter {
+                source,
+                gates: Vec::new(),
+                slots: Vec::new(),
+                wires: Vec::new(),
+                stack: Vec::new(),
+            },
         }
     }
 
     fn error(&self, span: Span, message: impl Into<String>) -> ParseError {
-        let text = self
-            .lines
-            .get(span.line.saturating_sub(1))
-            .copied()
-            .unwrap_or("");
-        ParseError::new(message, span, text)
+        ParseError::at(self.source, span, message)
     }
 
-    /// Like [`Lowerer::error`] but rendering the snippet from an alternate
-    /// source (used while installing the embedded prelude).
-    fn error_in(&self, span: Span, message: impl Into<String>, source: &str) -> ParseError {
-        let text = source
-            .lines()
-            .nth(span.line.saturating_sub(1))
-            .unwrap_or("");
-        ParseError::new(message, span, text)
-    }
-
-    fn unknown_gate(&self, name: &str, span: Span) -> ParseError {
-        let hint = if !self.qelib1 && QELIB1_NAMES.contains(&name) {
+    fn qelib1_hint(&self, name: &str) -> &'static str {
+        if !self.gates.qelib1 && QELIB1_NAMES.contains(&name) {
             "; did you forget `include \"qelib1.inc\";`?"
         } else {
             ""
-        };
-        self.error(span, format!("unknown gate `{name}`{hint}"))
+        }
     }
 
-    fn run(mut self, program: &Program) -> Result<Lowered, ParseError> {
-        for stmt in &program.stmts {
+    fn run(mut self, program: Program<'s>) -> Result<Circuit, ParseError> {
+        let Program {
+            stmts, args, ops, ..
+        } = program;
+        for stmt in stmts {
             match stmt {
-                Stmt::QReg { name, size, span } => self.declare_qreg(name, *size, *span)?,
-                Stmt::CReg { name, size, span } => self.declare_creg(name, *size, *span)?,
+                Stmt::QReg { name, size, span } => self.declare_qreg(name, size, span)?,
+                Stmt::CReg { name, size, span } => self.declare_creg(name, size, span)?,
                 Stmt::Gate(def) => {
                     // User definitions shadow nothing: redefinition of any
                     // known name (builtin or macro) is an error.
-                    self.define_gate_checked(def)?;
+                    if self.gates.lookup(def.name).is_some() {
+                        return Err(
+                            self.error(def.span, format!("gate `{}` is already defined", def.name))
+                        );
+                    }
+                    self.define_gate(*def, &ops)?;
                 }
                 Stmt::Apply {
                     name,
                     params,
-                    args,
+                    args: range,
                     span,
-                } => self.apply(name, params, args, *span)?,
-                Stmt::Barrier { args, span: _ } => {
-                    for arg in args {
+                } => self.apply(name, &ops[params.ops], params.len, &args[range], span)?,
+                Stmt::Barrier { args: range } => {
+                    for arg in &args[range] {
                         self.resolve_quantum(arg)?;
                     }
                 }
-                Stmt::Measure { src, dst, span } => self.measure(src, dst, *span)?,
+                Stmt::Measure { args: range, span } => {
+                    self.measure(&args[range.start], &args[range.start + 1], span)?;
+                }
             }
         }
         let mut circuit = Circuit::new(self.n_qubits);
-        for (gate, span) in self.emitted {
-            if let Err(e) = circuit.push(gate) {
-                // Duplicate qubits are caught during emission and offsets
-                // are in range by construction, so this is unreachable in
-                // practice; report it cleanly rather than panicking.
-                let text = self
-                    .lines
-                    .get(span.line.saturating_sub(1))
-                    .copied()
-                    .unwrap_or("");
-                return Err(ParseError::new(format!("invalid gate: {e}"), span, text));
-            }
+        for gate in self.out.gates {
+            // Wires are below the final width (registers only add wires,
+            // and the total is checked) and distinct (checked per shot and
+            // per body operation), so the push cannot fail.
+            circuit
+                .push(gate)
+                .expect("lowered gates act on distinct in-range wires");
         }
-        Ok(Lowered {
-            circuit,
-            qregs: self.qreg_order,
-            cregs: self.creg_order,
-        })
+        Ok(circuit)
     }
 
-    fn declare_qreg(&mut self, name: &str, size: usize, span: Span) -> Result<(), ParseError> {
-        if self.qregs.contains_key(name) || self.cregs.contains_key(name) {
+    fn declare(&mut self, name: &'s str, reg: Reg, span: Span) -> Result<(), ParseError> {
+        if self.regs.contains_key(name) {
             return Err(self.error(span, format!("register `{name}` is already declared")));
         }
-        self.qregs.insert(
-            name.to_string(),
-            RegInfo {
-                offset: self.n_qubits,
-                size,
-            },
-        );
-        self.qreg_order.push((name.to_string(), size));
-        self.n_qubits += size;
+        self.regs.insert(name, reg);
         Ok(())
     }
 
-    fn declare_creg(&mut self, name: &str, size: usize, span: Span) -> Result<(), ParseError> {
-        if self.qregs.contains_key(name) || self.cregs.contains_key(name) {
-            return Err(self.error(span, format!("register `{name}` is already declared")));
-        }
-        self.cregs
-            .insert(name.to_string(), RegInfo { offset: 0, size });
-        self.creg_order.push((name.to_string(), size));
+    fn declare_qreg(&mut self, name: &'s str, size: usize, span: Span) -> Result<(), ParseError> {
+        let offset = self.n_qubits;
+        self.declare(name, Reg::Quantum { offset, size }, span)?;
+        self.n_qubits = offset.checked_add(size).ok_or_else(|| {
+            self.error(
+                span,
+                format!(
+                    "register `{name}` takes the qubit count past {}",
+                    usize::MAX
+                ),
+            )
+        })?;
         Ok(())
     }
 
-    fn define_gate_checked(&mut self, def: &crate::ast::GateDef) -> Result<(), ParseError> {
-        if self.gates.contains_key(&def.name) {
-            return Err(self.error(def.span, format!("gate `{}` is already defined", def.name)));
-        }
-        let name = def.name.clone();
-        self.define_gate(name, def, "")
+    fn declare_creg(&mut self, name: &'s str, size: usize, span: Span) -> Result<(), ParseError> {
+        self.declare(name, Reg::Classical { size }, span)
     }
 
-    /// Validates a definition and installs it as a macro. `prelude_source`
-    /// is non-empty while installing the embedded prelude (for snippets).
-    fn define_gate(
-        &mut self,
-        name: String,
-        def: &crate::ast::GateDef,
-        prelude_source: &str,
-    ) -> Result<(), ParseError> {
-        let mk_err = |lw: &Self, span: Span, msg: String| -> ParseError {
-            if prelude_source.is_empty() {
-                lw.error(span, msg)
-            } else {
-                lw.error_in(span, msg, prelude_source)
-            }
-        };
+    /// Validates a definition and installs it as a macro; `ops` is the
+    /// program's postfix-code pool.
+    fn define_gate(&mut self, def: GateDef<'s>, ops: &[Op<'s>]) -> Result<(), ParseError> {
+        let name = def.name;
         for (i, p) in def.params.iter().enumerate() {
             if def.params[i + 1..].contains(p) {
-                return Err(mk_err(
-                    self,
+                return Err(self.error(
                     def.span,
                     format!("duplicate parameter `{p}` in gate `{name}`"),
                 ));
@@ -379,45 +535,34 @@ impl<'s> Lowerer<'s> {
         }
         for (i, q) in def.qargs.iter().enumerate() {
             if def.qargs[i + 1..].contains(q) {
-                return Err(mk_err(
-                    self,
+                return Err(self.error(
                     def.span,
                     format!("duplicate qubit argument `{q}` in gate `{name}`"),
                 ));
             }
         }
-        for op in &def.body {
-            let entry = self
-                .gates
-                .get(&op.name)
-                .ok_or_else(|| {
-                    let hint = if !self.qelib1 && QELIB1_NAMES.contains(&op.name.as_str()) {
-                        "; did you forget `include \"qelib1.inc\";`?"
-                    } else {
-                        ""
-                    };
-                    mk_err(
-                        self,
-                        op.span,
-                        format!("unknown gate `{}` in body of `{name}`{hint}", op.name),
-                    )
-                })?
-                .clone();
-            let (n_params, n_qubits) = entry.signature();
-            if op.params.len() != n_params {
-                return Err(mk_err(
-                    self,
+        let (mut size, mut depth) = (0usize, 1usize);
+        let mut body = Vec::with_capacity(def.body.len());
+        for op in def.body {
+            let callee = self.gates.lookup(op.name).ok_or_else(|| {
+                let hint = self.qelib1_hint(op.name);
+                self.error(
+                    op.span,
+                    format!("unknown gate `{}` in body of `{name}`{hint}", op.name),
+                )
+            })?;
+            let (n_params, n_qubits) = self.gates.signature(callee);
+            if op.params.len != n_params {
+                return Err(self.error(
                     op.span,
                     format!(
                         "gate `{}` takes {n_params} parameter(s), got {}",
-                        op.name,
-                        op.params.len()
+                        op.name, op.params.len
                     ),
                 ));
             }
             if op.args.len() != n_qubits {
-                return Err(mk_err(
-                    self,
+                return Err(self.error(
                     op.span,
                     format!(
                         "gate `{}` acts on {n_qubits} qubit(s), got {}",
@@ -426,105 +571,137 @@ impl<'s> Lowerer<'s> {
                     ),
                 ));
             }
+            let mut qubits = Vec::with_capacity(op.args.len());
             for arg in &op.args {
-                if !def.qargs.contains(arg) {
-                    return Err(mk_err(
-                        self,
+                let Some(q) = def.qargs.iter().position(|a| a == arg) else {
+                    return Err(self.error(
                         op.span,
                         format!("`{arg}` is not a qubit argument of gate `{name}`"),
                     ));
-                }
+                };
+                qubits.push(q);
             }
             for (i, a) in op.args.iter().enumerate() {
                 if op.args[i + 1..].contains(a) {
-                    return Err(mk_err(
-                        self,
+                    return Err(self.error(
                         op.span,
                         format!("gate `{}` applied to duplicate qubit `{a}`", op.name),
                     ));
                 }
             }
-            for expr in &op.params {
-                check_expr_params(expr, &def.params).map_err(|(span, p)| {
-                    mk_err(
-                        self,
-                        span,
-                        format!("unknown identifier `{p}` in body of gate `{name}`"),
-                    )
-                })?;
+            let code = &ops[op.params.ops];
+            if let Some((span, p)) = first_unbound(code) {
+                return Err(self.error(
+                    span,
+                    format!("unknown identifier `{p}` in body of gate `{name}`"),
+                ));
             }
+            let (op_size, op_depth) = self.gates.cost(callee);
+            size = size.saturating_add(op_size);
+            depth = depth.max(op_depth + 1);
+            body.push(MacroOp {
+                callee,
+                code: code.to_vec(),
+                qubits,
+            });
         }
-        self.gates.insert(
+        if depth > MAX_NESTING {
+            return Err(self.error(
+                def.span,
+                format!("gate `{name}` nests gate definitions more than {MAX_NESTING} levels deep"),
+            ));
+        }
+        self.gates.by_name.insert(name, self.gates.macros.len());
+        self.gates.macros.push((
             name,
-            GateEntry::Macro(Rc::new(MacroDef {
-                params: def.params.clone(),
-                qargs: def.qargs.clone(),
-                body: def.body.clone(),
-            })),
-        );
+            MacroDef {
+                n_params: def.params.len(),
+                n_qubits: def.qargs.len(),
+                body,
+                size,
+                depth,
+            },
+        ));
         Ok(())
     }
 
-    fn resolve_quantum(&self, arg: &Argument) -> Result<Resolved, ParseError> {
-        let info = self.qregs.get(&arg.reg).ok_or_else(|| {
-            if self.cregs.contains_key(&arg.reg) {
-                self.error(
+    fn register(&self, name: &str) -> Option<Reg> {
+        match self.last_reg.get() {
+            Some((last, reg)) if last == name => Some(reg),
+            _ => {
+                let (&key, &reg) = self.regs.get_key_value(name)?;
+                self.last_reg.set(Some((key, reg)));
+                Some(reg)
+            }
+        }
+    }
+
+    fn resolve_quantum(&self, arg: &Argument<'_>) -> Result<Resolved, ParseError> {
+        let (offset, size) = match self.register(arg.reg) {
+            Some(Reg::Quantum { offset, size }) => (offset, size),
+            Some(Reg::Classical { .. }) => {
+                return Err(self.error(
                     arg.span,
                     format!(
                         "`{}` is a classical register; a quantum register is required",
                         arg.reg
                     ),
-                )
-            } else {
-                self.error(arg.span, format!("unknown quantum register `{}`", arg.reg))
+                ))
             }
-        })?;
+            None => {
+                return Err(self.error(arg.span, format!("unknown quantum register `{}`", arg.reg)))
+            }
+        };
         match arg.index {
-            Some(i) if i >= info.size => Err(self.error(
+            Some(i) if i >= size => Err(self.error(
                 arg.span,
                 format!(
-                    "index {i} out of range for register `{}` of size {}",
-                    arg.reg, info.size
+                    "index {i} out of range for register `{}` of size {size}",
+                    arg.reg
                 ),
             )),
-            Some(i) => Ok(Resolved::One(info.offset + i)),
-            None => Ok(Resolved::Whole {
-                offset: info.offset,
-                size: info.size,
-            }),
+            Some(i) => Ok(Resolved::One(offset + i)),
+            None => Ok(Resolved::Whole { offset, size }),
         }
     }
 
-    fn resolve_classical(&self, arg: &Argument) -> Result<(usize, Option<usize>), ParseError> {
-        let info = self.cregs.get(&arg.reg).ok_or_else(|| {
-            if self.qregs.contains_key(&arg.reg) {
-                self.error(
+    fn resolve_classical(&self, arg: &Argument<'_>) -> Result<(usize, Option<usize>), ParseError> {
+        let size = match self.register(arg.reg) {
+            Some(Reg::Classical { size }) => size,
+            Some(Reg::Quantum { .. }) => {
+                return Err(self.error(
                     arg.span,
                     format!(
                         "`{}` is a quantum register; a classical register is required",
                         arg.reg
                     ),
-                )
-            } else {
-                self.error(
+                ))
+            }
+            None => {
+                return Err(self.error(
                     arg.span,
                     format!("unknown classical register `{}`", arg.reg),
-                )
+                ))
             }
-        })?;
+        };
         match arg.index {
-            Some(i) if i >= info.size => Err(self.error(
+            Some(i) if i >= size => Err(self.error(
                 arg.span,
                 format!(
-                    "index {i} out of range for register `{}` of size {}",
-                    arg.reg, info.size
+                    "index {i} out of range for register `{}` of size {size}",
+                    arg.reg
                 ),
             )),
-            index => Ok((info.size, index)),
+            index => Ok((size, index)),
         }
     }
 
-    fn measure(&mut self, src: &Argument, dst: &Argument, span: Span) -> Result<(), ParseError> {
+    fn measure(
+        &mut self,
+        src: &Argument<'_>,
+        dst: &Argument<'_>,
+        span: Span,
+    ) -> Result<(), ParseError> {
         let q = self.resolve_quantum(src)?;
         let (c_size, c_index) = self.resolve_classical(dst)?;
         match (q, c_index) {
@@ -543,26 +720,25 @@ impl<'s> Lowerer<'s> {
         }
     }
 
+    /// Lowers one application: `code` holds its `n_given` parameter
+    /// expressions.
     fn apply(
         &mut self,
         name: &str,
-        params: &[Expr],
-        args: &[Argument],
+        code: &[Op<'_>],
+        n_given: usize,
+        args: &[Argument<'_>],
         span: Span,
     ) -> Result<(), ParseError> {
-        let entry = self
-            .gates
-            .get(name)
-            .ok_or_else(|| self.unknown_gate(name, span))?
-            .clone();
-        let (n_params, n_qubits) = entry.signature();
-        if params.len() != n_params {
+        let callee = self.gates.lookup(name).ok_or_else(|| {
+            let hint = self.qelib1_hint(name);
+            self.error(span, format!("unknown gate `{name}`{hint}"))
+        })?;
+        let (n_params, n_qubits) = self.gates.signature(callee);
+        if n_given != n_params {
             return Err(self.error(
                 span,
-                format!(
-                    "gate `{name}` takes {n_params} parameter(s), got {}",
-                    params.len()
-                ),
+                format!("gate `{name}` takes {n_params} parameter(s), got {n_given}"),
             ));
         }
         if args.len() != n_qubits {
@@ -574,33 +750,29 @@ impl<'s> Lowerer<'s> {
                 ),
             ));
         }
-        let values: Vec<f64> = params
-            .iter()
-            .map(|e| {
-                e.eval(&HashMap::new()).map_err(|(pspan, p)| {
-                    self.error(
-                        pspan,
-                        format!(
-                            "unknown identifier `{p}` in parameter expression \
-                             (only constants and `pi` are allowed here)"
-                        ),
-                    )
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let resolved: Vec<Resolved> = args
-            .iter()
-            .map(|a| self.resolve_quantum(a))
-            .collect::<Result<_, _>>()?;
+        eval(code, &[], &mut self.out.stack).map_err(|(pspan, p)| {
+            self.error(
+                pspan,
+                format!(
+                    "unknown identifier `{p}` in parameter expression \
+                     (only constants and `pi` are allowed here)"
+                ),
+            )
+        })?;
+        self.resolved.clear();
+        for arg in args {
+            let r = self.resolve_quantum(arg)?;
+            self.resolved.push(r);
+        }
 
         // Broadcast: whole-register arguments must agree on size; single
         // qubits repeat across the broadcast.
         let mut width: Option<usize> = None;
-        for (arg, r) in args.iter().zip(&resolved) {
-            if let Resolved::Whole { size, .. } = r {
+        for (arg, r) in args.iter().zip(&self.resolved) {
+            if let Resolved::Whole { size, .. } = *r {
                 match width {
-                    None => width = Some(*size),
-                    Some(w) if w != *size => {
+                    None => width = Some(size),
+                    Some(w) if w != size => {
                         return Err(self.error(
                             arg.span,
                             format!(
@@ -614,163 +786,97 @@ impl<'s> Lowerer<'s> {
                 }
             }
         }
-        for shot in 0..width.unwrap_or(1) {
-            let qubits: Vec<usize> = resolved
-                .iter()
-                .map(|r| match *r {
+        let shots = width.unwrap_or(1);
+        let lowered = self
+            .gates
+            .cost(callee)
+            .0
+            .saturating_mul(shots)
+            .saturating_add(self.out.gates.len());
+        if lowered > MAX_LOWERED_GATES {
+            return Err(self.error(
+                span,
+                format!(
+                    "gate `{name}` would lower the program to more than \
+                     {MAX_LOWERED_GATES} gates"
+                ),
+            ));
+        }
+
+        // The top-level application's frame is the bottom of both stacks.
+        self.out.slots.clear();
+        self.out.slots.extend_from_slice(&self.out.stack);
+        for shot in 0..shots {
+            self.out.wires.clear();
+            self.out
+                .wires
+                .extend(self.resolved.iter().map(|r| match *r {
                     Resolved::One(q) => q,
                     Resolved::Whole { offset, .. } => offset + shot,
-                })
-                .collect();
-            for (i, &q) in qubits.iter().enumerate() {
-                if qubits[i + 1..].contains(&q) {
+                }));
+            let wires = &self.out.wires;
+            for (i, &q) in wires.iter().enumerate() {
+                if wires[i + 1..].contains(&q) {
                     return Err(self.error(
                         span,
                         format!("gate `{name}` applied to duplicate qubit (wire {q})"),
                     ));
                 }
             }
-            self.emit(&entry, &values, &qubits, span)?;
+            self.out.expand(&self.gates, callee, 0, 0, span)?;
         }
         Ok(())
     }
-
-    /// Emits one fully-resolved application (post-broadcast).
-    fn emit(
-        &mut self,
-        entry: &GateEntry,
-        params: &[f64],
-        qubits: &[usize],
-        span: Span,
-    ) -> Result<(), ParseError> {
-        match entry {
-            GateEntry::Builtin(b) => {
-                // Checked here, not at the call site, so values computed
-                // inside a macro body are caught too.
-                if let Some(v) = params.iter().find(|v| !v.is_finite()) {
-                    return Err(self.error(
-                        span,
-                        format!("gate parameter evaluates to {v}; angles must be finite"),
-                    ));
-                }
-                self.emit_builtin(*b, params, qubits, span);
-                Ok(())
-            }
-            GateEntry::Macro(m) => {
-                let env: HashMap<String, f64> = m
-                    .params
-                    .iter()
-                    .cloned()
-                    .zip(params.iter().copied())
-                    .collect();
-                let binding: HashMap<&str, usize> = m
-                    .qargs
-                    .iter()
-                    .map(String::as_str)
-                    .zip(qubits.iter().copied())
-                    .collect();
-                for op in &m.body {
-                    // Definition-time checks guarantee these lookups
-                    // succeed; expansion therefore cannot recurse (a body
-                    // can only reference gates defined strictly earlier).
-                    let inner = self
-                        .gates
-                        .get(&op.name)
-                        .cloned()
-                        .ok_or_else(|| self.unknown_gate(&op.name, op.span))?;
-                    let values: Vec<f64> = op
-                        .params
-                        .iter()
-                        .map(|e| {
-                            e.eval(&env).map_err(|(pspan, p)| {
-                                self.error(pspan, format!("unknown identifier `{p}`"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let inner_qubits: Vec<usize> = op
-                        .args
-                        .iter()
-                        .map(|a| {
-                            binding.get(a.as_str()).copied().ok_or_else(|| {
-                                self.error(op.span, format!("unbound qubit argument `{a}`"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    self.emit(&inner, &values, &inner_qubits, span)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn emit_builtin(&mut self, b: Builtin, params: &[f64], qs: &[usize], span: Span) {
-        if b == Builtin::U2 {
-            // u2(φ,λ) = u3(π/2, φ, λ).
-            return self.emit_builtin(Builtin::U3, &[PI / 2.0, params[0], params[1]], qs, span);
-        }
-        let q = |i: usize| Qubit::new(qs[i]);
-        let mut push = |gate: Gate| self.emitted.push((gate, span));
-        match b {
-            Builtin::H => push(Gate::H(q(0))),
-            Builtin::X => push(Gate::X(q(0))),
-            Builtin::Y => push(Gate::Y(q(0))),
-            Builtin::Z => push(Gate::Z(q(0))),
-            Builtin::S => push(Gate::S(q(0))),
-            Builtin::Sdg => push(Gate::Sdg(q(0))),
-            Builtin::T => push(Gate::T(q(0))),
-            Builtin::Tdg => push(Gate::Tdg(q(0))),
-            Builtin::Rx => push(Gate::Rx(q(0), params[0])),
-            Builtin::Rz | Builtin::U1 => push(Gate::Rz(q(0), params[0])),
-            Builtin::Id => {}
-            Builtin::Ry => {
-                // Ry(θ) = S · Rx(θ) · S† (from Y = S·X·S†), program order
-                // rightmost-first.
-                push(Gate::Sdg(q(0)));
-                push(Gate::Rx(q(0), params[0]));
-                push(Gate::S(q(0)));
-            }
-            Builtin::U3 => {
-                // U(θ,φ,λ) = Rz(φ)·Ry(θ)·Rz(λ) up to global phase.
-                let (theta, phi, lambda) = (params[0], params[1], params[2]);
-                push(Gate::Rz(q(0), lambda));
-                push(Gate::Sdg(q(0)));
-                push(Gate::Rx(q(0), theta));
-                push(Gate::S(q(0)));
-                push(Gate::Rz(q(0), phi));
-            }
-            Builtin::U2 => unreachable!("U2 delegates to U3 above"),
-            Builtin::Cx => push(Gate::Cnot {
-                control: q(0),
-                target: q(1),
-            }),
-            Builtin::Cz => push(Gate::Cz(q(0), q(1))),
-            Builtin::Cp => push(Gate::Cp(q(0), q(1), params[0])),
-            Builtin::Swap => push(Gate::Swap(q(0), q(1))),
-            Builtin::Ccx => push(Gate::Ccx {
-                c1: q(0),
-                c2: q(1),
-                target: q(2),
-            }),
-        }
-    }
 }
 
-/// Walks an expression checking that every `Param` is in `allowed`.
-fn check_expr_params(expr: &Expr, allowed: &[String]) -> Result<(), (Span, String)> {
-    match expr {
-        Expr::Param(name, span) => {
-            if allowed.contains(name) {
-                Ok(())
-            } else {
-                Err((*span, name.clone()))
-            }
+fn emit_builtin(out: &mut Vec<Gate>, b: Builtin, params: &[f64], qs: &[usize]) {
+    if b == Builtin::U2 {
+        // u2(φ,λ) = u3(π/2, φ, λ).
+        return emit_builtin(out, Builtin::U3, &[PI / 2.0, params[0], params[1]], qs);
+    }
+    let q = |i: usize| Qubit::new(qs[i]);
+    let mut push = |gate: Gate| out.push(gate);
+    match b {
+        Builtin::H => push(Gate::H(q(0))),
+        Builtin::X => push(Gate::X(q(0))),
+        Builtin::Y => push(Gate::Y(q(0))),
+        Builtin::Z => push(Gate::Z(q(0))),
+        Builtin::S => push(Gate::S(q(0))),
+        Builtin::Sdg => push(Gate::Sdg(q(0))),
+        Builtin::T => push(Gate::T(q(0))),
+        Builtin::Tdg => push(Gate::Tdg(q(0))),
+        Builtin::Rx => push(Gate::Rx(q(0), params[0])),
+        Builtin::Rz | Builtin::U1 => push(Gate::Rz(q(0), params[0])),
+        Builtin::Id => {}
+        Builtin::Ry => {
+            // Ry(θ) = S · Rx(θ) · S† (from Y = S·X·S†), program order
+            // rightmost-first.
+            push(Gate::Sdg(q(0)));
+            push(Gate::Rx(q(0), params[0]));
+            push(Gate::S(q(0)));
         }
-        Expr::Neg(e) | Expr::Call(_, e) => check_expr_params(e, allowed),
-        Expr::Binary(_, a, b) => {
-            check_expr_params(a, allowed)?;
-            check_expr_params(b, allowed)
+        Builtin::U3 => {
+            // U(θ,φ,λ) = Rz(φ)·Ry(θ)·Rz(λ) up to global phase.
+            let (theta, phi, lambda) = (params[0], params[1], params[2]);
+            push(Gate::Rz(q(0), lambda));
+            push(Gate::Sdg(q(0)));
+            push(Gate::Rx(q(0), theta));
+            push(Gate::S(q(0)));
+            push(Gate::Rz(q(0), phi));
         }
-        Expr::Real(_) | Expr::Int(_) | Expr::Pi => Ok(()),
+        Builtin::U2 => unreachable!("U2 delegates to U3 above"),
+        Builtin::Cx => push(Gate::Cnot {
+            control: q(0),
+            target: q(1),
+        }),
+        Builtin::Cz => push(Gate::Cz(q(0), q(1))),
+        Builtin::Cp => push(Gate::Cp(q(0), q(1), params[0])),
+        Builtin::Swap => push(Gate::Swap(q(0), q(1))),
+        Builtin::Ccx => push(Gate::Ccx {
+            c1: q(0),
+            c2: q(1),
+            target: q(2),
+        }),
     }
 }
 
@@ -779,14 +885,13 @@ mod tests {
     use super::*;
     use crate::parser::parse_program;
 
-    fn lower_src(src: &str) -> Result<Lowered, ParseError> {
-        lower(&parse_program(src)?, src)
+    fn lower_src(src: &str) -> Result<Circuit, ParseError> {
+        lower(parse_program(src)?, src)
     }
 
     fn gates(src: &str) -> Vec<Gate> {
         lower_src(src)
             .expect("program should lower")
-            .circuit
             .gates()
             .to_vec()
     }
@@ -932,9 +1037,8 @@ mod tests {
             "{HDR}qreg q[2];\ncreg c[2];\nh q;\nbarrier q;\nmeasure q -> c;"
         ))
         .unwrap();
-        assert_eq!(lowered.circuit.gate_count(), 2);
-        assert_eq!(lowered.qregs, vec![("q".to_string(), 2)]);
-        assert_eq!(lowered.cregs, vec![("c".to_string(), 2)]);
+        assert_eq!(lowered.gate_count(), 2);
+        assert_eq!(lowered.n_qubits(), 2, "classical bits add no wires");
     }
 
     #[test]
@@ -1024,7 +1128,62 @@ mod tests {
     #[test]
     fn qubits_accumulate_across_qregs() {
         let lowered = lower_src(&format!("{HDR}qreg a[2];\nqreg b[3];\nx b[0];")).unwrap();
-        assert_eq!(lowered.circuit.n_qubits(), 5);
-        assert_eq!(lowered.circuit.gates()[0], Gate::X(Qubit::new(2)));
+        assert_eq!(lowered.n_qubits(), 5);
+        assert_eq!(lowered.gates()[0], Gate::X(Qubit::new(2)));
+    }
+
+    /// `gate g0 a { x a; }` and `n` more definitions, each applying the
+    /// previous one `copies` times.
+    fn macro_tower(n: usize, copies: usize) -> String {
+        let mut src = format!("{HDR}qreg q[2];\ngate g0 a {{ x a; }}\n");
+        for i in 1..=n {
+            let body = format!("g{} a; ", i - 1).repeat(copies);
+            src.push_str(&format!("gate g{i} a {{ {body}}}\n"));
+        }
+        src
+    }
+
+    #[test]
+    fn macro_nesting_is_bounded_at_definition() {
+        // g0 is one level deep, so g255 is MAX_NESTING levels deep.
+        let g = gates(&format!("{}g255 q[1];", macro_tower(255, 1)));
+        assert_eq!(g, vec![Gate::X(Qubit::new(1))]);
+        let err = lower_src(&macro_tower(256, 1)).unwrap_err();
+        assert_eq!(
+            err.message(),
+            format!("gate `g256` nests gate definitions more than {MAX_NESTING} levels deep")
+        );
+        assert_eq!((err.line(), err.col()), (260, 1), "at the definition");
+    }
+
+    #[test]
+    fn lowered_gate_count_is_capped_before_emitting() {
+        // g20 doubles up to exactly the cap; one more gate is refused.
+        let tower = macro_tower(20, 2);
+        assert_eq!(gates(&format!("{tower}g20 q[0];")).len(), MAX_LOWERED_GATES);
+        let err = lower_src(&format!("{tower}g20 q[0];\nh q[1];")).unwrap_err();
+        assert_eq!(
+            err.message(),
+            format!("gate `h` would lower the program to more than {MAX_LOWERED_GATES} gates")
+        );
+        assert_eq!((err.line(), err.col()), (26, 1));
+        // A broadcast counts every shot (two here); sizes saturate instead
+        // of overflowing.
+        let err = lower_src(&format!("{tower}g20 q;")).unwrap_err();
+        assert!(err.message().starts_with("gate `g20` would lower"), "{err}");
+        let huge = macro_tower(80, 2);
+        let err = lower_src(&format!("{huge}g80 q[0];")).unwrap_err();
+        assert!(err.message().starts_with("gate `g80` would lower"), "{err}");
+    }
+
+    #[test]
+    fn total_qubit_count_cannot_overflow() {
+        let err =
+            lower_src(&format!("{HDR}qreg a[18446744073709551615];\nqreg b[1];")).unwrap_err();
+        assert_eq!(
+            err.message(),
+            format!("register `b` takes the qubit count past {}", usize::MAX)
+        );
+        assert_eq!((err.line(), err.col()), (4, 1));
     }
 }

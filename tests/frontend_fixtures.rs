@@ -729,3 +729,64 @@ fn every_error_rendering_is_pinned() {
          --> bad.qasm:3:1\n   |\n 3 | h q[0];\n   | ^"
     );
 }
+
+/// `gate g0 a { x a; }` and `n` more definitions, each applying the
+/// previous one `copies` times, after a one-qubit header.
+fn macro_tower(n: usize, copies: usize) -> String {
+    let mut src =
+        String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ngate g0 a { x a; }\n");
+    for i in 1..=n {
+        let body = format!("g{} a; ", i - 1).repeat(copies);
+        src.push_str(&format!("gate g{i} a {{ {body}}}\n"));
+    }
+    src
+}
+
+/// Inputs that once overflowed a worker's stack or asked for tens of GiB:
+/// 10^4 parentheses, 10^5 unary minus signs, a chain of 10^4 one-op
+/// macros, and 30 doubling macros (2^30 gates). Each gets its error
+/// promptly on a thread with a pool worker's 2 MiB stack.
+#[test]
+fn hostile_inputs_get_errors_on_a_worker_sized_stack() {
+    let header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\n";
+    let cases = [
+        (
+            format!(
+                "{header}rz({}1{}) q[0];",
+                "(".repeat(10_000),
+                ")".repeat(10_000)
+            ),
+            "4:260: expression nests more than 256 levels deep",
+        ),
+        (
+            format!("{header}rz({}1) q[0];", "-".repeat(100_000)),
+            "4:260: expression nests more than 256 levels deep",
+        ),
+        (
+            format!("{}g9999 q[0];", macro_tower(9_999, 1)),
+            "260:1: gate `g256` nests gate definitions more than 256 levels deep",
+        ),
+        (
+            format!("{}g30 q[0];", macro_tower(30, 2)),
+            "35:1: gate `g30` would lower the program to more than 1048576 gates",
+        ),
+    ];
+    for (source, expected) in cases {
+        let started = std::time::Instant::now();
+        let line = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || match parse_circuit(&source) {
+                Ok(c) => format!("lowered to {} gates", c.gate_count()),
+                Err(e) => e.to_line(),
+            })
+            .expect("spawn a 2 MiB thread")
+            .join()
+            .expect("parse_circuit returns");
+        assert_eq!(line, expected);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(10),
+            "{expected}: took {:?}",
+            started.elapsed()
+        );
+    }
+}

@@ -936,6 +936,55 @@ fn a_program_without_qubits_gets_422_and_the_worker_keeps_serving() {
         .expect("clean shutdown");
 }
 
+/// A 20 KB body whose expression nests 10^4 parentheses deep. It once
+/// overflowed a pool worker's 2 MiB stack, which aborts the whole daemon.
+#[test]
+fn a_deeply_nested_expression_gets_422_and_the_server_keeps_serving() {
+    let _cpu = shared_cpu();
+    // See the test above for why a failing run leaks the server.
+    let handle = ManuallyDrop::new(spawn_server_with(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    }));
+    let body = format!(
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1]; rz({}1{}) q[0];\n",
+        "(".repeat(10_000),
+        ")".repeat(10_000)
+    );
+    assert!(body.len() > 20_000);
+    let resp = http::request(
+        handle.addr(),
+        "POST",
+        "/v1/compile?file=deep.qasm",
+        body.as_bytes(),
+        SHORT,
+    )
+    .expect("an answer for a deeply nested expression");
+    assert_eq!(resp.status, 422);
+    let record = String::from_utf8(resp.body).expect("JSON body");
+    assert!(
+        record.starts_with("{\"file\": \"deep.qasm\", \"status\": \"error\""),
+        "{record}"
+    );
+    assert!(
+        record.contains("deep.qasm:3:271: expression nests more than 256 levels deep"),
+        "{record}"
+    );
+
+    let path = &fixture_files()[0];
+    let source = std::fs::read(path).expect("read fixture");
+    let target = format!(
+        "/v1/compile?file={}",
+        http::percent_encode(&path.display().to_string())
+    );
+    let next = http::request(handle.addr(), "POST", &target, &source, SHORT)
+        .expect("the server still compiles");
+    assert_eq!(next.status, 200);
+    ManuallyDrop::into_inner(handle)
+        .shutdown()
+        .expect("clean shutdown");
+}
+
 #[test]
 fn a_batch_line_without_qubits_is_an_error_record() {
     let _cpu = shared_cpu();
