@@ -5,12 +5,17 @@
 //! * The `u1/u2/u3/ry` lowerings reproduce the standard qelib1 matrices
 //!   on the state-vector simulator, and the prelude's composite gates
 //!   (`crz`, `cu3`, `ch`, `cy`) act as their controlled references.
+//! * Fuzz: seeded inputs mixed from QASM tokens, ASCII and multi-byte
+//!   characters, and insert/delete/replace mutations of the
+//!   `tests/fixtures/qasm` sources, never panic `parse_circuit`, and every
+//!   error points inside the source and shows the line it points at.
 
 use oneq_circuit::{Circuit, Gate};
 use oneq_frontend::parse_circuit;
 use oneq_sim::{Complex, StateVector};
 use proptest::prelude::*;
 use std::f64::consts::{FRAC_1_SQRT_2, PI};
+use std::sync::OnceLock;
 
 /// Strategy: a random circuit over the QASM-exportable gate set (all IR
 /// gates except `J`, which exports as its `rz; h` definition). Angles mix
@@ -239,4 +244,217 @@ fn fixture_style_header_with_comments_parses() {
     )
     .unwrap();
     assert_eq!(c.gate_count(), 2);
+}
+
+/// What the fuzz inputs are mixed from: QASM tokens and keywords, ASCII
+/// punctuation and layout, multi-byte characters, and fragments that push
+/// the frontend's bounds (deep nesting, huge integers and registers).
+const PIECES: &[&str] = &[
+    "OPENQASM 2.0;",
+    "OPENQASM",
+    "2.0",
+    "3.0",
+    ";",
+    ",",
+    "include",
+    "\"qelib1.inc\"",
+    "\"",
+    "qreg",
+    "creg",
+    "gate",
+    "measure",
+    "barrier",
+    "opaque",
+    "if",
+    "reset",
+    "q",
+    "c",
+    "a",
+    "b",
+    "g",
+    "theta",
+    "h",
+    "x",
+    "cx",
+    "ccx",
+    "rz",
+    "u2",
+    "u3",
+    "U",
+    "CX",
+    "cu1",
+    "cswap",
+    "pi",
+    "sin",
+    "ln",
+    "[",
+    "]",
+    "(",
+    ")",
+    "{",
+    "}",
+    "0",
+    "1",
+    "7",
+    "16",
+    ".",
+    "0.5",
+    "1e3",
+    "2.5e-2",
+    ".e5",
+    "+",
+    "-",
+    "*",
+    "/",
+    "^",
+    "->",
+    "==",
+    "=",
+    " ",
+    "  ",
+    "\t",
+    "\n",
+    "\r\n",
+    "\r",
+    "//",
+    "// note\n",
+    "@",
+    "$",
+    "#",
+    "~",
+    "é",
+    "π",
+    "ü",
+    "→",
+    "😀",
+    "\u{2028}",
+    "q[0]",
+    "q[1]",
+    "qreg q[2];",
+    "h q;",
+    "gate g(t) a { rz(t) a; }",
+    "g(pi) q[0];",
+    "((((((((",
+    "))))))))",
+    "--------",
+    "18446744073709551615",
+    "18446744073709551616",
+    "qreg r[18446744073709551615];",
+    "1e999",
+    "0/0",
+];
+
+/// The `tests/fixtures/qasm` sources, read once.
+fn fixture_sources() -> &'static [String] {
+    static SOURCES: OnceLock<Vec<String>> = OnceLock::new();
+    SOURCES.get_or_init(|| {
+        let mut paths: Vec<_> = std::fs::read_dir(oneq_bench::qasm_fixture_dir())
+            .expect("read tests/fixtures/qasm")
+            .map(|entry| entry.expect("fixture entry").path())
+            .collect();
+        paths.sort();
+        let sources: Vec<String> = paths
+            .iter()
+            .map(|p| std::fs::read_to_string(p).expect("read fixture"))
+            .collect();
+        assert_eq!(sources.len(), 7, "the seven fixture sources");
+        sources
+    })
+}
+
+/// Applies `(kind, at, piece, len)` edits to `source` at character
+/// boundaries, so the result stays valid UTF-8: kind 0 inserts
+/// `PIECES[piece]`, kind 1 deletes `len` characters, kind 2 replaces them
+/// with the piece, and kind 3 inserts the piece as a line of its own, so
+/// whole statements land between statements.
+fn mutate(source: &str, edits: &[(usize, usize, usize, usize)]) -> String {
+    let mut out = source.to_string();
+    for &(kind, at, piece, len) in edits {
+        if kind == 3 {
+            let starts: Vec<usize> = [0]
+                .into_iter()
+                .chain(out.match_indices('\n').map(|(i, _)| i + 1))
+                .collect();
+            out.insert_str(starts[at % starts.len()], &format!("{}\n", PIECES[piece]));
+            continue;
+        }
+        let bounds: Vec<usize> = out
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([out.len()])
+            .collect();
+        let first = at % bounds.len();
+        let range = bounds[first]..bounds[(first + len).min(bounds.len() - 1)];
+        match kind {
+            0 => out.insert_str(range.start, PIECES[piece]),
+            1 => out.replace_range(range, ""),
+            _ => out.replace_range(range, PIECES[piece]),
+        }
+    }
+    out
+}
+
+/// `parse_circuit` returns (no panic), and an error's line and column lie
+/// inside `source` and its snippet is the line it points at.
+fn check_frontend(source: &str) -> Result<(), TestCaseError> {
+    let Ok(parsed) = std::panic::catch_unwind(|| parse_circuit(source)) else {
+        return Err(TestCaseError::fail(format!(
+            "parse_circuit panicked on {source:?}"
+        )));
+    };
+    let Err(e) = parsed else {
+        return Ok(());
+    };
+    let lines: Vec<&str> = source.split('\n').collect();
+    prop_assert!(
+        (1..=lines.len()).contains(&e.line()),
+        "line {} outside 1..={} for {source:?}: {e}",
+        e.line(),
+        lines.len()
+    );
+    let width = lines[e.line() - 1].chars().count();
+    prop_assert!(
+        (1..=width + 1).contains(&e.col()),
+        "column {} outside 1..={} for {source:?}: {e}",
+        e.col(),
+        width + 1
+    );
+    let line_text = source.lines().nth(e.line() - 1).unwrap_or("");
+    let expected = format!(" {} | {line_text}", e.line());
+    let rendered = e.to_string();
+    prop_assert_eq!(
+        rendered.split('\n').nth(3),
+        Some(expected.as_str()),
+        "snippet for {:?}",
+        source
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    #[test]
+    fn fuzzed_token_soup_never_panics_the_frontend(
+        picks in proptest::collection::vec(0..PIECES.len(), 0..48usize)
+    ) {
+        let source: String = picks.iter().map(|&i| PIECES[i]).collect();
+        check_frontend(&source)?;
+        let headed = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n{source}");
+        check_frontend(&headed)?;
+    }
+
+    #[test]
+    fn fuzzed_fixture_mutations_never_panic_the_frontend(
+        case in (
+            0..7usize,
+            proptest::collection::vec(
+                (0..4usize, 0..1_000_000usize, 0..PIECES.len(), 1..24usize),
+                1..6usize,
+            ),
+        )
+    ) {
+        let (fixture, edits) = case;
+        check_frontend(&mutate(&fixture_sources()[fixture], &edits))?;
+    }
 }
