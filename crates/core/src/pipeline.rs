@@ -4,7 +4,7 @@ use crate::fusion_graph;
 use crate::mapping::{self, LayerLayout, MappingOptions};
 use crate::partition::{self, PartitionOptions};
 use oneq_circuit::Circuit;
-use oneq_hardware::{ExtendedLayer, LayerGeometry, Position, ResourceKind};
+use oneq_hardware::{ExtendedLayer, LayerGeometry, Position, ResourceKind, Topology};
 use oneq_mbqc::{translate, Pattern};
 use std::fmt;
 use std::time::Instant;
@@ -226,7 +226,19 @@ pub struct Compiler {
 
 impl Compiler {
     /// Creates a compiler with the given options.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options.extension_factor > 1` on a triangular or
+    /// hexagonal layer. An extended layer mirrors every odd sub-layer
+    /// (paper Fig. 5b), which keeps orthogonal couplings only, so the
+    /// mapper would fuse physically uncoupled pairs.
     pub fn new(options: CompilerOptions) -> Self {
+        assert!(
+            options.extension_factor <= 1 || options.geometry.topology() == Topology::Orthogonal,
+            "extended layers need an orthogonal base layer, not {:?}",
+            options.geometry.topology()
+        );
         Compiler { options }
     }
 
@@ -441,6 +453,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "extended layers need an orthogonal base layer, not Triangular")]
+    fn extended_triangular_layers_are_refused() {
+        let geometry = LayerGeometry::new(8, 8).with_topology(Topology::Triangular);
+        Compiler::new(CompilerOptions::new(geometry).with_extension(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "extended layers need an orthogonal base layer, not Hexagonal")]
+    fn extended_hexagonal_layers_are_refused() {
+        let geometry = LayerGeometry::new(8, 8).with_topology(Topology::Hexagonal);
+        Compiler::new(CompilerOptions::new(geometry).with_extension(2));
+    }
+
+    #[test]
     fn extension_factor_scales_depth_units() {
         let c = benchmarks::qft(4);
         let base = CompilerOptions::new(LayerGeometry::new(6, 6));
@@ -461,7 +487,6 @@ mod tests {
 
     #[test]
     fn non_orthogonal_topologies_compile() {
-        use oneq_hardware::Topology;
         let c = benchmarks::qft(4);
         let ortho = small_compiler().compile(&c);
         for topo in [Topology::Triangular, Topology::Hexagonal] {

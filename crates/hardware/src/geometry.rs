@@ -623,4 +623,36 @@ mod tests {
             assert_eq!(ext.to_physical(p), (0, p));
         }
     }
+
+    /// `(couplings inside one sub-layer, those uncoupled once mapped
+    /// through to_physical)` on a 16x16 x2 extended layer of `topology`.
+    fn sub_layer_couplings(topology: Topology) -> (usize, usize) {
+        let base = LayerGeometry::new(16, 16).with_topology(topology);
+        let ext = ExtendedLayer::new(base, 2);
+        let (mut inside, mut uncoupled) = (0, 0);
+        for p in ext.geometry().positions() {
+            for q in ext.geometry().neighbors(p) {
+                let ((sp, pp), (sq, pq)) = (ext.to_physical(p), ext.to_physical(q));
+                if sp != sq {
+                    continue;
+                }
+                inside += 1;
+                if !base.neighbors(pp).contains(&pq) {
+                    uncoupled += 1;
+                }
+            }
+        }
+        (inside, uncoupled)
+    }
+
+    /// The premise of extended layers: the mirrored sub-layers keep every
+    /// orthogonal coupling. Triangular and hexagonal couplings are not
+    /// mirror-symmetric, which is why `Compiler::new` refuses extension on
+    /// them.
+    #[test]
+    fn mirrored_sub_layers_keep_orthogonal_couplings_only() {
+        assert_eq!(sub_layer_couplings(Topology::Orthogonal), (1920, 0));
+        assert_eq!(sub_layer_couplings(Topology::Triangular), (2820, 450));
+        assert_eq!(sub_layer_couplings(Topology::Hexagonal), (1440, 240));
+    }
 }
