@@ -130,23 +130,24 @@ impl ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "error: {}", self.0.message)?;
-        let file = self.0.file.as_deref().unwrap_or("<qasm>");
-        writeln!(f, "  --> {file}:{}", self.0.span)?;
+        let Detail {
+            message,
+            span,
+            line_text,
+            file,
+        } = &*self.0;
+        writeln!(f, "error: {message}")?;
+        let file = file.as_deref().unwrap_or("<qasm>");
+        writeln!(f, "  --> {file}:{span}")?;
         // Gutter width follows the line number so the pipes align.
-        let num = self.0.span.line.to_string();
+        let num = span.line.to_string();
         let pad = " ".repeat(num.len());
         writeln!(f, " {pad} |")?;
-        writeln!(f, " {num} | {}", self.0.line_text)?;
+        writeln!(f, " {num} | {line_text}")?;
         // The caret lands under column `col` (1-based). Tabs in the source
         // line are echoed into the pad so the caret stays aligned.
         let mut caret_pad = String::new();
-        for ch in self
-            .0
-            .line_text
-            .chars()
-            .take(self.0.span.col.saturating_sub(1))
-        {
+        for ch in line_text.chars().take(span.col.saturating_sub(1)) {
             caret_pad.push(if ch == '\t' { '\t' } else { ' ' });
         }
         write!(f, " {pad} | {caret_pad}^")
