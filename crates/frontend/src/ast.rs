@@ -84,8 +84,7 @@ impl Func {
 /// One step of a parameter expression in postfix order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Op<'s> {
-    /// Pushes a constant: a literal, `pi`, or a folded constant
-    /// subexpression.
+    /// Pushes a constant: a literal or `pi`.
     Const(f64),
     /// Pushes the value of a gate's formal parameter (its position in the
     /// definition's parameter list).
@@ -99,24 +98,6 @@ pub(crate) enum Op<'s> {
     Binary(BinOp),
     /// Applies a function to the top of the stack.
     Call(Func),
-}
-
-/// Appends `op` to the postfix `code` of the expression being built. An
-/// operator whose operands are all constants is folded into one constant,
-/// computed with the same operations evaluation would run, so the value is
-/// bit-identical and a constant expression costs one op. An operator's
-/// operands are the ops just before it, so the fold never reaches into an
-/// earlier expression.
-pub(crate) fn push_op<'s>(code: &mut Vec<Op<'s>>, op: Op<'s>) {
-    match (op, code.as_mut_slice()) {
-        (Op::Neg, [.., Op::Const(a)]) => *a = -*a,
-        (Op::Call(f), [.., Op::Const(a)]) => *a = f.apply(*a),
-        (Op::Binary(b), [.., Op::Const(x), Op::Const(y)]) => {
-            *x = b.apply(*x, *y);
-            code.pop();
-        }
-        _ => code.push(op),
-    }
 }
 
 /// The first identifier in `code`, in evaluation order, that names no
@@ -170,7 +151,7 @@ pub(crate) fn eval<'s>(
 
 /// Where one application's parameter expressions sit in the program's op
 /// pool ([`Program::ops`]), and how many there are.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Params {
     /// The expressions' postfix code, one after another.
     pub(crate) ops: Range<usize>,
@@ -251,7 +232,7 @@ pub(crate) enum Stmt<'s> {
         span: Span,
     },
     /// `gate name(params) qargs { ... }`
-    Gate(Box<GateDef<'s>>),
+    Gate(GateDef<'s>),
     /// `name(params) args;` — a gate application.
     Apply {
         /// Gate name.
@@ -299,14 +280,6 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
-    fn code(ops: &[Op<'static>]) -> Vec<Op<'static>> {
-        let mut code = Vec::new();
-        for &op in ops {
-            push_op(&mut code, op);
-        }
-        code
-    }
-
     fn value(code: &[Op<'static>], slots: &[f64]) -> Result<f64, (Span, &'static str)> {
         let mut stack = Vec::new();
         eval(code, slots, &mut stack)?;
@@ -316,48 +289,38 @@ mod tests {
 
     #[test]
     fn eval_constant_folds() {
-        let folded = code(&[Op::Const(PI), Op::Const(4.0), Op::Binary(BinOp::Div)]);
-        assert_eq!(folded, vec![Op::Const(PI / 4.0)]);
-        assert_eq!(value(&folded, &[]).unwrap(), PI / 4.0);
-        // An operand that is not constant stops the fold.
-        let open = code(&[Op::Slot(0), Op::Const(4.0), Op::Binary(BinOp::Div)]);
-        assert_eq!(open.len(), 3);
-        assert_eq!(value(&open, &[PI]).unwrap(), PI / 4.0);
+        let quarter = [Op::Const(PI), Op::Const(4.0), Op::Binary(BinOp::Div)];
+        assert_eq!(value(&quarter, &[]).unwrap(), PI / 4.0);
         // Two expressions in a row evaluate to two values.
         let mut stack = Vec::new();
-        eval(
-            &code(&[Op::Const(1.0), Op::Slot(0), Op::Neg]),
-            &[2.0],
-            &mut stack,
-        )
-        .unwrap();
+        eval(&[Op::Const(1.0), Op::Slot(0), Op::Neg], &[2.0], &mut stack).unwrap();
         assert_eq!(stack, vec![1.0, -2.0]);
     }
 
     #[test]
     fn eval_resolves_params() {
-        let c = code(&[Op::Slot(1), Op::Neg]);
+        let c = [Op::Slot(1), Op::Neg];
         assert_eq!(value(&c, &[2.0, 0.5]).unwrap(), -0.5);
     }
 
     #[test]
     fn eval_unbound_param_reports_span() {
-        let c = code(&[
+        let c = [
             Op::Const(1.0),
             Op::Unbound("phi", Span::new(3, 7)),
             Op::Binary(BinOp::Add),
             Op::Unbound("psi", Span::new(3, 9)),
             Op::Binary(BinOp::Mul),
-        ]);
+        ];
         assert_eq!(value(&c, &[]).unwrap_err(), (Span::new(3, 7), "phi"));
         assert_eq!(first_unbound(&c), Some((Span::new(3, 7), "phi")));
     }
 
     #[test]
     fn eval_pow_and_funcs() {
-        let c = code(&[Op::Const(2.0), Op::Const(10.0), Op::Binary(BinOp::Pow)]);
+        let c = [Op::Const(2.0), Op::Const(10.0), Op::Binary(BinOp::Pow)];
         assert_eq!(value(&c, &[]).unwrap(), 1024.0);
-        let s = code(&[Op::Slot(0), Op::Call(Func::Sqrt)]);
+        let s = [Op::Slot(0), Op::Call(Func::Sqrt)];
         assert_eq!(value(&s, &[9.0]).unwrap(), 3.0);
         assert_eq!(Func::from_name("cos"), Some(Func::Cos));
         assert_eq!(Func::from_name("nope"), None);

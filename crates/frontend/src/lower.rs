@@ -47,7 +47,6 @@
 use crate::ast::{eval, first_unbound, Argument, GateDef, Op, Program, Stmt, MAX_NESTING};
 use crate::error::{ParseError, Span};
 use crate::parser::parse_program;
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::f64::consts::PI;
 use std::sync::OnceLock;
@@ -223,7 +222,7 @@ fn prelude() -> &'static [(&'static str, MacroDef<'static>)] {
             let Stmt::Gate(def) = stmt else {
                 unreachable!("prelude contains only gate definitions");
             };
-            lw.define_gate(*def, &program.ops)
+            lw.define_gate(def, &program.ops)
                 .expect("embedded qelib1 prelude must lower");
         }
         lw.gates.macros
@@ -399,9 +398,6 @@ struct Lowerer<'s> {
     source: &'s str,
     gates: Gates<'s>,
     regs: HashMap<&'s str, Reg>,
-    /// The register looked up last: most statements name the same one, so
-    /// a name comparison usually saves hashing it.
-    last_reg: Cell<Option<(&'s str, Reg)>>,
     n_qubits: usize,
     /// Scratch for one application's resolved arguments.
     resolved: Vec<Resolved>,
@@ -423,7 +419,6 @@ impl<'s> Lowerer<'s> {
                 by_name: HashMap::new(),
             },
             regs: HashMap::new(),
-            last_reg: Cell::new(None),
             n_qubits: 0,
             resolved: Vec::new(),
             out: Emitter {
@@ -464,7 +459,7 @@ impl<'s> Lowerer<'s> {
                             self.error(def.span, format!("gate `{}` is already defined", def.name))
                         );
                     }
-                    self.define_gate(*def, &ops)?;
+                    self.define_gate(def, &ops)?;
                 }
                 Stmt::Apply {
                     name,
@@ -625,20 +620,9 @@ impl<'s> Lowerer<'s> {
         Ok(())
     }
 
-    fn register(&self, name: &str) -> Option<Reg> {
-        match self.last_reg.get() {
-            Some((last, reg)) if last == name => Some(reg),
-            _ => {
-                let (&key, &reg) = self.regs.get_key_value(name)?;
-                self.last_reg.set(Some((key, reg)));
-                Some(reg)
-            }
-        }
-    }
-
     fn resolve_quantum(&self, arg: &Argument<'_>) -> Result<Resolved, ParseError> {
-        let (offset, size) = match self.register(arg.reg) {
-            Some(Reg::Quantum { offset, size }) => (offset, size),
+        let (offset, size) = match self.regs.get(arg.reg) {
+            Some(&Reg::Quantum { offset, size }) => (offset, size),
             Some(Reg::Classical { .. }) => {
                 return Err(self.error(
                     arg.span,
@@ -666,8 +650,8 @@ impl<'s> Lowerer<'s> {
     }
 
     fn resolve_classical(&self, arg: &Argument<'_>) -> Result<(usize, Option<usize>), ParseError> {
-        let size = match self.register(arg.reg) {
-            Some(Reg::Classical { size }) => size,
+        let size = match self.regs.get(arg.reg) {
+            Some(&Reg::Classical { size }) => size,
             Some(Reg::Quantum { .. }) => {
                 return Err(self.error(
                     arg.span,

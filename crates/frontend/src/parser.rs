@@ -20,7 +20,7 @@
 //! ```
 //!
 //! The parser pulls tokens from the [`Lexer`] one at a time. A lexical
-//! error anywhere in the source still takes precedence over a syntax
+//! error anywhere in the source takes precedence over a syntax
 //! error: on a syntax error the rest of the source is lexed, and its first
 //! lexical error, if any, is returned instead. Statement arguments and
 //! parameter expressions go into the program's two pools; expressions are
@@ -32,9 +32,7 @@
 //! other than `qelib1.inc` — are rejected with a targeted message rather
 //! than a generic syntax error.
 
-use crate::ast::{
-    push_op, Argument, BinOp, Func, GateDef, GateOp, Op, Params, Program, Stmt, MAX_NESTING,
-};
+use crate::ast::{Argument, BinOp, Func, GateDef, GateOp, Op, Params, Program, Stmt, MAX_NESTING};
 use crate::error::{ParseError, Span};
 use crate::lexer::{Lexer, Token, TokenKind};
 use std::f64::consts::PI;
@@ -86,8 +84,9 @@ impl<'s> Parser<'s> {
         Ok(())
     }
 
-    /// Whether the current token is of `kind`'s variant (the parser asks
-    /// this only of variants without a payload).
+    /// Whether the current token is of `kind`'s variant. The parser asks
+    /// this only of variants without a payload; comparing discriminants
+    /// skips the payload comparison `==` would compile to.
     fn at(&self, kind: TokenKind<'_>) -> bool {
         std::mem::discriminant(&self.tok.kind) == std::mem::discriminant(&kind)
     }
@@ -291,13 +290,13 @@ impl<'s> Parser<'s> {
             }
         }
         self.bump()?; // `}`
-        Ok(Stmt::Gate(Box::new(GateDef {
+        Ok(Stmt::Gate(GateDef {
             name,
             params: std::mem::take(&mut self.formals),
             qargs,
             body,
             span,
-        })))
+        }))
     }
 
     /// One operation inside a gate body; `barrier` yields `None`.
@@ -406,10 +405,6 @@ impl<'s> Parser<'s> {
 
     // --- parameter expressions -------------------------------------------
 
-    fn push(&mut self, op: Op<'s>) {
-        push_op(&mut self.ops, op);
-    }
-
     /// Parses one more level of expression, opened by the token at `span`.
     fn nested(
         &mut self,
@@ -438,7 +433,7 @@ impl<'s> Parser<'s> {
             };
             self.bump()?;
             self.term()?;
-            self.push(Op::Binary(op));
+            self.ops.push(Op::Binary(op));
         }
     }
 
@@ -452,7 +447,7 @@ impl<'s> Parser<'s> {
             };
             self.bump()?;
             self.unary()?;
-            self.push(Op::Binary(op));
+            self.ops.push(Op::Binary(op));
         }
     }
 
@@ -461,7 +456,7 @@ impl<'s> Parser<'s> {
             let span = self.tok.span;
             self.bump()?;
             self.nested(span, Self::unary)?;
-            self.push(Op::Neg);
+            self.ops.push(Op::Neg);
             return Ok(());
         }
         self.pow()
@@ -473,7 +468,7 @@ impl<'s> Parser<'s> {
             let span = self.tok.span;
             self.bump()?;
             self.nested(span, Self::unary)?;
-            self.push(Op::Binary(BinOp::Pow));
+            self.ops.push(Op::Binary(BinOp::Pow));
         }
         Ok(())
     }
@@ -483,11 +478,11 @@ impl<'s> Parser<'s> {
         match self.tok.kind {
             TokenKind::Real(v) => {
                 self.bump()?;
-                self.push(Op::Const(v));
+                self.ops.push(Op::Const(v));
             }
             TokenKind::Int(v) => {
                 self.bump()?;
-                self.push(Op::Const(v as f64));
+                self.ops.push(Op::Const(v as f64));
             }
             TokenKind::LParen => {
                 self.bump()?;
@@ -496,7 +491,7 @@ impl<'s> Parser<'s> {
             }
             TokenKind::Ident("pi") => {
                 self.bump()?;
-                self.push(Op::Const(PI));
+                self.ops.push(Op::Const(PI));
             }
             TokenKind::Ident(name) => {
                 self.bump()?;
@@ -504,13 +499,13 @@ impl<'s> Parser<'s> {
                     self.expect(TokenKind::LParen, "`(` after function name")?;
                     self.nested(span, Self::expr)?;
                     self.expect(TokenKind::RParen, "`)` after function argument")?;
-                    self.push(Op::Call(f));
+                    self.ops.push(Op::Call(f));
                 } else {
                     let op = match self.formals.iter().position(|&f| f == name) {
                         Some(slot) => Op::Slot(slot),
                         None => Op::Unbound(name, span),
                     };
-                    self.push(op);
+                    self.ops.push(op);
                 }
             }
             _ => return Err(self.unexpected("an expression")),

@@ -11,8 +11,8 @@
 //! (single-flight); connections are keep-alive sessions; `/v1/metrics`
 //! passes an exposition lint; one event loop holds a 1000-connection
 //! fleet while it evicts slow-loris clients; and a program that would
-//! have panicked a worker gets an error record instead, with the worker
-//! still serving. The record-identity properties are checked
+//! have panicked a worker or overflowed its stack gets an error record
+//! instead, with the worker still serving. The record-identity properties are checked
 //! against the real `oneqc` *binary*, not a shared code path re-run
 //! in-process, so a regression in either front door breaks the diff.
 //! (The unversioned PR-4 shims served their one promised release and
@@ -897,30 +897,26 @@ const NO_QUBITS: &str = "OPENQASM 2.0;\n";
 /// stuck behind a dead worker fails the test quickly.
 const SHORT: Duration = Duration::from_secs(10);
 
-#[test]
-fn a_program_without_qubits_gets_422_and_the_worker_keeps_serving() {
-    let _cpu = shared_cpu();
-    // One worker: had the request killed it, the next compile would wait
-    // for it forever. Joining a server wedged that way never returns, so
-    // a failing run leaks the server thread instead of dropping it.
+/// Posts `source` as `file` to a one-worker server and expects a 422
+/// error record containing `error`, then a fixture compile on the same
+/// worker. One worker: had the request killed it, the next compile would
+/// wait for it forever. Joining a server wedged that way never returns,
+/// so a failing run leaks the server thread instead of dropping it.
+fn assert_422_and_the_worker_keeps_serving(file: &str, source: &[u8], error: &str) {
     let handle = ManuallyDrop::new(spawn_server_with(ServerConfig {
         workers: 1,
         ..ServerConfig::default()
     }));
-    let resp = http::request(
-        handle.addr(),
-        "POST",
-        "/v1/compile?file=none.qasm",
-        NO_QUBITS.as_bytes(),
-        SHORT,
-    )
-    .expect("an answer for a program without qubits");
+    let target = format!("/v1/compile?file={file}");
+    let resp = http::request(handle.addr(), "POST", &target, source, SHORT)
+        .expect("an answer for the program");
     assert_eq!(resp.status, 422);
-    let body = String::from_utf8(resp.body).expect("JSON body");
+    let record = String::from_utf8(resp.body).expect("JSON body");
     assert!(
-        body.starts_with("{\"file\": \"none.qasm\", \"status\": \"error\""),
-        "{body}"
+        record.starts_with(&format!("{{\"file\": \"{file}\", \"status\": \"error\"")),
+        "{record}"
     );
+    assert!(record.contains(error), "{record}");
 
     let path = &fixture_files()[0];
     let source = std::fs::read(path).expect("read fixture");
@@ -936,59 +932,39 @@ fn a_program_without_qubits_gets_422_and_the_worker_keeps_serving() {
         .expect("clean shutdown");
 }
 
+#[test]
+fn a_program_without_qubits_gets_422_and_the_worker_keeps_serving() {
+    let _cpu = shared_cpu();
+    assert_422_and_the_worker_keeps_serving(
+        "none.qasm",
+        NO_QUBITS.as_bytes(),
+        "the program declares no qubits",
+    );
+}
+
 /// A 20 KB body whose expression nests 10^4 parentheses deep. It once
 /// overflowed a pool worker's 2 MiB stack, which aborts the whole daemon.
 #[test]
 fn a_deeply_nested_expression_gets_422_and_the_server_keeps_serving() {
     let _cpu = shared_cpu();
-    // See the test above for why a failing run leaks the server.
-    let handle = ManuallyDrop::new(spawn_server_with(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    }));
     let body = format!(
         "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1]; rz({}1{}) q[0];\n",
         "(".repeat(10_000),
         ")".repeat(10_000)
     );
     assert!(body.len() > 20_000);
-    let resp = http::request(
-        handle.addr(),
-        "POST",
-        "/v1/compile?file=deep.qasm",
+    assert_422_and_the_worker_keeps_serving(
+        "deep.qasm",
         body.as_bytes(),
-        SHORT,
-    )
-    .expect("an answer for a deeply nested expression");
-    assert_eq!(resp.status, 422);
-    let record = String::from_utf8(resp.body).expect("JSON body");
-    assert!(
-        record.starts_with("{\"file\": \"deep.qasm\", \"status\": \"error\""),
-        "{record}"
+        "deep.qasm:3:271: expression nests more than 256 levels deep",
     );
-    assert!(
-        record.contains("deep.qasm:3:271: expression nests more than 256 levels deep"),
-        "{record}"
-    );
-
-    let path = &fixture_files()[0];
-    let source = std::fs::read(path).expect("read fixture");
-    let target = format!(
-        "/v1/compile?file={}",
-        http::percent_encode(&path.display().to_string())
-    );
-    let next = http::request(handle.addr(), "POST", &target, &source, SHORT)
-        .expect("the server still compiles");
-    assert_eq!(next.status, 200);
-    ManuallyDrop::into_inner(handle)
-        .shutdown()
-        .expect("clean shutdown");
 }
 
 #[test]
 fn a_batch_line_without_qubits_is_an_error_record() {
     let _cpu = shared_cpu();
-    // See the test above for why a failing run leaks the server.
+    // See `assert_422_and_the_worker_keeps_serving` for why a failing run
+    // leaks the server.
     let handle = ManuallyDrop::new(spawn_server());
     let batch = format!(
         "{{\"file\": \"none.qasm\", \"source\": \"{}\"}}\n\
