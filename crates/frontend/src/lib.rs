@@ -2,8 +2,8 @@
 //!
 //! OpenQASM 2.0 frontend for the OneQ compiler (ISCA'23 reproduction):
 //! a hand-written lexer, a recursive-descent parser, and a
-//! semantic-analysis + lowering pass that turns `.qasm`
-//! programs into the [`oneq_circuit::Circuit`] IR the pipeline compiles.
+//! semantic-analysis and lowering pass that turns `.qasm` programs into
+//! the [`oneq_circuit::Circuit`] IR the pipeline compiles.
 //!
 //! Supported subset: `OPENQASM 2.0;`, `include "qelib1.inc";`,
 //! `qreg`/`creg`, user `gate` definitions (macros with parameter
