@@ -2,6 +2,7 @@
 
 use std::f64::consts::PI;
 use std::fmt;
+use std::ops::Deref;
 
 /// A qubit index inside a [`crate::Circuit`].
 ///
@@ -119,9 +120,67 @@ pub enum Gate {
     },
 }
 
+/// The qubits of one gate, held inline (a gate acts on at most three):
+/// derefs to `&[Qubit]` and iterates by value, so reading a gate's qubits
+/// allocates nothing.
+///
+/// # Example
+///
+/// ```
+/// use oneq_circuit::{Gate, Qubit};
+///
+/// let g = Gate::Cz(Qubit::new(2), Qubit::new(0));
+/// let qs = g.qubits();
+/// assert_eq!(qs.len(), 2);
+/// assert_eq!(qs[0], Qubit::new(2));
+/// assert_eq!(qs.into_iter().map(Qubit::index).sum::<usize>(), 2);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GateQubits {
+    qubits: [Qubit; 3],
+    len: u8,
+}
+
+impl GateQubits {
+    fn new(qubits: &[Qubit]) -> Self {
+        let mut inline = [Qubit(0); 3];
+        inline[..qubits.len()].copy_from_slice(qubits);
+        GateQubits {
+            qubits: inline,
+            len: qubits.len() as u8,
+        }
+    }
+}
+
+impl Deref for GateQubits {
+    type Target = [Qubit];
+
+    fn deref(&self) -> &[Qubit] {
+        &self.qubits[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for GateQubits {
+    type Item = Qubit;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Qubit, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.qubits.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a> IntoIterator for &'a GateQubits {
+    type Item = &'a Qubit;
+    type IntoIter = std::slice::Iter<'a, Qubit>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 impl Gate {
     /// The qubits this gate acts on, in a fixed order.
-    pub fn qubits(&self) -> Vec<Qubit> {
+    pub fn qubits(&self) -> GateQubits {
         match *self {
             Gate::H(q)
             | Gate::X(q)
@@ -133,16 +192,30 @@ impl Gate {
             | Gate::Tdg(q)
             | Gate::Rz(q, _)
             | Gate::Rx(q, _)
-            | Gate::J(q, _) => vec![q],
-            Gate::Cz(a, b) | Gate::Swap(a, b) | Gate::Cp(a, b, _) => vec![a, b],
-            Gate::Cnot { control, target } => vec![control, target],
-            Gate::Ccx { c1, c2, target } => vec![c1, c2, target],
+            | Gate::J(q, _) => GateQubits::new(&[q]),
+            Gate::Cz(a, b) | Gate::Swap(a, b) | Gate::Cp(a, b, _) => GateQubits::new(&[a, b]),
+            Gate::Cnot { control, target } => GateQubits::new(&[control, target]),
+            Gate::Ccx { c1, c2, target } => GateQubits::new(&[c1, c2, target]),
         }
     }
 
     /// Number of qubits the gate acts on.
     pub fn arity(&self) -> usize {
-        self.qubits().len()
+        match self {
+            Gate::H(_)
+            | Gate::X(_)
+            | Gate::Y(_)
+            | Gate::Z(_)
+            | Gate::S(_)
+            | Gate::Sdg(_)
+            | Gate::T(_)
+            | Gate::Tdg(_)
+            | Gate::Rz(..)
+            | Gate::Rx(..)
+            | Gate::J(..) => 1,
+            Gate::Cz(..) | Gate::Swap(..) | Gate::Cp(..) | Gate::Cnot { .. } => 2,
+            Gate::Ccx { .. } => 3,
+        }
     }
 
     /// `true` for gates acting on two or more qubits.
@@ -239,6 +312,50 @@ mod tests {
             .arity(),
             3
         );
+    }
+
+    #[test]
+    fn every_variant_lists_its_qubits_in_order() {
+        let (a, b, c) = (Qubit::new(4), Qubit::new(1), Qubit::new(7));
+        let cases: Vec<(Gate, Vec<Qubit>)> = vec![
+            (Gate::H(a), vec![a]),
+            (Gate::X(a), vec![a]),
+            (Gate::Y(a), vec![a]),
+            (Gate::Z(a), vec![a]),
+            (Gate::S(a), vec![a]),
+            (Gate::Sdg(a), vec![a]),
+            (Gate::T(a), vec![a]),
+            (Gate::Tdg(a), vec![a]),
+            (Gate::Rz(a, 0.5), vec![a]),
+            (Gate::Rx(a, 0.5), vec![a]),
+            (Gate::J(a, 0.5), vec![a]),
+            (Gate::Cz(a, b), vec![a, b]),
+            (
+                Gate::Cnot {
+                    control: a,
+                    target: b,
+                },
+                vec![a, b],
+            ),
+            (Gate::Swap(b, a), vec![b, a]),
+            (Gate::Cp(a, b, 0.25), vec![a, b]),
+            (
+                Gate::Ccx {
+                    c1: a,
+                    c2: b,
+                    target: c,
+                },
+                vec![a, b, c],
+            ),
+        ];
+        for (gate, want) in cases {
+            let qs = gate.qubits();
+            assert_eq!(&qs[..], &want[..], "{gate}");
+            assert_eq!(qs.into_iter().collect::<Vec<_>>(), want, "{gate}");
+            assert_eq!((&qs).into_iter().copied().collect::<Vec<_>>(), want);
+            assert_eq!(gate.arity(), want.len(), "{gate}");
+            assert_eq!(gate.is_multi_qubit(), want.len() > 1, "{gate}");
+        }
     }
 
     #[test]

@@ -35,4 +35,4 @@ mod gate;
 mod qasm;
 
 pub use circuit::{Circuit, CircuitError};
-pub use gate::{is_clifford_angle, normalize_angle, Angle, Gate, Qubit};
+pub use gate::{is_clifford_angle, normalize_angle, Angle, Gate, GateQubits, Qubit};

@@ -152,15 +152,20 @@ pub fn generate_embedded(
     );
 
     let n = subgraph.node_count();
+    let q = kind.effective().qubit_count();
     let mut graph = Graph::new();
-    let mut owner = Vec::new();
+    let chain_len: Vec<usize> = full_degree[..n]
+        .iter()
+        .enumerate()
+        .map(|(v, &degree_in_full)| {
+            feasible_chain_len(kind, degree_in_full.max(subgraph.degree(NodeId::new(v))))
+        })
+        .collect();
+    let mut owner = Vec::with_capacity(chain_len.iter().sum());
     let mut chain_start = Vec::with_capacity(n);
-    let mut chain_len = Vec::with_capacity(n);
 
     // 1. Build a chain of resource states per graph-state node.
-    for (v, &degree_in_full) in full_degree.iter().enumerate().take(n) {
-        let d = degree_in_full.max(subgraph.degree(NodeId::new(v)));
-        let k = feasible_chain_len(kind, d);
+    for (v, &k) in chain_len.iter().enumerate() {
         let mut prev: Option<NodeId> = None;
         for i in 0..k {
             let fnode = graph.add_node();
@@ -172,7 +177,6 @@ pub fn generate_embedded(
             }
             prev = Some(fnode);
         }
-        chain_len.push(k);
     }
     let intra_edges = graph.edge_count();
 
@@ -193,13 +197,14 @@ pub fn generate_embedded(
         // (head/tail spend one photon on a chain link, interiors two),
         // attaching neighbors in rotation order — the paper's sequential
         // clockwise attachment (Fig. 9).
-        let mut slots = chain_caps(kind, k);
         let mut chain_cursor = 0usize;
+        let mut used = 0usize;
         for &w in neighbors {
-            while slots[chain_cursor] == 0 {
+            while used == chain_cap(q, k, chain_cursor) {
                 chain_cursor += 1;
+                used = 0;
             }
-            slots[chain_cursor] -= 1;
+            used += 1;
             let fnode = NodeId::new(chain_start[v].index() + chain_cursor);
             ports.push((w.index(), fnode));
         }
@@ -244,24 +249,36 @@ fn find_port(
     own.iter().find(|&&(x, _)| x == w).map(|&(_, f)| f)
 }
 
-/// Free-photon capacity of each state along a `k`-chain: every fusion
-/// consumes one photon, chain links take one from each side.
-fn chain_caps(kind: ResourceKind, k: usize) -> Vec<usize> {
-    let q = kind.effective().qubit_count();
+/// Free-photon capacity of state `i` along a `k`-chain of `q`-photon
+/// states: every fusion consumes one photon, chain links take one from
+/// each side.
+fn chain_cap(q: usize, k: usize, i: usize) -> usize {
     if k == 1 {
-        return vec![q];
+        q
+    } else if i == 0 || i == k - 1 {
+        q - 1
+    } else {
+        q - 2
     }
-    (0..k)
-        .map(|i| if i == 0 || i == k - 1 { q - 1 } else { q - 2 })
-        .collect()
+}
+
+/// Total free-photon capacity of a `k`-chain of `q`-photon states: the
+/// sum of [`chain_cap`] over the chain.
+fn chain_capacity(q: usize, k: usize) -> usize {
+    if k == 1 {
+        q
+    } else {
+        2 * (q - 1) + (k - 2) * (q - 2)
+    }
 }
 
 /// Chain length actually used: the paper's count
 /// ([`ResourceKind::chain_nodes`]) bumped until the photon budget can host
 /// all `d` ports.
 fn feasible_chain_len(kind: ResourceKind, d: usize) -> usize {
+    let q = kind.effective().qubit_count();
     let mut k = kind.chain_nodes(d);
-    while chain_caps(kind, k).iter().sum::<usize>() < d {
+    while chain_capacity(q, k) < d {
         k += 1;
     }
     k
@@ -384,6 +401,41 @@ mod tests {
             assert!(fg.graph().has_edge(pu, pw));
             assert_eq!(fg.owner_of(pu).0, u);
             assert_eq!(fg.owner_of(pw).0, w);
+        }
+    }
+
+    /// Free-photon capacity of each state along a `k`-chain, as a vector:
+    /// the form the port walk read before it computed capacities.
+    fn chain_caps(kind: ResourceKind, k: usize) -> Vec<usize> {
+        let q = kind.effective().qubit_count();
+        if k == 1 {
+            return vec![q];
+        }
+        (0..k)
+            .map(|i| if i == 0 || i == k - 1 { q - 1 } else { q - 2 })
+            .collect()
+    }
+
+    #[test]
+    fn chain_capacities_match_the_capacity_vector() {
+        for kind in [
+            ResourceKind::LINE3,
+            ResourceKind::LINE4,
+            ResourceKind::STAR4,
+            ResourceKind::RING4,
+        ] {
+            let q = kind.effective().qubit_count();
+            for k in 1..40 {
+                let caps = chain_caps(kind, k);
+                for (i, &cap) in caps.iter().enumerate() {
+                    assert_eq!(chain_cap(q, k, i), cap, "{kind} k={k} i={i}");
+                }
+                assert_eq!(
+                    chain_capacity(q, k),
+                    caps.iter().sum::<usize>(),
+                    "{kind} k={k}"
+                );
+            }
         }
     }
 

@@ -28,9 +28,9 @@
 //! order, BFS frontiers expand in that same order, and nearest-free-cell
 //! searches scan Manhattan rings in row-major order (see the private
 //! `Mapper::pick_seed_cell`). The coupling-neighbourhood order is the
-//! order of a row of the mapper's neighbour table, which each
-//! [`map_graph`] call builds once from [`LayerGeometry::neighbors`]; a
-//! test holds every row to that order.
+//! order of a row of the mapper's neighbour table, which a compile
+//! builds once from [`LayerGeometry::neighbors`] (a [`map_graph`] call
+//! on its own builds its own); a test holds every row to that order.
 
 use oneq_graph::{biconnected, Edge, Graph, NodeId};
 use oneq_hardware::{BfsScratch, CellGrid, LayerGeometry, Position, MAX_NEIGHBORS};
@@ -155,9 +155,11 @@ impl LayerLayout {
 /// The coupled neighbours of every cell of one geometry, as row-major cell
 /// indices: row `i` lists cell `i`'s neighbours in
 /// [`LayerGeometry::neighbors`] order, which is the order candidate
-/// scoring and BFS expansion break ties by. [`map_graph`] builds one table
-/// per call and every layer of the call reads it (25 bytes per cell).
-struct NeighborTable {
+/// scoring and BFS expansion break ties by. It depends on the geometry
+/// alone, so a compile builds one table and every partition's mapping
+/// reads it (25 bytes per cell); [`map_graph`] builds its own.
+pub(crate) struct NeighborTable {
+    geometry: LayerGeometry,
     cols: usize,
     /// Each cell's neighbours; the first `len[i]` entries of row `i` hold
     /// them.
@@ -168,7 +170,7 @@ struct NeighborTable {
 }
 
 impl NeighborTable {
-    fn new(geometry: LayerGeometry) -> Self {
+    pub(crate) fn new(geometry: LayerGeometry) -> Self {
         let area = geometry.area();
         assert!(
             u32::try_from(area).is_ok(),
@@ -186,6 +188,7 @@ impl NeighborTable {
             len.push(nn as u8);
         }
         NeighborTable {
+            geometry,
             cols: geometry.cols(),
             rows,
             len,
@@ -337,7 +340,17 @@ pub fn map_graph(
     geometry: LayerGeometry,
     options: &MappingOptions,
 ) -> MappingResult {
-    Mapper::new(fusion_graph, geometry, *options).run()
+    map_graph_on(fusion_graph, &NeighborTable::new(geometry), options)
+}
+
+/// [`map_graph`] onto the geometry of `table`, a table the caller built
+/// once for every graph it maps onto that geometry.
+pub(crate) fn map_graph_on(
+    fusion_graph: &Graph,
+    table: &NeighborTable,
+    options: &MappingOptions,
+) -> MappingResult {
+    Mapper::new(fusion_graph, table, *options).run()
 }
 
 struct Mapper<'g> {
@@ -373,7 +386,7 @@ struct Mapper<'g> {
     /// coupled to it.
     touched: Vec<(NodeId, u32)>,
     /// The coupled neighbours of every cell.
-    table: NeighborTable,
+    table: &'g NeighborTable,
     /// Free coupled neighbours of each cell of the current layer, indexed
     /// by cell: a cell's row length on a fresh layer, decremented each
     /// time one of its neighbours fills.
@@ -405,10 +418,10 @@ impl Blocking {
 }
 
 impl<'g> Mapper<'g> {
-    fn new(graph: &'g Graph, geometry: LayerGeometry, options: MappingOptions) -> Self {
+    fn new(graph: &'g Graph, table: &'g NeighborTable, options: MappingOptions) -> Self {
         let remaining = graph.nodes().map(|n| graph.degree(n)).collect();
         let n = graph.node_count();
-        let table = NeighborTable::new(geometry);
+        let geometry = table.geometry;
         let free = table.len.clone();
         Mapper {
             graph,
@@ -750,7 +763,7 @@ impl<'g> Mapper<'g> {
             let free = &self.free;
             let routed = bfs_free_path(
                 &self.layouts[cur],
-                &self.table,
+                self.table,
                 a,
                 &mut self.scratch,
                 |p, depth| depth >= 2 && usize::from(free[p]) >= open,
@@ -784,7 +797,7 @@ impl<'g> Mapper<'g> {
     /// Connects two nodes placed on layer `layer`: one fusion when their
     /// cells are coupled, else a routed fusion path between them.
     fn connect_on_layer(&mut self, layer: usize, pa: Position, pb: Position, edge: Edge) -> bool {
-        let table = &self.table;
+        let table = self.table;
         let (a, b) = (table.index(pa), table.index(pb));
         if table.coupled(a, b) {
             self.direct_fusions += 1;
@@ -822,7 +835,7 @@ impl<'g> Mapper<'g> {
     /// other node's free-neighbour count can change.
     fn score_placement(&mut self, node: NodeId, cand: usize, path: &[usize]) -> f64 {
         let layout = &self.layouts[self.cur()];
-        let table = &self.table;
+        let table = self.table;
         // Occupied-area term with the tentative cells added.
         let c = table.position(cand);
         let (mut rmin, mut rmax, mut cmin, mut cmax) = layout
@@ -1206,8 +1219,9 @@ pub fn plan_position_shuffles(
     let mut used: Vec<Vec<u64>> = vec![vec![0; geometry.area()]];
     let mut layers = 1usize;
     let mut fusions = 0usize;
+    let mut cells: Vec<Position> = Vec::new();
     for (pa, pb) in sorted {
-        let cells = geometry.path_between(*pa, *pb);
+        geometry.path_between_into(*pa, *pb, &mut cells);
         let interior: &[Position] = if cells.len() > 2 {
             &cells[1..cells.len() - 1]
         } else {
@@ -1640,7 +1654,8 @@ mod tests {
             let (rows, cols) = (rng.gen_range(1..10), rng.gen_range(1..10));
             let geometry = LayerGeometry::new(rows, cols).with_topology(topo);
             let graph = Graph::with_nodes(geometry.area());
-            let mut mapper = Mapper::new(&graph, geometry, MappingOptions::default());
+            let table = NeighborTable::new(geometry);
+            let mut mapper = Mapper::new(&graph, &table, MappingOptions::default());
             let edge = Edge::new(NodeId::new(0), NodeId::new(1));
             // Two layers: the second starts from the counts `push_layer`
             // resets.
@@ -1691,7 +1706,8 @@ mod tests {
         for (topo, a, b, coupled) in cases {
             let geometry = LayerGeometry::new(6, 6).with_topology(topo);
             let graph = Graph::from_edges(2, &[(0, 1)]);
-            let mut mapper = Mapper::new(&graph, geometry, MappingOptions::default());
+            let table = NeighborTable::new(geometry);
+            let mut mapper = Mapper::new(&graph, &table, MappingOptions::default());
             let (pa, pb) = (Position::new(a.0, a.1), Position::new(b.0, b.1));
             mapper.place_node(NodeId::new(0), pa);
             mapper.place_node(NodeId::new(1), pb);

@@ -128,6 +128,9 @@ pub fn partition(pattern: &Pattern, options: &PartitionOptions) -> PartitionResu
     let enforce = options.enforce_planarity;
     let mut partitions: Vec<Partition> = Vec::new();
     let mut running = Running::new(full_graph.node_count());
+    // One set of planarity buffers for every test and embedding of this
+    // call.
+    let mut scratch = planarity::Scratch::new();
 
     for layer in layers {
         let layer_cost = match options.capacity_hint {
@@ -145,7 +148,7 @@ pub fn partition(pattern: &Pattern, options: &PartitionOptions) -> PartitionResu
                 .map_or(true, |cap| running.cost + layer_cost <= cap);
         if fits {
             running.push(full_graph, &layer, enforce);
-            if !enforce || running.stays_planar() {
+            if !enforce || running.stays_planar(&mut scratch) {
                 running.cost += layer_cost;
                 running.layers += 1;
                 continue;
@@ -156,14 +159,24 @@ pub fn partition(pattern: &Pattern, options: &PartitionOptions) -> PartitionResu
         // but only a maximal planar subgraph of its edges — the trimming
         // happens inside build_partition (paper §4, graph planarization).
         if held > 0 {
-            partitions.push(build_partition(full_graph, &running.nodes[..held], enforce));
+            partitions.push(build_partition(
+                full_graph,
+                &running.nodes[..held],
+                enforce,
+                &mut scratch,
+            ));
         }
         running.clear();
         running.push(full_graph, &layer, enforce);
         running.cost = layer_cost;
         running.layers = 1;
     }
-    partitions.push(build_partition(full_graph, &running.nodes, enforce));
+    partitions.push(build_partition(
+        full_graph,
+        &running.nodes,
+        enforce,
+        &mut scratch,
+    ));
 
     let cross_edges = cross_edges(full_graph, &partitions);
     PartitionResult {
@@ -174,8 +187,8 @@ pub fn partition(pattern: &Pattern, options: &PartitionOptions) -> PartitionResu
 }
 
 /// The partition being grown: its nodes, their synthesis cost and layer
-/// count, and — when planarity is enforced — the adjacency of the
-/// subgraph they induce, which layers only ever append to.
+/// count, and — when planarity is enforced — the subgraph they induce,
+/// which layers only ever append to.
 struct Running {
     /// Pattern nodes in the order their layers arrived; a node's local id
     /// is its position here.
@@ -183,9 +196,9 @@ struct Running {
     /// Local id of each pattern node in the running partition, or
     /// `usize::MAX`.
     local: Vec<usize>,
-    /// Induced adjacency over local ids; rows from `nodes.len()` on are
-    /// spare, kept for their capacity.
-    adjacency: Vec<Vec<NodeId>>,
+    /// The induced subgraph over local ids (empty unless planarity is
+    /// enforced); cleared, not dropped, between partitions.
+    graph: Graph,
     /// Nodes `0..planar_prefix` induce a subgraph already found planar.
     planar_prefix: usize,
     cost: usize,
@@ -197,7 +210,7 @@ impl Running {
         Running {
             nodes: Vec::new(),
             local: vec![usize::MAX; pattern_nodes],
-            adjacency: Vec::new(),
+            graph: Graph::new(),
             planar_prefix: 0,
             cost: 0,
             layers: 0,
@@ -215,15 +228,14 @@ impl Running {
         if !edges {
             return;
         }
-        if self.adjacency.len() < self.nodes.len() {
-            self.adjacency.resize_with(self.nodes.len(), Vec::new);
-        }
         for lx in first..self.nodes.len() {
+            let x = self.graph.add_node();
+            debug_assert_eq!(x.index(), lx);
             for &y in graph.neighbors(self.nodes[lx]) {
                 let ly = self.local[y.index()];
                 if ly < lx {
-                    self.adjacency[lx].push(NodeId::new(ly));
-                    self.adjacency[ly].push(NodeId::new(lx));
+                    let added = self.graph.add_edge(x, NodeId::new(ly));
+                    debug_assert_eq!(added, Ok(true), "edges of a simple graph are new");
                 }
             }
         }
@@ -232,19 +244,16 @@ impl Running {
     /// Whether the held nodes still induce a planar subgraph: only the
     /// blocks that hold an edge added since the last planar verdict are
     /// tested.
-    fn stays_planar(&mut self) -> bool {
-        let held = self.nodes.len();
-        let planar = planarity::is_planar_extension(&self.adjacency[..held], self.planar_prefix);
+    fn stays_planar(&mut self, scratch: &mut planarity::Scratch) -> bool {
+        let planar = scratch.is_planar_extension(&self.graph, self.planar_prefix);
         if planar {
-            self.planar_prefix = held;
+            self.planar_prefix = self.nodes.len();
         }
         planar
     }
 
     fn clear(&mut self) {
-        for row in self.adjacency.iter_mut().take(self.nodes.len()) {
-            row.clear();
-        }
+        self.graph.clear();
         for x in self.nodes.drain(..) {
             self.local[x.index()] = usize::MAX;
         }
@@ -254,15 +263,20 @@ impl Running {
 
 /// Builds one partition's canonical subgraph (`induced_subgraph` fixes its
 /// neighbor order) and embeds it once, after planarization if needed.
-fn build_partition(full_graph: &Graph, nodes: &[NodeId], enforce_planarity: bool) -> Partition {
+fn build_partition(
+    full_graph: &Graph,
+    nodes: &[NodeId],
+    enforce_planarity: bool,
+    scratch: &mut planarity::Scratch,
+) -> Partition {
     let (mut subgraph, global_nodes) = full_graph.induced_subgraph(nodes);
-    let mut embedding = planarity::planar_embedding(&subgraph);
+    let mut embedding = scratch.check_planarity(&subgraph).into_embedding();
     // Planarity safety net (small resource states only): if the induced
     // subgraph is non-planar — possible for a single oversized/non-planar
     // dependency layer — keep a maximal planar subgraph.
     if enforce_planarity && embedding.is_none() {
         subgraph = mps::maximal_planar_subgraph(&subgraph).subgraph;
-        embedding = planarity::planar_embedding(&subgraph);
+        embedding = scratch.check_planarity(&subgraph).into_embedding();
     }
     let full_degree = global_nodes.iter().map(|&g| full_graph.degree(g)).collect();
     Partition {

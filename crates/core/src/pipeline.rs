@@ -306,6 +306,9 @@ impl Compiler {
         let mut global_layer_base = 0usize;
 
         let mut profile = CompileProfile::default();
+        // Every partition maps onto the same geometry: one neighbour table
+        // serves them all.
+        let table = mapping::NeighborTable::new(ext_geometry);
 
         // Stages 2 & 3 per partition; each partition is dropped once it
         // is mapped.
@@ -322,7 +325,7 @@ impl Compiler {
             stats.fusion_graph_nodes += fg.node_count();
 
             let t_map = Instant::now();
-            let map = mapping::map_graph(fg.graph(), ext_geometry, &opt.mapping);
+            let map = mapping::map_graph_on(fg.graph(), &table, &opt.mapping);
             let map_ns = t_map.elapsed().as_nanos();
             timings.mapping_ns += map_ns;
             stats.direct_fusions += map.direct_fusions;

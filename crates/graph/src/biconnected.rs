@@ -37,27 +37,50 @@ enum Step {
     },
 }
 
+/// The buffers of [`lowlink_walk`], reusable from one walk to the next.
+#[derive(Debug, Default)]
+pub(crate) struct Walk {
+    /// Discovery time per node.
+    disc: Vec<usize>,
+    /// Lowlink per node; read only after the node is discovered.
+    low: Vec<usize>,
+    /// DFS tree parent per node; read only after the node is discovered.
+    parent: Vec<usize>,
+    /// Iterative DFS frames: (node, index into its neighbor list).
+    stack: Vec<(usize, usize)>,
+}
+
 /// The crate's one biconnectivity DFS: an iterative Hopcroft–Tarjan
 /// lowlink walk over every component that holds one of `roots`, started
 /// from each root not reached yet, in the order given. Nodes are visited
-/// in neighbor-list order, so the steps are a function of `adjacency` and
-/// the root order alone. [`blocks`] and [`bridge_marks`] consume them.
+/// in neighbor-list order, so the steps are a function of the graph's
+/// adjacency and the root order alone. [`Blocks::find`] and
+/// [`bridge_marks`] consume them.
 ///
 /// The walk skips the edge back to a node's tree parent by the parent's
 /// id, which is exact because the graphs it walks have no parallel edges.
 fn lowlink_walk(
-    adjacency: &[Vec<NodeId>],
+    graph: &Graph,
     roots: impl IntoIterator<Item = NodeId>,
+    walk: &mut Walk,
     mut step: impl FnMut(Step),
 ) {
     const UNSEEN: usize = usize::MAX;
-    let n = adjacency.len();
-    let mut disc = vec![UNSEEN; n]; // discovery time
-    let mut low = vec![UNSEEN; n]; // lowlink
-    let mut parent = vec![UNSEEN; n];
+    let n = graph.node_count();
+    let Walk {
+        disc,
+        low,
+        parent,
+        stack,
+    } = walk;
+    disc.clear();
+    disc.resize(n, UNSEEN);
+    if low.len() < n {
+        low.resize(n, UNSEEN);
+        parent.resize(n, UNSEEN);
+    }
+    stack.clear();
     let mut timer = 0usize;
-    // Iterative DFS frame: (node, index into neighbor list).
-    let mut stack: Vec<(usize, usize)> = Vec::new();
 
     for root in roots {
         let root = root.index();
@@ -67,10 +90,11 @@ fn lowlink_walk(
         stack.push((root, 0));
         disc[root] = timer;
         low[root] = timer;
+        parent[root] = UNSEEN;
         timer += 1;
 
         while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-            if let Some(&v) = adjacency[u].get(*i) {
+            if let Some(&v) = graph.neighbors(NodeId::new(u)).get(*i) {
                 let v = v.index();
                 *i += 1;
                 if disc[v] == UNSEEN {
@@ -110,13 +134,53 @@ fn edge(u: usize, v: usize) -> Edge {
 /// the order the walk pops them off its edge stack. A bridge is a
 /// one-edge block.
 ///
-/// [`analyze`] and the planarity test both read these blocks.
+/// [`analyze`] and the planarity test both read these blocks; the
+/// planarity test refills one `Blocks` per test, so its buffers are
+/// reused.
+#[derive(Debug, Default)]
 pub(crate) struct Blocks {
     edges: Vec<Edge>,
     ends: Vec<usize>,
+    /// The walk's edge stack.
+    pending: Vec<Edge>,
 }
 
 impl Blocks {
+    /// Replaces the blocks with those of every component of `graph` that
+    /// holds one of `roots`, from a [`lowlink_walk`] in that root order.
+    pub(crate) fn find(
+        &mut self,
+        graph: &Graph,
+        roots: impl IntoIterator<Item = NodeId>,
+        walk: &mut Walk,
+    ) {
+        let Blocks {
+            edges,
+            ends,
+            pending,
+        } = self;
+        edges.clear();
+        ends.clear();
+        pending.clear();
+        lowlink_walk(graph, roots, walk, |step| match step {
+            Step::Edge(u, v) => pending.push(edge(u, v)),
+            Step::Retreat { parent, child, low } => {
+                if low != Ordering::Less {
+                    // `parent` separates `child`'s subtree: pop one block
+                    // ending with the tree edge (parent, child).
+                    let sep = edge(parent, child);
+                    while let Some(e) = pending.pop() {
+                        edges.push(e);
+                        if e == sep {
+                            break;
+                        }
+                    }
+                    ends.push(edges.len());
+                }
+            }
+        });
+    }
+
     /// Each block's edges, in the order the sweep closed the blocks.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[Edge]> + '_ {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
@@ -124,32 +188,6 @@ impl Blocks {
             .zip(&self.ends)
             .map(|(start, &end)| &self.edges[start..end])
     }
-}
-
-/// The blocks of every component that holds one of `roots`, from a
-/// [`lowlink_walk`] in that root order.
-pub(crate) fn blocks(adjacency: &[Vec<NodeId>], roots: impl IntoIterator<Item = NodeId>) -> Blocks {
-    let mut edges: Vec<Edge> = Vec::new();
-    let mut ends: Vec<usize> = Vec::new();
-    let mut edge_stack: Vec<Edge> = Vec::new();
-    lowlink_walk(adjacency, roots, |step| match step {
-        Step::Edge(u, v) => edge_stack.push(edge(u, v)),
-        Step::Retreat { parent, child, low } => {
-            if low != Ordering::Less {
-                // `parent` separates `child`'s subtree: pop one block
-                // ending with the tree edge (parent, child).
-                let sep = edge(parent, child);
-                while let Some(e) = edge_stack.pop() {
-                    edges.push(e);
-                    if e == sep {
-                        break;
-                    }
-                }
-                ends.push(edges.len());
-            }
-        }
-    });
-    Blocks { edges, ends }
 }
 
 /// Runs the Hopcroft–Tarjan algorithm and returns bridges, articulation
@@ -169,7 +207,8 @@ pub(crate) fn blocks(adjacency: &[Vec<NodeId>], roots: impl IntoIterator<Item = 
 /// assert_eq!(b.components.len(), 2);
 /// ```
 pub fn analyze(graph: &Graph) -> Biconnectivity {
-    let blocks = blocks(graph.adjacency(), graph.nodes());
+    let mut blocks = Blocks::default();
+    blocks.find(graph, graph.nodes(), &mut Walk::default());
     let mut bridges: Vec<Edge> = Vec::new();
     // A node separates its component exactly when it lies in two or more
     // blocks; `last_block[v]` keeps each block from counting `v` twice.
@@ -237,7 +276,7 @@ impl BridgeMarks {
 /// ```
 pub fn bridge_marks(graph: &Graph) -> BridgeMarks {
     let mut bridge_parent = vec![None; graph.node_count()];
-    lowlink_walk(graph.adjacency(), graph.nodes(), |step| {
+    lowlink_walk(graph, graph.nodes(), &mut Walk::default(), |step| {
         if let Step::Retreat {
             parent,
             child,

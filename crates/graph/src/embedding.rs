@@ -7,7 +7,7 @@
 //! orders stored here to keep fusion graphs planar, and the planarity-aware
 //! mapper (paper §6) follows them when reserving grid positions.
 
-use crate::{Graph, NodeId};
+use crate::{Graph, NodeId, Rows};
 use std::collections::HashMap;
 
 /// A face of an embedded graph, stored as a directed closed walk.
@@ -46,7 +46,8 @@ impl Face {
     }
 }
 
-/// A rotation system: for each node, the cyclic order of its neighbors.
+/// A rotation system: for each node, the cyclic order of its neighbors,
+/// kept as [`Rows`] of one pooled buffer.
 ///
 /// # Example
 ///
@@ -65,12 +66,21 @@ impl Face {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Embedding {
-    order: Vec<Vec<NodeId>>,
+    order: Rows,
 }
 
 impl Embedding {
     /// Builds an embedding from explicit per-node neighbor orders.
     pub fn from_rotations(order: Vec<Vec<NodeId>>) -> Self {
+        let mut rows = Rows::new();
+        for rotation in &order {
+            rows.push_row_from(rotation);
+        }
+        Embedding { order: rows }
+    }
+
+    /// An embedding whose rotations are `order`'s rows.
+    pub(crate) fn from_rows(order: Rows) -> Self {
         Embedding { order }
     }
 
@@ -79,9 +89,11 @@ impl Embedding {
     /// This is *not* necessarily planar; it is the starting point for
     /// algorithms and a valid embedding for forests, paths and cycles.
     pub fn from_adjacency(graph: &Graph) -> Self {
-        Embedding {
-            order: graph.nodes().map(|n| graph.neighbors(n).to_vec()).collect(),
+        let mut rows = Rows::new();
+        for n in graph.nodes() {
+            rows.push_row_from(graph.neighbors(n));
         }
+        Embedding { order: rows }
     }
 
     /// Number of nodes covered by this embedding.
@@ -95,13 +107,13 @@ impl Embedding {
     ///
     /// Panics if `n` is out of range.
     pub fn rotation(&self, n: NodeId) -> &[NodeId] {
-        &self.order[n.index()]
+        self.order.row(n.index())
     }
 
     /// The neighbor that follows `prev` in the cyclic order around `n`, or
     /// `None` if `prev` is not a neighbor of `n`.
     pub fn next_after(&self, n: NodeId, prev: NodeId) -> Option<NodeId> {
-        let rot = &self.order[n.index()];
+        let rot = self.order.row(n.index());
         let pos = rot.iter().position(|&x| x == prev)?;
         Some(rot[(pos + 1) % rot.len()])
     }
@@ -163,7 +175,7 @@ impl Embedding {
             return false;
         }
         for n in graph.nodes() {
-            let mut rot: Vec<NodeId> = self.order[n.index()].clone();
+            let mut rot: Vec<NodeId> = self.rotation(n).to_vec();
             let mut adj: Vec<NodeId> = graph.neighbors(n).to_vec();
             rot.sort();
             adj.sort();

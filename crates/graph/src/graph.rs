@@ -1,5 +1,6 @@
 //! Core undirected graph type.
 
+use crate::Rows;
 use std::fmt;
 
 /// Identifier of a node inside a [`Graph`].
@@ -142,7 +143,8 @@ impl std::error::Error for GraphError {}
 /// The adjacency lists are the only edge store: [`Graph::has_edge`] scans
 /// the shorter of the two endpoints' lists, and every edge iteration walks
 /// the lists, so no operation hashes and every order is a function of the
-/// insertion sequence alone.
+/// insertion sequence alone. The lists are [`Rows`] of one shared buffer,
+/// so a graph allocates per doubling of its size, not per node.
 ///
 /// # Example
 ///
@@ -163,7 +165,7 @@ impl std::error::Error for GraphError {}
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
-    adj: Vec<Vec<NodeId>>,
+    adj: Rows,
     edge_count: usize,
 }
 
@@ -176,7 +178,7 @@ impl Graph {
     /// Creates a graph with `n` isolated nodes.
     pub fn with_nodes(n: usize) -> Self {
         Graph {
-            adj: vec![Vec::new(); n],
+            adj: Rows::with_rows(n),
             edge_count: 0,
         }
     }
@@ -199,9 +201,7 @@ impl Graph {
 
     /// Adds a new isolated node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId::new(self.adj.len());
-        self.adj.push(Vec::new());
-        id
+        NodeId::new(self.adj.push_row())
     }
 
     /// Returns `true` if `n` is a valid node of this graph.
@@ -239,8 +239,8 @@ impl Graph {
     /// nodes of this graph and is not present yet.
     fn push_edge(&mut self, a: NodeId, b: NodeId) {
         debug_assert!(a != b && !self.has_edge(a, b), "edge ({a}, {b}) is new");
-        self.adj[a.index()].push(b);
-        self.adj[b.index()].push(a);
+        self.adj.push(a.index(), b);
+        self.adj.push(b.index(), a);
         self.edge_count += 1;
     }
 
@@ -250,8 +250,8 @@ impl Graph {
         if !self.has_edge(a, b) {
             return false;
         }
-        self.adj[a.index()].retain(|&x| x != b);
-        self.adj[b.index()].retain(|&x| x != a);
+        self.adj.remove(a.index(), b);
+        self.adj.remove(b.index(), a);
         self.edge_count -= 1;
         true
     }
@@ -274,12 +274,7 @@ impl Graph {
     ///
     /// Panics if `n` is not a node of this graph.
     pub fn neighbors(&self, n: NodeId) -> &[NodeId] {
-        &self.adj[n.index()]
-    }
-
-    /// Every node's neighbor list, indexed by node id.
-    pub(crate) fn adjacency(&self) -> &[Vec<NodeId>] {
-        &self.adj
+        self.adj.row(n.index())
     }
 
     /// Degree (number of incident edges) of `n`.
@@ -288,7 +283,7 @@ impl Graph {
     ///
     /// Panics if `n` is not a node of this graph.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adj[n.index()].len()
+        self.adj.row_len(n.index())
     }
 
     /// Number of nodes.
@@ -304,6 +299,13 @@ impl Graph {
     /// Returns `true` if the graph has no nodes.
     pub fn is_empty(&self) -> bool {
         self.adj.is_empty()
+    }
+
+    /// Removes every node and edge, keeping the allocated capacity for the
+    /// next graph built in this one.
+    pub fn clear(&mut self) {
+        self.adj.clear();
+        self.edge_count = 0;
     }
 
     /// Iterator over all node ids, in index order.
@@ -344,7 +346,7 @@ impl Graph {
 
     /// The maximum degree over all nodes, or 0 for an empty graph.
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.adj.iter().map(<[NodeId]>::len).max().unwrap_or(0)
     }
 
     /// Builds the subgraph induced by `nodes`.
@@ -377,7 +379,16 @@ impl Graph {
             }
         }
         inner.sort_unstable();
-        let mut g = Graph::with_nodes(nodes.len());
+        // Each row gets exactly its degree, so no row ever moves.
+        let mut degree = vec![0usize; nodes.len()];
+        for e in &inner {
+            degree[map[e.a().index()]] += 1;
+            degree[map[e.b().index()]] += 1;
+        }
+        let mut g = Graph::new();
+        for d in degree {
+            g.adj.push_row_with_capacity(d);
+        }
         for edge in inner {
             let (a, b) = edge.endpoints();
             g.push_edge(NodeId::new(map[a.index()]), NodeId::new(map[b.index()]));

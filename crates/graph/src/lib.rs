@@ -8,7 +8,8 @@
 //! graph algorithms those stages rely on, implemented from scratch so the
 //! workspace has no external graph dependency:
 //!
-//! * [`Graph`] — a simple undirected graph with O(1) edge queries,
+//! * [`Graph`] — a simple undirected graph whose adjacency lists are
+//!   [`Rows`] of one pooled buffer,
 //! * traversal utilities (BFS order, connected components, shortest paths)
 //!   in [`traversal`],
 //! * biconnectivity analysis (bridges, articulation points, biconnected
@@ -43,7 +44,9 @@ pub mod generators;
 mod graph;
 pub mod mps;
 pub mod planarity;
+mod rows;
 pub mod traversal;
 
 pub use embedding::{Embedding, Face};
 pub use graph::{Edge, Graph, GraphError, NodeId};
+pub use rows::Rows;

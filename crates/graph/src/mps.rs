@@ -67,9 +67,10 @@ pub fn maximal_planar_subgraph(graph: &Graph) -> MaximalPlanarSubgraph {
     }
 
     // Greedily add the remaining edges.
+    let mut scratch = planarity::Scratch::new();
     for e in deferred {
         sub.add_edge(e.a(), e.b()).expect("edge endpoints valid");
-        if !planarity::is_planar(&sub) {
+        if !scratch.is_planar(&sub) {
             sub.remove_edge(e.a(), e.b());
             removed.push(e);
         }

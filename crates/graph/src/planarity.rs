@@ -19,10 +19,11 @@
 //!
 //! Each block is copied into dense scratch (local ids, a CSR adjacency,
 //! per-node and per-edge flags) that is reused across blocks, so the
-//! face-insertion loop hashes nothing.
+//! face-insertion loop hashes nothing. A [`Scratch`] keeps that state,
+//! with the biconnectivity sweep's, from one call to the next.
 
-use crate::biconnected;
-use crate::{Edge, Embedding, Graph, NodeId};
+use crate::biconnected::{Blocks, Walk};
+use crate::{Edge, Embedding, Graph, NodeId, Rows};
 
 /// Result of [`check_planarity`].
 #[derive(Debug, Clone)]
@@ -60,7 +61,7 @@ impl PlanarityResult {
 /// assert!(!planarity::is_planar(&generators::complete_bipartite(3, 3)));
 /// ```
 pub fn is_planar(graph: &Graph) -> bool {
-    is_planar_extension(graph.adjacency(), 0)
+    Scratch::new().is_planar(graph)
 }
 
 /// Computes a planar embedding, or `None` when the graph is non-planar.
@@ -74,78 +75,128 @@ pub fn planar_embedding(graph: &Graph) -> Option<Embedding> {
 /// vertex the rotations of the incident components are concatenated, which
 /// preserves planarity.
 pub fn check_planarity(graph: &Graph) -> PlanarityResult {
-    let n = graph.node_count();
-    // Quick Euler-bound rejection for simple graphs.
-    if n >= 3 && graph.edge_count() > 3 * n - 6 {
-        return PlanarityResult::NonPlanar;
-    }
-
-    // Rotation under construction: per node, a list of blocks (one per
-    // biconnected component touching the node) concatenated at the end.
-    let mut rotation: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut block = Block::new(n);
-    for edges in biconnected::blocks(graph.adjacency(), graph.nodes()).iter() {
-        if let [bridge] = edges {
-            // A bridge: both endpoints just get each other appended.
-            rotation[bridge.a().index()].push(bridge.b());
-            rotation[bridge.b().index()].push(bridge.a());
-            continue;
-        }
-        block.load(edges);
-        if !block.demoucron() {
-            return PlanarityResult::NonPlanar;
-        }
-        block.append_rotations(&mut rotation);
-    }
-
-    PlanarityResult::Planar(Embedding::from_rotations(rotation))
+    Scratch::new().check_planarity(graph)
 }
 
 /// Decides whether a grown graph is planar, given that the subgraph
 /// induced by its first `planar_prefix` nodes is planar.
 ///
-/// `adjacency[v]` lists the neighbors of node `v` of a simple undirected
-/// graph (symmetric, no self-loops, no repeats). Only the blocks holding
-/// an edge with an endpoint at index `planar_prefix` or later are tested:
-/// a graph is planar iff its blocks are, and a block made of old edges
-/// only lies inside a block of the planar prefix. With `planar_prefix`
-/// of 0 this is a plain planarity test, and the verdict always equals
-/// [`is_planar`]'s on the same graph.
+/// Only the blocks holding an edge with an endpoint at index
+/// `planar_prefix` or later are tested: a graph is planar iff its blocks
+/// are, and a block made of old edges only lies inside a block of the
+/// planar prefix. With `planar_prefix` of 0 this is a plain planarity
+/// test, and the verdict always equals [`is_planar`]'s on the same graph.
 ///
 /// # Example
 ///
 /// ```
-/// use oneq_graph::{planarity, NodeId};
+/// use oneq_graph::{generators, planarity, NodeId};
 ///
 /// // K4 on nodes 0..4, then node 4 joined to all of them: K5.
-/// let mut adjacency: Vec<Vec<NodeId>> = (0..4)
-///     .map(|v| (0..4).filter(|&w| w != v).map(NodeId::new).collect())
-///     .collect();
-/// assert!(planarity::is_planar_extension(&adjacency, 0));
-/// adjacency.push((0..4).map(NodeId::new).collect());
+/// let mut g = generators::complete(4);
+/// assert!(planarity::is_planar_extension(&g, 0));
+/// let hub = g.add_node();
 /// for v in 0..4 {
-///     adjacency[v].push(NodeId::new(4));
+///     g.add_edge(NodeId::new(v), hub).unwrap();
 /// }
-/// assert!(!planarity::is_planar_extension(&adjacency, 4));
+/// assert!(!planarity::is_planar_extension(&g, 4));
 /// ```
-pub fn is_planar_extension(adjacency: &[Vec<NodeId>], planar_prefix: usize) -> bool {
-    let n = adjacency.len();
-    let m = adjacency.iter().map(Vec::len).sum::<usize>() / 2;
-    // Quick Euler-bound rejection for simple graphs.
-    if n >= 3 && m > 3 * n - 6 {
-        return false;
+pub fn is_planar_extension(graph: &Graph, planar_prefix: usize) -> bool {
+    Scratch::new().is_planar_extension(graph, planar_prefix)
+}
+
+/// The buffers of planarity tests and embeddings, reusable from one call
+/// to the next: the lowlink walk, the block list and the per-block
+/// Demoucron state (CSR adjacency, flags, stamps, faces, rotation
+/// corners). A caller that tests many graphs, as the partitioner does
+/// for every layer it grows a partition by, keeps one `Scratch` and
+/// passes it to each call; after the first few calls they allocate
+/// nothing but the embeddings they return. A call's result never depends
+/// on what the scratch held before.
+///
+/// # Example
+///
+/// ```
+/// use oneq_graph::{generators, planarity};
+///
+/// let mut scratch = planarity::Scratch::new();
+/// for n in 3..8 {
+///     let g = generators::complete(n);
+///     assert_eq!(scratch.is_planar(&g), n <= 4);
+///     assert_eq!(scratch.check_planarity(&g).is_planar(), n <= 4);
+/// }
+/// ```
+#[derive(Debug, Default)]
+pub struct Scratch {
+    walk: Walk,
+    blocks: Blocks,
+    block: Block,
+}
+
+impl Scratch {
+    /// Empty buffers; they grow to the largest graph tested.
+    pub fn new() -> Self {
+        Scratch::default()
     }
-    // Blocks holding a new edge lie in components holding a new node, so
-    // the sweep starts from the new nodes only.
-    let roots = (planar_prefix.min(n)..n).map(NodeId::new);
-    let mut block = Block::new(n);
-    biconnected::blocks(adjacency, roots)
-        .iter()
-        .filter(|edges| edges.len() > 1 && edges.iter().any(|e| e.b().index() >= planar_prefix))
-        .all(|edges| {
-            block.load(edges);
-            block.demoucron()
-        })
+
+    /// [`is_planar`] on these buffers.
+    pub fn is_planar(&mut self, graph: &Graph) -> bool {
+        self.is_planar_extension(graph, 0)
+    }
+
+    /// [`check_planarity`] on these buffers.
+    pub fn check_planarity(&mut self, graph: &Graph) -> PlanarityResult {
+        let n = graph.node_count();
+        // Quick Euler-bound rejection for simple graphs.
+        if n >= 3 && graph.edge_count() > 3 * n - 6 {
+            return PlanarityResult::NonPlanar;
+        }
+        // Rotation under construction: per node, a list of blocks (one per
+        // biconnected component touching the node) concatenated at the
+        // end. Each row ends up holding exactly the node's neighbors.
+        let mut rotation = Rows::new();
+        for v in graph.nodes() {
+            rotation.push_row_with_capacity(graph.degree(v));
+        }
+        self.blocks.find(graph, graph.nodes(), &mut self.walk);
+        self.block.fit(n);
+        for edges in self.blocks.iter() {
+            if let [bridge] = edges {
+                // A bridge: both endpoints just get each other appended.
+                rotation.push(bridge.a().index(), bridge.b());
+                rotation.push(bridge.b().index(), bridge.a());
+                continue;
+            }
+            self.block.load(edges);
+            if !self.block.demoucron() {
+                return PlanarityResult::NonPlanar;
+            }
+            self.block.append_rotations(&mut rotation);
+        }
+        PlanarityResult::Planar(Embedding::from_rows(rotation))
+    }
+
+    /// [`is_planar_extension`] on these buffers.
+    pub fn is_planar_extension(&mut self, graph: &Graph, planar_prefix: usize) -> bool {
+        let n = graph.node_count();
+        // Quick Euler-bound rejection for simple graphs.
+        if n >= 3 && graph.edge_count() > 3 * n - 6 {
+            return false;
+        }
+        // Blocks holding a new edge lie in components holding a new node,
+        // so the sweep starts from the new nodes only.
+        let roots = (planar_prefix.min(n)..n).map(NodeId::new);
+        self.blocks.find(graph, roots, &mut self.walk);
+        self.block.fit(n);
+        let block = &mut self.block;
+        self.blocks
+            .iter()
+            .filter(|edges| edges.len() > 1 && edges.iter().any(|e| e.b().index() >= planar_prefix))
+            .all(|edges| {
+                block.load(edges);
+                block.demoucron()
+            })
+    }
 }
 
 /// No local id: the node is not in the loaded block.
@@ -174,12 +225,16 @@ enum Fit {
 }
 
 /// Dense scratch for one biconnected block at a time, reused across the
-/// blocks of a graph: local node ids follow ascending global ids, and the
-/// adjacency keeps the order in which the block's edges were handed in.
+/// blocks of a graph and, inside a [`Scratch`], across graphs: local node
+/// ids follow ascending global ids, and the adjacency keeps the order in
+/// which the block's edges were handed in. Every buffer is rewritten
+/// before it is read, so nothing carries over from one block to the next.
+#[derive(Debug, Default)]
 struct Block {
     /// Global id of each local node, ascending.
     nodes: Vec<NodeId>,
-    /// Local id of each global node while a block loads, else [`NONE`].
+    /// Local id of each global node while a block loads, else [`NONE`]
+    /// (between loads every entry is [`NONE`]).
     local: Vec<usize>,
     /// Endpoints of each local edge (smaller first), in load order.
     ends: Vec<(usize, usize)>,
@@ -189,8 +244,12 @@ struct Block {
     /// `adj[start[v]..start[v + 1]]`.
     start: Vec<usize>,
     adj: Vec<(usize, usize)>,
+    /// Per-node write cursors into a CSR-sized array.
+    fill: Vec<usize>,
     /// Faces as directed node cycles.
     faces: Vec<Vec<usize>>,
+    /// Face vectors no longer in use, kept for their capacity.
+    spare_faces: Vec<Vec<usize>>,
     embedded_node: Vec<bool>,
     embedded_edge: Vec<bool>,
     /// Fragment id of each unembedded node, for the round it was last
@@ -204,27 +263,25 @@ struct Block {
     prev: Vec<(usize, usize)>,
     queue: Vec<usize>,
     attachments: Vec<usize>,
+    /// The latest fragment path, attachment to attachment.
+    path: Vec<usize>,
+    /// `find_cycle`'s DFS: `(parent, tree edge)` and state per node (0
+    /// unvisited, 1 on the stack path, 2 done), and its frames.
+    dfs_parent: Vec<(usize, usize)>,
+    dfs_state: Vec<u8>,
+    dfs_stack: Vec<(usize, usize)>,
+    /// `append_rotations`' corner and successor tables, CSR-indexed, and
+    /// each neighbor's slot in the current node's adjacency.
+    corners: Vec<(usize, usize)>,
+    next: Vec<usize>,
+    position: Vec<usize>,
 }
 
 impl Block {
-    fn new(global_nodes: usize) -> Self {
-        Block {
-            nodes: Vec::new(),
-            local: vec![NONE; global_nodes],
-            ends: Vec::new(),
-            sorted: Vec::new(),
-            start: Vec::new(),
-            adj: Vec::new(),
-            faces: Vec::new(),
-            embedded_node: Vec::new(),
-            embedded_edge: Vec::new(),
-            component: Vec::new(),
-            next_component: 1,
-            mark: Vec::new(),
-            next_mark: 1,
-            prev: Vec::new(),
-            queue: Vec::new(),
-            attachments: Vec::new(),
+    /// Makes room for the global ids of a graph with `global_nodes` nodes.
+    fn fit(&mut self, global_nodes: usize) {
+        if self.local.len() < global_nodes {
+            self.local.resize(global_nodes, NONE);
         }
     }
 
@@ -268,12 +325,13 @@ impl Block {
         }
         self.adj.clear();
         self.adj.resize(2 * self.ends.len(), (0, 0));
-        let mut fill = self.start[..k].to_vec();
+        self.fill.clear();
+        self.fill.extend_from_slice(&self.start[..k]);
         for (e, &(a, b)) in self.ends.iter().enumerate() {
-            self.adj[fill[a]] = (b, e);
-            fill[a] += 1;
-            self.adj[fill[b]] = (a, e);
-            fill[b] += 1;
+            self.adj[self.fill[a]] = (b, e);
+            self.fill[a] += 1;
+            self.adj[self.fill[b]] = (a, e);
+            self.fill[b] += 1;
         }
         self.sorted.clear();
         self.sorted.extend(0..self.ends.len());
@@ -287,10 +345,6 @@ impl Block {
         self.component.resize(k, 0);
         self.next_component = 1;
         self.prev.resize(k, (0, 0));
-    }
-
-    fn neighbors(&self, v: usize) -> &[(usize, usize)] {
-        &self.adj[self.start[v]..self.start[v + 1]]
     }
 
     /// Runs Demoucron's algorithm on the loaded block (biconnected, at
@@ -307,83 +361,83 @@ impl Block {
         self.embedded_node.resize(k, false);
         self.embedded_edge.clear();
         self.embedded_edge.resize(m, false);
-        let cycle = self.find_cycle();
+        self.spare_faces.append(&mut self.faces);
+        let mut cycle = take_face(&mut self.spare_faces);
+        self.find_cycle(&mut cycle);
         let mut embedded = cycle.len();
 
         // Faces as directed node cycles: the cycle and its mirror.
-        let mut mirror = cycle.clone();
-        mirror.reverse();
-        self.faces.clear();
+        let mut mirror = take_face(&mut self.spare_faces);
+        mirror.extend(cycle.iter().rev());
         self.faces.push(cycle);
         self.faces.push(mirror);
 
-        let mut path: Vec<usize> = Vec::new();
         while embedded < m {
             let Some((fragment, face)) = self.choose_fragment() else {
                 return false;
             };
             // An alpha-path through the fragment between two attachments;
             // record it as embedded.
-            embedded += self.fragment_path(fragment, &mut path);
-            for &v in &path[1..path.len() - 1] {
+            embedded += self.fragment_path(fragment);
+            for &v in &self.path[1..self.path.len() - 1] {
                 self.embedded_node[v] = true;
             }
-            split_face(&mut self.faces, face, &path);
+            self.split_face(face);
         }
         true
     }
 
-    /// Finds a cycle by DFS (roots and neighbors in local order) and marks
-    /// its nodes and edges embedded; returns it as a node sequence.
-    fn find_cycle(&mut self) -> Vec<usize> {
+    /// Finds a cycle by DFS (roots and neighbors in local order), marks
+    /// its nodes and edges embedded and writes it into `cycle` as a node
+    /// sequence.
+    fn find_cycle(&mut self, cycle: &mut Vec<usize>) {
         let k = self.nodes.len();
-        // (parent, tree edge) per node; state 0 unvisited, 1 on the stack
-        // path, 2 done.
-        let mut parent = vec![(NONE, NONE); k];
-        let mut state = vec![0u8; k];
-        let mut stack: Vec<(usize, usize)> = Vec::new();
+        self.dfs_parent.clear();
+        self.dfs_parent.resize(k, (NONE, NONE));
+        self.dfs_state.clear();
+        self.dfs_state.resize(k, 0);
+        self.dfs_stack.clear();
         for root in 0..k {
-            if state[root] != 0 {
+            if self.dfs_state[root] != 0 {
                 continue;
             }
-            stack.push((root, 0));
-            state[root] = 1;
-            while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-                if let Some(&(v, e)) = self.neighbors(u).get(*i) {
+            self.dfs_stack.push((root, 0));
+            self.dfs_state[root] = 1;
+            while let Some(&mut (u, ref mut i)) = self.dfs_stack.last_mut() {
+                if let Some(&(v, e)) = self.adj[self.start[u]..self.start[u + 1]].get(*i) {
                     *i += 1;
-                    if v == parent[u].0 {
+                    if v == self.dfs_parent[u].0 {
                         continue;
                     }
-                    if state[v] == 1 {
+                    if self.dfs_state[v] == 1 {
                         // Found a cycle: walk u back to v.
                         self.embedded_edge[e] = true;
-                        let mut cycle = vec![u];
+                        cycle.push(u);
                         let mut cur = u;
                         while cur != v {
-                            let (p, pe) = parent[cur];
+                            let (p, pe) = self.dfs_parent[cur];
                             self.embedded_edge[pe] = true;
                             cycle.push(p);
                             cur = p;
                         }
-                        for &x in &cycle {
+                        for &x in cycle.iter() {
                             self.embedded_node[x] = true;
                         }
-                        return cycle;
+                        return;
                     }
-                    if state[v] == 0 {
-                        parent[v] = (u, e);
-                        state[v] = 1;
-                        stack.push((v, 0));
+                    if self.dfs_state[v] == 0 {
+                        self.dfs_parent[v] = (u, e);
+                        self.dfs_state[v] = 1;
+                        self.dfs_stack.push((v, 0));
                     }
                 } else {
-                    state[u] = 2;
-                    stack.pop();
+                    self.dfs_state[u] = 2;
+                    self.dfs_stack.pop();
                 }
             }
         }
         unreachable!("a biconnected graph with >=3 nodes has a cycle")
     }
-
     /// Picks the fragment to embed next and its face, scanning fragments
     /// in order (chords by endpoints, then components by smallest node):
     /// the first fragment that fits exactly one face, else the first
@@ -498,13 +552,13 @@ impl Block {
 
     /// Writes a path through `fragment` between two distinct attachments
     /// into `path`, marks its edges embedded and returns their number.
-    fn fragment_path(&mut self, fragment: Fragment, path: &mut Vec<usize>) -> usize {
-        path.clear();
+    fn fragment_path(&mut self, fragment: Fragment) -> usize {
+        self.path.clear();
         let (id, start) = match fragment {
             Fragment::Chord(e) => {
                 let (a, b) = self.ends[e];
                 self.embedded_edge[e] = true;
-                path.extend([a, b]);
+                self.path.extend([a, b]);
                 return 1;
             }
             Fragment::Component { id, start } => (id, start),
@@ -530,16 +584,16 @@ impl Block {
                 if self.embedded_node[v] && v != start {
                     // Reached another attachment: reconstruct.
                     self.embedded_edge[e] = true;
-                    path.extend([v, u]);
+                    self.path.extend([v, u]);
                     let mut cur = u;
                     while cur != start {
                         let (p, pe) = self.prev[cur];
                         self.embedded_edge[pe] = true;
-                        path.push(p);
+                        self.path.push(p);
                         cur = p;
                     }
-                    path.reverse();
-                    return path.len() - 1;
+                    self.path.reverse();
+                    return self.path.len() - 1;
                 }
                 if self.component[v] == id && self.mark[v] != stamp {
                     self.mark[v] = stamp;
@@ -551,41 +605,79 @@ impl Block {
         unreachable!("biconnected graphs always yield a second attachment");
     }
 
+    /// Splits `faces[face_idx]` along `path` (whose endpoints lie on the
+    /// face): the face leaves by `swap_remove`, and its two halves are
+    /// pushed after the others.
+    fn split_face(&mut self, face_idx: usize) {
+        let face = self.faces.swap_remove(face_idx);
+        let path = &self.path;
+        let a = path[0];
+        let b = *path.last().expect("paths are non-empty");
+        let pa = face
+            .iter()
+            .position(|&x| x == a)
+            .expect("path endpoint lies on the face");
+        let pb = face
+            .iter()
+            .position(|&x| x == b)
+            .expect("path endpoint lies on the face");
+        let interior = &path[1..path.len() - 1];
+
+        // Face 1: a ->(face)-> b ->(reversed path)-> a.
+        let mut f1 = take_face(&mut self.spare_faces);
+        extend_cyclic_segment(&mut f1, &face, pa, pb);
+        f1.extend(interior.iter().rev().copied());
+        // Face 2: b ->(face)-> a ->(forward path)-> b.
+        let mut f2 = take_face(&mut self.spare_faces);
+        extend_cyclic_segment(&mut f2, &face, pb, pa);
+        f2.extend(interior.iter().copied());
+
+        self.faces.push(f1);
+        self.faces.push(f2);
+        self.spare_faces.push(face);
+    }
+
     /// Reconstructs the rotation system from the consistently oriented
-    /// face walks and appends each node's rotation, in global ids, to
-    /// `rotation`. Each rotation starts at the node's first neighbor.
-    fn append_rotations(&mut self, rotation: &mut [Vec<NodeId>]) {
+    /// face walks and appends each node's rotation, in global ids, to its
+    /// row of `rotation`. Each rotation starts at the node's first
+    /// neighbor.
+    fn append_rotations(&mut self, rotation: &mut Rows) {
         let k = self.nodes.len();
         // Every corner u -> v -> w, bucketed by v: v has one corner per
         // incident edge, so the CSR offsets size the buckets.
-        let mut corners = vec![(0, 0); self.adj.len()];
-        let mut fill: Vec<usize> = self.start[..k].to_vec();
+        self.corners.clear();
+        self.corners.resize(self.adj.len(), (0, 0));
+        self.fill.clear();
+        self.fill.extend_from_slice(&self.start[..k]);
         for face in &self.faces {
             let len = face.len();
             for i in 0..len {
                 let v = face[i];
-                corners[fill[v]] = (face[(i + len - 1) % len], face[(i + 1) % len]);
-                fill[v] += 1;
+                self.corners[self.fill[v]] = (face[(i + len - 1) % len], face[(i + 1) % len]);
+                self.fill[v] += 1;
             }
         }
         // next[slot of u at v] = slot of w at v, for every corner u -> v -> w
         // (slots relative to v's adjacency).
-        let mut next = vec![0usize; self.adj.len()];
-        let mut position = vec![0usize; k];
+        self.next.clear();
+        self.next.resize(self.adj.len(), 0);
+        if self.position.len() < k {
+            self.position.resize(k, 0);
+        }
         for v in 0..k {
             let (lo, hi) = (self.start[v], self.start[v + 1]);
-            debug_assert_eq!(fill[v], hi, "each directed edge lies on one face");
+            debug_assert_eq!(self.fill[v], hi, "each directed edge lies on one face");
             for (i, &(w, _)) in self.adj[lo..hi].iter().enumerate() {
-                position[w] = i;
+                self.position[w] = i;
             }
-            for &(u, w) in &corners[lo..hi] {
-                next[lo + position[u]] = position[w];
+            for &(u, w) in &self.corners[lo..hi] {
+                self.next[lo + self.position[u]] = self.position[w];
             }
-            let rot = &mut rotation[self.nodes[v].index()];
+            let row = self.nodes[v].index();
             let mut i = 0;
             loop {
-                rot.push(self.nodes[self.adj[lo + i].0]);
-                i = next[lo + i];
+                rotation.push(row, self.nodes[self.adj[lo + i].0]);
+                i = self.next[lo + i];
                 if i == 0 {
                     break;
                 }
@@ -594,40 +686,21 @@ impl Block {
     }
 }
 
-/// Splits `faces[face_idx]` along `path` (whose endpoints lie on the face).
-fn split_face(faces: &mut Vec<Vec<usize>>, face_idx: usize, path: &[usize]) {
-    let face = faces.swap_remove(face_idx);
-    let a = path[0];
-    let b = *path.last().expect("paths are non-empty");
-    let pa = face
-        .iter()
-        .position(|&x| x == a)
-        .expect("path endpoint lies on the face");
-    let pb = face
-        .iter()
-        .position(|&x| x == b)
-        .expect("path endpoint lies on the face");
-    let interior = &path[1..path.len() - 1];
-
-    // Face 1: a ->(face)-> b ->(reversed path)-> a.
-    let mut f1 = cyclic_segment(&face, pa, pb);
-    f1.extend(interior.iter().rev().copied());
-    // Face 2: b ->(face)-> a ->(forward path)-> b.
-    let mut f2 = cyclic_segment(&face, pb, pa);
-    f2.extend(interior.iter().copied());
-
-    faces.push(f1);
-    faces.push(f2);
+/// An empty face vector, recycled from `spare` when one is there.
+fn take_face(spare: &mut Vec<Vec<usize>>) -> Vec<usize> {
+    let mut face = spare.pop().unwrap_or_default();
+    face.clear();
+    face
 }
 
-/// `face[from..=to]`, walking forward and wrapping around the end.
-fn cyclic_segment(face: &[usize], from: usize, to: usize) -> Vec<usize> {
+/// Appends `face[from..=to]` to `out`, walking forward and wrapping
+/// around the end.
+fn extend_cyclic_segment(out: &mut Vec<usize>, face: &[usize], from: usize, to: usize) {
     if from <= to {
-        face[from..=to].to_vec()
+        out.extend_from_slice(&face[from..=to]);
     } else {
-        let mut segment = face[from..].to_vec();
-        segment.extend_from_slice(&face[..=to]);
-        segment
+        out.extend_from_slice(&face[from..]);
+        out.extend_from_slice(&face[..=to]);
     }
 }
 
@@ -998,47 +1071,67 @@ mod tests {
         g
     }
 
+    /// The `trial`-th graph of the random-graph sweep: `n` from 1 to 40
+    /// nodes, cycling through four families.
+    fn random_graph<R: Rng>(trial: usize, rng: &mut R) -> Graph {
+        let n: usize = rng.gen_range(1..=40);
+        match trial % 4 {
+            // Sparse to dense G(n, m): edges per node from 0.5 to 3.
+            0 | 1 => {
+                let max_m = n * (n - 1) / 2;
+                let per_node = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0][rng.gen_range(0..6usize)];
+                let m = ((n as f64 * per_node) as usize).min(max_m);
+                generators::gnm(n, m, rng)
+            }
+            // A random tree plus a few chords.
+            2 => {
+                let mut g = generators::random_tree(n, rng);
+                for _ in 0..rng.gen_range(0..=n / 2 + 1) {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    if a != b {
+                        g.add_edge(NodeId::new(a), NodeId::new(b)).unwrap();
+                    }
+                }
+                g
+            }
+            // A random subgraph of a triangulated grid: planar, with
+            // many blocks and cut vertices.
+            _ => {
+                let cols: usize = rng.gen_range(1..=6);
+                let rows = (n / cols).max(1);
+                let full = triangulated_grid(rows, cols);
+                let keep: f64 = rng.gen_range(0.5..1.0);
+                let mut g = Graph::with_nodes(full.node_count());
+                for e in full.sorted_edges() {
+                    if rng.gen_bool(keep) {
+                        g.add_edge(e.a(), e.b()).unwrap();
+                    }
+                }
+                shuffled(&g, rng)
+            }
+        }
+    }
+
+    /// A prefix case of the block-local sweep: a random G(n, m) and a
+    /// random prefix length, or `None` when the prefix is non-planar
+    /// (the extension test's premise fails).
+    fn prefix_case<R: Rng>(rng: &mut R) -> Option<(Graph, usize)> {
+        let n: usize = rng.gen_range(2..=40);
+        let per_node = [1.0, 1.5, 2.0, 2.5, 3.0][rng.gen_range(0..5usize)];
+        let m = ((n as f64 * per_node) as usize).min(n * (n - 1) / 2);
+        let g = generators::gnm(n, m, rng);
+        // Node ids are random, so a prefix is a random old part.
+        let prefix = rng.gen_range(0..n);
+        let old: Vec<NodeId> = (0..prefix).map(NodeId::new).collect();
+        is_planar(&g.induced_subgraph(&old).0).then_some((g, prefix))
+    }
+
     #[test]
     fn dense_core_matches_the_reference_on_random_graphs() {
         let mut rng = StdRng::seed_from_u64(2023);
         let mut planar = 0;
         for trial in 0..2400 {
-            let n: usize = rng.gen_range(1..=40);
-            let g = match trial % 4 {
-                // Sparse to dense G(n, m): edges per node from 0.5 to 3.
-                0 | 1 => {
-                    let max_m = n * (n - 1) / 2;
-                    let per_node = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0][rng.gen_range(0..6usize)];
-                    let m = ((n as f64 * per_node) as usize).min(max_m);
-                    generators::gnm(n, m, &mut rng)
-                }
-                // A random tree plus a few chords.
-                2 => {
-                    let mut g = generators::random_tree(n, &mut rng);
-                    for _ in 0..rng.gen_range(0..=n / 2 + 1) {
-                        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                        if a != b {
-                            g.add_edge(NodeId::new(a), NodeId::new(b)).unwrap();
-                        }
-                    }
-                    g
-                }
-                // A random subgraph of a triangulated grid: planar, with
-                // many blocks and cut vertices.
-                _ => {
-                    let cols: usize = rng.gen_range(1..=6);
-                    let rows = (n / cols).max(1);
-                    let full = triangulated_grid(rows, cols);
-                    let keep: f64 = rng.gen_range(0.5..1.0);
-                    let mut g = Graph::with_nodes(full.node_count());
-                    for e in full.sorted_edges() {
-                        if rng.gen_bool(keep) {
-                            g.add_edge(e.a(), e.b()).unwrap();
-                        }
-                    }
-                    shuffled(&g, &mut rng)
-                }
-            };
+            let g = random_graph(trial, &mut rng);
             if is_planar(&g) {
                 planar += 1;
             }
@@ -1046,6 +1139,38 @@ mod tests {
         }
         // Both verdicts are exercised in volume.
         assert!(planar > 1000 && planar < 2300, "{planar} planar");
+    }
+
+    #[test]
+    fn one_scratch_answers_as_fresh_calls_do() {
+        // The two random sweeps, interleaved through one scratch: graphs
+        // shrink and grow from call to call, embeddings alternate with
+        // extension tests, so stale local ids, stamps, component ids or
+        // faces would show as a different verdict or embedding.
+        let mut scratch = Scratch::new();
+        let mut graphs = StdRng::seed_from_u64(2023);
+        let mut prefixes = StdRng::seed_from_u64(11);
+        let (mut embedded, mut extended) = (0, 0);
+        for trial in 0..3000 {
+            if trial < 2400 {
+                let g = random_graph(trial, &mut graphs);
+                let fresh = check_planarity(&g).into_embedding();
+                assert_eq!(fresh, reference::check_planarity(&g), "{g}");
+                assert_eq!(scratch.check_planarity(&g).into_embedding(), fresh, "{g}");
+                assert_eq!(scratch.is_planar(&g), fresh.is_some(), "{g}");
+                embedded += 1;
+            }
+            if let Some((g, prefix)) = prefix_case(&mut prefixes) {
+                let full = reference::check_planarity(&g).is_some();
+                assert_eq!(is_planar_extension(&g, prefix), full, "{g}");
+                assert_eq!(scratch.is_planar_extension(&g, prefix), full, "{g}");
+                extended += 1;
+            }
+        }
+        assert!(
+            embedded == 2400 && extended > 2000,
+            "{embedded} / {extended}"
+        );
     }
 
     #[test]
@@ -1077,18 +1202,11 @@ mod tests {
         let mut checked = 0;
         let mut non_planar = 0;
         for _ in 0..3000 {
-            let n: usize = rng.gen_range(2..=40);
-            let per_node = [1.0, 1.5, 2.0, 2.5, 3.0][rng.gen_range(0..5usize)];
-            let m = ((n as f64 * per_node) as usize).min(n * (n - 1) / 2);
-            let g = generators::gnm(n, m, &mut rng);
-            // Node ids are random, so a prefix is a random old part.
-            let prefix = rng.gen_range(0..n);
-            let old: Vec<NodeId> = (0..prefix).map(NodeId::new).collect();
-            if !is_planar(&g.induced_subgraph(&old).0) {
+            let Some((g, prefix)) = prefix_case(&mut rng) else {
                 continue;
-            }
+            };
             let full = reference::check_planarity(&g).is_some();
-            assert_eq!(is_planar_extension(g.adjacency(), prefix), full, "{g}");
+            assert_eq!(is_planar_extension(&g, prefix), full, "{g}");
             checked += 1;
             non_planar += usize::from(!full);
         }
@@ -1108,10 +1226,10 @@ mod tests {
         g.add_edge(NodeId::new(0), a).unwrap();
         let b = g.add_node();
         g.add_edge(a, b).unwrap();
-        assert!(is_planar_extension(g.adjacency(), 6));
+        assert!(is_planar_extension(&g, 6));
         // A new edge into K5 puts K5's block under test.
         g.add_edge(b, NodeId::new(1)).unwrap();
-        assert!(!is_planar_extension(g.adjacency(), 6));
+        assert!(!is_planar_extension(&g, 6));
     }
 
     fn assert_planar_with_valid_embedding(g: &Graph) {

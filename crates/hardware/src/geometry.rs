@@ -193,16 +193,30 @@ impl LayerGeometry {
     /// Panics if either endpoint lies outside the layer or, for the
     /// hexagonal topology, if the honeycomb is disconnected at size 1.
     pub fn path_between(&self, a: Position, b: Position) -> Vec<Position> {
+        let mut path = Vec::new();
+        self.path_between_into(a, b, &mut path);
+        path
+    }
+
+    /// [`LayerGeometry::path_between`] written into `path` (cleared
+    /// first), so a caller that plans many paths reuses one buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`LayerGeometry::path_between`].
+    pub fn path_between_into(&self, a: Position, b: Position, path: &mut Vec<Position>) {
         assert!(self.contains(a) && self.contains(b), "endpoints on layer");
+        path.clear();
         match self.topology {
-            Topology::Orthogonal => column_then_row(a, b),
-            Topology::Triangular | Topology::Hexagonal => self.bfs_path(a, b),
+            Topology::Orthogonal => column_then_row(a, b, path),
+            Topology::Triangular | Topology::Hexagonal => self.bfs_path(a, b, path),
         }
     }
 
     /// Breadth-first shortest path in neighbourhood order (FIFO queue,
-    /// first discovery wins), over a dense predecessor array.
-    fn bfs_path(&self, a: Position, b: Position) -> Vec<Position> {
+    /// first discovery wins), over a dense predecessor array, written
+    /// into the empty `path`.
+    fn bfs_path(&self, a: Position, b: Position, path: &mut Vec<Position>) {
         const UNSEEN: usize = usize::MAX;
         let (ia, ib) = (self.index_of(a), self.index_of(b));
         let mut prev = vec![UNSEEN; self.area()];
@@ -223,14 +237,13 @@ impl LayerGeometry {
             }
         }
         assert!(prev[ib] != UNSEEN, "layer topology must be connected");
-        let mut path = vec![b];
+        path.push(b);
         let mut cur = ib;
         while prev[cur] != cur {
             cur = prev[cur];
             path.push(Position::new(cur / self.cols, cur % self.cols));
         }
         path.reverse();
-        path
     }
 
     /// Row-major iterator over all positions.
@@ -256,10 +269,11 @@ impl fmt::Display for LayerGeometry {
     }
 }
 
-/// The orthogonal-grid shuffle path from `a` to `b`, inclusive: along
-/// `a`'s column to `b`'s row, then along `b`'s row.
-fn column_then_row(a: Position, b: Position) -> Vec<Position> {
-    let mut path = Vec::with_capacity(a.manhattan(b) + 1);
+/// The orthogonal-grid shuffle path from `a` to `b`, inclusive, written
+/// into the empty `path`: along `a`'s column to `b`'s row, then along
+/// `b`'s row.
+fn column_then_row(a: Position, b: Position, path: &mut Vec<Position>) {
+    path.reserve(a.manhattan(b) + 1);
     path.push(a);
     let mut row = a.row;
     while row != b.row {
@@ -271,7 +285,6 @@ fn column_then_row(a: Position, b: Position) -> Vec<Position> {
         col = if col < b.col { col + 1 } else { col - 1 };
         path.push(Position::new(b.row, col));
     }
-    path
 }
 
 /// An *extended physical layer* (paper §3.1, Fig. 5b): `factor` consecutive

@@ -21,10 +21,18 @@ use oneq_graph::NodeId;
 /// Clifford pruning: empty for Pauli-basis and output nodes, otherwise the
 /// X-dependencies plus the Z-dependencies of those X-dependencies.
 pub fn blocking_deps(pattern: &Pattern, node: NodeId) -> Vec<NodeId> {
+    let mut deps = Vec::new();
+    blocking_deps_into(pattern, node, &mut deps);
+    deps
+}
+
+/// [`blocking_deps`] written into `deps` (cleared first), so a sweep over
+/// every node reuses one buffer.
+fn blocking_deps_into(pattern: &Pattern, node: NodeId, deps: &mut Vec<NodeId>) {
+    deps.clear();
     if !pattern.basis(node).is_adaptive() {
-        return Vec::new();
+        return;
     }
-    let mut deps: Vec<NodeId> = Vec::new();
     for &x in pattern.x_deps(node) {
         if !deps.contains(&x) {
             deps.push(x);
@@ -35,7 +43,6 @@ pub fn blocking_deps(pattern: &Pattern, node: NodeId) -> Vec<NodeId> {
             }
         }
     }
-    deps
 }
 
 /// Groups the measured nodes of `pattern` into *dependency layers*: layer
@@ -76,6 +83,8 @@ pub fn dependency_layers(pattern: &Pattern) -> Vec<Vec<NodeId>> {
     // layer[n] = Some(k) once assigned.
     let mut layer: Vec<Option<usize>> = vec![None; pattern.node_count()];
     let mut remaining: Vec<NodeId> = measured.clone();
+    let mut next_remaining: Vec<NodeId> = Vec::new();
+    let mut deps: Vec<NodeId> = Vec::new();
     let mut iterations = 0usize;
     while !remaining.is_empty() {
         iterations += 1;
@@ -83,13 +92,13 @@ pub fn dependency_layers(pattern: &Pattern) -> Vec<Vec<NodeId>> {
             iterations <= pattern.node_count() + 1,
             "cyclic measurement dependencies: pattern has no causal flow"
         );
-        let mut next_remaining = Vec::new();
+        next_remaining.clear();
         let mut progressed = false;
         for &n in &remaining {
-            let deps = blocking_deps(pattern, n);
+            blocking_deps_into(pattern, n, &mut deps);
             let mut ready = true;
             let mut level = 0usize;
-            for d in deps {
+            for &d in &deps {
                 // Dependencies on output nodes never occur (outputs are
                 // unmeasured); dependencies on unmeasured non-output nodes
                 // are impossible by construction.
@@ -115,7 +124,7 @@ pub fn dependency_layers(pattern: &Pattern) -> Vec<Vec<NodeId>> {
             progressed || next_remaining.is_empty(),
             "cyclic measurement dependencies: pattern has no causal flow"
         );
-        remaining = next_remaining;
+        std::mem::swap(&mut remaining, &mut next_remaining);
     }
 
     let max_layer = layer.iter().flatten().copied().max().unwrap_or(0);
@@ -170,13 +179,15 @@ pub fn scheduled_layers_from(pattern: &Pattern, earliest: &[Vec<NodeId>]) -> Vec
     //   layer(v) >= layer(pred(v))          (wire monotonicity)
     //   layer(v) >  layer(d) for blocking d (Lemma 1 stays satisfied).
     let measured = pattern.measured_nodes();
+    let mut deps: Vec<NodeId> = Vec::new();
     for &v in &measured {
         if let Some(u) = pred[v.index()] {
             if pattern.basis(u).is_measured() {
                 layer[v.index()] = layer[v.index()].max(layer[u.index()]);
             }
         }
-        for d in blocking_deps(pattern, v) {
+        blocking_deps_into(pattern, v, &mut deps);
+        for &d in &deps {
             if pattern.basis(d).is_measured() {
                 layer[v.index()] = layer[v.index()].max(layer[d.index()] + 1);
             }

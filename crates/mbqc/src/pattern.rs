@@ -1,7 +1,7 @@
 //! Measurement patterns over graph states.
 
 use crate::basis::Basis;
-use oneq_graph::{Graph, GraphError, NodeId};
+use oneq_graph::{Graph, GraphError, NodeId, Rows};
 use std::fmt;
 
 /// Errors produced when assembling patterns.
@@ -37,7 +37,8 @@ impl From<GraphError> for PatternError {
 /// measurement outcomes flip the sign of `i`'s measurement angle
 /// (X-dependencies); `z_deps(i)` lists the qubits whose outcomes shift it
 /// by π (Z-dependencies). Input and output node lists identify the logical
-/// wires.
+/// wires. Both dependency lists are [`Rows`] of one pooled buffer each, as
+/// the graph state's adjacency is.
 ///
 /// # Example
 ///
@@ -59,8 +60,8 @@ pub struct Pattern {
     basis: Vec<Basis>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    x_deps: Vec<Vec<NodeId>>,
-    z_deps: Vec<Vec<NodeId>>,
+    x_deps: Rows,
+    z_deps: Rows,
     /// Causal-flow successor per node: the qubit receiving the X-correction
     /// when this node is measured.
     flow: Vec<Option<NodeId>>,
@@ -76,8 +77,8 @@ impl Pattern {
     pub fn add_node(&mut self, basis: Basis) -> NodeId {
         let id = self.graph.add_node();
         self.basis.push(basis);
-        self.x_deps.push(Vec::new());
-        self.z_deps.push(Vec::new());
+        self.x_deps.push_row();
+        self.z_deps.push_row();
         self.flow.push(None);
         id
     }
@@ -118,8 +119,8 @@ impl Pattern {
     pub fn add_x_dependency(&mut self, node: NodeId, on: NodeId) -> Result<(), PatternError> {
         self.check(node)?;
         self.check(on)?;
-        if !self.x_deps[node.index()].contains(&on) {
-            self.x_deps[node.index()].push(on);
+        if !self.x_deps.row(node.index()).contains(&on) {
+            self.x_deps.push(node.index(), on);
         }
         Ok(())
     }
@@ -132,10 +133,22 @@ impl Pattern {
     pub fn add_z_dependency(&mut self, node: NodeId, on: NodeId) -> Result<(), PatternError> {
         self.check(node)?;
         self.check(on)?;
-        if !self.z_deps[node.index()].contains(&on) {
-            self.z_deps[node.index()].push(on);
+        if !self.z_deps.row(node.index()).contains(&on) {
+            self.z_deps.push(node.index(), on);
         }
         Ok(())
+    }
+
+    /// Records that every graph neighbor of `at` other than `on` shifts by
+    /// π depending on `on`'s outcome, in `at`'s neighbor order: the
+    /// Z-corrections of measuring `on` when `at` is its flow successor.
+    /// Both ids must be nodes of the pattern.
+    pub(crate) fn add_z_dependencies_around(&mut self, at: NodeId, on: NodeId) {
+        for &w in self.graph.neighbors(at) {
+            if w != on && !self.z_deps.row(w.index()).contains(&on) {
+                self.z_deps.push(w.index(), on);
+            }
+        }
     }
 
     /// Sets the causal-flow successor of `node`.
@@ -204,7 +217,7 @@ impl Pattern {
     ///
     /// Panics if `n` is out of range.
     pub fn x_deps(&self, n: NodeId) -> &[NodeId] {
-        &self.x_deps[n.index()]
+        self.x_deps.row(n.index())
     }
 
     /// Z-dependencies of `n` (outcomes that shift its angle by π).
@@ -213,7 +226,7 @@ impl Pattern {
     ///
     /// Panics if `n` is out of range.
     pub fn z_deps(&self, n: NodeId) -> &[NodeId] {
-        &self.z_deps[n.index()]
+        self.z_deps.row(n.index())
     }
 
     /// The causal-flow successor of `n`, if any.

@@ -84,15 +84,12 @@ pub fn from_jcz_circuit(circuit: &Circuit) -> Pattern {
 
     // Derive Z-dependencies from the flow: measuring u corrects X on f(u)
     // and Z on the other neighbors of f(u).
-    let measured: Vec<NodeId> = pattern.measured_nodes();
-    for u in measured {
+    for u in (0..pattern.node_count()).map(NodeId::new) {
+        if !pattern.basis(u).is_measured() {
+            continue;
+        }
         if let Some(fu) = pattern.flow(u) {
-            let neighbors: Vec<NodeId> = pattern.graph().neighbors(fu).to_vec();
-            for w in neighbors {
-                if w != u {
-                    pattern.add_z_dependency(w, u).expect("nodes exist");
-                }
-            }
+            pattern.add_z_dependencies_around(fu, u);
         }
     }
 

@@ -4,7 +4,7 @@
 //! replaced, kept here as references.
 
 use oneq_graph::{
-    biconnected, generators, mps, planarity, traversal, Edge, Graph, GraphError, NodeId,
+    biconnected, generators, mps, planarity, traversal, Edge, Embedding, Graph, GraphError, NodeId,
 };
 use oneq_hardware::{fusion, ExtendedLayer, LayerGeometry, Position, ResourceKind};
 use proptest::prelude::*;
@@ -321,15 +321,17 @@ impl HashedGraph {
 
 /// One mutation or query of the graph model test: `(kind, on_hub, a, b)`.
 /// Kinds: 0 add, 1 remove, 2 toggle (as `Pattern::add_entangling_edge`
-/// does: remove when present, else add), 3 `has_edge`. With `on_hub`, `a`
-/// is node 0, the hub.
+/// does: remove when present, else add), 3 `has_edge`, 4 `add_node`
+/// (translation grows nodes and edges together). With `on_hub`, `a` is
+/// node 0, the hub.
 type GraphOp = (usize, bool, usize, usize);
 
 /// Strategy: `n` in 65..80 nodes and a random op sequence over ids
-/// `0..n + 2`, so ops name invalid ids and self-loops too.
+/// `0..n + 40`: ids past the current node count are invalid until enough
+/// `add_node`s arrive, and ops name self-loops too.
 fn graph_ops_strategy() -> impl Strategy<Value = (usize, Vec<GraphOp>)> {
     (65usize..80).prop_flat_map(|n| {
-        proptest::collection::vec((0usize..4, any::<bool>(), 0..n + 2, 0..n + 2), 0..400)
+        proptest::collection::vec((0usize..5, any::<bool>(), 0..n + 40, 0..n + 40), 0..400)
             .prop_map(move |ops| (n, ops))
     })
 }
@@ -430,6 +432,10 @@ proptest! {
             let (a, b) = (NodeId::new(0), NodeId::new(leaf));
             prop_assert_eq!(g.add_edge(a, b), model.add_edge(a, b));
         }
+        // The same ops, each followed by adding and removing one absent
+        // edge: every row ends where `g`'s does, but rows move in the
+        // pooled buffer at other times.
+        let mut detour = g.clone();
         for (kind, on_hub, a, b) in ops {
             let (a, b) = (NodeId::new(if on_hub { 0 } else { a }), NodeId::new(b));
             match kind {
@@ -444,13 +450,47 @@ proptest! {
                         prop_assert_eq!(g.add_edge(a, b), model.add_edge(a, b), "toggle {} {}", a, b);
                     }
                 }
-                _ => {
+                3 => {
                     prop_assert_eq!(g.has_edge(a, b), model.has_edge(a, b), "has_edge {} {}", a, b);
                     prop_assert_eq!(g.has_edge(b, a), model.has_edge(b, a));
                 }
+                _ => {
+                    prop_assert_eq!(g.add_node().index(), model.adj.len());
+                    model.adj.push(Vec::new());
+                }
             }
             prop_assert_eq!(g.edge_count(), model.edges.len());
+            prop_assert_eq!(g.node_count(), model.adj.len());
+            // The touched rows, order included, after every op.
+            for x in [a, b] {
+                if let Some(row) = model.adj.get(x.index()) {
+                    prop_assert_eq!(g.neighbors(x), &row[..], "neighbors of {} after op {}", x, kind);
+                    prop_assert_eq!(g.degree(x), row.len());
+                }
+            }
+            match kind {
+                0 => {
+                    let _ = detour.add_edge(a, b);
+                }
+                1 => {
+                    detour.remove_edge(a, b);
+                }
+                2 if !detour.remove_edge(a, b) => {
+                    let _ = detour.add_edge(a, b);
+                }
+                4 => {
+                    detour.add_node();
+                }
+                _ => {}
+            }
+            if detour.add_edge(b, a) == Ok(true) {
+                prop_assert!(detour.remove_edge(a, b));
+            }
         }
+        prop_assert_eq!(&detour, &g);
+        let mut grown = g.clone();
+        grown.add_node();
+        prop_assert!(grown != g, "one more node must compare unequal");
         prop_assert_eq!(g.sorted_edges(), model.sorted_edges());
         for v in g.nodes() {
             prop_assert_eq!(g.neighbors(v), &model.adj[v.index()][..], "neighbors of {}", v);
@@ -468,6 +508,16 @@ proptest! {
             .collect();
         prop_assert_eq!(g.edges().collect::<Vec<_>>(), walk);
         prop_assert_eq!(g.max_degree(), model.adj.iter().map(Vec::len).max().unwrap_or(0));
+        // Embeddings keep their rows the same way: `from_rotations` packs
+        // the model's rows, `from_adjacency` copies the pooled ones.
+        let embedding = Embedding::from_rotations(model.adj.clone());
+        prop_assert_eq!(embedding.node_count(), model.adj.len());
+        for v in g.nodes() {
+            prop_assert_eq!(embedding.rotation(v), &model.adj[v.index()][..], "rotation of {}", v);
+        }
+        prop_assert_eq!(&embedding, &Embedding::from_adjacency(&g));
+        prop_assert_eq!(&embedding, &Embedding::from_adjacency(&detour));
+        prop_assert!(embedding != Embedding::from_adjacency(&grown));
     }
 
     #[test]

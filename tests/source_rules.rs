@@ -7,8 +7,10 @@
 //!   a deliberate edit here;
 //! - every `/v1/...` route the code names is documented in
 //!   `docs/OBSERVABILITY.md` or `README.md`;
-//! - the non-test code of the mapper's hot path (`mapping.rs`,
-//!   `grid.rs`) has no `.to_vec()` and no `collect::<Vec`;
+//! - the non-test code of the compile's hot path ([`HOT_PATH`]: the
+//!   mapper's `mapping.rs` and `grid.rs`, and the planarity buffers of
+//!   `planarity.rs` and `biconnected.rs`) has no `.to_vec()` and no
+//!   `collect::<Vec`;
 //! - the non-test code of the compile path from the graph type to the
 //!   shuffle planner ([`HASH_FREE`]) names no `HashMap` or `HashSet`:
 //!   every key there is a dense index, so state is index-addressed.
@@ -40,7 +42,14 @@ const ATOMICS: [(&str, usize); 6] = [
     ("crates/service/src/signal.rs", 3),
 ];
 
-const HOT_PATH: [&str; 2] = ["crates/core/src/mapping.rs", "crates/hardware/src/grid.rs"];
+/// The compile's hot path, whose buffers are reused: the mapper's, and
+/// the planarity test's that partition runs once per layer.
+const HOT_PATH: [&str; 4] = [
+    "crates/core/src/mapping.rs",
+    "crates/hardware/src/grid.rs",
+    "crates/graph/src/planarity.rs",
+    "crates/graph/src/biconnected.rs",
+];
 
 /// The compile path whose state is index-addressed: no hashed container
 /// in its non-test code.
@@ -196,7 +205,7 @@ fn the_mapping_hot_path_does_not_allocate_per_call() {
     forbid_in_non_test_code(
         &HOT_PATH,
         &[".to_vec()", "collect::<Vec"],
-        "in the mapper's hot path; reuse a buffer",
+        "on the compile's hot path; reuse a buffer",
     );
 }
 
