@@ -17,6 +17,15 @@
 //! shuffling** on dedicated layers between the 2-D layouts (paper
 //! Fig. 10).
 //!
+//! # Memory
+//!
+//! While a graph maps, each of its layers is a dense, row-major grid (24
+//! bytes a cell) that the placement and routing probes read in O(1). A
+//! finished layer is never mapped again, so [`map_graph`] returns each
+//! one as a sparse [`LayerLayout`] (its placements, routing cells and
+//! bounding box) and drops the grids: what outlives a partition grows
+//! with what was placed, not with the layer's area.
+//!
 //! # Determinism
 //!
 //! The entire placement path runs on dense, row-major grids
@@ -74,39 +83,39 @@ impl Default for MappingOptions {
     }
 }
 
-/// The layout of one (possibly extended) physical layer, backed by a
-/// dense row-major [`CellGrid`].
+/// The record of one finished (possibly extended) physical layer: which
+/// node or routing state occupies which cell. It holds only the occupied
+/// cells, so it costs memory in proportion to what was placed, not to
+/// the layer's area.
 #[derive(Debug, Clone)]
 pub struct LayerLayout {
-    grid: CellGrid<CellUse>,
+    geometry: LayerGeometry,
     /// Placements in placement order.
     placed: Vec<(NodeId, Position)>,
-    /// Auxiliary routing cells consumed (tracked incrementally).
-    routing: usize,
+    /// Auxiliary routing cells in fill order, with the edge each forwards.
+    routing: Vec<(Position, Edge)>,
+    /// `(rmin, rmax, cmin, cmax)` of every occupied cell; `None` when the
+    /// layer is empty.
+    bbox: Option<(usize, usize, usize, usize)>,
 }
 
 impl LayerLayout {
-    fn new(geometry: LayerGeometry) -> Self {
-        LayerLayout {
-            grid: CellGrid::new(geometry),
-            placed: Vec::new(),
-            routing: 0,
-        }
-    }
-
     /// Grid geometry of this layout.
     pub fn geometry(&self) -> LayerGeometry {
-        self.grid.geometry()
+        self.geometry
     }
 
-    /// The dense occupancy grid.
-    pub fn grid(&self) -> &CellGrid<CellUse> {
-        &self.grid
-    }
-
-    /// Occupant of `p` (`None` when free or outside the layer).
+    /// Occupant of `p` (`None` when free or outside the layer). Scans the
+    /// occupied cells.
     pub fn cell(&self, p: Position) -> Option<CellUse> {
-        self.grid.get(p).copied()
+        self.cells().find(|&(q, _)| q == p).map(|(_, c)| c)
+    }
+
+    /// Every occupied cell with its occupant: the placed nodes in
+    /// placement order, then the routing cells in fill order.
+    pub fn cells(&self) -> impl Iterator<Item = (Position, CellUse)> + '_ {
+        let nodes = self.placed.iter().map(|&(n, p)| (p, CellUse::Node(n)));
+        nodes.chain(self.routing.iter().map(|&(p, e)| (p, CellUse::Routing(e))))
     }
 
     /// Placements in placement order.
@@ -119,36 +128,66 @@ impl LayerLayout {
         self.placed.len()
     }
 
-    fn is_free(&self, p: Position) -> bool {
-        self.grid.is_free(p)
+    /// Number of auxiliary routing cells consumed.
+    pub fn routing_cells(&self) -> usize {
+        self.routing.len()
     }
 
-    /// Whether the cell at row-major index `i` is free.
-    fn is_free_at(&self, i: usize) -> bool {
-        self.grid.at(i).is_none()
+    /// Number of occupied cells: placed nodes plus routing cells.
+    pub fn occupied_cells(&self) -> usize {
+        self.placed.len() + self.routing.len()
+    }
+
+    /// Bounding-box area of everything mapped on this layer (the cost
+    /// function's `occupied_area`; 0 when the layer is empty).
+    pub fn occupied_area(&self) -> usize {
+        self.bbox.map_or(0, |(rmin, rmax, cmin, cmax)| {
+            (rmax - rmin + 1) * (cmax - cmin + 1)
+        })
+    }
+}
+
+/// A layer of the graph being mapped: the dense grid the placement and
+/// routing probes read, plus the lists its [`LayerLayout`] is made of.
+/// The mapper keeps every layer of the graph as one of these until the
+/// graph is mapped, since in-layer routing may still run on an older
+/// layer.
+struct WorkingLayer {
+    grid: CellGrid<CellUse>,
+    placed: Vec<(NodeId, Position)>,
+    routing: Vec<(Position, Edge)>,
+}
+
+impl WorkingLayer {
+    fn new(geometry: LayerGeometry) -> Self {
+        WorkingLayer {
+            grid: CellGrid::new(geometry),
+            placed: Vec::new(),
+            routing: Vec::new(),
+        }
     }
 
     fn place(&mut self, n: NodeId, p: Position) {
-        debug_assert!(self.is_free(p), "cell {p} already used");
+        debug_assert!(self.grid.is_free(p), "cell {p} already used");
         self.grid.set(p, CellUse::Node(n));
         self.placed.push((n, p));
     }
 
     fn add_routing(&mut self, p: Position, edge: Edge) {
-        debug_assert!(self.is_free(p), "cell {p} already used");
+        debug_assert!(self.grid.is_free(p), "cell {p} already used");
         self.grid.set(p, CellUse::Routing(edge));
-        self.routing += 1;
+        self.routing.push((p, edge));
     }
 
-    /// Number of auxiliary routing cells consumed.
-    pub fn routing_cells(&self) -> usize {
-        self.routing
-    }
-
-    /// Bounding-box area of everything mapped so far (the cost function's
-    /// `occupied_area`); O(1) via the grid's incremental bounding box.
-    pub fn occupied_area(&self) -> usize {
-        self.grid.bounding_box_area()
+    /// The layer's record; the grid is dropped. Moves the two lists and
+    /// reads the grid's incremental bounding box: no scan of the area.
+    fn finish(self) -> LayerLayout {
+        LayerLayout {
+            geometry: self.grid.geometry(),
+            bbox: self.grid.bounding_box(),
+            placed: self.placed,
+            routing: self.routing,
+        }
     }
 }
 
@@ -363,13 +402,16 @@ struct Mapper<'g> {
     /// Realized edges in realization order. Each edge is tried until it
     /// is realized and never after, so its length is the progress count.
     realized: Vec<Edge>,
-    layouts: Vec<LayerLayout>,
+    /// The graph's layers so far; the last one is the current layer.
+    layers: Vec<WorkingLayer>,
     /// Node -> (layout index, position), indexed by `NodeId::index`.
     node_place: Vec<Option<(usize, Position)>>,
     direct_fusions: usize,
     routed_fusions: usize,
     /// Reusable BFS buffers for the in-layer router.
     scratch: BfsScratch,
+    /// Reusable buffer of the cells of the last path the router found.
+    path: Vec<usize>,
     /// Where the current layer's seed search around the grid centre
     /// resumes.
     seed_cursor: RingCursor,
@@ -429,11 +471,12 @@ impl<'g> Mapper<'g> {
             options,
             remaining,
             realized: Vec::with_capacity(graph.edge_count()),
-            layouts: vec![LayerLayout::new(geometry)],
+            layers: vec![WorkingLayer::new(geometry)],
             node_place: vec![None; n],
             direct_fusions: 0,
             routed_fusions: 0,
             scratch: BfsScratch::new(),
+            path: Vec::new(),
             seed_cursor: RingCursor::new(center_of(geometry)),
             seed_scans: 0,
             seed_scan_radius_max: 0,
@@ -446,6 +489,13 @@ impl<'g> Mapper<'g> {
     }
 
     fn run(mut self) -> MappingResult {
+        let shuffled = self.map_edges();
+        self.finish(shuffled)
+    }
+
+    /// Realizes every edge of the graph: on a layer where possible, the
+    /// rest as the returned shuffle edges, with both endpoints placed.
+    fn map_edges(&mut self) -> Vec<ShuffleEdge> {
         let order = if self.options.cycle_priority {
             edge_order(self.graph)
         } else {
@@ -522,7 +572,12 @@ impl<'g> Mapper<'g> {
             });
             self.realized.push(edge);
         }
+        shuffled
+    }
 
+    /// Plans the shuffles and turns every layer into its record, dropping
+    /// the working grids.
+    fn finish(self, shuffled: Vec<ShuffleEdge>) -> MappingResult {
         let pairs: Vec<(Position, Position)> =
             shuffled.iter().map(|s| (s.from.1, s.to.1)).collect();
         let (shuffle_layers, shuffle_fusions) = plan_position_shuffles(&pairs, self.geometry);
@@ -537,16 +592,16 @@ impl<'g> Mapper<'g> {
             seed_scans: self.seed_scans,
             seed_scan_radius_max: self.seed_scan_radius_max,
             occupancy_peak: self
-                .layouts
+                .layers
                 .iter()
-                .map(|l| l.grid().occupied_cells() as u64)
+                .map(|l| l.grid.occupied_cells() as u64)
                 .max()
                 .unwrap_or(0),
-            routing_cells: self.layouts.iter().map(|l| l.routing_cells() as u64).sum(),
+            routing_cells: self.layers.iter().map(|l| l.routing.len() as u64).sum(),
         };
 
         MappingResult {
-            layouts: self.layouts,
+            layouts: self.layers.into_iter().map(WorkingLayer::finish).collect(),
             shuffled,
             shuffle_layers,
             direct_fusions: self.direct_fusions,
@@ -558,13 +613,13 @@ impl<'g> Mapper<'g> {
         }
     }
 
-    /// Current working layout index (always the last one).
+    /// Current layer index (always the last one).
     fn cur(&self) -> usize {
-        self.layouts.len() - 1
+        self.layers.len() - 1
     }
 
     fn push_layer(&mut self) {
-        self.layouts.push(LayerLayout::new(self.geometry));
+        self.layers.push(WorkingLayer::new(self.geometry));
         self.blocked = [0; 3];
         self.free.copy_from_slice(&self.table.len);
         self.seed_cursor = RingCursor::new(center_of(self.geometry));
@@ -641,7 +696,7 @@ impl<'g> Mapper<'g> {
             self.geometry
                 .neighbors(p)
                 .into_iter()
-                .filter(|&q| self.layouts[cur].is_free(q))
+                .filter(|&q| self.layers[cur].grid.is_free(q))
                 .count(),
             "free count of {p} diverged from a recount"
         );
@@ -662,7 +717,7 @@ impl<'g> Mapper<'g> {
         }
         let cur = self.cur();
         for &q in &row[..len] {
-            if let Some(&CellUse::Node(n)) = self.layouts[cur].grid().at(q as usize) {
+            if let Some(&CellUse::Node(n)) = self.layers[cur].grid.at(q as usize) {
                 self.reclassify(n);
             }
         }
@@ -670,7 +725,7 @@ impl<'g> Mapper<'g> {
 
     /// Occupies cell `i` of layer `layer` with a routing state for `edge`.
     fn add_routing(&mut self, layer: usize, i: usize, edge: Edge) {
-        self.layouts[layer].add_routing(self.table.position(i), edge);
+        self.layers[layer].add_routing(self.table.position(i), edge);
         if layer == self.cur() {
             self.fill_current(i);
         }
@@ -686,11 +741,11 @@ impl<'g> Mapper<'g> {
     /// and the cursor only moves forward. It is counted as a scan like
     /// any other.
     fn pick_seed_cell(&mut self) -> Option<Position> {
-        let layout = &self.layouts[self.cur()];
-        let found = self.seed_cursor.next_free(layout);
+        let grid = &self.layers[self.cur()].grid;
+        let found = self.seed_cursor.next_free(grid);
         debug_assert_eq!(
             found,
-            nearest_free_cell(layout, self.seed_cursor.target),
+            nearest_free_cell(grid, self.seed_cursor.target),
             "the seed cursor diverged from the ring scan"
         );
         self.count_scan(self.seed_cursor.target, found)
@@ -698,7 +753,7 @@ impl<'g> Mapper<'g> {
 
     /// [`nearest_free_cell`] on the current layer, counted as a scan.
     fn tracked_nearest_free(&mut self, target: Position) -> Option<Position> {
-        let found = nearest_free_cell(&self.layouts[self.cur()], target);
+        let found = nearest_free_cell(&self.layers[self.cur()].grid, target);
         self.count_scan(target, found)
     }
 
@@ -714,7 +769,7 @@ impl<'g> Mapper<'g> {
 
     fn place_node(&mut self, n: NodeId, p: Position) {
         let cur = self.cur();
-        self.layouts[cur].place(n, p);
+        self.layers[cur].place(n, p);
         self.node_place[n.index()] = Some((cur, p));
         self.blocking[n.index()] = Blocking::Unblocked;
         self.blocked[Blocking::Unblocked as usize] += 1;
@@ -738,17 +793,20 @@ impl<'g> Mapper<'g> {
         let mut direct = [0usize; MAX_NEIGHBORS];
         let mut nd = 0;
         for &q in self.table.row(a) {
-            if self.layouts[cur].is_free_at(q as usize) {
+            if self.layers[cur].grid.at(q as usize).is_none() {
                 direct[nd] = q as usize;
                 nd += 1;
             }
         }
         let direct = &direct[..nd];
-        let mut best: Option<(f64, usize, Option<Vec<usize>>)> = None;
+        // The best `(cost, cell)` so far, and whether it ends the path in
+        // `self.path`.
+        let mut best: Option<(f64, usize)> = None;
+        let mut routed = false;
         for &cand in direct.iter().take(CANDIDATE_LIMIT) {
             let cost = self.score_placement(node, cand, &[]);
-            if best.as_ref().map_or(true, |(b, _, _)| cost < *b) {
-                best = Some((cost, cand, None));
+            if best.map_or(true, |(b, _)| cost < b) {
+                best = Some((cost, cand));
             }
         }
         // Routed candidates when the anchor is partially blocked: route to
@@ -761,37 +819,35 @@ impl<'g> Mapper<'g> {
             // ending on a cell with room for the node's other edges.
             let open = self.remaining[node.index()].saturating_sub(1).min(3);
             let free = &self.free;
-            let routed = bfs_free_path(
-                &self.layouts[cur],
+            let found = bfs_free_path(
+                &self.layers[cur].grid,
                 self.table,
                 a,
                 &mut self.scratch,
+                &mut self.path,
                 |p, depth| depth >= 2 && usize::from(free[p]) >= open,
             );
-            if let Some(mut path) = routed {
-                let dest = path.pop().expect("a found path ends at its goal");
+            if found {
+                let dest = self.path.pop().expect("a found path ends at its goal");
+                let path = std::mem::take(&mut self.path);
                 let cost = self.score_placement(node, dest, &path);
-                if best.as_ref().map_or(true, |(b, _, _)| cost < *b) {
-                    best = Some((cost, dest, Some(path)));
+                self.path = path;
+                if best.map_or(true, |(b, _)| cost < b) {
+                    best = Some((cost, dest));
+                    routed = true;
                 }
             }
         }
-        match best {
-            Some((_, dest, maybe_path)) => {
-                if let Some(path) = maybe_path {
-                    let cur = self.cur();
-                    for &cell in &path {
-                        self.add_routing(cur, cell, edge);
-                    }
-                    self.routed_fusions += path.len() + 1;
-                } else {
-                    self.direct_fusions += 1;
-                }
-                self.place_node(node, self.table.position(dest));
-                true
-            }
-            None => false,
+        let Some((_, dest)) = best else {
+            return false;
+        };
+        if routed {
+            self.route_path(cur, edge);
+        } else {
+            self.direct_fusions += 1;
         }
+        self.place_node(node, self.table.position(dest));
+        true
     }
 
     /// Connects two nodes placed on layer `layer`: one fusion when their
@@ -809,19 +865,29 @@ impl<'g> Mapper<'g> {
         // The cells strictly between `pa` and `pb`: at least one, so the
         // routed path has the length >= 2 the hardware requires. It ends
         // on a cell coupled to `pb`.
-        let path = bfs_free_path(&self.layouts[layer], table, a, &mut self.scratch, |p, _| {
-            table.coupled(p, b)
-        });
-        match path {
-            Some(cells) => {
-                for &cell in &cells {
-                    self.add_routing(layer, cell, edge);
-                }
-                self.routed_fusions += cells.len() + 1;
-                true
-            }
-            None => false,
+        let found = bfs_free_path(
+            &self.layers[layer].grid,
+            table,
+            a,
+            &mut self.scratch,
+            &mut self.path,
+            |p, _| table.coupled(p, b),
+        );
+        if found {
+            self.route_path(layer, edge);
         }
+        found
+    }
+
+    /// Fills the cells of `self.path` on layer `layer` with routing states
+    /// for `edge`: a fusion chain of `path.len() + 1` fusions.
+    fn route_path(&mut self, layer: usize, edge: Edge) {
+        let path = std::mem::take(&mut self.path);
+        for &cell in &path {
+            self.add_routing(layer, cell, edge);
+        }
+        self.routed_fusions += path.len() + 1;
+        self.path = path;
     }
 
     /// The paper's heuristic cost of a tentative placement.
@@ -834,14 +900,12 @@ impl<'g> Mapper<'g> {
     /// candidate cell plus the routed path) and the candidate itself: no
     /// other node's free-neighbour count can change.
     fn score_placement(&mut self, node: NodeId, cand: usize, path: &[usize]) -> f64 {
-        let layout = &self.layouts[self.cur()];
+        let grid = &self.layers[self.cur()].grid;
         let table = self.table;
         // Occupied-area term with the tentative cells added.
         let c = table.position(cand);
-        let (mut rmin, mut rmax, mut cmin, mut cmax) = layout
-            .grid()
-            .bounding_box()
-            .unwrap_or((c.row, c.row, c.col, c.col));
+        let (mut rmin, mut rmax, mut cmin, mut cmax) =
+            grid.bounding_box().unwrap_or((c.row, c.row, c.col, c.col));
         for p in std::iter::once(cand)
             .chain(path.iter().copied())
             .map(|i| table.position(i))
@@ -863,7 +927,7 @@ impl<'g> Mapper<'g> {
         let mut cand_free = usize::from(self.free[cand]);
         for t in std::iter::once(cand).chain(path.iter().copied()) {
             for &q in table.row(t) {
-                match layout.grid().at(q as usize) {
+                match grid.at(q as usize) {
                     Some(&CellUse::Node(n)) => touched.push((n, q)),
                     None if q as usize == cand => cand_free -= 1,
                     _ => {}
@@ -897,10 +961,10 @@ impl<'g> Mapper<'g> {
     /// [`Mapper::score_placement`] are checked against in debug builds.
     #[cfg(debug_assertions)]
     fn recount_blocking(&self, node: NodeId, cand: usize, path: &[usize]) -> (usize, usize) {
-        let layout = &self.layouts[self.cur()];
+        let layer = &self.layers[self.cur()];
         let cand = self.table.position(cand);
         let tentatively_free = |q: Position| {
-            layout.is_free(q) && q != cand && !path.iter().any(|&i| self.table.position(i) == q)
+            layer.grid.is_free(q) && q != cand && !path.iter().any(|&i| self.table.position(i) == q)
         };
         let geometry = self.geometry;
         let mut partially = 0usize;
@@ -917,7 +981,7 @@ impl<'g> Mapper<'g> {
                 partially += 1;
             }
         };
-        for &(n, p) in layout.placed_nodes() {
+        for &(n, p) in &layer.placed {
             assess(p, self.remaining[n.index()]);
         }
         assess(cand, self.remaining[node.index()].saturating_sub(1));
@@ -955,8 +1019,8 @@ fn center_of(geometry: LayerGeometry) -> Position {
 /// therefore: **smallest distance first, then smallest row, then smallest
 /// column** — fixed by construction, independent of any container's
 /// iteration order, and O(cells visited) instead of a full-area scan.
-fn nearest_free_cell(layout: &LayerLayout, target: Position) -> Option<Position> {
-    let geom = layout.geometry();
+fn nearest_free_cell(grid: &CellGrid<CellUse>, target: Position) -> Option<Position> {
+    let geom = grid.geometry();
     // Any in-grid cell is within rows+cols of any in-grid target.
     let max_d = geom.rows() + geom.cols();
     for d in 0..=max_d {
@@ -966,7 +1030,7 @@ fn nearest_free_cell(layout: &LayerLayout, target: Position) -> Option<Position>
             let k = d - target.row.abs_diff(r);
             if let Some(c) = target.col.checked_sub(k) {
                 let p = Position::new(r, c);
-                if layout.is_free(p) {
+                if grid.is_free(p) {
                     return Some(p);
                 }
             }
@@ -974,7 +1038,7 @@ fn nearest_free_cell(layout: &LayerLayout, target: Position) -> Option<Position>
                 let c = target.col + k;
                 if c < geom.cols() {
                     let p = Position::new(r, c);
-                    if layout.is_free(p) {
+                    if grid.is_free(p) {
                         return Some(p);
                     }
                 }
@@ -1014,8 +1078,8 @@ impl RingCursor {
     /// The first free cell at or after the cursor in ring order, or `None`
     /// when the layer is full. The cursor stays on the cell it returns:
     /// the cell is free until someone occupies it.
-    fn next_free(&mut self, layout: &LayerLayout) -> Option<Position> {
-        let geom = layout.geometry();
+    fn next_free(&mut self, grid: &CellGrid<CellUse>) -> Option<Position> {
+        let geom = grid.geometry();
         let t = self.target;
         while self.radius <= geom.rows() + geom.cols() {
             let last_row = (t.row + self.radius).min(geom.rows() - 1);
@@ -1024,7 +1088,7 @@ impl RingCursor {
                 if !self.east {
                     if let Some(c) = t.col.checked_sub(k) {
                         let p = Position::new(self.row, c);
-                        if layout.is_free(p) {
+                        if grid.is_free(p) {
                             return Some(p);
                         }
                     }
@@ -1032,7 +1096,7 @@ impl RingCursor {
                 }
                 if k > 0 && t.col + k < geom.cols() {
                     let p = Position::new(self.row, t.col + k);
-                    if layout.is_free(p) {
+                    if grid.is_free(p) {
                         return Some(p);
                     }
                 }
@@ -1139,24 +1203,26 @@ fn bfs_by_degree(graph: &Graph, mut visit: impl FnMut(NodeId, &[bool], &mut Vec<
     }
 }
 
-/// BFS through free cells of `layout` from cell `from`'s free neighbours
-/// to the first cell that passes `goal(cell, depth)`, where depth 1 is a
+/// BFS through free cells of `grid` from cell `from`'s free neighbours to
+/// the first cell that passes `goal(cell, depth)`, where depth 1 is a
 /// neighbour of `from`, expanding each cell's `table` row in order.
-/// Returns the cells from `from` (exclusive) to that cell (inclusive);
-/// `None` when no goal lies within [`MAX_ROUTE_LEN`] cells. Runs entirely
-/// on flat cell indices with the reusable [`BfsScratch`] — no per-call
-/// maps.
+/// Fills `path` with the cells from `from` (exclusive) to that cell
+/// (inclusive) and returns `true`; returns `false`, `path` untouched,
+/// when no goal lies within [`MAX_ROUTE_LEN`] cells. Runs entirely on
+/// flat cell indices with the reusable [`BfsScratch`] and the caller's
+/// path buffer: no per-call allocation.
 fn bfs_free_path(
-    layout: &LayerLayout,
+    grid: &CellGrid<CellUse>,
     table: &NeighborTable,
     from: usize,
     bfs: &mut BfsScratch,
+    path: &mut Vec<usize>,
     goal: impl Fn(usize, u32) -> bool,
-) -> Option<Vec<usize>> {
-    bfs.begin(layout.geometry().area());
+) -> bool {
+    bfs.begin(grid.geometry().area());
     bfs.try_visit(from, from);
     for &q in table.row(from) {
-        if layout.is_free_at(q as usize) {
+        if grid.at(q as usize).is_none() {
             bfs.try_visit(q as usize, from);
             bfs.queue.push_back((q, 1));
         }
@@ -1165,24 +1231,25 @@ fn bfs_free_path(
         let p = p as usize;
         if goal(p, depth) {
             // One cell per BFS level, so the path is `depth` cells long:
-            // allocate it once and fill it back from the goal.
-            let mut path = vec![p; depth as usize];
+            // size it once and fill it back from the goal.
+            path.clear();
+            path.resize(depth as usize, p);
             for i in (0..path.len() - 1).rev() {
                 path[i] = bfs.prev(path[i + 1]);
             }
             debug_assert_eq!(bfs.prev(path[0]), from, "the path starts next to `from`");
-            return Some(path);
+            return true;
         }
         if depth as usize >= MAX_ROUTE_LEN {
             continue;
         }
         for &q in table.row(p) {
-            if layout.is_free_at(q as usize) && bfs.try_visit(q as usize, p) {
+            if grid.at(q as usize).is_none() && bfs.try_visit(q as usize, p) {
                 bfs.queue.push_back((q, depth + 1));
             }
         }
     }
-    None
+    false
 }
 
 /// Plans shuffle layers for raw position pairs: used both for in-mapping
@@ -1363,12 +1430,14 @@ mod tests {
 
     #[test]
     fn occupied_area_tracks_bounding_box() {
-        let mut layout = LayerLayout::new(LayerGeometry::new(8, 8));
-        assert_eq!(layout.occupied_area(), 0);
-        layout.place(NodeId::new(0), Position::new(2, 2));
-        assert_eq!(layout.occupied_area(), 1);
-        layout.place(NodeId::new(1), Position::new(4, 5));
-        assert_eq!(layout.occupied_area(), 12);
+        let cells = [Position::new(2, 2), Position::new(4, 5)];
+        for (k, area) in [0, 1, 12].into_iter().enumerate() {
+            let mut layer = WorkingLayer::new(LayerGeometry::new(8, 8));
+            for (i, &p) in cells[..k].iter().enumerate() {
+                layer.place(NodeId::new(i), p);
+            }
+            assert_eq!(layer.finish().occupied_area(), area, "{k} cells");
+        }
     }
 
     #[test]
@@ -1525,17 +1594,17 @@ mod tests {
         // All four distance-1 neighbours of the target free: smallest row
         // wins; with the north cell occupied, west (same row as target,
         // smaller column) wins over east and south.
-        let mut layout = LayerLayout::new(LayerGeometry::new(5, 5));
+        let mut layer = WorkingLayer::new(LayerGeometry::new(5, 5));
         let target = Position::new(2, 2);
-        layout.place(NodeId::new(0), target);
+        layer.place(NodeId::new(0), target);
         assert_eq!(
-            nearest_free_cell(&layout, target),
+            nearest_free_cell(&layer.grid, target),
             Some(Position::new(1, 2)),
             "smallest row first"
         );
-        layout.place(NodeId::new(1), Position::new(1, 2));
+        layer.place(NodeId::new(1), Position::new(1, 2));
         assert_eq!(
-            nearest_free_cell(&layout, target),
+            nearest_free_cell(&layer.grid, target),
             Some(Position::new(2, 1)),
             "then smallest column"
         );
@@ -1544,20 +1613,20 @@ mod tests {
     #[test]
     fn nearest_free_cell_on_full_layer_is_none() {
         let geom = LayerGeometry::new(2, 2);
-        let mut layout = LayerLayout::new(geom);
+        let mut layer = WorkingLayer::new(geom);
         for (i, p) in geom.positions().enumerate() {
-            layout.place(NodeId::new(i), p);
+            layer.place(NodeId::new(i), p);
         }
-        assert_eq!(nearest_free_cell(&layout, Position::new(0, 0)), None);
+        assert_eq!(nearest_free_cell(&layer.grid, Position::new(0, 0)), None);
     }
 
     #[test]
     fn nearest_free_cell_clips_rings_at_the_border() {
         // Target in a corner: rings extend off-grid and must be clipped.
-        let mut layout = LayerLayout::new(LayerGeometry::new(3, 3));
-        layout.place(NodeId::new(0), Position::new(0, 0));
+        let mut layer = WorkingLayer::new(LayerGeometry::new(3, 3));
+        layer.place(NodeId::new(0), Position::new(0, 0));
         assert_eq!(
-            nearest_free_cell(&layout, Position::new(0, 0)),
+            nearest_free_cell(&layer.grid, Position::new(0, 0)),
             Some(Position::new(0, 1))
         );
     }
@@ -1591,22 +1660,22 @@ mod tests {
                     for i in (1..order.len()).rev() {
                         order.swap(i, rng.gen_range(0..=i));
                     }
-                    let mut layout = LayerLayout::new(geometry);
+                    let mut layer = WorkingLayer::new(geometry);
                     let mut cursor = RingCursor::new(target);
                     for (i, &p) in order.iter().enumerate() {
                         // Ask a varying number of times between fills: a
                         // query must not move the cursor past a free cell.
                         for _ in 0..rng.gen_range(0..3) {
                             assert_eq!(
-                                cursor.next_free(&layout),
-                                nearest_free_cell(&layout, target),
+                                cursor.next_free(&layer.grid),
+                                nearest_free_cell(&layer.grid, target),
                                 "{geometry} around {target}, {i} cells filled"
                             );
                         }
-                        layout.place(NodeId::new(i), p);
+                        layer.place(NodeId::new(i), p);
                     }
-                    assert_eq!(cursor.next_free(&layout), None);
-                    assert_eq!(nearest_free_cell(&layout, target), None);
+                    assert_eq!(cursor.next_free(&layer.grid), None);
+                    assert_eq!(nearest_free_cell(&layer.grid, target), None);
                 }
             }
         }
@@ -1670,12 +1739,12 @@ mod tests {
                     } else {
                         mapper.add_routing(mapper.cur(), i, edge);
                     }
-                    let layout = &mapper.layouts[mapper.cur()];
+                    let grid = &mapper.layers[mapper.cur()].grid;
                     for p in geometry.positions() {
                         let recount = geometry
                             .neighbors(p)
                             .into_iter()
-                            .filter(|&q| layout.is_free(q))
+                            .filter(|&q| grid.is_free(q))
                             .count();
                         assert_eq!(
                             usize::from(mapper.free[geometry.index_of(p)]),
@@ -1735,10 +1804,8 @@ mod tests {
             assert_eq!(a.layouts.len(), b.layouts.len());
             for (la, lb) in a.layouts.iter().zip(&b.layouts) {
                 assert_eq!(la.placed_nodes(), lb.placed_nodes());
-                let cells_a: Vec<(Position, CellUse)> =
-                    la.grid().iter().map(|(p, &c)| (p, c)).collect();
-                let cells_b: Vec<(Position, CellUse)> =
-                    lb.grid().iter().map(|(p, &c)| (p, c)).collect();
+                let cells_a: Vec<(Position, CellUse)> = la.cells().collect();
+                let cells_b: Vec<(Position, CellUse)> = lb.cells().collect();
                 assert_eq!(cells_a, cells_b);
             }
         }
@@ -1779,10 +1846,71 @@ mod tests {
         let g = generators::star(12);
         let r = map_graph(&g, LayerGeometry::new(10, 10), &opts());
         for layout in &r.layouts {
+            // Each occupied cell appears once: a cell holds one node or
+            // one routing state, never both.
+            let cells: HashSet<Position> = layout.cells().map(|(p, _)| p).collect();
+            assert_eq!(cells.len(), layout.occupied_cells());
             assert_eq!(
-                layout.grid().occupied_cells(),
+                layout.occupied_cells(),
                 layout.placed_count() + layout.routing_cells()
             );
         }
+    }
+
+    /// Maps `g` and returns the result with a copy of every working grid
+    /// as it stood when the graph was mapped.
+    fn map_keeping_grids(
+        g: &Graph,
+        geometry: LayerGeometry,
+    ) -> (MappingResult, Vec<CellGrid<CellUse>>) {
+        let table = NeighborTable::new(geometry);
+        let mut mapper = Mapper::new(g, &table, opts());
+        let shuffled = mapper.map_edges();
+        let grids = mapper.layers.iter().map(|l| l.grid.clone()).collect();
+        (mapper.finish(shuffled), grids)
+    }
+
+    #[test]
+    fn sparse_records_hold_what_the_working_grids_held() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(53);
+        let mut geometries: Vec<LayerGeometry> = TOPOLOGIES
+            .iter()
+            .map(|&topo| LayerGeometry::new(6, 7).with_topology(topo))
+            .collect();
+        geometries.push(ExtendedLayer::new(LayerGeometry::new(4, 4), 2).geometry());
+        let (mut layers, mut routed) = (0, 0);
+        for geometry in geometries {
+            for case in 0..12 {
+                let n = rng.gen_range(2..80);
+                let m = rng.gen_range(n - 1..=2 * n);
+                let g = generators::gnm(n, m, &mut rng);
+                let (r, grids) = map_keeping_grids(&g, geometry);
+                assert_eq!(r.layouts.len(), grids.len());
+                for (i, (layout, grid)) in r.layouts.iter().zip(&grids).enumerate() {
+                    let what = format!("{geometry}, case {case}, layer {i}");
+                    assert_eq!(layout.geometry(), geometry, "{what}");
+                    for p in geometry.positions() {
+                        assert_eq!(layout.cell(p), grid.get(p).copied(), "{what} at {p}");
+                    }
+                    assert_eq!(layout.occupied_cells(), grid.occupied_cells(), "{what}");
+                    assert_eq!(
+                        layout.occupied_cells(),
+                        layout.placed_count() + layout.routing_cells(),
+                        "{what}"
+                    );
+                    assert_eq!(layout.occupied_area(), grid.bounding_box_area(), "{what}");
+                    routed += layout.routing_cells();
+                }
+                layers += grids.len();
+                // The record is what `map_graph` returns.
+                let direct = map_graph(&g, geometry, &opts());
+                assert_eq!(direct.placement, r.placement);
+                assert_eq!(direct.profile, r.profile);
+            }
+        }
+        assert!(layers > 48, "no case spilled onto a second layer");
+        assert!(routed > 0, "no case routed");
     }
 }

@@ -188,7 +188,12 @@ pub struct CompiledProgram {
     pub fusions: usize,
     /// Stage breakdown.
     pub stats: StageStats,
-    /// In-layer layouts (extended layers), for inspection/visualization.
+    /// In-layer layouts (extended layers) of every partition in schedule
+    /// order, for inspection and visualization. Each is a sparse record
+    /// of one layer: its geometry, its placed nodes, its routing cells
+    /// and their bounding box, so it costs memory in proportion to what
+    /// was placed; the mapper's dense grids are gone once a partition is
+    /// mapped.
     pub layouts: Vec<LayerLayout>,
     /// Per-stage wall-clock timings of this compilation.
     pub timings: StageTimings,

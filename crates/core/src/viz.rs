@@ -7,7 +7,6 @@
 use crate::mapping::{CellUse, LayerLayout, MappingResult};
 use crate::pipeline::CompiledProgram;
 use oneq_graph::NodeId;
-use oneq_hardware::Position;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -30,22 +29,19 @@ use std::fmt::Write as _;
 /// ```
 pub fn render_layout(layout: &LayerLayout, incomplete: &HashSet<NodeId>) -> String {
     let geom = layout.geometry();
+    // The layout holds its occupied cells only: paint them onto a
+    // row-major canvas of free sites.
+    let mut canvas = vec!['.'; geom.area()];
+    for (p, cell) in layout.cells() {
+        canvas[geom.index_of(p)] = match cell {
+            CellUse::Node(n) if incomplete.contains(&n) => 'x',
+            CellUse::Node(_) => 'o',
+            CellUse::Routing(_) => '+',
+        };
+    }
     let mut out = String::with_capacity((geom.cols() + 1) * geom.rows());
-    for r in 0..geom.rows() {
-        for c in 0..geom.cols() {
-            let ch = match layout.cell(Position::new(r, c)) {
-                Some(CellUse::Node(n)) => {
-                    if incomplete.contains(&n) {
-                        'x'
-                    } else {
-                        'o'
-                    }
-                }
-                Some(CellUse::Routing(_)) => '+',
-                None => '.',
-            };
-            out.push(ch);
-        }
+    for row in canvas.chunks(geom.cols()) {
+        out.extend(row);
         out.push('\n');
     }
     out
@@ -90,7 +86,7 @@ mod tests {
     use super::*;
     use crate::mapping::{map_graph, MappingOptions};
     use oneq_graph::generators;
-    use oneq_hardware::LayerGeometry;
+    use oneq_hardware::{LayerGeometry, Topology};
 
     #[test]
     fn grid_dimensions_match_geometry() {
@@ -127,6 +123,31 @@ mod tests {
         let plus = art.matches('+').count();
         let expected: usize = r.layouts.iter().map(|l| l.routing_cells()).sum();
         assert_eq!(plus, expected);
+    }
+
+    #[test]
+    fn every_site_renders_its_cell() {
+        let r = map_graph(
+            &generators::grid(5, 5),
+            LayerGeometry::new(3, 4).with_topology(Topology::Triangular),
+            &MappingOptions::default(),
+        );
+        let incomplete: HashSet<NodeId> = r.shuffled.iter().map(|s| s.edge.a()).collect();
+        assert!(r.layouts.len() > 1 && !incomplete.is_empty());
+        for layout in &r.layouts {
+            let geom = layout.geometry();
+            let art = render_layout(layout, &incomplete);
+            let sites: Vec<char> = art.lines().flat_map(str::chars).collect();
+            for p in geom.positions() {
+                let want = match layout.cell(p) {
+                    Some(CellUse::Node(n)) if incomplete.contains(&n) => 'x',
+                    Some(CellUse::Node(_)) => 'o',
+                    Some(CellUse::Routing(_)) => '+',
+                    None => '.',
+                };
+                assert_eq!(sites[geom.index_of(p)], want, "at {p}");
+            }
+        }
     }
 
     #[test]

@@ -364,12 +364,17 @@ impl RequestParser {
 /// Reads one line (LF-terminated, CR stripped) with a length cap. EOF
 /// before the terminator is a transport error, never a silently accepted
 /// truncated line: a peer that dies mid-header must not have its partial
-/// bytes parsed as a complete request.
+/// bytes parsed as a complete request. A read interrupted by a signal is
+/// retried.
 fn read_line(reader: &mut impl BufRead) -> Result<String, RequestError> {
     let mut buf = Vec::with_capacity(128);
     loop {
         let mut byte = [0u8; 1];
-        match reader.read(&mut byte)? {
+        let n = match reader.read(&mut byte) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            n => n?,
+        };
+        match n {
             0 => {
                 return Err(RequestError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
@@ -400,11 +405,15 @@ fn read_line(reader: &mut impl BufRead) -> Result<String, RequestError> {
 /// so the reader must outlive any single call. This is a blocking loop
 /// over [`RequestParser`]: it fills the reader's buffer, feeds the bytes
 /// to the parser, and consumes exactly what the parser used — bytes past
-/// the request's end stay buffered for the next call.
+/// the request's end stay buffered for the next call. A read interrupted
+/// by a signal is retried.
 pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, RequestError> {
     let mut parser = RequestParser::new(max_body);
     loop {
-        let buf = reader.fill_buf()?;
+        let buf = match reader.fill_buf() {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            buf => buf?,
+        };
         if buf.is_empty() {
             return Err(RequestError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -893,6 +902,78 @@ mod tests {
             Err(RequestError::BodyTooLarge(n)) => assert_eq!(n, 99_999_999),
             other => panic!("expected BodyTooLarge, got {other:?}"),
         }
+    }
+
+    /// A reader over `bytes` whose reads fail once with `Interrupted` when
+    /// `at` bytes have been consumed, as a read that a signal lands on.
+    struct InterruptedOnce<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        pos: usize,
+        fired: bool,
+    }
+
+    impl<'a> InterruptedOnce<'a> {
+        fn new(bytes: &'a [u8], at: usize) -> Self {
+            InterruptedOnce {
+                bytes,
+                at,
+                pos: 0,
+                fired: false,
+            }
+        }
+    }
+
+    impl std::io::Read for InterruptedOnce<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let buf = self.fill_buf()?;
+            let n = buf.len().min(out.len());
+            out[..n].copy_from_slice(&buf[..n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for InterruptedOnce<'_> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            if self.pos == self.at && !self.fired {
+                self.fired = true;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let end = if self.pos < self.at {
+                self.at
+            } else {
+                self.bytes.len()
+            };
+            Ok(&self.bytes[self.pos..end])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    #[test]
+    fn reads_interrupted_mid_line_are_retried() {
+        let line = b"HTTP/1.1 200 OK\r\n";
+        for at in 1..line.len() {
+            let mut reader = InterruptedOnce::new(line, at);
+            assert_eq!(
+                read_line(&mut reader).unwrap(),
+                "HTTP/1.1 200 OK",
+                "at {at}"
+            );
+            assert!(reader.fired, "at {at}");
+        }
+        let response = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi";
+        let mut reader = InterruptedOnce::new(response, 24);
+        let resp = read_client_response(&mut reader).unwrap();
+        assert_eq!((resp.status, &resp.body[..]), (200, &b"hi"[..]));
+        assert!(reader.fired);
+        let request = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n";
+        let mut reader = InterruptedOnce::new(request, 9);
+        assert_eq!(read_request(&mut reader, 16).unwrap().path, "/v1/health");
+        assert!(reader.fired);
     }
 
     #[test]

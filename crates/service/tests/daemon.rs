@@ -5,6 +5,7 @@
 
 #![cfg(unix)]
 
+use oneq_service::compile::{self, CompileConfig};
 use oneq_service::http;
 use oneq_service::json;
 use oneq_service::segment;
@@ -104,13 +105,30 @@ fn newest_segment(dir: &Path) -> PathBuf {
         .expect("spill dir holds at least one segment")
 }
 
-/// A circuit whose compile takes well over 100 ms in both the debug and
-/// the release profile, for the tests that need a slow request: an
-/// 80-qubit QFT, ~0.3 s in release on a 2-vCPU VM and ~5 s in debug.
-/// Mapping and shuffling are near-linear, so a long gate chain is no
-/// longer slow in release; QFT's partition planarity tests still are.
+/// A circuit whose compile is far slower than a 2-qubit one, for the
+/// tests that need a slow request: an 80-qubit QFT, whose partition
+/// planarity tests dominate. How slow depends on the profile and the
+/// machine (release compiles it in about 50 ms on a 2-vCPU VM), so the
+/// tests take their thresholds from [`slow_threshold_ms`].
 fn slow_circuit() -> String {
     oneq_circuit::benchmarks::qft(80).to_qasm()
+}
+
+/// A latency threshold between a 2-qubit request and a `slow` one on
+/// this machine and profile: a quarter of an in-process compile of `slow`
+/// under the daemon's default configuration, never below 20 ms. The
+/// tests of this file run in parallel on a small machine, so load can
+/// slow the measured compile but not the daemon's: the faster of two
+/// compiles counts, and the daemon may still compile four times faster
+/// than that before its request falls under the threshold.
+fn slow_threshold_ms(slow: &str) -> u128 {
+    let compile_ms = || {
+        let start = Instant::now();
+        let (_, ok) = compile::compile_record("slow.qasm", slow, &CompileConfig::default());
+        assert!(ok, "the slow circuit compiles");
+        start.elapsed().as_millis()
+    };
+    (compile_ms().min(compile_ms()) / 4).max(20)
 }
 
 #[test]
@@ -358,7 +376,10 @@ fn daemon_trace_log_records_slow_requests_with_full_span_trees() {
     let log = dir.join("trace.jsonl");
     let log_arg = log.display().to_string();
     // Threshold well above a trivial compile and well below a large one.
-    let (mut child, addr, _stdout) = spawn_daemon(&["--trace-log", &log_arg, "--slow-ms", "100"]);
+    let slow = slow_circuit();
+    let slow_ms = slow_threshold_ms(&slow).to_string();
+    let (mut child, addr, _stdout) =
+        spawn_daemon(&["--trace-log", &log_arg, "--slow-ms", &slow_ms]);
 
     // Fast request: finishes far under the threshold, so it must stay
     // out of the JSONL sink — but its id is still echoed end to end.
@@ -377,7 +398,6 @@ fn daemon_trace_log_records_slow_requests_with_full_span_trees() {
     assert_eq!(resp.header("x-oneqd-request-id"), Some("trace-fast-1"));
 
     // Slow request: see `slow_circuit`.
-    let slow = slow_circuit();
     let resp = http::request_with_headers(
         addr,
         "POST",
@@ -404,7 +424,7 @@ fn daemon_trace_log_records_slow_requests_with_full_span_trees() {
         }
         assert!(
             Instant::now() < deadline,
-            "slow trace never reached the log: {text:?}"
+            "slow trace never reached the log under --slow-ms {slow_ms}: {text:?}"
         );
         std::thread::sleep(Duration::from_millis(10));
     };
@@ -449,6 +469,8 @@ fn daemon_end_to_end_triage_from_exemplar_to_trace() {
     // exemplar's request id resolves through `GET /v1/traces/{id}` to a
     // span tree carrying the per-partition compiler profile, the filtered
     // list and the stats `slowest` table both name the same offender.
+    let slow = slow_circuit();
+    let min_ms = slow_threshold_ms(&slow);
     let (mut child, addr, _stdout) = spawn_daemon(&["--workers", "2"]);
 
     // A fast request first, so "slowest" actually has to rank.
@@ -466,7 +488,6 @@ fn daemon_end_to_end_triage_from_exemplar_to_trace() {
     assert_eq!(resp.status, 200);
 
     // The offender (see `slow_circuit`), under a client-chosen request id.
-    let slow = slow_circuit();
     let resp = http::request_with_headers(
         addr,
         "POST",
@@ -568,7 +589,7 @@ fn daemon_end_to_end_triage_from_exemplar_to_trace() {
     let list = http::request(
         addr,
         "GET",
-        "/v1/traces?route=/v1/compile&status=200&min_ms=50&limit=10",
+        &format!("/v1/traces?route=/v1/compile&status=200&min_ms={min_ms}&limit=10"),
         b"",
         TIMEOUT,
     )

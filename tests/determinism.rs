@@ -27,8 +27,8 @@ fn assert_identical(a: &CompiledProgram, b: &CompiledProgram, label: &str) {
             lb.placed_nodes(),
             "{label}: layer {i} placements"
         );
-        let cells_a: Vec<_> = la.grid().iter().map(|(p, &c)| (p, c)).collect();
-        let cells_b: Vec<_> = lb.grid().iter().map(|(p, &c)| (p, c)).collect();
+        let cells_a: Vec<_> = la.cells().collect();
+        let cells_b: Vec<_> = lb.cells().collect();
         assert_eq!(cells_a, cells_b, "{label}: layer {i} cells");
     }
 }

@@ -217,8 +217,8 @@ fn in_layer_edges_are_realized_by_coupling() {
                 let shuffled: HashSet<Edge> = mapped.shuffled.iter().map(|s| s.edge).collect();
                 let mut routes: HashMap<Edge, Vec<(usize, Position)>> = HashMap::new();
                 for (layer, layout) in mapped.layouts.iter().enumerate() {
-                    for (p, cell) in layout.grid().iter() {
-                        if let CellUse::Routing(e) = *cell {
+                    for (p, cell) in layout.cells() {
+                        if let CellUse::Routing(e) = cell {
                             routes.entry(e).or_default().push((layer, p));
                         }
                     }

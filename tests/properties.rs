@@ -242,17 +242,20 @@ proptest! {
     fn mapping_grid_occupancy_is_conserved(g in connected_graph_strategy(14, 10)) {
         use oneq::mapping::{map_graph, MappingOptions};
         let r = map_graph(&g, LayerGeometry::new(7, 7), &MappingOptions::default());
-        // Dense-grid bookkeeping: per layer, occupied cells = placed
-        // fusion nodes + auxiliary routing cells. Nothing leaks, nothing
-        // is double-counted.
+        // Layout bookkeeping: per layer, occupied cells = placed fusion
+        // nodes + auxiliary routing cells, each on a distinct cell of the
+        // layer. Nothing leaks, nothing is double-counted.
         for layout in &r.layouts {
+            let cells: Vec<_> = layout.cells().map(|(p, _)| p).collect();
             prop_assert_eq!(
-                layout.grid().occupied_cells(),
+                layout.occupied_cells(),
                 layout.placed_count() + layout.routing_cells()
             );
-            // The incremental bounding box matches a full recount.
+            let distinct: HashSet<_> = cells.iter().collect();
+            prop_assert_eq!(distinct.len(), cells.len());
+            prop_assert!(cells.iter().all(|&p| layout.geometry().contains(p)));
+            // The recorded bounding box matches a full recount.
             let area = layout.occupied_area();
-            let cells: Vec<_> = layout.grid().iter().map(|(p, _)| p).collect();
             if cells.is_empty() {
                 prop_assert_eq!(area, 0);
             } else {
