@@ -30,26 +30,12 @@ use oneq_bench::scrape::{
     bucket_percentile, diff_cumulative, parse_bucket_series, stats_str, stats_u64,
 };
 use oneq_service::http::ClientConn;
+use oneq_service::telemetry::{stage_labels, ROUTES, TIERS};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Route-class label order for the requests table.
-const ROUTES: [&str; 3] = ["compile", "batch", "inline"];
-/// Stage label order (the pipeline's own order, then wall).
-const STAGES: [&str; 7] = [
-    "parse",
-    "translate",
-    "partition",
-    "fusion_graph",
-    "mapping",
-    "shuffle",
-    "wall",
-];
-/// Cache tier label order.
-const TIERS: [&str; 5] = ["memory", "disk", "miss", "coalesced", "bypass"];
 
 struct Options {
     addr: String,
@@ -161,7 +147,7 @@ fn build_version(metrics: &str) -> &str {
 fn hist_rows(
     family: &str,
     label_key: &str,
-    order: &[&str],
+    order: impl IntoIterator<Item = &'static str>,
     before: Option<&Scrape>,
     now: &Scrape,
 ) -> Vec<Vec<String>> {
@@ -173,10 +159,10 @@ fn hist_rows(
     let window_secs = before.map(|b| now.at.duration_since(b.at).as_secs_f64());
     let mut rows = Vec::new();
     for key in order {
-        let Some(after_buckets) = after.get(*key) else {
+        let Some(after_buckets) = after.get(key) else {
             continue;
         };
-        let diffed = diff_cumulative(prior.get(*key).map(Vec::as_slice), after_buckets);
+        let diffed = diff_cumulative(prior.get(key).map(Vec::as_slice), after_buckets);
         let total = diffed.last().map_or(0, |&(_, cum)| cum);
         let rate = match window_secs {
             Some(secs) if secs > 0.0 => format!("{:.1}", total as f64 / secs),
@@ -243,19 +229,25 @@ fn render(addr: SocketAddr, before: Option<&Scrape>, now: &Scrape) -> String {
     ));
 
     let headers = ["", "count", "req/s", "p50 ms", "p99 ms"];
-    let routes = hist_rows("oneqd_request_seconds", "route", &ROUTES, before, now);
+    let routes = hist_rows("oneqd_request_seconds", "route", ROUTES, before, now);
     if !routes.is_empty() {
         out.push_str("ROUTES (end-to-end)\n");
         out.push_str(&format_table(&headers, &routes));
         out.push('\n');
     }
-    let stages = hist_rows("oneqd_compile_stage_seconds", "stage", &STAGES, before, now);
+    let stages = hist_rows(
+        "oneqd_compile_stage_seconds",
+        "stage",
+        stage_labels(),
+        before,
+        now,
+    );
     if !stages.is_empty() {
         out.push_str("COMPILE STAGES (executed compiles)\n");
         out.push_str(&format_table(&headers, &stages));
         out.push('\n');
     }
-    let tiers = hist_rows("oneqd_cache_lookup_seconds", "tier", &TIERS, before, now);
+    let tiers = hist_rows("oneqd_cache_lookup_seconds", "tier", TIERS, before, now);
     if !tiers.is_empty() {
         out.push_str("CACHE TIERS (lookup-to-result)\n");
         out.push_str(&format_table(&headers, &tiers));

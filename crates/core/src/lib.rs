@@ -49,9 +49,10 @@ mod pipeline;
 pub mod viz;
 
 pub use fusion_graph::FusionGraph;
-pub use mapping::{CellUse, LayerLayout, MapProfile, MappingOptions, MappingResult, Placement};
+pub use mapping::{
+    CellUse, Fold, LayerLayout, MapProfile, MappingOptions, MappingResult, Placement,
+};
 pub use partition::{Partition, PartitionOptions, PartitionResult};
 pub use pipeline::{
-    CompileProfile, CompiledProgram, Compiler, CompilerOptions, PartitionProfile, StageStats,
-    StageTimings,
+    CompileProfile, CompiledProgram, Compiler, CompilerOptions, PartitionProfile, Stage, StageStats,
 };

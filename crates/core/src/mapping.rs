@@ -292,6 +292,52 @@ pub struct MapProfile {
     pub routing_cells: u64,
 }
 
+/// How a profile counter combines across partitions and compiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// A work count: the parts add up.
+    Sum,
+    /// A high-water mark: the largest part wins.
+    Max,
+}
+
+impl MapProfile {
+    /// Every counter as `(name, fold, value)`, in the order the service's
+    /// `compile.mapping.partition` span attributes list them.
+    pub fn counters(&self) -> [(&'static str, Fold, u64); 8] {
+        let mut copy = *self;
+        copy.slots().map(|(name, fold, value)| (name, fold, *value))
+    }
+
+    /// Folds another run's counters into these, each by its [`Fold`].
+    pub fn fold(&mut self, other: &MapProfile) {
+        for ((_, fold, mine), (_, _, theirs)) in self.slots().into_iter().zip(other.counters()) {
+            *mine = match fold {
+                Fold::Sum => *mine + theirs,
+                Fold::Max => (*mine).max(theirs),
+            };
+        }
+    }
+
+    /// The one list of counters: name, fold and field.
+    fn slots(&mut self) -> [(&'static str, Fold, &mut u64); 8] {
+        [
+            ("bfs_searches", Fold::Sum, &mut self.bfs_searches),
+            ("bfs_expansions", Fold::Sum, &mut self.bfs_expansions),
+            ("seed_scans", Fold::Sum, &mut self.seed_scans),
+            (
+                "seed_scan_radius_max",
+                Fold::Max,
+                &mut self.seed_scan_radius_max,
+            ),
+            ("occupancy_peak", Fold::Max, &mut self.occupancy_peak),
+            ("scratch_grows", Fold::Sum, &mut self.scratch_grows),
+            ("scratch_reuses", Fold::Sum, &mut self.scratch_reuses),
+            ("routing_cells", Fold::Sum, &mut self.routing_cells),
+        ]
+    }
+}
+
 /// Where each fusion node landed: `(layout index, position)`, indexed by
 /// node id. Every node of the mapped graph is placed by the end of
 /// [`map_graph`].

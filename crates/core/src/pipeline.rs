@@ -4,6 +4,7 @@ use crate::fusion_graph;
 use crate::mapping::{self, LayerLayout, MappingOptions};
 use crate::partition::{self, PartitionOptions};
 use oneq_circuit::Circuit;
+use oneq_graph::NodeId;
 use oneq_hardware::{ExtendedLayer, LayerGeometry, Position, ResourceKind, Topology};
 use oneq_mbqc::{translate, Pattern};
 use std::fmt;
@@ -85,60 +86,49 @@ pub struct StageStats {
     pub shuffle_fusions: usize,
 }
 
-/// Wall-clock time spent in each pipeline stage, in nanoseconds.
-///
-/// Timings are measurement artifacts, deliberately kept *outside*
-/// [`StageStats`]: two compiles of the same circuit must produce identical
-/// `StageStats` (the determinism guarantee) while their timings naturally
-/// differ.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimings {
+/// A timed stage of the pipeline. This is the one list of the stages,
+/// their names and their order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
     /// Circuit → measurement-pattern translation.
-    pub translate_ns: u128,
+    Translate,
     /// Dependency-layer grouping & scheduling (paper §4).
-    pub partition_ns: u128,
+    Partition,
     /// Fusion-graph generation across all partitions (paper §5).
-    pub fusion_graph_ns: u128,
-    /// In-layer mapping & routing across all partitions (paper §6).
-    pub mapping_ns: u128,
+    FusionGraph,
+    /// In-layer mapping & routing across all partitions (paper §6),
+    /// including the neighbour table they share and the bookkeeping of
+    /// each partition's placements.
+    Mapping,
     /// Cross-partition shuffle planning.
-    pub shuffle_ns: u128,
+    Shuffle,
 }
 
-impl StageTimings {
-    /// Sum of all stage timings.
-    pub fn total_ns(&self) -> u128 {
-        self.translate_ns
-            + self.partition_ns
-            + self.fusion_graph_ns
-            + self.mapping_ns
-            + self.shuffle_ns
-    }
+impl Stage {
+    /// Every stage, in pipeline order.
+    pub const ALL: [Stage; 5] = [
+        Stage::Translate,
+        Stage::Partition,
+        Stage::FusionGraph,
+        Stage::Mapping,
+        Stage::Shuffle,
+    ];
 
-    /// The stages as `(name, nanoseconds)` pairs, in pipeline order.
-    ///
-    /// The names are stable identifiers (`translate`, `partition`,
-    /// `fusion_graph`, `mapping`, `shuffle`) shared by the JSONL
-    /// `timings_ns` record field and the service's per-stage latency
-    /// histograms, so consumers can iterate instead of naming each field.
-    pub fn stages(&self) -> [(&'static str, u128); 5] {
-        [
-            ("translate", self.translate_ns),
-            ("partition", self.partition_ns),
-            ("fusion_graph", self.fusion_graph_ns),
-            ("mapping", self.mapping_ns),
-            ("shuffle", self.shuffle_ns),
-        ]
+    /// The stage's stable identifier: its `oneqc --timings` key and its
+    /// `stage` label in the service's latency histograms.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Translate => "translate",
+            Stage::Partition => "partition",
+            Stage::FusionGraph => "fusion_graph",
+            Stage::Mapping => "mapping",
+            Stage::Shuffle => "shuffle",
+        }
     }
 }
 
 /// Per-partition compiler-internals profile: where one partition's fusion
 /// graph and mapping spent their time and effort.
-///
-/// Like [`StageTimings`], profiles are measurement artifacts kept outside
-/// [`StageStats`]: the timing fields differ between identical compiles
-/// while every counter (nodes, BFS expansions, radii, occupancy) is
-/// deterministic.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PartitionProfile {
     /// Fusion-graph generation time for this partition.
@@ -151,31 +141,63 @@ pub struct PartitionProfile {
     pub map: mapping::MapProfile,
 }
 
-/// Compiler-internals profile for one whole compilation: one entry per
-/// partition, in schedule order. Rides out-of-band next to [`StageTimings`]
-/// — record bytes and [`StageStats`] never include it.
+/// What one compilation measured about itself: the wall-clock time of
+/// each [`Stage`] and one [`PartitionProfile`] per partition, in
+/// schedule order.
+///
+/// Profiles are measurement artifacts, deliberately kept *outside*
+/// [`StageStats`] and the record bytes: two compiles of the same circuit
+/// must produce identical `StageStats` (the determinism guarantee) while
+/// their clocks differ. Every counter (nodes, BFS expansions, radii,
+/// occupancy) is deterministic.
+///
+/// The stage clocks are laps of one clock: each stage's time runs from
+/// the end of the one before, so no work between two stages goes
+/// unaccounted.
 #[derive(Debug, Clone, Default)]
 pub struct CompileProfile {
+    stage_ns: [u128; Stage::ALL.len()],
     /// Per-partition profiles in the order partitions were compiled.
     pub partitions: Vec<PartitionProfile>,
 }
 
 impl CompileProfile {
-    /// The mapper counters summed across partitions — the shape the
-    /// service's `oneqd_compile_*` counter families want.
+    /// Every stage with its wall-clock nanoseconds, in pipeline order.
+    pub fn stages(&self) -> impl Iterator<Item = (Stage, u128)> {
+        Stage::ALL.into_iter().zip(self.stage_ns)
+    }
+
+    /// The mapper counters folded across partitions (see
+    /// [`MapProfile::fold`](mapping::MapProfile::fold)).
     pub fn totals(&self) -> mapping::MapProfile {
         let mut total = mapping::MapProfile::default();
         for p in &self.partitions {
-            total.bfs_searches += p.map.bfs_searches;
-            total.bfs_expansions += p.map.bfs_expansions;
-            total.scratch_grows += p.map.scratch_grows;
-            total.scratch_reuses += p.map.scratch_reuses;
-            total.seed_scans += p.map.seed_scans;
-            total.seed_scan_radius_max = total.seed_scan_radius_max.max(p.map.seed_scan_radius_max);
-            total.occupancy_peak = total.occupancy_peak.max(p.map.occupancy_peak);
-            total.routing_cells += p.map.routing_cells;
+            total.fold(&p.map);
         }
         total
+    }
+
+    /// The compile's counters as `(name, fold, value)`: `partitions`, then
+    /// the [`totals`](Self::totals) in [`MapProfile::counters`] order.
+    ///
+    /// [`MapProfile::counters`]: mapping::MapProfile::counters
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, mapping::Fold, u64)> {
+        let partitions = (
+            "partitions",
+            mapping::Fold::Sum,
+            self.partitions.len() as u64,
+        );
+        std::iter::once(partitions).chain(self.totals().counters())
+    }
+
+    /// Charges the time since `clock` to `stage`, restarts `clock`, and
+    /// returns the charge.
+    fn lap(&mut self, stage: Stage, clock: &mut Instant) -> u128 {
+        let now = Instant::now();
+        let ns = now.duration_since(*clock).as_nanos();
+        self.stage_ns[stage as usize] += ns;
+        *clock = now;
+        ns
     }
 }
 
@@ -195,9 +217,7 @@ pub struct CompiledProgram {
     /// was placed; the mapper's dense grids are gone once a partition is
     /// mapped.
     pub layouts: Vec<LayerLayout>,
-    /// Per-stage wall-clock timings of this compilation.
-    pub timings: StageTimings,
-    /// Per-partition compiler-internals profile.
+    /// Stage clocks and per-partition counters of this compilation.
     pub profile: CompileProfile,
 }
 
@@ -255,16 +275,26 @@ impl Compiler {
     /// Compiles a circuit end to end (translation → partition → fusion
     /// graph → mapping & routing).
     pub fn compile(&self, circuit: &Circuit) -> CompiledProgram {
-        let t0 = Instant::now();
+        let mut clock = Instant::now();
+        let mut profile = CompileProfile::default();
         let pattern = translate::from_circuit(circuit);
-        let translate_ns = t0.elapsed().as_nanos();
-        let mut program = self.compile_pattern(&pattern);
-        program.timings.translate_ns = translate_ns;
-        program
+        profile.lap(Stage::Translate, &mut clock);
+        self.compile_timed(&pattern, profile, clock)
     }
 
     /// Compiles an already-translated measurement pattern.
     pub fn compile_pattern(&self, pattern: &Pattern) -> CompiledProgram {
+        self.compile_timed(pattern, CompileProfile::default(), Instant::now())
+    }
+
+    /// The stages after translation, each charged to `profile` as a lap
+    /// of `clock`.
+    fn compile_timed(
+        &self,
+        pattern: &Pattern,
+        mut profile: CompileProfile,
+        mut clock: Instant,
+    ) -> CompiledProgram {
         let opt = &self.options;
         let ext_geometry = opt.extended_geometry();
         // Partitions are bounded by the delay-line reach (dependency
@@ -279,8 +309,6 @@ impl Compiler {
             .saturating_mul(8)
             / 100;
 
-        let mut timings = StageTimings::default();
-
         // Stage 1: partition & schedule.
         let part_opts = PartitionOptions {
             max_dependency_layers: opt.max_dependency_layers,
@@ -288,9 +316,8 @@ impl Compiler {
             enforce_planarity: opt.enforce_planarity,
             resource_kind: opt.resource_kind,
         };
-        let t_part = Instant::now();
         let parts = partition::partition(pattern, &part_opts);
-        timings.partition_ns = t_part.elapsed().as_nanos();
+        profile.lap(Stage::Partition, &mut clock);
 
         let mut stats = StageStats {
             graph_state_nodes: pattern.node_count(),
@@ -310,82 +337,77 @@ impl Compiler {
         let mut global_place: Vec<Option<(usize, Position)>> = vec![None; pattern.node_count()];
         let mut global_layer_base = 0usize;
 
-        let mut profile = CompileProfile::default();
         // Every partition maps onto the same geometry: one neighbour table
         // serves them all.
         let table = mapping::NeighborTable::new(ext_geometry);
+        profile.lap(Stage::Mapping, &mut clock);
 
         // Stages 2 & 3 per partition; each partition is dropped once it
         // is mapped.
         for part in parts.partitions {
-            let t_fg = Instant::now();
             let fg = fusion_graph::generate_embedded(
                 &part.subgraph,
                 part.embedding.as_ref(),
                 &part.full_degree,
                 opt.resource_kind,
             );
-            let fg_ns = t_fg.elapsed().as_nanos();
-            timings.fusion_graph_ns += fg_ns;
+            let fg_ns = profile.lap(Stage::FusionGraph, &mut clock);
             stats.fusion_graph_nodes += fg.node_count();
 
-            let t_map = Instant::now();
             let map = mapping::map_graph_on(fg.graph(), &table, &opt.mapping);
-            let map_ns = t_map.elapsed().as_nanos();
-            timings.mapping_ns += map_ns;
             stats.direct_fusions += map.direct_fusions;
             stats.routed_fusions += map.routed_fusions;
             stats.shuffle_fusions += map.shuffle_fusions;
             fusions += map.total_fusions();
-            profile.partitions.push(PartitionProfile {
-                fusion_graph_ns: fg_ns,
-                mapping_ns: map_ns,
-                nodes: fg.node_count(),
-                map: map.profile,
-            });
 
             // Record representative placements for cross-partition edges.
             for (local, &global) in part.global_nodes.iter().enumerate() {
-                let rep = fg.representative(local);
-                if let Some(&(layer_idx, pos)) = map.placement.get(&rep) {
-                    global_place[global.index()] = Some((global_layer_base + layer_idx, pos));
-                }
+                let &(layer_idx, pos) = map
+                    .placement
+                    .get(&fg.representative(local))
+                    .expect("map_graph places every fusion node");
+                global_place[global.index()] = Some((global_layer_base + layer_idx, pos));
             }
 
             let partition_layers = map.layouts.len() * opt.extension_factor + map.shuffle_layers;
             depth += partition_layers;
             global_layer_base += map.layouts.len();
             layouts.extend(map.layouts);
+            let map_ns = profile.lap(Stage::Mapping, &mut clock);
+            profile.partitions.push(PartitionProfile {
+                fusion_graph_ns: fg_ns,
+                mapping_ns: map_ns,
+                nodes: fg.node_count(),
+                map: map.profile,
+            });
         }
 
         // Cross-partition edges: inter-layer shuffling between the
         // partitions' layouts (paper §4/§6).
         if !parts.cross_edges.is_empty() {
-            let t_shuffle = Instant::now();
+            let place = |n: NodeId| {
+                global_place[n.index()]
+                    .expect("partitions cover every pattern node")
+                    .1
+            };
             let pairs: Vec<(Position, Position)> = parts
                 .cross_edges
                 .iter()
-                .filter_map(
-                    |&(u, v)| match (global_place[u.index()], global_place[v.index()]) {
-                        (Some((_, pu)), Some((_, pv))) => Some((pu, pv)),
-                        _ => None,
-                    },
-                )
+                .map(|&(u, v)| (place(u), place(v)))
                 .collect();
             let (extra_layers, extra_fusions) =
                 mapping::plan_position_shuffles(&pairs, ext_geometry);
             depth += extra_layers;
             fusions += extra_fusions;
             stats.shuffle_fusions += extra_fusions;
-            timings.shuffle_ns = t_shuffle.elapsed().as_nanos();
         }
+        profile.lap(Stage::Shuffle, &mut clock);
 
         CompiledProgram {
             depth: depth.max(1),
             fusions,
             stats,
             layouts,
-            timings,
             profile,
         }
     }

@@ -31,7 +31,7 @@ pub use hist::{
     bucket_index, bucket_upper, Exemplar, Histogram, HistogramSnapshot, NUM_BUCKETS, SUB_COUNT,
 };
 pub use registry::{Counter, Gauge, Kind, Registry, SnapFamily, SnapSeries, SnapValue, Snapshot};
-pub use trace::{valid_request_id, RequestIds, Span, TraceBuffer, TraceRecord};
+pub use trace::{escape_json_into, valid_request_id, RequestIds, Span, TraceBuffer, TraceRecord};
 
 /// Saturating conversion of a [`std::time::Duration`] to whole nanoseconds.
 pub fn duration_ns(d: std::time::Duration) -> u64 {

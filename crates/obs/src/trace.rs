@@ -3,6 +3,7 @@
 //! `oneqd --trace-log` JSONL sink.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -136,22 +137,35 @@ impl TraceRecord {
     }
 }
 
-/// Minimal JSON string encoder (quotes, backslash, control characters).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
+/// Appends `s` to `out` with JSON string escaping: quotes, backslashes,
+/// and every control character below U+0020. The surrounding quotes are
+/// the caller's.
+///
+/// ```
+/// let mut out = String::new();
+/// oneq_obs::escape_json_into(&mut out, "say \"hi\"\n\u{1}");
+/// assert_eq!(out, r#"say \"hi\"\n\u0001"#);
+/// ```
+pub fn escape_json_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
+}
+
+/// `s` as a quoted JSON string.
+fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    escape_json_into(out, s);
     out.push('"');
 }
 
@@ -356,6 +370,13 @@ mod tests {
         let line = r.to_json();
         assert!(line.contains("\"request_id\": \"a\\\"b\\\\c\\nd\""));
         assert!(!line.contains('\n'), "record stays on one line");
+    }
+
+    #[test]
+    fn escape_json_into_appends() {
+        let mut out = String::from("x");
+        escape_json_into(&mut out, "\"");
+        assert_eq!(out, "x\\\"");
     }
 
     #[test]

@@ -124,23 +124,6 @@ pub fn canonicalize_source(source: &str) -> String {
     out
 }
 
-/// A point-in-time read of the cache counters and occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that returned a cached body.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Entries currently resident (across all shards).
-    pub entries: usize,
-    /// Maximum resident entries (across all shards).
-    pub capacity: usize,
-    /// Number of mutex stripes.
-    pub shards: usize,
-}
-
 struct Entry {
     digest: [u8; 32],
     value: Arc<str>,
@@ -284,18 +267,6 @@ impl CompileCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Counter + occupancy snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-            entries: self.len(),
-            capacity: self.shard_capacity * self.shards.len(),
-            shards: self.shards.len(),
-        }
-    }
 }
 
 /// Which tier satisfied a [`TieredCache`] lookup — reported to clients
@@ -377,18 +348,12 @@ impl TieredCache {
         }
     }
 
-    /// Compile results written into the cache (both tiers fill from the
-    /// same event, so one counter covers them).
-    pub fn fills(&self) -> u64 {
-        self.fills.get()
+    /// Entries resident in the in-memory tier.
+    pub fn memory_len(&self) -> usize {
+        self.memory.len()
     }
 
-    /// The in-memory tier's counters.
-    pub fn memory_stats(&self) -> CacheStats {
-        self.memory.stats()
-    }
-
-    /// The disk tier's counters; `None` when running memory-only.
+    /// The disk tier's occupancy; `None` when running memory-only.
     pub fn disk_stats(&self) -> Option<SpillStats> {
         self.disk.as_ref().map(SpillTier::stats)
     }
@@ -490,11 +455,6 @@ impl SingleFlight {
         })
     }
 
-    /// Followers served from a leader's in-flight result so far.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.get()
-    }
-
     /// Digests currently being compiled (test/stats visibility).
     pub fn in_flight(&self) -> usize {
         self.inflight
@@ -552,6 +512,12 @@ mod tests {
         Arc::from(s)
     }
 
+    /// The value of the counter or gauge family `name` in `registry`.
+    fn read(registry: &Registry, name: &str) -> u64 {
+        let snap = registry.snapshot();
+        snap.counter(name, &[]).max(snap.gauge(name, &[]))
+    }
+
     #[test]
     fn sha256_matches_fips_vectors() {
         fn hex(digest: [u8; 32]) -> String {
@@ -586,18 +552,21 @@ mod tests {
 
     #[test]
     fn get_miss_then_hit() {
-        let cache = CompileCache::new(8, 2, &Registry::new());
+        let registry = Registry::new();
+        let cache = CompileCache::new(8, 2, &registry);
         assert!(cache.get("k").is_none());
         cache.insert("k", arc("v"));
         assert_eq!(cache.get("k").as_deref(), Some("v"));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!(read(&registry, "oneqd_cache_memory_hits_total"), 1);
+        assert_eq!(read(&registry, "oneqd_cache_memory_misses_total"), 1);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         // Single shard so the eviction order is fully observable.
-        let cache = CompileCache::new(2, 1, &Registry::new());
+        let registry = Registry::new();
+        let cache = CompileCache::new(2, 1, &registry);
         cache.insert("a", arc("1"));
         cache.insert("b", arc("2"));
         assert_eq!(cache.get("a").as_deref(), Some("1")); // refresh a
@@ -605,7 +574,7 @@ mod tests {
         assert!(cache.get("b").is_none());
         assert_eq!(cache.get("a").as_deref(), Some("1"));
         assert_eq!(cache.get("c").as_deref(), Some("3"));
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(read(&registry, "oneqd_cache_memory_evictions_total"), 1);
         assert_eq!(cache.len(), 2);
     }
 
@@ -623,7 +592,8 @@ mod tests {
 
     #[test]
     fn striping_spreads_and_counts_globally() {
-        let cache = CompileCache::new(64, 8, &Registry::new());
+        let registry = Registry::new();
+        let cache = CompileCache::new(64, 8, &registry);
         for i in 0..64 {
             cache.insert(&format!("key-{i}"), arc("v"));
         }
@@ -632,15 +602,19 @@ mod tests {
         for i in 0..64 {
             let _ = cache.get(&format!("key-{i}"));
         }
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 64);
-        assert_eq!(stats.shards, 8);
-        assert_eq!(stats.capacity, 64);
+        let hits = read(&registry, "oneqd_cache_memory_hits_total");
+        assert_eq!(
+            hits + read(&registry, "oneqd_cache_memory_misses_total"),
+            64
+        );
+        assert_eq!(read(&registry, "oneqd_cache_memory_shards"), 8);
+        assert_eq!(read(&registry, "oneqd_cache_memory_capacity"), 64);
     }
 
     #[test]
     fn single_flight_coalesces_followers_deterministically() {
-        let flights = SingleFlight::new(&Registry::new());
+        let registry = Registry::new();
+        let flights = SingleFlight::new(&registry);
         let digest = sha256(b"storm-key");
         let followers = 6usize;
 
@@ -673,7 +647,7 @@ mod tests {
         });
         assert_eq!(flights.in_flight(), 0);
         assert_eq!(
-            flights.coalesced(),
+            read(&registry, "oneqd_coalesced_total"),
             followers as u64,
             "every follower was served from the leader's flight"
         );
@@ -681,7 +655,8 @@ mod tests {
 
     #[test]
     fn single_flight_aborted_leader_releases_followers() {
-        let flights = SingleFlight::new(&Registry::new());
+        let registry = Registry::new();
+        let flights = SingleFlight::new(&registry);
         let digest = sha256(b"abort-key");
         let FlightRole::Leader(leader) = flights.join(digest) else {
             panic!("first join must lead");
@@ -698,7 +673,11 @@ mod tests {
             }
         });
         assert_eq!(flights.in_flight(), 0);
-        assert_eq!(flights.coalesced(), 0, "aborts are not coalesced serves");
+        assert_eq!(
+            read(&registry, "oneqd_coalesced_total"),
+            0,
+            "aborts are not coalesced serves"
+        );
         // The digest is free again: the next join leads.
         assert!(matches!(flights.join(digest), FlightRole::Leader(_)));
     }
@@ -723,13 +702,14 @@ mod tests {
 
     #[test]
     fn tiered_cache_without_disk_is_memory_only() {
-        let tier = TieredCache::new(4, 1, None, &Registry::new());
+        let registry = Registry::new();
+        let tier = TieredCache::new(4, 1, None, &registry);
         let digest = sha256(b"k");
         assert!(tier.get_digest(&digest).is_none());
         tier.fill(digest, arc("v"));
         assert!(matches!(tier.get_digest(&digest), Some((_, Tier::Memory))));
         assert!(matches!(tier.peek_digest(&digest), Some((_, Tier::Memory))));
-        assert_eq!(tier.fills(), 1);
+        assert_eq!(read(&registry, "oneqd_cache_fills_total"), 1);
         assert!(tier.disk_stats().is_none());
         tier.flush_disk(); // no-op, must not panic
     }
@@ -743,15 +723,16 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let spill = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let spill = SpillTier::open(SpillConfig::new(&dir), &registry).unwrap();
         // Memory capacity 1: the second fill evicts the first from the
         // LRU, leaving it disk-only.
-        let tier = TieredCache::new(1, 1, Some(spill), &Registry::new());
+        let tier = TieredCache::new(1, 1, Some(spill), &registry);
         let (a, b) = (sha256(b"a"), sha256(b"b"));
         tier.fill(a, arc("A"));
         tier.fill(b, arc("B"));
         tier.flush_disk();
-        assert_eq!(tier.memory_stats().entries, 1);
+        assert_eq!(tier.memory_len(), 1);
 
         let (value, from) = tier.get_digest(&a).expect("disk still holds a");
         assert_eq!((&*value, from), ("A", Tier::Disk));
@@ -761,17 +742,17 @@ mod tests {
         // And b, evicted by the promotion, comes back from disk too.
         assert!(matches!(tier.peek_digest(&b), Some((_, Tier::Disk))));
 
-        assert_eq!(tier.fills(), 2);
-        let disk = tier.disk_stats().expect("disk tier attached");
-        assert_eq!(disk.appends, 2);
-        assert_eq!(disk.hits, 2);
+        assert_eq!(read(&registry, "oneqd_cache_fills_total"), 2);
+        assert_eq!(read(&registry, "oneqd_spill_appends_total"), 2);
+        assert_eq!(read(&registry, "oneqd_spill_hits_total"), 2);
         drop(tier);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let cache = Arc::new(CompileCache::new(128, 8, &Registry::new()));
+        let registry = Registry::new();
+        let cache = Arc::new(CompileCache::new(128, 8, &registry));
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let cache = Arc::clone(&cache);
@@ -786,8 +767,11 @@ mod tests {
                 });
             }
         });
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 8 * 200);
-        assert!(stats.entries <= 50);
+        let hits = read(&registry, "oneqd_cache_memory_hits_total");
+        assert_eq!(
+            hits + read(&registry, "oneqd_cache_memory_misses_total"),
+            8 * 200
+        );
+        assert!(cache.len() <= 50);
     }
 }

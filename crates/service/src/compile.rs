@@ -8,7 +8,7 @@
 //! the daemon's bytes against the batch driver's).
 
 use crate::json;
-use oneq::{CompileProfile, Compiler, CompilerOptions, StageTimings};
+use oneq::{CompileProfile, Compiler, CompilerOptions};
 use oneq_hardware::{LayerGeometry, ResourceKind};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -120,7 +120,9 @@ pub fn error_record(file_label: &str, message: &str) -> String {
     )
 }
 
-/// Out-of-band wall-clock breakdown of one compile, for telemetry.
+/// Out-of-band measurements of one compile, for telemetry: the two clocks
+/// this module reads itself, and the compiler's own [`CompileProfile`]
+/// (stage clocks and per-partition counters).
 ///
 /// The record string carries timings only when `config.timings` asks for
 /// them (at the cost of cacheability); this struct carries the same numbers
@@ -132,10 +134,7 @@ pub struct RecordTimings {
     pub parse_ns: u128,
     /// End-to-end compile wall time (parse included) in nanoseconds.
     pub wall_ns: u128,
-    /// Per-stage pipeline timings.
-    pub stages: StageTimings,
-    /// Per-partition compiler-internals profile (BFS effort, congestion,
-    /// scratch reuse) — same out-of-band contract as the timings.
+    /// What the compile measured about itself.
     pub profile: CompileProfile,
 }
 
@@ -215,20 +214,16 @@ pub fn compile_record_timed(
         program.stats.graph_state_nodes,
     );
     if config.timings {
-        let t = &program.timings;
-        let _ = write!(
-            line,
-            ", \"timings_ns\": {{\"parse\": {parse_ns}, \"translate\": {}, \
-             \"partition\": {}, \"fusion_graph\": {}, \"mapping\": {}, \"shuffle\": {}, \
-             \"wall\": {wall_ns}}}",
-            t.translate_ns, t.partition_ns, t.fusion_graph_ns, t.mapping_ns, t.shuffle_ns,
-        );
+        let _ = write!(line, ", \"timings_ns\": {{\"parse\": {parse_ns}");
+        for (stage, ns) in program.profile.stages() {
+            let _ = write!(line, ", \"{}\": {ns}", stage.name());
+        }
+        let _ = write!(line, ", \"wall\": {wall_ns}}}");
     }
     line.push('}');
     let timings = RecordTimings {
         parse_ns,
         wall_ns,
-        stages: program.timings,
         profile: program.profile,
     };
     (line, true, Some(timings))
@@ -272,6 +267,34 @@ mod tests {
     }
 
     #[test]
+    fn timings_list_every_stage_once_in_pipeline_order() {
+        let config = CompileConfig {
+            timings: true,
+            ..CompileConfig::default()
+        };
+        let (record, ok) = compile_record("bell.qasm", BELL, &config);
+        assert!(ok);
+        let at = record.find("\"timings_ns\": ").expect("timings field") + 14;
+        let timings = json::parse_flat_object(&record[at..record.len() - 1]).expect("flat object");
+        let keys: Vec<&str> = timings.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "parse",
+                "translate",
+                "partition",
+                "fusion_graph",
+                "mapping",
+                "shuffle",
+                "wall"
+            ]
+        );
+        // No stage clock overlaps another or the parse clock.
+        let ns: Vec<u128> = timings.iter().map(|(_, v)| v.parse().unwrap()).collect();
+        assert!(ns[..6].iter().sum::<u128>() <= ns[6], "{record}");
+    }
+
+    #[test]
     fn timed_variant_returns_identical_bytes_plus_timings() {
         let config = CompileConfig::default();
         let (plain, ok_a) = compile_record("bell.qasm", BELL, &config);
@@ -280,7 +303,8 @@ mod tests {
         assert_eq!(ok_a, ok_b);
         let timings = timings.expect("timings for a successful compile");
         assert!(timings.wall_ns >= timings.parse_ns);
-        assert!(timings.wall_ns >= timings.stages.total_ns());
+        let stages: u128 = timings.profile.stages().map(|(_, ns)| ns).sum();
+        assert!(timings.wall_ns >= timings.parse_ns + stages);
         assert!(
             !timings.profile.partitions.is_empty(),
             "profile carries one entry per partition"

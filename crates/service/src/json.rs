@@ -3,35 +3,19 @@
 //! The workspace has no serde: every JSON producer (`oneqc`'s JSONL
 //! writer, `oneqd`'s responses) formats records by hand. This module is
 //! the single implementation of the parts that are easy to get subtly
-//! wrong — string escaping, object layout, and (for the
-//! `/v1/compile-batch` JSONL request lines) parsing one *flat* JSON
-//! object — so the producers cannot drift apart.
+//! wrong — object layout and (for the `/v1/compile-batch` JSONL request
+//! lines) parsing one *flat* JSON object — so the producers cannot drift
+//! apart. String escaping is `oneq-obs`'s, the one the trace log uses.
 
+use oneq_obs::escape_json_into;
 use std::fmt::Write as _;
 
-/// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
-/// and all control characters below U+0020). The surrounding quotes are
-/// the caller's job, matching how the record format strings are written.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// JSON-escapes `s` into a fresh `String` (no surrounding quotes).
+/// JSON-escapes `s` into a fresh `String` (no surrounding quotes), as
+/// [`oneq_obs::escape_json_into`] does: quotes, backslashes and all
+/// control characters below U+0020.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
+    escape_json_into(&mut out, s);
     out
 }
 
@@ -78,7 +62,7 @@ impl ObjWriter {
         }
         self.needs_comma = true;
         self.out.push('"');
-        escape_into(&mut self.out, key);
+        escape_json_into(&mut self.out, key);
         self.out.push_str("\": ");
         self
     }
@@ -101,7 +85,7 @@ impl ObjWriter {
     pub fn field_str(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
         self.out.push('"');
-        escape_into(&mut self.out, value);
+        escape_json_into(&mut self.out, value);
         self.out.push('"');
         self
     }
@@ -367,13 +351,6 @@ mod tests {
         assert_eq!(escape("\u{0}\u{1f}"), "\\u0000\\u001f");
         // U+0020 (space) and above pass through untouched.
         assert_eq!(escape(" ~\u{7f}é"), " ~\u{7f}é");
-    }
-
-    #[test]
-    fn escape_into_appends() {
-        let mut out = String::from("x");
-        escape_into(&mut out, "\"");
-        assert_eq!(out, "x\\\"");
     }
 
     #[test]

@@ -77,8 +77,9 @@ use crate::pool::{run_indexed, WorkerPool};
 use crate::request::CompileRequest;
 use crate::spill::{SpillConfig, SpillTier};
 use crate::telemetry::{
-    PendingTrace, Telemetry, TraceSeed, ROUTE_BATCH, ROUTE_COMPILE, ROUTE_INLINE,
+    PendingTrace, Telemetry, TraceSeed, ROUTE_BATCH, ROUTE_COMPILE, ROUTE_INLINE, TIERS,
 };
+use oneq::Stage;
 use oneq_obs::{duration_ns, Counter, Gauge, Snapshot, Span};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -353,7 +354,7 @@ impl ServiceState {
         gauge(
             "oneqd_cache_memory_entries",
             "Entries resident in the memory tier.",
-            self.cache.memory_stats().entries as u64,
+            self.cache.memory_len() as u64,
         );
         if let Some(spill) = self.cache.disk_stats() {
             gauge(
@@ -1457,49 +1458,41 @@ impl HandlerTrace {
 fn compile_spans(cache_off: u64, trace: &CompileTrace) -> Vec<Span> {
     let clamp = |ns: u128| u64::try_from(ns).unwrap_or(u64::MAX);
     let mut spans = vec![Span::new("cache", cache_off, trace.lookup_ns)];
-    if let Some(timings) = &trace.timings {
-        let mut offset = cache_off;
-        let mut mapping_off = cache_off;
-        {
-            let mut push = |name: &'static str, ns: u128, mark: Option<&mut u64>| {
-                let dur = clamp(ns);
-                if let Some(mark) = mark {
-                    *mark = offset;
-                }
-                spans.push(Span::new(name, offset, dur));
-                offset = offset.saturating_add(dur);
-            };
-            push("compile.parse", timings.parse_ns, None);
-            for (stage, ns) in timings.stages.stages() {
-                match stage {
-                    "translate" => push("compile.translate", ns, None),
-                    "partition" => push("compile.partition", ns, None),
-                    "fusion_graph" => push("compile.fusion_graph", ns, None),
-                    "mapping" => push("compile.mapping", ns, Some(&mut mapping_off)),
-                    _ => push("compile.shuffle", ns, None),
-                }
+    let Some(timings) = &trace.timings else {
+        return spans;
+    };
+    let mut offset = cache_off;
+    let mut part_off = cache_off;
+    let stages = timings
+        .profile
+        .stages()
+        .map(|(stage, ns)| (Some(stage), ns));
+    for (stage, ns) in std::iter::once((None, timings.parse_ns)).chain(stages) {
+        let name = match stage {
+            None => "compile.parse",
+            Some(Stage::Translate) => "compile.translate",
+            Some(Stage::Partition) => "compile.partition",
+            Some(Stage::FusionGraph) => "compile.fusion_graph",
+            Some(Stage::Mapping) => {
+                part_off = offset;
+                "compile.mapping"
             }
-        }
-        let mut part_off = mapping_off;
-        for (i, part) in timings.profile.partitions.iter().enumerate() {
-            let dur = clamp(part.mapping_ns);
-            spans.push(
-                Span::new("compile.mapping.partition", part_off, dur).with_attrs(vec![
-                    ("partition", i as u64),
-                    ("nodes", part.nodes as u64),
-                    ("fusion_graph_ns", clamp(part.fusion_graph_ns)),
-                    ("bfs_searches", part.map.bfs_searches),
-                    ("bfs_expansions", part.map.bfs_expansions),
-                    ("seed_scans", part.map.seed_scans),
-                    ("seed_scan_radius_max", part.map.seed_scan_radius_max),
-                    ("occupancy_peak", part.map.occupancy_peak),
-                    ("scratch_grows", part.map.scratch_grows),
-                    ("scratch_reuses", part.map.scratch_reuses),
-                    ("routing_cells", part.map.routing_cells),
-                ]),
-            );
-            part_off = part_off.saturating_add(dur);
-        }
+            Some(Stage::Shuffle) => "compile.shuffle",
+        };
+        let dur = clamp(ns);
+        spans.push(Span::new(name, offset, dur));
+        offset = offset.saturating_add(dur);
+    }
+    for (i, part) in timings.profile.partitions.iter().enumerate() {
+        let dur = clamp(part.mapping_ns);
+        let mut attrs = vec![
+            ("partition", i as u64),
+            ("nodes", part.nodes as u64),
+            ("fusion_graph_ns", clamp(part.fusion_graph_ns)),
+        ];
+        attrs.extend(part.map.counters().map(|(name, _, value)| (name, value)));
+        spans.push(Span::new("compile.mapping.partition", part_off, dur).with_attrs(attrs));
+        part_off = part_off.saturating_add(dur);
     }
     spans
 }
@@ -1637,7 +1630,7 @@ fn handle_batch(
     state.batch_records.add(results.len() as u64);
     let mut body = String::new();
     let mut errors = 0usize;
-    let mut outcomes = [0usize; 5]; // memory, disk, miss, coalesced, bypass
+    let mut outcomes = [0usize; TIERS.len()];
     for (record, ok, outcome, _trace) in &results {
         body.push_str(record);
         if *ok {
@@ -1646,19 +1639,16 @@ fn handle_batch(
             state.compile_errors.inc();
             errors += 1;
         }
-        let slot = match *outcome {
-            OUTCOME_MEMORY => 0,
-            OUTCOME_DISK => 1,
-            OUTCOME_MISS => 2,
-            OUTCOME_COALESCED => 3,
-            _ => 4,
-        };
-        outcomes[slot] += 1;
+        if let Some(slot) = TIERS.iter().position(|tier| tier == outcome) {
+            outcomes[slot] += 1;
+        }
     }
-    let tally = format!(
-        "memory={} disk={} miss={} coalesced={} bypass={}",
-        outcomes[0], outcomes[1], outcomes[2], outcomes[3], outcomes[4]
-    );
+    let tally: Vec<String> = TIERS
+        .iter()
+        .zip(outcomes)
+        .map(|(tier, n)| format!("{tier}={n}"))
+        .collect();
+    let tally = tally.join(" ");
     // Per-line status lives in the records (exactly like an `oneqc` run
     // with failing files); the HTTP status says the batch was processed.
     let headers: Vec<(&str, String)> = vec![

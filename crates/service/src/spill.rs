@@ -136,13 +136,10 @@ impl SpillConfig {
     }
 }
 
-/// A point-in-time read of the spill tier's counters and occupancy.
+/// A point-in-time read of the spill tier's occupancy. Its counters live
+/// only in the registry it was opened with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpillStats {
-    /// Lookups served from disk (verified reads).
-    pub hits: u64,
-    /// Records handed to the background writer and written out.
-    pub appends: u64,
     /// Records currently indexed (addressable digests).
     pub entries: usize,
     /// Segment files on disk.
@@ -152,18 +149,6 @@ pub struct SpillStats {
     /// Bytes of superseded, dropped, or torn data awaiting compaction or
     /// eviction.
     pub dead_bytes: u64,
-    /// Whole segments deleted under capacity pressure.
-    pub evicted_segments: u64,
-    /// Startup compactions performed over the tier's lifetime (this
-    /// process).
-    pub compactions: u64,
-    /// Index entries dropped because their bytes failed verification at
-    /// read time.
-    pub crc_dropped: u64,
-    /// Intact records recovered by the startup scan.
-    pub recovered_records: u64,
-    /// Segments whose scan found a torn or corrupt tail.
-    pub truncated_tails: u64,
 }
 
 /// Where one record lives: segment id + header offset + body length.
@@ -383,7 +368,7 @@ impl SpillTier {
         }
     }
 
-    /// Counter + occupancy snapshot.
+    /// Occupancy snapshot.
     pub fn stats(&self) -> SpillStats {
         let state = self.inner.state.lock().expect("spill state poisoned");
         let live_bytes: u64 = state.segments.values().map(|s| s.live).sum();
@@ -393,17 +378,10 @@ impl SpillTier {
             .map(|s| s.total.saturating_sub(SUPERBLOCK_LEN))
             .sum();
         SpillStats {
-            hits: self.inner.hits.get(),
-            appends: self.inner.appends.get(),
             entries: state.index.len(),
             segments: state.segments.len(),
             live_bytes,
             dead_bytes: total_bytes.saturating_sub(live_bytes),
-            evicted_segments: self.inner.evicted_segments.get(),
-            compactions: self.inner.compactions.get(),
-            crc_dropped: self.inner.crc_dropped.get(),
-            recovered_records: self.inner.recovered_records.get(),
-            truncated_tails: self.inner.truncated_tails.get(),
         }
     }
 }
@@ -768,6 +746,13 @@ mod tests {
         dir
     }
 
+    /// The tier's `oneqd_spill_{name}_total` counter.
+    fn counter(registry: &Registry, name: &str) -> u64 {
+        registry
+            .snapshot()
+            .counter(&format!("oneqd_spill_{name}_total"), &[])
+    }
+
     fn body(i: usize) -> Arc<str> {
         Arc::from(format!("{{\"record\": {i}, \"pad\": \"{:064}\"}}\n", i).as_str())
     }
@@ -775,7 +760,8 @@ mod tests {
     #[test]
     fn append_flush_get_round_trips() {
         let dir = tempdir("roundtrip");
-        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &registry).unwrap();
         let digest = sha256(b"k1");
         assert!(tier.get(&digest).is_none());
         tier.append(digest, body(1));
@@ -783,8 +769,12 @@ mod tests {
         assert_eq!(tier.stats().entries, 1);
         assert_eq!(tier.get(&digest), Some(body(1)));
         let stats = tier.stats();
-        assert_eq!((stats.hits, stats.appends, stats.entries), (1, 1, 1));
+        assert_eq!(stats.entries, 1);
         assert_eq!(stats.dead_bytes, 0);
+        assert_eq!(
+            (counter(&registry, "hits"), counter(&registry, "appends")),
+            (1, 1)
+        );
         drop(tier);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -801,14 +791,14 @@ mod tests {
                 tier.append(*d, body(i));
             }
         } // drop drains the queue and releases the lock
-        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &registry).unwrap();
         for (i, d) in digests.iter().enumerate() {
             assert_eq!(tier.get(d), Some(body(i)), "record {i} survives restart");
         }
-        let stats = tier.stats();
-        assert_eq!(stats.recovered_records, 10);
-        assert_eq!(stats.entries, 10);
-        assert_eq!(stats.truncated_tails, 0);
+        assert_eq!(counter(&registry, "recovered_records"), 10);
+        assert_eq!(tier.stats().entries, 10);
+        assert_eq!(counter(&registry, "truncated_tails"), 0);
         drop(tier);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -816,7 +806,8 @@ mod tests {
     #[test]
     fn duplicate_appends_do_not_grow_the_log() {
         let dir = tempdir("dedup");
-        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &registry).unwrap();
         let digest = sha256(b"k");
         tier.append(digest, body(1));
         tier.flush();
@@ -825,9 +816,12 @@ mod tests {
             tier.append(digest, body(1));
         }
         tier.flush();
-        let stats = tier.stats();
-        assert_eq!(stats.live_bytes, before);
-        assert_eq!(stats.appends, 1, "duplicates are skipped, not written");
+        assert_eq!(tier.stats().live_bytes, before);
+        assert_eq!(
+            counter(&registry, "appends"),
+            1,
+            "duplicates are skipped, not written"
+        );
         drop(tier);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -839,7 +833,8 @@ mod tests {
         // Tiny geometry: a couple of records per segment, ~4 segments.
         config.segment_bytes = 400;
         config.max_bytes = 1600;
-        let tier = SpillTier::open(config.clone(), &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let tier = SpillTier::open(config.clone(), &registry).unwrap();
         let digests: Vec<[u8; 32]> = (0..40)
             .map(|i| sha256(format!("k{i}").as_bytes()))
             .collect();
@@ -848,7 +843,10 @@ mod tests {
         }
         tier.flush();
         let stats = tier.stats();
-        assert!(stats.evicted_segments > 0, "budget pressure evicted");
+        assert!(
+            counter(&registry, "evicted_segments") > 0,
+            "budget pressure evicted"
+        );
         assert!(
             stats.live_bytes + stats.dead_bytes <= config.max_bytes,
             "directory stays within budget"
@@ -880,9 +878,14 @@ mod tests {
         writer.append(&other, body(99).as_bytes()).unwrap();
         drop(writer);
 
-        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &registry).unwrap();
         let stats = tier.stats();
-        assert_eq!(stats.compactions, 1, "dead ratio exceeded the threshold");
+        assert_eq!(
+            counter(&registry, "compactions"),
+            1,
+            "dead ratio exceeded the threshold"
+        );
         assert_eq!(stats.dead_bytes, 0, "compaction reclaimed the garbage");
         assert_eq!(stats.entries, 2);
         assert_eq!(tier.get(&digest), Some(body(9)), "last write wins");
@@ -891,9 +894,14 @@ mod tests {
         drop(tier);
 
         // And the compacted directory recovers cleanly.
-        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &registry).unwrap();
         assert_eq!(tier.get(&digest), Some(body(9)));
-        assert_eq!(tier.stats().compactions, 0, "nothing left to compact");
+        assert_eq!(
+            counter(&registry, "compactions"),
+            0,
+            "nothing left to compact"
+        );
         drop(tier);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -914,10 +922,10 @@ mod tests {
             let torn = segment::encode_record(&sha256(b"torn"), body(2).as_bytes());
             file.write_all(&torn[..torn.len() / 2]).unwrap();
         }
-        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
-        let stats = tier.stats();
-        assert_eq!(stats.truncated_tails, 1);
-        assert_eq!(stats.recovered_records, 1);
+        let registry = Registry::new();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &registry).unwrap();
+        assert_eq!(counter(&registry, "truncated_tails"), 1);
+        assert_eq!(counter(&registry, "recovered_records"), 1);
         assert_eq!(tier.get(&digest), Some(body(1)), "intact record survives");
         assert!(tier.get(&sha256(b"torn")).is_none());
         // The tail was physically truncated; new appends land cleanly.
@@ -925,10 +933,11 @@ mod tests {
         tier.append(digest2, body(3));
         tier.flush();
         drop(tier);
-        let tier = SpillTier::open(SpillConfig::new(&dir), &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let tier = SpillTier::open(SpillConfig::new(&dir), &registry).unwrap();
         assert_eq!(tier.get(&digest), Some(body(1)));
         assert_eq!(tier.get(&digest2), Some(body(3)));
-        assert_eq!(tier.stats().truncated_tails, 0, "the tear healed");
+        assert_eq!(counter(&registry, "truncated_tails"), 0, "the tear healed");
         drop(tier);
         std::fs::remove_dir_all(&dir).ok();
     }

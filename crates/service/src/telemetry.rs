@@ -24,6 +24,10 @@ use std::sync::Mutex;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::compile::RecordTimings;
+use crate::server::{
+    OUTCOME_BYPASS, OUTCOME_COALESCED, OUTCOME_DISK, OUTCOME_MEMORY, OUTCOME_MISS,
+};
+use oneq::{CompileProfile, Fold, Stage};
 use oneq_obs::{
     duration_ns, Counter, Gauge, Histogram, Registry, RequestIds, Span, TraceBuffer, TraceRecord,
 };
@@ -38,22 +42,87 @@ pub const ROUTE_COMPILE: &str = "compile";
 pub const ROUTE_BATCH: &str = "batch";
 /// Inline (event-loop-served) routes: healthz, stats, metrics, errors.
 pub const ROUTE_INLINE: &str = "inline";
+/// Every route class, in the order their histograms register.
+pub const ROUTES: [&str; 3] = [ROUTE_COMPILE, ROUTE_BATCH, ROUTE_INLINE];
 
 /// Stage labels for `oneqd_compile_stage_seconds{stage=...}`: QASM parse,
-/// the five pipeline stages in order, and end-to-end wall time.
-pub const STAGES: [&str; 7] = [
-    "parse",
-    "translate",
-    "partition",
-    "fusion_graph",
-    "mapping",
-    "shuffle",
-    "wall",
+/// the compiler's [`Stage`]s in pipeline order, and end-to-end wall time.
+pub fn stage_labels() -> impl Iterator<Item = &'static str> {
+    let stages = Stage::ALL.into_iter().map(Stage::name);
+    std::iter::once("parse")
+        .chain(stages)
+        .chain(std::iter::once("wall"))
+}
+
+/// The `oneqd_compile_*` families of the compiler's profile, in
+/// registration order: the [`CompileProfile::counters`] name each reads,
+/// the family name, and its help. A counter that folds by maximum is a
+/// high-water gauge.
+const COMPILE_FAMILIES: [(&str, &str, &str); 9] = [
+    (
+        "partitions",
+        "oneqd_compile_partitions_total",
+        "Partitions compiled (executed compiles only).",
+    ),
+    (
+        "bfs_searches",
+        "oneqd_compile_bfs_searches_total",
+        "Mapper BFS searches launched across executed compiles.",
+    ),
+    (
+        "bfs_expansions",
+        "oneqd_compile_bfs_expansions_total",
+        "Cells expanded by the mapper's BFS across executed compiles.",
+    ),
+    (
+        "scratch_grows",
+        "oneqd_compile_scratch_grows_total",
+        "BFS scratch reallocations (grid grew past the scratch arena).",
+    ),
+    (
+        "scratch_reuses",
+        "oneqd_compile_scratch_reuses_total",
+        "BFS scratch arenas reused without reallocation.",
+    ),
+    (
+        "seed_scans",
+        "oneqd_compile_seed_scans_total",
+        "Ring scans for a free seed cell during fusion mapping.",
+    ),
+    (
+        "routing_cells",
+        "oneqd_compile_routing_cells_total",
+        "Grid cells consumed as routing auxiliaries.",
+    ),
+    (
+        "occupancy_peak",
+        "oneqd_compile_occupancy_peak_cells",
+        "High-water mark of occupied grid cells in any compiled layer.",
+    ),
+    (
+        "seed_scan_radius_max",
+        "oneqd_compile_seed_scan_radius_max",
+        "High-water Manhattan radius of any seed-cell ring scan.",
+    ),
 ];
+
+/// A compile-profile family's handle: a counter that adds, or a gauge
+/// that keeps the high-water mark.
+#[derive(Debug)]
+enum ProfileSeries {
+    Sum(Counter),
+    Max(Gauge),
+}
 
 /// Tier labels for cache outcome counters and lookup histograms — exactly
 /// the values the `X-Oneqd-Cache` response header can carry.
-pub const TIERS: [&str; 5] = ["memory", "disk", "miss", "coalesced", "bypass"];
+pub const TIERS: [&str; 5] = [
+    OUTCOME_MEMORY,
+    OUTCOME_DISK,
+    OUTCOME_MISS,
+    OUTCOME_COALESCED,
+    OUTCOME_BYPASS,
+];
 
 /// The half of a request trace assembled before the response is written:
 /// identity, outcome, and every span except `write`.
@@ -126,15 +195,7 @@ pub struct Telemetry {
     tier_hists: Vec<(&'static str, Histogram)>,
     traces_total: Counter,
     trace_log_records: Counter,
-    compile_partitions: Counter,
-    compile_bfs_searches: Counter,
-    compile_bfs_expansions: Counter,
-    compile_scratch_grows: Counter,
-    compile_scratch_reuses: Counter,
-    compile_seed_scans: Counter,
-    compile_routing_cells: Counter,
-    compile_occupancy_peak: Gauge,
-    compile_seed_scan_radius_max: Gauge,
+    profile_series: Vec<(&'static str, ProfileSeries)>,
 }
 
 impl Telemetry {
@@ -181,23 +242,20 @@ impl Telemetry {
             "Compile jobs waiting for a worker.",
             &[],
         );
-        let request_hist = |route: &str| {
-            registry.histogram(
-                "oneqd_request_seconds",
-                "End-to-end request time, first request byte to last response byte.",
-                &[("route", route)],
+        let request_hists = ROUTES.map(|route| {
+            (
+                route,
+                registry.histogram(
+                    "oneqd_request_seconds",
+                    "End-to-end request time, first request byte to last response byte.",
+                    &[("route", route)],
+                ),
             )
-        };
-        let request_hists = [
-            (ROUTE_COMPILE, request_hist(ROUTE_COMPILE)),
-            (ROUTE_BATCH, request_hist(ROUTE_BATCH)),
-            (ROUTE_INLINE, request_hist(ROUTE_INLINE)),
-        ];
-        let stage_hists = STAGES
-            .iter()
+        });
+        let stage_hists = stage_labels()
             .map(|stage| {
                 (
-                    *stage,
+                    stage,
                     registry.histogram(
                         "oneqd_compile_stage_seconds",
                         "Compile time per pipeline stage (executed compiles only).",
@@ -242,51 +300,21 @@ impl Telemetry {
             "Trace records written to the --trace-log sink.",
             &[],
         );
-        let compile_partitions = registry.counter(
-            "oneqd_compile_partitions_total",
-            "Partitions compiled (executed compiles only).",
-            &[],
-        );
-        let compile_bfs_searches = registry.counter(
-            "oneqd_compile_bfs_searches_total",
-            "Mapper BFS searches launched across executed compiles.",
-            &[],
-        );
-        let compile_bfs_expansions = registry.counter(
-            "oneqd_compile_bfs_expansions_total",
-            "Cells expanded by the mapper's BFS across executed compiles.",
-            &[],
-        );
-        let compile_scratch_grows = registry.counter(
-            "oneqd_compile_scratch_grows_total",
-            "BFS scratch reallocations (grid grew past the scratch arena).",
-            &[],
-        );
-        let compile_scratch_reuses = registry.counter(
-            "oneqd_compile_scratch_reuses_total",
-            "BFS scratch arenas reused without reallocation.",
-            &[],
-        );
-        let compile_seed_scans = registry.counter(
-            "oneqd_compile_seed_scans_total",
-            "Ring scans for a free seed cell during fusion mapping.",
-            &[],
-        );
-        let compile_routing_cells = registry.counter(
-            "oneqd_compile_routing_cells_total",
-            "Grid cells consumed as routing auxiliaries.",
-            &[],
-        );
-        let compile_occupancy_peak = registry.gauge(
-            "oneqd_compile_occupancy_peak_cells",
-            "High-water mark of occupied grid cells in any compiled layer.",
-            &[],
-        );
-        let compile_seed_scan_radius_max = registry.gauge(
-            "oneqd_compile_seed_scan_radius_max",
-            "High-water Manhattan radius of any seed-cell ring scan.",
-            &[],
-        );
+        let folds: Vec<_> = CompileProfile::default().counters().collect();
+        let profile_series = COMPILE_FAMILIES
+            .iter()
+            .map(|&(counter, name, help)| {
+                let (_, fold, _) = folds
+                    .iter()
+                    .find(|(c, _, _)| *c == counter)
+                    .expect("every family reads a profile counter");
+                let series = match fold {
+                    Fold::Sum => ProfileSeries::Sum(registry.counter(name, help, &[])),
+                    Fold::Max => ProfileSeries::Max(registry.gauge(name, help, &[])),
+                };
+                (counter, series)
+            })
+            .collect();
         let build_info = registry.gauge(
             "oneqd_build_info",
             "Build metadata; the value is always 1.",
@@ -329,15 +357,7 @@ impl Telemetry {
             tier_hists,
             traces_total,
             trace_log_records,
-            compile_partitions,
-            compile_bfs_searches,
-            compile_bfs_expansions,
-            compile_scratch_grows,
-            compile_scratch_reuses,
-            compile_seed_scans,
-            compile_routing_cells,
-            compile_occupancy_peak,
-            compile_seed_scan_radius_max,
+            profile_series,
         })
     }
 
@@ -396,22 +416,17 @@ impl Telemetry {
         }
         if let Some(timings) = timings {
             self.observe_stage("parse", timings.parse_ns, request_id);
-            for (stage, ns) in timings.stages.stages() {
-                self.observe_stage(stage, ns, request_id);
+            for (stage, ns) in timings.profile.stages() {
+                self.observe_stage(stage.name(), ns, request_id);
             }
             self.observe_stage("wall", timings.wall_ns, request_id);
-            let totals = timings.profile.totals();
-            self.compile_partitions
-                .add(timings.profile.partitions.len() as u64);
-            self.compile_bfs_searches.add(totals.bfs_searches);
-            self.compile_bfs_expansions.add(totals.bfs_expansions);
-            self.compile_scratch_grows.add(totals.scratch_grows);
-            self.compile_scratch_reuses.add(totals.scratch_reuses);
-            self.compile_seed_scans.add(totals.seed_scans);
-            self.compile_routing_cells.add(totals.routing_cells);
-            self.compile_occupancy_peak.set_max(totals.occupancy_peak);
-            self.compile_seed_scan_radius_max
-                .set_max(totals.seed_scan_radius_max);
+            for (counter, _, value) in timings.profile.counters() {
+                match self.profile_series.iter().find(|(c, _)| *c == counter) {
+                    Some((_, ProfileSeries::Sum(series))) => series.add(value),
+                    Some((_, ProfileSeries::Max(series))) => series.set_max(value),
+                    None => {}
+                }
+            }
         }
     }
 
@@ -555,7 +570,7 @@ mod tests {
             .histogram("oneqd_cache_lookup_seconds", &[("tier", "miss")])
             .unwrap();
         assert_eq!(lookup.count, 1);
-        for stage in STAGES {
+        for stage in stage_labels() {
             let hist = snap
                 .histogram("oneqd_compile_stage_seconds", &[("stage", stage)])
                 .unwrap_or_else(|| panic!("stage {stage} registered"));

@@ -12,43 +12,96 @@ use oneq_service::segment;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Spawns `oneqd` on an ephemeral port and parses the bound address from
-/// its startup banner.
-fn spawn_daemon(extra_args: &[&str]) -> (Child, SocketAddr, BufReader<std::process::ChildStdout>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_oneqd"))
-        .args(["--addr", "127.0.0.1:0"])
-        .args(extra_args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn oneqd");
-    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).expect("read banner");
-    let addr = banner
-        .trim()
-        .strip_prefix("oneqd: listening on http://")
-        .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"))
-        .parse::<SocketAddr>()
-        .expect("banner carries the bound address");
-    (child, addr, stdout)
+/// A running `oneqd` on an ephemeral port. Dropping the guard kills the
+/// daemon and reaps it, so a test that fails an assertion cannot leave it
+/// running after the test binary exits.
+struct Daemon {
+    child: Option<Child>,
+    addr: SocketAddr,
+    stdout: BufReader<ChildStdout>,
 }
 
-fn send_signal(child: &Child, signal: &str) {
-    let status = Command::new("kill")
-        .args([signal, &child.id().to_string()])
-        .status()
-        .expect("run kill");
-    assert!(status.success(), "kill {signal} delivered");
+impl Daemon {
+    /// Spawns `oneqd` and parses the bound address from its startup
+    /// banner.
+    fn spawn(extra_args: &[&str]) -> Daemon {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_oneqd"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(extra_args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn oneqd");
+        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        // In its guard before anything below can panic.
+        let mut daemon = Daemon {
+            child: Some(child),
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+            stdout,
+        };
+        let mut banner = String::new();
+        daemon.stdout.read_line(&mut banner).expect("read banner");
+        daemon.addr = banner
+            .trim()
+            .strip_prefix("oneqd: listening on http://")
+            .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"))
+            .parse()
+            .expect("banner carries the bound address");
+        daemon
+    }
+
+    /// Sends SIGTERM, takes the daemon out of its guard and waits for it
+    /// to exit: its exit code and the rest of its stdout.
+    fn terminate(mut self) -> (Option<i32>, String) {
+        let pid = self.child.as_ref().expect("daemon in its guard").id();
+        let status = Command::new("kill")
+            .args(["-TERM", &pid.to_string()])
+            .status()
+            .expect("run kill");
+        assert!(status.success(), "SIGTERM delivered");
+        let mut child = self.child.take().expect("daemon in its guard");
+        let code = child.wait().expect("wait for daemon").code();
+        let mut rest = String::new();
+        self.stdout
+            .read_to_string(&mut rest)
+            .expect("read daemon stdout");
+        (code, rest)
+    }
 }
 
-fn send_sigterm(child: &Child) {
-    send_signal(child, "-TERM");
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// A fresh directory for one test, removed on drop, pass or fail.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir =
+            std::env::temp_dir().join(format!("oneqd-daemon-test-{tag}-{}", std::process::id()));
+        // Stale segments from an earlier run would change which pass is
+        // cold.
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 /// The integer after the first `"key": ` in a JSON body.
@@ -60,15 +113,6 @@ fn json_u64(body: &str, key: &str) -> u64 {
         .next()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("{key} is not an integer in {body}"))
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("oneqd-daemon-test-{tag}-{}", std::process::id()));
-    // A fresh directory every run: stale segments from an earlier failed
-    // run would change which pass is cold.
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
 }
 
 /// Polls `/v1/stats` until the disk tier reports `want` stored entries.
@@ -133,7 +177,8 @@ fn slow_threshold_ms(slow: &str) -> u128 {
 
 #[test]
 fn daemon_serves_and_shuts_down_gracefully_on_sigterm() {
-    let (mut child, addr, mut stdout) = spawn_daemon(&["--workers", "2", "--cache-capacity", "16"]);
+    let daemon = Daemon::spawn(&["--workers", "2", "--cache-capacity", "16"]);
+    let addr = daemon.addr;
 
     let health = http::request(addr, "GET", "/v1/healthz", b"", TIMEOUT).expect("GET /v1/healthz");
     assert_eq!(health.status, 200);
@@ -155,13 +200,8 @@ fn daemon_serves_and_shuts_down_gracefully_on_sigterm() {
     assert_eq!(first.body, second.body);
     drop(conn);
 
-    send_sigterm(&child);
-    let status = child.wait().expect("wait for daemon");
-    assert_eq!(status.code(), Some(0), "SIGTERM exits gracefully with 0");
-    let mut rest = String::new();
-    stdout
-        .read_to_string(&mut rest)
-        .expect("read daemon stdout");
+    let (code, rest) = daemon.terminate();
+    assert_eq!(code, Some(0), "SIGTERM exits gracefully with 0");
     assert!(
         rest.lines().any(|l| l == "oneqd: shutdown complete"),
         "shutdown is announced: {rest:?}"
@@ -170,30 +210,28 @@ fn daemon_serves_and_shuts_down_gracefully_on_sigterm() {
 
 #[test]
 fn daemon_sigterm_without_traffic_still_exits_cleanly() {
-    let (mut child, addr, _stdout) = spawn_daemon(&[]);
+    let daemon = Daemon::spawn(&[]);
     // Prove it is actually up before killing it.
-    let health = http::request(addr, "GET", "/v1/healthz", b"", TIMEOUT).expect("GET /v1/healthz");
+    let health =
+        http::request(daemon.addr, "GET", "/v1/healthz", b"", TIMEOUT).expect("GET /v1/healthz");
     assert_eq!(health.status, 200);
-    send_sigterm(&child);
-    let status = child.wait().expect("wait for daemon");
-    assert_eq!(status.code(), Some(0));
+    assert_eq!(daemon.terminate().0, Some(0));
 }
 
 #[test]
 fn daemon_sigterm_exits_cleanly_with_an_open_keep_alive_connection() {
     // A held-open idle session must not wedge graceful shutdown: the
     // worker serving it is released by the idle timeout.
-    let (mut child, addr, _stdout) = spawn_daemon(&["--idle-timeout-ms", "200"]);
-    let mut conn = http::ClientConn::connect(addr, TIMEOUT).expect("open keep-alive connection");
+    let daemon = Daemon::spawn(&["--idle-timeout-ms", "200"]);
+    let mut conn =
+        http::ClientConn::connect(daemon.addr, TIMEOUT).expect("open keep-alive connection");
     let resp = conn
         .send("GET", "/v1/healthz", b"")
         .expect("health over session");
     assert_eq!(resp.status, 200);
     // Leave the connection open and idle while the daemon is terminated.
-    send_sigterm(&child);
-    let status = child.wait().expect("wait for daemon");
     assert_eq!(
-        status.code(),
+        daemon.terminate().0,
         Some(0),
         "idle session does not block shutdown"
     );
@@ -201,22 +239,28 @@ fn daemon_sigterm_exits_cleanly_with_an_open_keep_alive_connection() {
 
 #[test]
 fn daemon_survives_sigkill_and_serves_the_disk_tier_after_a_torn_write() {
-    let dir = tempdir("sigkill");
-    let cache_dir = dir.join("spill");
+    let dir = TempDir::new("sigkill");
+    let cache_dir = dir.0.join("spill");
     let dir_arg = cache_dir.display().to_string();
     let source: &[u8] =
         b"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n";
 
-    let (mut child, addr, _stdout) = spawn_daemon(&["--cache-dir", &dir_arg]);
-    let first = http::request(addr, "POST", "/v1/compile?file=bell.qasm", source, TIMEOUT)
-        .expect("POST /v1/compile");
+    let daemon = Daemon::spawn(&["--cache-dir", &dir_arg]);
+    let first = http::request(
+        daemon.addr,
+        "POST",
+        "/v1/compile?file=bell.qasm",
+        source,
+        TIMEOUT,
+    )
+    .expect("POST /v1/compile");
     assert_eq!(first.status, 200);
     assert_eq!(first.header("x-oneqd-cache"), Some("miss"));
     // The append is write-behind; make sure it landed before the crash.
-    wait_for_disk_entries(addr, 1);
-    // SIGKILL: no signal handler, no Drop, no flush — the hard case.
-    send_signal(&child, "-KILL");
-    let _ = child.wait();
+    wait_for_disk_entries(daemon.addr, 1);
+    // Dropping the guard sends SIGKILL: no signal handler, no Drop, no
+    // flush — the hard case.
+    drop(daemon);
 
     // Stand in for the record the daemon would have been mid-write
     // through when it died: append a torn record (header promising more
@@ -232,7 +276,8 @@ fn daemon_survives_sigkill_and_serves_the_disk_tier_after_a_torn_write() {
 
     // Restart on the same directory: the torn tail is dropped, the
     // intact record is served byte-identically from disk.
-    let (mut child, addr, _stdout) = spawn_daemon(&["--cache-dir", &dir_arg]);
+    let daemon = Daemon::spawn(&["--cache-dir", &dir_arg]);
+    let addr = daemon.addr;
     let replay = http::request(addr, "POST", "/v1/compile?file=bell.qasm", source, TIMEOUT)
         .expect("POST /v1/compile after restart");
     assert_eq!(replay.status, 200);
@@ -253,16 +298,14 @@ fn daemon_survives_sigkill_and_serves_the_disk_tier_after_a_torn_write() {
         "recovery kept the intact record: {stats}"
     );
 
-    send_sigterm(&child);
-    assert_eq!(child.wait().expect("wait for daemon").code(), Some(0));
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(daemon.terminate().0, Some(0));
 }
 
 #[test]
 fn daemon_refuses_a_cache_dir_held_by_another_daemon() {
-    let dir = tempdir("flock");
-    let dir_arg = dir.join("spill").display().to_string();
-    let (mut child, _addr, _stdout) = spawn_daemon(&["--cache-dir", &dir_arg]);
+    let dir = TempDir::new("flock");
+    let dir_arg = dir.0.join("spill").display().to_string();
+    let daemon = Daemon::spawn(&["--cache-dir", &dir_arg]);
 
     // A second daemon on the same spill directory must fail fast at
     // startup instead of corrupting the first one's segments.
@@ -277,9 +320,7 @@ fn daemon_refuses_a_cache_dir_held_by_another_daemon() {
         "stderr names the lock conflict: {stderr}"
     );
 
-    send_sigterm(&child);
-    assert_eq!(child.wait().expect("wait for daemon").code(), Some(0));
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(daemon.terminate().0, Some(0));
 }
 
 #[test]
@@ -287,7 +328,7 @@ fn daemon_evicts_a_slow_loris_client_without_blocking_others() {
     use std::io::{Read as _, Write as _};
     // A short io budget so the eviction lands within the test, and a
     // long idle budget so it cannot be the thing that fires.
-    let (mut child, addr, _stdout) = spawn_daemon(&[
+    let daemon = Daemon::spawn(&[
         "--io-timeout-ms",
         "1500",
         "--idle-timeout-ms",
@@ -295,6 +336,7 @@ fn daemon_evicts_a_slow_loris_client_without_blocking_others() {
         "--workers",
         "2",
     ]);
+    let addr = daemon.addr;
 
     // The attacker: starts a request and trickles one byte at a time,
     // never completing it. Under the old thread-per-connection core this
@@ -366,20 +408,19 @@ fn daemon_evicts_a_slow_loris_client_without_blocking_others() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    send_sigterm(&child);
-    assert_eq!(child.wait().expect("wait for daemon").code(), Some(0));
+    assert_eq!(daemon.terminate().0, Some(0));
 }
 
 #[test]
 fn daemon_trace_log_records_slow_requests_with_full_span_trees() {
-    let dir = tempdir("trace");
-    let log = dir.join("trace.jsonl");
+    let dir = TempDir::new("trace");
+    let log = dir.0.join("trace.jsonl");
     let log_arg = log.display().to_string();
     // Threshold well above a trivial compile and well below a large one.
     let slow = slow_circuit();
     let slow_ms = slow_threshold_ms(&slow).to_string();
-    let (mut child, addr, _stdout) =
-        spawn_daemon(&["--trace-log", &log_arg, "--slow-ms", &slow_ms]);
+    let daemon = Daemon::spawn(&["--trace-log", &log_arg, "--slow-ms", &slow_ms]);
+    let addr = daemon.addr;
 
     // Fast request: finishes far under the threshold, so it must stay
     // out of the JSONL sink — but its id is still echoed end to end.
@@ -457,9 +498,7 @@ fn daemon_trace_log_records_slow_requests_with_full_span_trees() {
         "fast request leaked into the slow log: {text}"
     );
 
-    send_sigterm(&child);
-    assert_eq!(child.wait().expect("wait for daemon").code(), Some(0));
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(daemon.terminate().0, Some(0));
 }
 
 #[test]
@@ -471,7 +510,8 @@ fn daemon_end_to_end_triage_from_exemplar_to_trace() {
     // list and the stats `slowest` table both name the same offender.
     let slow = slow_circuit();
     let min_ms = slow_threshold_ms(&slow);
-    let (mut child, addr, _stdout) = spawn_daemon(&["--workers", "2"]);
+    let daemon = Daemon::spawn(&["--workers", "2"]);
+    let addr = daemon.addr;
 
     // A fast request first, so "slowest" actually has to rank.
     let fast: &[u8] =
@@ -648,15 +688,15 @@ fn daemon_end_to_end_triage_from_exemplar_to_trace() {
         "the slow compile outranks the fast one: {slowest}"
     );
 
-    send_sigterm(&child);
-    assert_eq!(child.wait().expect("wait for daemon").code(), Some(0));
+    assert_eq!(daemon.terminate().0, Some(0));
 }
 
 #[test]
 fn daemon_refuses_an_oversized_layer_and_stays_up() {
     // `side=100000` once asked for a 240 GB grid: the allocation failure
     // aborted the whole process instead of failing the one request.
-    let (mut child, addr, _stdout) = spawn_daemon(&["--workers", "1"]);
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let addr = daemon.addr;
     let source = b"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\n";
     for target in [
         "/v1/compile?side=100000",
@@ -675,8 +715,7 @@ fn daemon_refuses_an_oversized_layer_and_stays_up() {
         .expect("POST /v1/compile");
     assert_eq!(ok.status, 200, "and still compiles");
 
-    send_sigterm(&child);
-    assert_eq!(child.wait().expect("wait for daemon").code(), Some(0));
+    assert_eq!(daemon.terminate().0, Some(0));
 }
 
 #[test]

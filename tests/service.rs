@@ -1340,6 +1340,105 @@ fn metrics_endpoint_agrees_with_stats_and_counts_every_stage() {
 }
 
 #[test]
+fn compile_counters_and_partition_attrs_equal_the_compilers_profile() {
+    let _cpu = shared_cpu();
+    let handle = spawn_server();
+    let source = oneq_circuit::benchmarks::qft(16).to_qasm();
+    let resp = http::request_with_headers(
+        handle.addr(),
+        "POST",
+        "/v1/compile?file=qft-16.qasm&side=16",
+        &[("X-Oneqd-Request-Id", "profile-1")],
+        source.as_bytes(),
+        TIMEOUT,
+    )
+    .expect("compile");
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("x-oneqd-cache"), Some("miss"));
+    wait_for_trace(&handle, "profile-1");
+
+    // The same source and geometry, compiled in-process.
+    let circuit = oneq_frontend::parse_circuit(&source).expect("parse");
+    let program = oneq::Compiler::new(oneq::CompilerOptions::new(
+        oneq_hardware::LayerGeometry::square(16),
+    ))
+    .compile(&circuit);
+    let totals = program.profile.totals();
+    let partitions = program.profile.partitions.len() as u64;
+    assert_eq!(partitions, program.stats.partitions as u64);
+    assert!(partitions > 1, "the sums and maxima below need partitions");
+
+    // Every compiler-profile family, in registration order, with the
+    // one executed compile's totals. Maxima are high-water gauges.
+    let want = [
+        ("oneqd_compile_partitions_total", partitions),
+        ("oneqd_compile_bfs_searches_total", totals.bfs_searches),
+        ("oneqd_compile_bfs_expansions_total", totals.bfs_expansions),
+        ("oneqd_compile_scratch_grows_total", totals.scratch_grows),
+        ("oneqd_compile_scratch_reuses_total", totals.scratch_reuses),
+        ("oneqd_compile_seed_scans_total", totals.seed_scans),
+        ("oneqd_compile_routing_cells_total", totals.routing_cells),
+        ("oneqd_compile_occupancy_peak_cells", totals.occupancy_peak),
+        (
+            "oneqd_compile_seed_scan_radius_max",
+            totals.seed_scan_radius_max,
+        ),
+    ];
+    let metrics =
+        http::request(handle.addr(), "GET", "/v1/metrics", b"", TIMEOUT).expect("GET /v1/metrics");
+    let text = String::from_utf8(metrics.body).expect("exposition text");
+    let served: Vec<(&str, u64)> = text
+        .lines()
+        .filter(|l| l.starts_with("oneqd_compile_") && !l.starts_with("oneqd_compile_stage_"))
+        .filter_map(|l| l.split_once(' '))
+        .filter(|(name, _)| {
+            !["ok", "errors", "executions"]
+                .iter()
+                .any(|s| *name == format!("oneqd_compile_{s}_total"))
+        })
+        .map(|(name, value)| (name, value.parse().expect("integer sample")))
+        .collect();
+    assert_eq!(served, want, "oneqd_compile_* samples against the profile");
+
+    // The trace's per-partition attributes fold to the same totals: work
+    // counts add up, high-water marks take the largest.
+    let trace = http::request(handle.addr(), "GET", "/v1/traces/profile-1", b"", TIMEOUT)
+        .expect("GET /v1/traces/{id}");
+    let trace = String::from_utf8(trace.body).expect("trace is utf-8");
+    let mut sum: BTreeMap<String, u64> = BTreeMap::new();
+    let mut spans = 0;
+    for (at, _) in trace.match_indices("\"name\": \"compile.mapping.partition\"") {
+        let span = &trace[at..];
+        let span = &span[..=span.find('}').expect("span closes")];
+        let attrs = &span[span.find('{').expect("partition span carries attrs")..];
+        for (key, value) in json::parse_flat_object(attrs).expect("attrs are a flat object") {
+            let value: u64 = value.parse().expect("integer attr");
+            let slot = sum.entry(key.clone()).or_default();
+            *slot = match key.as_str() {
+                "seed_scan_radius_max" | "occupancy_peak" => (*slot).max(value),
+                _ => *slot + value,
+            };
+        }
+        spans += 1;
+    }
+    assert_eq!(spans, partitions, "one partition span per partition");
+    for (attr, want) in [
+        ("bfs_searches", totals.bfs_searches),
+        ("bfs_expansions", totals.bfs_expansions),
+        ("seed_scans", totals.seed_scans),
+        ("seed_scan_radius_max", totals.seed_scan_radius_max),
+        ("occupancy_peak", totals.occupancy_peak),
+        ("scratch_grows", totals.scratch_grows),
+        ("scratch_reuses", totals.scratch_reuses),
+        ("routing_cells", totals.routing_cells),
+        ("nodes", program.stats.fusion_graph_nodes as u64),
+    ] {
+        assert_eq!(sum.get(attr).copied(), Some(want), "attribute `{attr}`");
+    }
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn request_id_is_echoed_or_minted_on_every_route() {
     let _cpu = shared_cpu();
     let handle = spawn_server();
