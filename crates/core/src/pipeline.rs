@@ -61,6 +61,30 @@ impl CompilerOptions {
     fn extended_geometry(&self) -> LayerGeometry {
         ExtendedLayer::new(self.geometry, self.extension_factor).geometry()
     }
+
+    /// The partitioner's options under this configuration.
+    ///
+    /// Partitions are bounded by the delay-line reach (dependency layers)
+    /// and planarity, not by area: the mapper allocates as many physical
+    /// layers per partition as the fusion graph needs (paper §4, dynamic
+    /// scheduling). A loose capacity cap, the extended area ×
+    /// `fill_percent` × 8 / 100 floored at 64, keeps a single partition
+    /// from ballooning past what `fill_percent` says several layers can
+    /// absorb.
+    pub fn partition_options(&self) -> PartitionOptions {
+        let capacity = self
+            .extended_geometry()
+            .area()
+            .saturating_mul(self.fill_percent)
+            .saturating_mul(8)
+            / 100;
+        PartitionOptions {
+            max_dependency_layers: self.max_dependency_layers,
+            capacity_hint: Some(capacity.max(64)),
+            enforce_planarity: self.enforce_planarity,
+            resource_kind: self.resource_kind,
+        }
+    }
 }
 
 /// Per-stage statistics of one compilation.
@@ -297,26 +321,9 @@ impl Compiler {
     ) -> CompiledProgram {
         let opt = &self.options;
         let ext_geometry = opt.extended_geometry();
-        // Partitions are bounded by the delay-line reach (dependency
-        // layers) and planarity, not by area: the mapper allocates as many
-        // physical layers per partition as the fusion graph needs (paper
-        // §4, dynamic scheduling). A loose capacity cap keeps a single
-        // partition from ballooning past what `fill_percent` says several
-        // layers can absorb.
-        let capacity = ext_geometry
-            .area()
-            .saturating_mul(opt.fill_percent)
-            .saturating_mul(8)
-            / 100;
 
         // Stage 1: partition & schedule.
-        let part_opts = PartitionOptions {
-            max_dependency_layers: opt.max_dependency_layers,
-            capacity_hint: Some(capacity.max(64)),
-            enforce_planarity: opt.enforce_planarity,
-            resource_kind: opt.resource_kind,
-        };
-        let parts = partition::partition(pattern, &part_opts);
+        let parts = partition::partition(pattern, &opt.partition_options());
         profile.lap(Stage::Partition, &mut clock);
 
         let mut stats = StageStats {

@@ -122,7 +122,7 @@ pub fn error_record(file_label: &str, message: &str) -> String {
 
 /// Out-of-band measurements of one compile, for telemetry: the two clocks
 /// this module reads itself, and the compiler's own [`CompileProfile`]
-/// (stage clocks and per-partition counters).
+/// (stage clocks and per-partition counters) when the compiler ran.
 ///
 /// The record string carries timings only when `config.timings` asks for
 /// them (at the cost of cacheability); this struct carries the same numbers
@@ -130,12 +130,14 @@ pub fn error_record(file_label: &str, message: &str) -> String {
 /// histograms without perturbing a single record byte.
 #[derive(Debug, Clone, Default)]
 pub struct RecordTimings {
-    /// QASM parse time in nanoseconds.
+    /// QASM parse time in nanoseconds (up to the error, for a source that
+    /// fails to parse).
     pub parse_ns: u128,
     /// End-to-end compile wall time (parse included) in nanoseconds.
     pub wall_ns: u128,
-    /// What the compile measured about itself.
-    pub profile: CompileProfile,
+    /// What the compile measured about itself; `None` when the source
+    /// failed to parse or its layer was refused, so the compiler never ran.
+    pub profile: Option<CompileProfile>,
 }
 
 /// Compiles `source` under `config` and renders the `oneqc/v1` record
@@ -151,29 +153,36 @@ pub fn compile_record(file_label: &str, source: &str, config: &CompileConfig) ->
 /// [`compile_record`] plus the wall-clock breakdown of the compile.
 ///
 /// The returned record is byte-identical to `compile_record`'s for the same
-/// inputs (it *is* the same code path); timings ride alongside, `None` when
-/// the source failed to parse or the layer was refused.
+/// inputs (it *is* the same code path); timings ride alongside. The parse
+/// and wall clocks are always set; the profile only when the compiler ran.
 pub fn compile_record_timed(
     file_label: &str,
     source: &str,
     config: &CompileConfig,
-) -> (String, bool, Option<RecordTimings>) {
+) -> (String, bool, RecordTimings) {
     let t0 = Instant::now();
-    let circuit = match oneq_frontend::parse_circuit(source) {
-        Ok(c) => c,
-        Err(e) => {
-            let e = e.with_file(file_label);
-            return (error_record(file_label, &e.to_line()), false, None);
-        }
-    };
+    let parsed = oneq_frontend::parse_circuit(source);
     let parse_ns = t0.elapsed().as_nanos();
+    let refused = |message: &str| {
+        let timings = RecordTimings {
+            parse_ns,
+            wall_ns: parse_ns,
+            profile: None,
+        };
+        (error_record(file_label, message), false, timings)
+    };
+    let circuit = match parsed {
+        Ok(c) => c,
+        Err(e) => return refused(&e.with_file(file_label).to_line()),
+    };
 
     let geometry = match config.geometry {
         // `physical_side` sizes the layer from the qubit count and
         // panics on zero.
         GeometryChoice::Auto if circuit.n_qubits() == 0 => {
-            let e = "the program declares no qubits, so auto geometry has no layer to size";
-            return (error_record(file_label, e), false, None);
+            return refused(
+                "the program declares no qubits, so auto geometry has no layer to size",
+            );
         }
         GeometryChoice::Auto => LayerGeometry::square(oneq_baseline::physical_side(
             circuit.n_qubits(),
@@ -183,7 +192,7 @@ pub fn compile_record_timed(
         GeometryChoice::Rect(r, c) => LayerGeometry::new(r, c),
     };
     if let Err(e) = check_layer_cells(geometry.rows(), geometry.cols(), config.extension) {
-        return (error_record(file_label, &e), false, None);
+        return refused(&e);
     }
     let options = CompilerOptions::new(geometry)
         .with_resource_kind(config.resource)
@@ -224,9 +233,9 @@ pub fn compile_record_timed(
     let timings = RecordTimings {
         parse_ns,
         wall_ns,
-        profile: program.profile,
+        profile: Some(program.profile),
     };
-    (line, true, Some(timings))
+    (line, true, timings)
 }
 
 #[cfg(test)]
@@ -301,19 +310,27 @@ mod tests {
         let (timed, ok_b, timings) = compile_record_timed("bell.qasm", BELL, &config);
         assert_eq!(plain, timed, "timed variant must not perturb record bytes");
         assert_eq!(ok_a, ok_b);
-        let timings = timings.expect("timings for a successful compile");
         assert!(timings.wall_ns >= timings.parse_ns);
-        let stages: u128 = timings.profile.stages().map(|(_, ns)| ns).sum();
+        let profile = timings.profile.expect("a profile for a successful compile");
+        let stages: u128 = profile.stages().map(|(_, ns)| ns).sum();
         assert!(timings.wall_ns >= timings.parse_ns + stages);
         assert!(
-            !timings.profile.partitions.is_empty(),
+            !profile.partitions.is_empty(),
             "profile carries one entry per partition"
         );
-        assert!(timings.profile.totals().occupancy_peak > 0);
+        assert!(profile.totals().occupancy_peak > 0);
         let (_, ok, timings) =
             compile_record_timed("bad.qasm", "OPENQASM 2.0;\nnonsense;\n", &config);
         assert!(!ok);
-        assert!(timings.is_none(), "no timings for parse failures");
+        assert_parse_clock_only(&timings);
+    }
+
+    /// A compile the frontend ran but the compiler did not: a parse clock
+    /// (the wall clock is that parse) and no profile.
+    fn assert_parse_clock_only(timings: &RecordTimings) {
+        assert!(timings.parse_ns > 0, "the parse was timed: {timings:?}");
+        assert_eq!(timings.wall_ns, timings.parse_ns, "{timings:?}");
+        assert!(timings.profile.is_none(), "no profile without a compile");
     }
 
     #[test]
@@ -338,7 +355,7 @@ mod tests {
         };
         let (record, ok, timings) = compile_record_timed("bell.qasm", BELL, &config);
         assert!(!ok);
-        assert!(timings.is_none());
+        assert_parse_clock_only(&timings);
         assert!(
             record.starts_with("{\"file\": \"bell.qasm\", \"status\": \"error\""),
             "{record}"
@@ -353,7 +370,7 @@ mod tests {
             let (record, ok, timings) =
                 compile_record_timed("none.qasm", source, &CompileConfig::default());
             assert!(!ok, "{source}");
-            assert!(timings.is_none());
+            assert_parse_clock_only(&timings);
             assert!(
                 record.starts_with("{\"file\": \"none.qasm\", \"status\": \"error\""),
                 "{record}"

@@ -20,16 +20,20 @@
 //!
 //! The loop in `server.rs` drives the transitions; this module supplies
 //! the nonblocking I/O steps ([`Conn::fill`], [`Conn::flush`],
-//! [`Conn::drain_step`]) and holds the bookkeeping. Deadlines are the
+//! [`Conn::drain_step`]) and holds the bookkeeping. Each state carries
+//! its deadline, armed when the state is entered: `Idle` gets the idle
+//! timeout, `Reading`, `Writing` and `Draining` the io timeout, and
+//! `Dispatched` none (a worker owns the request). Deadlines are the
 //! slow-loris defense: a request gets one fixed budget from its first
 //! byte to its last, so a client trickling one byte per second costs a
 //! file descriptor for that budget — never a thread, and never longer.
 
 use crate::http::{Parse, Request, RequestError, RequestParser};
-use crate::telemetry::PendingTrace;
+use crate::server::ServerConfig;
+use crate::telemetry::Trace;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Bytes read from the socket per `read` call while filling.
 const READ_CHUNK: usize = 16 * 1024;
@@ -78,6 +82,8 @@ pub struct Conn {
     id: u64,
     state: ConnState,
     deadline: Option<Instant>,
+    idle_timeout: Duration,
+    io_timeout: Duration,
     parser: RequestParser,
     /// Bytes received past the end of the last parsed request.
     inbuf: Vec<u8>,
@@ -91,22 +97,26 @@ pub struct Conn {
     read_started: Option<Instant>,
     /// The request's trace, carried across the response flush so the
     /// loop can close it (append the `write` span) on the last byte.
-    trace: Option<PendingTrace>,
+    trace: Option<Trace>,
 }
 
 impl Conn {
     /// Takes ownership of an accepted stream, switching it to
     /// nonblocking mode with `TCP_NODELAY` (responses leave in full
-    /// writes; never trade a round trip for Nagle coalescing).
-    pub fn new(stream: TcpStream, id: u64, max_body: usize) -> io::Result<Conn> {
+    /// writes; never trade a round trip for Nagle coalescing). The
+    /// connection starts `Idle`, on the idle timeout: the whole-request
+    /// io timeout starts once its first byte arrives.
+    pub fn new(stream: TcpStream, id: u64, config: &ServerConfig) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
-        Ok(Conn {
+        let mut conn = Conn {
             stream,
             id,
             state: ConnState::Idle,
             deadline: None,
-            parser: RequestParser::new(max_body),
+            idle_timeout: config.idle_timeout,
+            io_timeout: config.io_timeout,
+            parser: RequestParser::new(config.max_body),
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             outpos: 0,
@@ -115,7 +125,9 @@ impl Conn {
             drain_budget: 0,
             read_started: None,
             trace: None,
-        })
+        };
+        conn.set_state(ConnState::Idle);
+        Ok(conn)
     }
 
     /// The loop-assigned connection id; completions coming back from
@@ -130,19 +142,21 @@ impl Conn {
         self.state
     }
 
-    /// Moves the connection to `state`.
+    /// Moves the connection to `state` and arms that state's deadline,
+    /// counted from now.
     pub fn set_state(&mut self, state: ConnState) {
         self.state = state;
+        let timeout = match state {
+            ConnState::Idle => Some(self.idle_timeout),
+            ConnState::Reading | ConnState::Writing | ConnState::Draining => Some(self.io_timeout),
+            ConnState::Dispatched => None,
+        };
+        self.deadline = timeout.map(|t| Instant::now() + t);
     }
 
     /// The instant after which the current state has taken too long.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// Arms (or clears) the state deadline.
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
     }
 
     /// Raw fd for the poll set.
@@ -168,6 +182,12 @@ impl Conn {
         self.parser.mid_request() || !self.inbuf.is_empty()
     }
 
+    /// First header named `name` of the request being read; a request
+    /// refused after its head keeps its headers readable.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.parser.header(name)
+    }
+
     /// Whether the connection must close once the buffered response has
     /// been flushed.
     pub fn close_after_write(&self) -> bool {
@@ -183,13 +203,13 @@ impl Conn {
 
     /// Attaches the request's trace to ride along until the response
     /// flush completes.
-    pub fn set_trace(&mut self, trace: PendingTrace) {
+    pub fn set_trace(&mut self, trace: Trace) {
         self.trace = Some(trace);
     }
 
     /// Detaches the trace (at flush completion, or on close so an
     /// aborted connection does not leak a half-open trace).
-    pub fn take_trace(&mut self) -> Option<PendingTrace> {
+    pub fn take_trace(&mut self) -> Option<Trace> {
         self.trace.take()
     }
 
@@ -281,7 +301,7 @@ impl Conn {
         let buffered = self.inbuf.len().min(budget);
         self.drain_budget = budget - buffered;
         self.inbuf = Vec::new();
-        self.state = ConnState::Draining;
+        self.set_state(ConnState::Draining);
     }
 
     /// One nonblocking drain step: discards available bytes against the
@@ -314,10 +334,57 @@ mod tests {
 
     /// A connected (client, server-side Conn) pair over loopback.
     fn pair(max_body: usize) -> (TcpStream, Conn) {
+        pair_with(&ServerConfig {
+            max_body,
+            ..ServerConfig::default()
+        })
+    }
+
+    fn pair_with(config: &ServerConfig) -> (TcpStream, Conn) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
-        (client, Conn::new(accepted, 7, max_body).unwrap())
+        (client, Conn::new(accepted, 7, config).unwrap())
+    }
+
+    #[test]
+    fn each_state_holds_its_deadline() {
+        let idle = Duration::from_secs(5);
+        let io = Duration::from_secs(60);
+        // The deadline lies `timeout` after some instant in `[before, now]`.
+        let holds = |conn: &Conn, timeout: Option<Duration>, before: Instant| match timeout {
+            None => conn.deadline().is_none(),
+            Some(t) => conn
+                .deadline()
+                .is_some_and(|d| d >= before + t && d <= Instant::now() + t),
+        };
+        let before = Instant::now();
+        let (_client, mut conn) = pair_with(&ServerConfig {
+            idle_timeout: idle,
+            io_timeout: io,
+            ..ServerConfig::default()
+        });
+        assert_eq!(conn.state(), ConnState::Idle);
+        assert!(holds(&conn, Some(idle), before), "a new connection idles");
+        for (state, timeout) in [
+            (ConnState::Reading, Some(io)),
+            (ConnState::Dispatched, None),
+            (ConnState::Writing, Some(io)),
+            (ConnState::Idle, Some(idle)),
+            (ConnState::Draining, Some(io)),
+        ] {
+            let before = Instant::now();
+            conn.set_state(state);
+            assert!(holds(&conn, timeout, before), "{state:?}");
+        }
+        let before = Instant::now();
+        conn.set_state(ConnState::Idle);
+        conn.begin_drain(16);
+        assert_eq!(conn.state(), ConnState::Draining);
+        assert!(
+            holds(&conn, Some(io), before),
+            "a drain runs on the io timeout"
+        );
     }
 
     /// Polls `fill` until the bytes written by the test have certainly

@@ -221,6 +221,13 @@ impl RequestParser {
         self.started
     }
 
+    /// First header named `name` (case-insensitive) among those read for
+    /// the message in progress. A request refused after its head (a body
+    /// over `max_body`) keeps its headers readable here.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        header_lookup(&self.headers, name)
+    }
+
     /// Feeds `bytes` to the parser. Always reports how many bytes were
     /// consumed — even on error, so the caller knows exactly where the
     /// stream position stands (the 413 drain path depends on the header

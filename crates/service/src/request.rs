@@ -251,8 +251,9 @@ impl CompileRequest {
     }
 
     /// [`CompileRequest::record`] plus the out-of-band wall-clock breakdown
-    /// (`None` on parse failure). Record bytes are identical to `record`'s.
-    pub fn record_timed(&self) -> (String, bool, Option<compile::RecordTimings>) {
+    /// (no compiler profile when the compiler did not run). Record bytes
+    /// are identical to `record`'s.
+    pub fn record_timed(&self) -> (String, bool, compile::RecordTimings) {
         compile::compile_record_timed(&self.label, &self.source, &self.config)
     }
 

@@ -48,13 +48,15 @@
 //! Every counter is a handle into the [`crate::telemetry::Telemetry`]
 //! registry, taken when its component is built and bumped where the
 //! event happens, and both `GET /v1/stats` and `GET /v1/metrics` render
-//! from *one* registry snapshot — the two surfaces cannot disagree. Every parsed request carries an
-//! `X-Oneqd-Request-Id` (inbound value adopted when well-formed,
-//! otherwise minted) echoed on the response, and a span trace — read,
-//! queue wait, handler, per-tier cache lookup, per-stage compile times,
-//! response write — closed when the last response byte flushes, pushed
-//! to an in-memory ring and (under `--trace-log`, gated by `--slow-ms`)
-//! to a JSONL sink. See `docs/OBSERVABILITY.md` for names and schemas.
+//! from *one* registry snapshot — the two surfaces cannot disagree. Every
+//! request, refused ones included, carries an `X-Oneqd-Request-Id`
+//! (inbound value adopted when well-formed, otherwise minted) echoed on
+//! the response, and a span trace — read, queue wait, handler, per-tier
+//! cache lookup, per-stage compile times, response write — closed when
+//! the last response byte flushes, pushed to an in-memory ring and
+//! (under `--trace-log`, gated by `--slow-ms`) to a JSONL sink. Every
+//! response leaves the loop through one path (`Loop::respond`). See
+//! `docs/OBSERVABILITY.md` for names and schemas.
 //!
 //! `/v1/compile` responses are byte-identical to `oneqc`'s JSONL
 //! records (one record + `\n`) for the same source and config, and —
@@ -77,7 +79,7 @@ use crate::pool::{run_indexed, WorkerPool};
 use crate::request::CompileRequest;
 use crate::spill::{SpillConfig, SpillTier};
 use crate::telemetry::{
-    PendingTrace, Telemetry, TraceSeed, ROUTE_BATCH, ROUTE_COMPILE, ROUTE_INLINE, TIERS,
+    Telemetry, Trace, ROUTE_BATCH, ROUTE_COMPILE, ROUTE_INLINE, TIERS, TRACE_RING_CAPACITY,
 };
 use oneq::Stage;
 use oneq_obs::{duration_ns, Counter, Gauge, Snapshot, Span};
@@ -654,7 +656,7 @@ mod event_loop {
         id: u64,
         bytes: Vec<u8>,
         close: bool,
-        trace: TraceSeed,
+        trace: Trace,
     }
 
     /// What a poll-set entry maps back to.
@@ -856,12 +858,7 @@ mod event_loop {
                 if !matches {
                     continue; // the connection died while the worker ran
                 }
-                let io_timeout = self.config.io_timeout;
-                let conn = self.conns[done.slot].as_mut().expect("matched above");
-                conn.queue_response(done.bytes, done.close);
-                conn.set_state(ConnState::Writing);
-                conn.set_deadline(Some(Instant::now() + io_timeout));
-                conn.set_trace(PendingTrace::begin_write(done.trace));
+                self.respond(done.slot, done.bytes, done.close, done.trace, 0);
                 self.pump(done.slot);
             }
         }
@@ -872,15 +869,10 @@ mod event_loop {
             while self.open_count < self.config.max_connections {
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
-                        let Ok(mut conn) = Conn::new(stream, self.next_id, self.config.max_body)
-                        else {
+                        let Ok(conn) = Conn::new(stream, self.next_id, &self.config) else {
                             continue; // fcntl failed; drop the socket
                         };
                         self.next_id += 1;
-                        // A fresh connection's first clock is the idle
-                        // timeout; the whole-request io_timeout arms
-                        // once its first byte arrives.
-                        conn.set_deadline(Some(Instant::now() + self.config.idle_timeout));
                         self.state.connections.inc();
                         let slot = match self.free.pop() {
                             Some(slot) => {
@@ -933,58 +925,25 @@ mod event_loop {
                                 // whole-request clock. A trickler gets
                                 // exactly this budget, total.
                                 conn.set_state(ConnState::Reading);
-                                conn.set_deadline(Some(Instant::now() + self.config.io_timeout));
                             }
                             return;
                         }
-                        Ok(FillOutcome::Closed) => {
+                        Ok(FillOutcome::Closed) | Err(RequestError::Io(_)) => {
                             self.close(slot);
                             return;
                         }
-                        Err(RequestError::Io(_)) => {
-                            self.close(slot);
-                            return;
-                        }
-                        Err(RequestError::Malformed(msg)) => {
-                            // Parse failures still count as requests, so
-                            // `requests` is reconcilable with
-                            // `http_errors` + the per-route counters.
-                            // The stream position is unknown → the
-                            // session must end after the 400.
-                            self.state.requests.inc();
-                            self.state.http_errors.inc();
-                            let io_timeout = self.config.io_timeout;
-                            let conn = self.conns[slot].as_mut().expect("conn is live");
-                            conn.queue_response(
-                                render_error(400, &msg, &[], Connection::Close),
-                                true,
-                            );
-                            conn.set_state(ConnState::Writing);
-                            conn.set_deadline(Some(Instant::now() + io_timeout));
-                        }
+                        // The stream position is unknown, so the session
+                        // ends after the 400.
+                        Err(RequestError::Malformed(msg)) => self.refuse(slot, 400, &msg, 0),
+                        // The oversized body was never buffered (the
+                        // limit is checked against Content-Length).
+                        // Drain a bounded amount before writing so the
+                        // 413 survives the close — closing with unread
+                        // bytes queued in the receive buffer triggers a
+                        // TCP reset that would discard the response.
                         Err(RequestError::BodyTooLarge(n)) => {
-                            self.state.requests.inc();
-                            self.state.http_errors.inc();
-                            // The oversized body was never buffered (the
-                            // limit is checked against Content-Length).
-                            // Drain a bounded amount before writing so
-                            // the 413 survives the close — closing with
-                            // unread bytes queued in the receive buffer
-                            // triggers a TCP reset that would discard
-                            // the response.
-                            let io_timeout = self.config.io_timeout;
-                            let conn = self.conns[slot].as_mut().expect("conn is live");
-                            conn.queue_response(
-                                render_error(
-                                    413,
-                                    &format!("body of {n} bytes exceeds limit"),
-                                    &[],
-                                    Connection::Close,
-                                ),
-                                true,
-                            );
-                            conn.begin_drain(n.min(DRAIN_CAP));
-                            conn.set_deadline(Some(Instant::now() + io_timeout));
+                            let message = format!("body of {n} bytes exceeds limit");
+                            self.refuse(slot, 413, &message, n.min(DRAIN_CAP));
                         }
                     },
                     ConnState::Writing => match conn.flush() {
@@ -1001,7 +960,6 @@ mod event_loop {
                                 return;
                             }
                             conn.set_state(ConnState::Idle);
-                            conn.set_deadline(Some(Instant::now() + self.config.idle_timeout));
                             // Loop on: pipelined bytes may already hold
                             // the next request.
                         }
@@ -1016,7 +974,6 @@ mod event_loop {
                             // Remainder discarded (or peer gone): now
                             // the buffered error response can go out.
                             conn.set_state(ConnState::Writing);
-                            conn.set_deadline(Some(Instant::now() + self.config.io_timeout));
                         }
                         Ok(false) => return,
                         Err(_) => {
@@ -1036,15 +993,6 @@ mod event_loop {
             self.state.requests.inc();
             let conn = self.conns[slot].as_mut().expect("conn is live");
             conn.mark_served();
-            // The read span covers first request byte → parse complete.
-            let read_ns = conn
-                .take_read_start()
-                .map_or(0, |t| duration_ns(t.elapsed()));
-            self.state.telemetry.observe_read(read_ns);
-            let req_id = self
-                .state
-                .telemetry
-                .request_id(request.header("x-oneqd-request-id"));
             let keep = request.wants_keep_alive()
                 && conn.served() < self.config.keep_alive_requests.max(1)
                 && !self.draining;
@@ -1053,135 +1001,139 @@ mod event_loop {
             } else {
                 Connection::Close
             };
-            if request.method == "POST"
-                && (request.path == "/v1/compile" || request.path == "/v1/compile-batch")
-            {
-                conn.set_state(ConnState::Dispatched);
-                conn.set_deadline(None);
-                let id = conn.id();
-                let state = Arc::clone(&self.state);
-                let config = Arc::clone(&self.config);
-                let done = self.done_tx.clone();
-                let waker = Arc::clone(&self.waker);
-                let enqueued = Instant::now();
-                let queued = self.pool.execute(move || {
-                    let queue_ns = duration_ns(enqueued.elapsed());
-                    state.telemetry.observe_queue_wait(queue_ns);
-                    let handler_started = Instant::now();
-                    let (bytes, handler, panicked) =
-                        run_guarded(&state.http_errors, &req_id, || {
-                            if request.path == "/v1/compile" {
-                                handle_compile(&state, &request, disposition, &req_id)
-                            } else {
-                                handle_batch(&state, &config, &request, disposition, &req_id)
-                            }
-                        });
-                    let handler_ns = duration_ns(handler_started.elapsed());
-                    let base = read_ns.saturating_add(queue_ns);
-                    let mut spans = vec![
-                        Span::new("read", 0, read_ns),
-                        Span::new("queue", read_ns, queue_ns),
-                        Span::new("handle", base, handler_ns),
-                    ];
-                    spans.extend(handler.spans.into_iter().map(|s| s.shifted(base)));
-                    let route_class = if request.path == "/v1/compile" {
-                        ROUTE_COMPILE
-                    } else {
-                        ROUTE_BATCH
-                    };
-                    let trace = TraceSeed {
-                        id: req_id,
-                        route: request.path.clone(),
-                        route_class,
-                        status: handler.status,
-                        outcome: handler.outcome,
-                        spans,
-                        total_ns: base.saturating_add(handler_ns),
-                    };
-                    // The loop may have dropped the receiver during
-                    // shutdown; a dead letter is fine.
-                    let _ = done.send(Completion {
-                        slot,
-                        id,
-                        bytes,
-                        close: !keep || panicked,
-                        trace,
-                    });
-                    waker.wake();
-                });
-                debug_assert!(queued, "the pool shuts down only after the loop exits");
-                return false;
-            }
-            let handler_started = Instant::now();
-            let (bytes, status) = route_inline(&self.state, &request, disposition, &req_id);
-            let handler_ns = duration_ns(handler_started.elapsed());
-            let trace = TraceSeed {
-                id: req_id,
-                route: request.path.clone(),
-                route_class: ROUTE_INLINE,
-                status,
-                outcome: "inline".to_string(),
-                spans: vec![
-                    Span::new("read", 0, read_ns),
-                    Span::new("handle", read_ns, handler_ns),
-                ],
-                total_ns: read_ns.saturating_add(handler_ns),
+            let route_class = match (request.method.as_str(), request.path.as_str()) {
+                ("POST", "/v1/compile") => ROUTE_COMPILE,
+                ("POST", "/v1/compile-batch") => ROUTE_BATCH,
+                _ => ROUTE_INLINE,
             };
-            let io_timeout = self.config.io_timeout;
+            // The read span covers first request byte → parse complete.
+            let mut trace = self.state.telemetry.open_trace(
+                conn.take_read_start(),
+                request.header("x-oneqd-request-id"),
+                &request.path,
+                route_class,
+            );
+            if route_class == ROUTE_INLINE {
+                let bytes =
+                    trace.handle(|trace| route_inline(&self.state, &request, disposition, trace));
+                self.respond(slot, bytes, !keep, trace, 0);
+                return true;
+            }
+            conn.set_state(ConnState::Dispatched);
+            let id = conn.id();
+            let state = Arc::clone(&self.state);
+            let config = Arc::clone(&self.config);
+            let done = self.done_tx.clone();
+            let waker = Arc::clone(&self.waker);
+            let enqueued = Instant::now();
+            let queued = self.pool.execute(move || {
+                let queue_ns = duration_ns(enqueued.elapsed());
+                state.telemetry.observe_queue_wait(queue_ns);
+                trace.lap("queue", queue_ns);
+                let (bytes, panicked) = trace.handle(|trace| {
+                    run_guarded(&state, trace, |trace| {
+                        if route_class == ROUTE_COMPILE {
+                            handle_compile(&state, &request, disposition, trace)
+                        } else {
+                            handle_batch(&state, &config, &request, disposition, trace)
+                        }
+                    })
+                });
+                // The loop may have dropped the receiver during
+                // shutdown; a dead letter is fine.
+                let _ = done.send(Completion {
+                    slot,
+                    id,
+                    bytes,
+                    close: !keep || panicked,
+                    trace,
+                });
+                waker.wake();
+            });
+            debug_assert!(queued, "the pool shuts down only after the loop exits");
+            false
+        }
+
+        /// Answers a request the parser refused, on the loop: a 400 for a
+        /// head that did not parse (its id is minted) or a 413 for a body
+        /// over `--max-body` (its head parsed, so a well-formed inbound id
+        /// is adopted). Refusals count as requests, so `requests`
+        /// reconciles with `http_errors` plus the per-route counters, and
+        /// the session ends after the response. `drain` is the bounded
+        /// remainder of an oversized body to discard first.
+        fn refuse(&mut self, slot: usize, status: u16, message: &str, drain: usize) {
+            self.state.requests.inc();
             let conn = self.conns[slot].as_mut().expect("conn is live");
-            conn.queue_response(bytes, !keep);
-            conn.set_state(ConnState::Writing);
-            conn.set_deadline(Some(Instant::now() + io_timeout));
-            conn.set_trace(PendingTrace::begin_write(trace));
-            true
+            let read_started = conn.take_read_start();
+            let inbound = if status == 413 {
+                conn.header("x-oneqd-request-id")
+            } else {
+                None
+            };
+            let state = &self.state;
+            let mut trace = state
+                .telemetry
+                .open_trace(read_started, inbound, "", ROUTE_INLINE);
+            let close = Connection::Close;
+            let bytes =
+                trace.handle(|trace| render_error(state, trace, status, message, &[], close));
+            self.respond(slot, bytes, true, trace, drain);
+        }
+
+        /// The one response path: queues `bytes` on `slot`'s connection,
+        /// starts `trace`'s write clock and moves the connection to the
+        /// state that sends it — `Draining` first when `drain` bytes of an
+        /// oversized body are to be discarded, else `Writing`. The trace
+        /// rides the connection until its last byte flushes.
+        fn respond(
+            &mut self,
+            slot: usize,
+            bytes: Vec<u8>,
+            close: bool,
+            mut trace: Trace,
+            drain: usize,
+        ) {
+            let conn = self.conns[slot].as_mut().expect("conn is live");
+            conn.queue_response(bytes, close);
+            trace.begin_write();
+            conn.set_trace(trace);
+            if drain > 0 {
+                conn.begin_drain(drain);
+            } else {
+                conn.set_state(ConnState::Writing);
+            }
         }
     }
 
     /// Routes the requests the loop answers itself — everything except
-    /// the two POST compile routes, which go to the pool. Returns the
-    /// rendered bytes and the status code (for the request trace).
+    /// the two POST compile routes, which go to the pool.
     fn route_inline(
         state: &ServiceState,
         request: &Request,
         conn: Connection,
-        req_id: &str,
-    ) -> (Vec<u8>, u16) {
-        let rid = || ("X-Oneqd-Request-Id", req_id.to_string());
+        trace: &mut Trace,
+    ) -> Vec<u8> {
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/v1/healthz") => {
                 state.healthz_requests.inc();
-                let bytes = render(
-                    200,
-                    &[rid()],
-                    "{\"status\": \"ok\", \"service\": \"oneqd\", \"api\": \"v1\"}\n",
-                    conn,
-                );
-                (bytes, 200)
+                let body = "{\"status\": \"ok\", \"service\": \"oneqd\", \"api\": \"v1\"}\n";
+                render(trace, 200, JSON, &[], body, conn)
             }
             ("GET", "/v1/stats") => {
                 state.stats_requests.inc();
-                (render(200, &[rid()], &state.stats_json(), conn), 200)
+                render(trace, 200, JSON, &[], &state.stats_json(), conn)
             }
             ("GET", "/v1/metrics") => {
                 state.metrics_requests.inc();
                 let body = state.metrics_snapshot().render_prometheus();
-                let bytes = render_with(
-                    200,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    &[rid()],
-                    &body,
-                    conn,
-                );
-                (bytes, 200)
+                let text = "text/plain; version=0.0.4; charset=utf-8";
+                render(trace, 200, text, &[], &body, conn)
             }
             ("GET", "/v1/traces") => {
                 state.traces_requests.inc();
                 match traces_body(state, request) {
-                    Ok(body) => (render(200, &[rid()], &body, conn), 200),
-                    Err(msg) => {
-                        state.http_errors.inc();
-                        (render_error(400, &msg, &[rid()], conn), 400)
-                    }
+                    Ok(body) => render(trace, 200, JSON, &[], &body, conn),
+                    Err(msg) => render_error(state, trace, 400, &msg, &[], conn),
                 }
             }
             ("GET", path) if path.starts_with("/v1/traces/") => {
@@ -1191,54 +1143,34 @@ mod event_loop {
                     Some(record) => {
                         let mut body = record.to_json();
                         body.push('\n');
-                        (render(200, &[rid()], &body, conn), 200)
+                        render(trace, 200, JSON, &[], &body, conn)
                     }
                     None => {
-                        state.http_errors.inc();
-                        let bytes = render_error(
-                            404,
-                            "no trace for that request id (the ring holds the most recent 256)",
-                            &[rid()],
-                            conn,
+                        let message = format!(
+                            "no trace for that request id (the ring holds the most recent \
+                             {TRACE_RING_CAPACITY})"
                         );
-                        (bytes, 404)
+                        render_error(state, trace, 404, &message, &[], conn)
                     }
                 }
             }
-            (_, "/v1/healthz" | "/v1/stats" | "/v1/metrics" | "/v1/traces") => {
-                state.http_errors.inc();
-                let bytes = render_error(
-                    405,
-                    "method not allowed",
-                    &[("Allow", "GET".to_string()), rid()],
-                    conn,
-                );
-                (bytes, 405)
-            }
-            (_, path) if path.starts_with("/v1/traces/") => {
-                state.http_errors.inc();
-                let bytes = render_error(
-                    405,
-                    "method not allowed",
-                    &[("Allow", "GET".to_string()), rid()],
-                    conn,
-                );
-                (bytes, 405)
-            }
-            (_, "/v1/compile" | "/v1/compile-batch") => {
-                state.http_errors.inc();
-                let bytes = render_error(
-                    405,
-                    "method not allowed",
-                    &[("Allow", "POST".to_string()), rid()],
-                    conn,
-                );
-                (bytes, 405)
-            }
-            _ => {
-                state.http_errors.inc();
-                (render_error(404, "no such endpoint", &[rid()], conn), 404)
-            }
+            (_, path) => match route_method(path) {
+                Some(allow) => {
+                    let allow = [("Allow", allow.to_string())];
+                    render_error(state, trace, 405, "method not allowed", &allow, conn)
+                }
+                None => render_error(state, trace, 404, "no such endpoint", &[], conn),
+            },
+        }
+    }
+
+    /// The one method a `/v1` route answers; `None` for an unknown path.
+    fn route_method(path: &str) -> Option<&'static str> {
+        match path {
+            "/v1/compile" | "/v1/compile-batch" => Some("POST"),
+            "/v1/healthz" | "/v1/stats" | "/v1/metrics" | "/v1/traces" => Some("GET"),
+            _ if path.starts_with("/v1/traces/") => Some("GET"),
+            _ => None,
         }
     }
 }
@@ -1258,7 +1190,7 @@ pub const OUTCOME_BYPASS: &str = "bypass";
 
 /// What a [`compile_via_cache`] call observed, for the request trace:
 /// how long the lookup-or-compile took end to end, and — when this call
-/// actually ran the compiler — the per-stage timings.
+/// executed the compile — its timings.
 struct CompileTrace {
     lookup_ns: u64,
     timings: Option<RecordTimings>,
@@ -1301,7 +1233,7 @@ fn compile_via_cache_inner(
         let _slot = slots.map(Semaphore::acquire);
         state.compile_executions.inc();
         let (record, ok, timings) = req.record_timed();
-        (Arc::from(format!("{record}\n").as_str()), ok, timings)
+        (Arc::from(format!("{record}\n").as_str()), ok, Some(timings))
     };
 
     // Timed compiles are inherently non-deterministic and `bypass=1` is
@@ -1426,64 +1358,44 @@ fn tier_label(tier: Tier) -> &'static str {
     }
 }
 
-/// What a pool-worker handler reports back for the request trace:
-/// response status, cache-outcome label, and its timed phases (span
-/// offsets relative to handler start; the event loop re-bases them onto
-/// the whole-request timeline).
-struct HandlerTrace {
-    status: u16,
-    outcome: String,
-    spans: Vec<Span>,
-}
-
-impl HandlerTrace {
-    fn error(status: u16) -> HandlerTrace {
-        HandlerTrace {
-            status,
-            outcome: "error".to_string(),
-            spans: Vec::new(),
-        }
-    }
-}
-
-/// The `cache` span plus, when this request actually compiled, one
-/// `compile.<stage>` span per pipeline stage laid end to end after the
-/// lookup started (stage clocks are the compiler's own, so they sum to
-/// slightly less than the enclosing `cache` span), plus one
-/// `compile.mapping.partition` child span per partition carrying the
-/// compiler-internals profile (BFS effort, seed-scan radius, grid
-/// occupancy, scratch reuse) as span attributes. Partition spans are
-/// laid end to end from the `mapping` span's start, so their extents
-/// nest inside it on a timeline view.
+/// The `cache` span plus, when this request executed the compile, its
+/// `compile.parse` span and, when the compiler ran, one `compile.<stage>`
+/// span per pipeline stage laid end to end after the lookup started
+/// (stage clocks are the compiler's own, so they sum to slightly less than
+/// the enclosing `cache` span), plus one `compile.mapping.partition` child
+/// span per partition carrying the compiler-internals profile (BFS effort,
+/// seed-scan radius, grid occupancy, scratch reuse) as span attributes.
+/// Partition spans are laid end to end from the `mapping` span's start, so
+/// their extents nest inside it on a timeline view.
 fn compile_spans(cache_off: u64, trace: &CompileTrace) -> Vec<Span> {
     let clamp = |ns: u128| u64::try_from(ns).unwrap_or(u64::MAX);
     let mut spans = vec![Span::new("cache", cache_off, trace.lookup_ns)];
     let Some(timings) = &trace.timings else {
         return spans;
     };
-    let mut offset = cache_off;
-    let mut part_off = cache_off;
-    let stages = timings
-        .profile
-        .stages()
-        .map(|(stage, ns)| (Some(stage), ns));
-    for (stage, ns) in std::iter::once((None, timings.parse_ns)).chain(stages) {
+    let parse = clamp(timings.parse_ns);
+    spans.push(Span::new("compile.parse", cache_off, parse));
+    let Some(profile) = &timings.profile else {
+        return spans;
+    };
+    let mut offset = cache_off.saturating_add(parse);
+    let mut part_off = offset;
+    for (stage, ns) in profile.stages() {
         let name = match stage {
-            None => "compile.parse",
-            Some(Stage::Translate) => "compile.translate",
-            Some(Stage::Partition) => "compile.partition",
-            Some(Stage::FusionGraph) => "compile.fusion_graph",
-            Some(Stage::Mapping) => {
+            Stage::Translate => "compile.translate",
+            Stage::Partition => "compile.partition",
+            Stage::FusionGraph => "compile.fusion_graph",
+            Stage::Mapping => {
                 part_off = offset;
                 "compile.mapping"
             }
-            Some(Stage::Shuffle) => "compile.shuffle",
+            Stage::Shuffle => "compile.shuffle",
         };
         let dur = clamp(ns);
         spans.push(Span::new(name, offset, dur));
         offset = offset.saturating_add(dur);
     }
-    for (i, part) in timings.profile.partitions.iter().enumerate() {
+    for (i, part) in profile.partitions.iter().enumerate() {
         let dur = clamp(part.mapping_ns);
         let mut attrs = vec![
             ("partition", i as u64),
@@ -1499,98 +1411,75 @@ fn compile_spans(cache_off: u64, trace: &CompileTrace) -> Vec<Span> {
 
 /// Runs a pool job's handler so that a panic cannot take its worker
 /// thread or its connection with it: the panic becomes a `500` error
-/// envelope with `Connection: close` (the returned flag), counted in
-/// `http_errors` and traced with status 500. A panic in a batch line's
-/// scoped thread re-raises from `thread::scope` inside `handler`, so it
-/// lands here too.
+/// envelope with `Connection: close` (the returned flag), traced with
+/// outcome `error`. A panic in a batch line's scoped thread re-raises
+/// from `thread::scope` inside `handler`, so it lands here too.
 fn run_guarded(
-    http_errors: &Counter,
-    req_id: &str,
-    handler: impl FnOnce() -> (Vec<u8>, HandlerTrace),
-) -> (Vec<u8>, HandlerTrace, bool) {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)) {
-        Ok((bytes, trace)) => (bytes, trace, false),
+    state: &ServiceState,
+    trace: &mut Trace,
+    handler: impl FnOnce(&mut Trace) -> Vec<u8>,
+) -> (Vec<u8>, bool) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(trace))) {
+        Ok(bytes) => (bytes, false),
         Err(_) => {
-            http_errors.inc();
-            let bytes = render_error(
-                500,
-                "internal error: the compile job panicked",
-                &[("X-Oneqd-Request-Id", req_id.to_string())],
-                Connection::Close,
-            );
-            (bytes, HandlerTrace::error(500), true)
+            trace.outcome = "error".to_string();
+            let message = "internal error: the compile job panicked";
+            let bytes = render_error(state, trace, 500, message, &[], Connection::Close);
+            (bytes, true)
         }
     }
 }
 
 /// Serves `POST /v1/compile`, returning the fully rendered response
-/// bytes and the handler's trace. Runs on a pool worker; it touches
-/// only the shared state, so the event loop never waits on a compile.
+/// bytes; its outcome and spans go on `trace`. Runs on a pool worker; it
+/// touches only the shared state, so the event loop never waits on a
+/// compile.
 fn handle_compile(
     state: &ServiceState,
     request: &Request,
     conn: Connection,
-    req_id: &str,
-) -> (Vec<u8>, HandlerTrace) {
+    trace: &mut Trace,
+) -> Vec<u8> {
     state.compile_requests.inc();
     let started = Instant::now();
-    let rid = || ("X-Oneqd-Request-Id", req_id.to_string());
     let source = match std::str::from_utf8(&request.body) {
         Ok(s) => s,
-        Err(_) => {
-            state.http_errors.inc();
-            let bytes = render_error(400, "request body is not UTF-8", &[rid()], conn);
-            return (bytes, HandlerTrace::error(400));
-        }
+        Err(_) => return render_error(state, trace, 400, "request body is not UTF-8", &[], conn),
     };
     let req = match CompileRequest::from_query(&request.query, source) {
         Ok(req) => req,
-        Err(msg) => {
-            state.http_errors.inc();
-            let bytes = render_error(400, &msg, &[rid()], conn);
-            return (bytes, HandlerTrace::error(400));
-        }
+        Err(msg) => return render_error(state, trace, 400, &msg, &[], conn),
     };
 
     let cache_off = duration_ns(started.elapsed());
-    let (body, ok, outcome, trace) = compile_via_cache(state, &req, None, req_id);
+    let (body, ok, outcome, lookup) = compile_via_cache(state, &req, None, &trace.id);
     if ok {
         state.compile_ok.inc();
     } else {
         state.compile_errors.inc();
     }
+    trace.outcome = outcome.to_string();
+    trace.spans.extend(compile_spans(cache_off, &lookup));
     let status = if ok { 200 } else { 422 };
-    let headers = vec![("X-Oneqd-Cache", outcome.to_string()), rid()];
-    let bytes = render(status, &headers, &body, conn);
-    let handler = HandlerTrace {
-        status,
-        outcome: outcome.to_string(),
-        spans: compile_spans(cache_off, &trace),
-    };
-    (bytes, handler)
+    let cache = [("X-Oneqd-Cache", trace.outcome.clone())];
+    render(trace, status, JSON, &cache, &body, conn)
 }
 
 /// Serves `POST /v1/compile-batch`, returning the rendered response
-/// bytes and the handler's trace (outcome is the per-tier tally that
-/// also goes in the `X-Oneqd-Cache` header). Runs on a pool worker; the
-/// per-line fan-out uses scoped threads under the global batch budget,
-/// exactly as before.
+/// bytes; its outcome is the per-tier tally that also goes in the
+/// `X-Oneqd-Cache` header. Runs on a pool worker; the per-line fan-out
+/// uses scoped threads under the global batch budget, exactly as before.
 fn handle_batch(
     state: &ServiceState,
     config: &ServerConfig,
     request: &Request,
     conn: Connection,
-    req_id: &str,
-) -> (Vec<u8>, HandlerTrace) {
+    trace: &mut Trace,
+) -> Vec<u8> {
     state.batch_requests.inc();
-    let rid = || ("X-Oneqd-Request-Id", req_id.to_string());
     let text = match std::str::from_utf8(&request.body) {
         Ok(s) => s,
-        Err(_) => {
-            state.http_errors.inc();
-            let bytes = render_error(400, "request body is not UTF-8", &[rid()], conn);
-            return (bytes, HandlerTrace::error(400));
-        }
+        Err(_) => return render_error(state, trace, 400, "request body is not UTF-8", &[], conn),
     };
     // Parse every line up front: a malformed line is a framing error for
     // the whole request (nothing compiles), mirroring how a malformed
@@ -1603,17 +1492,20 @@ fn handle_batch(
         match CompileRequest::from_jsonl_line(line) {
             Ok(req) => requests.push(req),
             Err(msg) => {
-                state.http_errors.inc();
-                let bytes =
-                    render_error(400, &format!("batch line {}: {msg}", i + 1), &[rid()], conn);
-                return (bytes, HandlerTrace::error(400));
+                let message = format!("batch line {}: {msg}", i + 1);
+                return render_error(state, trace, 400, &message, &[], conn);
             }
         }
     }
     if requests.is_empty() {
-        state.http_errors.inc();
-        let bytes = render_error(400, "batch body holds no request lines", &[rid()], conn);
-        return (bytes, HandlerTrace::error(400));
+        return render_error(
+            state,
+            trace,
+            400,
+            "batch body holds no request lines",
+            &[],
+            conn,
+        );
     }
 
     // Fan the lines out over scoped worker threads (`run_indexed` — the
@@ -1623,6 +1515,7 @@ fn handle_batch(
     // budget (`state.batch_slots`, sized `workers`), so concurrent
     // batches share the compile slots instead of multiplying them.
     let jobs = config.workers.max(1);
+    let req_id = trace.id.as_str();
     let results = run_indexed(jobs, &requests, |_, req| {
         compile_via_cache(state, req, Some(&state.batch_slots), req_id)
     });
@@ -1648,57 +1541,68 @@ fn handle_batch(
         .zip(outcomes)
         .map(|(tier, n)| format!("{tier}={n}"))
         .collect();
-    let tally = tally.join(" ");
+    trace.outcome = tally.join(" ");
     // Per-line status lives in the records (exactly like an `oneqc` run
     // with failing files); the HTTP status says the batch was processed.
-    let headers: Vec<(&str, String)> = vec![
-        ("X-Oneqd-Cache", tally.clone()),
+    let headers = [
+        ("X-Oneqd-Cache", trace.outcome.clone()),
         ("X-Oneqd-Batch-Records", results.len().to_string()),
         ("X-Oneqd-Batch-Errors", errors.to_string()),
-        rid(),
     ];
-    let bytes = render(200, &headers, &body, conn);
-    let handler = HandlerTrace {
-        status: 200,
-        outcome: tally,
-        spans: Vec::new(),
-    };
-    (bytes, handler)
+    render(trace, 200, JSON, &headers, &body, conn)
 }
 
 /// Upper bound on bytes discarded for an oversized request; a client
 /// claiming more than this is not worth waiting for.
 const DRAIN_CAP: usize = 16 * 1024 * 1024;
 
-/// Renders a complete JSON response to bytes (the same `write_response`
-/// framing the thread-per-connection core used, so responses stay
-/// byte-identical). Writing into a `Vec` cannot fail.
-fn render(status: u16, extra: &[(&str, String)], body: &str, conn: Connection) -> Vec<u8> {
-    render_with(status, "application/json", extra, body, conn)
-}
+/// The content type of every response but `/v1/metrics`'s.
+const JSON: &str = "application/json";
 
-/// [`render`] with an explicit content type — `/v1/metrics` serves the
-/// Prometheus text exposition format, everything else JSON.
-fn render_with(
+/// Renders a complete response to bytes (the same `write_response`
+/// framing the thread-per-connection core used, so responses stay
+/// byte-identical). Every response renders here: it records its status
+/// on the request's trace and echoes the trace's id as the last header.
+fn render(
+    trace: &mut Trace,
     status: u16,
     content_type: &str,
     extra: &[(&str, String)],
     body: &str,
     conn: Connection,
 ) -> Vec<u8> {
+    trace.status = status;
+    let mut headers = extra.to_vec();
+    headers.push(("X-Oneqd-Request-Id", trace.id.clone()));
     let mut out = Vec::with_capacity(body.len() + 256);
-    write_response(&mut out, status, content_type, extra, body.as_bytes(), conn)
-        .expect("rendering to a Vec cannot fail");
+    write_response(
+        &mut out,
+        status,
+        content_type,
+        &headers,
+        body.as_bytes(),
+        conn,
+    )
+    .expect("rendering to a Vec cannot fail");
     out
 }
 
-/// Renders the standard JSON error envelope.
-fn render_error(status: u16, message: &str, extra: &[(&str, String)], conn: Connection) -> Vec<u8> {
+/// Renders the standard JSON error envelope, counting it in
+/// `oneqd_http_errors_total`.
+fn render_error(
+    state: &ServiceState,
+    trace: &mut Trace,
+    status: u16,
+    message: &str,
+    extra: &[(&str, String)],
+    conn: Connection,
+) -> Vec<u8> {
+    state.http_errors.inc();
     let body = format!(
         "{{\"status\": \"error\", \"error\": \"{}\"}}\n",
         json::escape(message)
     );
-    render(status, extra, &body, conn)
+    render(trace, status, JSON, extra, &body, conn)
 }
 
 #[cfg(test)]
@@ -1708,16 +1612,18 @@ mod tests {
 
     #[test]
     fn a_panicking_job_answers_500_and_its_worker_runs_the_next_job() {
-        let registry = oneq_obs::Registry::new();
-        let errors = registry.counter("oneqd_http_errors_total", "non-2xx responses", &[]);
+        let state = Arc::new(ServiceState::new(&ServerConfig::default()).unwrap());
         let mut pool = WorkerPool::new("test-guard", 1);
         let (tx, rx) = channel();
         let panicking = tx.clone();
-        let guarded_errors = errors.clone();
+        let guarded = Arc::clone(&state);
         assert!(pool.execute(move || {
-            let (bytes, trace, close) = run_guarded(&guarded_errors, "rid-1", || {
+            let telemetry = &guarded.telemetry;
+            let mut trace = telemetry.open_trace(None, Some("rid-1"), "/v1/compile", ROUTE_COMPILE);
+            let (bytes, close) = run_guarded(&guarded, &mut trace, |_| {
                 panic!("a compile bug");
             });
+            assert_eq!(trace.outcome, "error");
             panicking.send((bytes, trace.status, close)).unwrap();
         }));
         assert!(pool.execute(move || tx.send((b"next".to_vec(), 0, false)).unwrap()));
@@ -1734,7 +1640,7 @@ mod tests {
             assert!(text.contains(part), "missing {part:?} in {text}");
         }
         assert_eq!((status, close), (500, true));
-        assert_eq!(errors.get(), 1);
+        assert_eq!(state.http_errors.get(), 1);
         let next = rx
             .recv_timeout(timeout)
             .expect("the one worker survived the panic");

@@ -10,12 +10,12 @@
 //! request).
 //!
 //! Tracing follows the same request across threads: the event loop opens
-//! the trace when the request finishes parsing, the worker appends its
-//! spans (queue wait, cache lookup, compile stages) and hands the
-//! [`TraceSeed`] back inside the completion, and the loop closes it when
-//! the last response byte is flushed. Closed traces go to a bounded
-//! in-memory ring (always) and to the `--trace-log` JSONL file (when
-//! configured), gated by `--slow-ms`.
+//! the [`Trace`] when the request finishes parsing (or is refused), the
+//! thread that answers it (the loop for inline routes, a worker for
+//! compiles) appends its spans (queue wait, cache lookup, compile stages),
+//! and the loop closes it when the last response byte is flushed. Closed
+//! traces go to a bounded in-memory ring (always) and to the `--trace-log`
+//! JSONL file (when configured), gated by `--slow-ms`.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
@@ -33,7 +33,7 @@ use oneq_obs::{
 };
 
 /// How many closed traces the in-memory ring keeps.
-const TRACE_RING_CAPACITY: usize = 256;
+pub(crate) const TRACE_RING_CAPACITY: usize = 256;
 
 /// Request-class label values for `oneqd_request_seconds{route=...}`.
 /// A fixed set, so client-controlled paths can never mint new series.
@@ -124,48 +124,66 @@ pub const TIERS: [&str; 5] = [
     OUTCOME_BYPASS,
 ];
 
-/// The half of a request trace assembled before the response is written:
-/// identity, outcome, and every span except `write`.
+/// One request's trace, from the parse that opens it to the flush that
+/// closes it.
 ///
-/// Built by whichever thread produced the response (the event loop for
-/// inline routes, a worker for compiles), then carried on the connection
-/// until the flush completes.
+/// [`Telemetry::open_trace`] opens it on the event loop with its `read`
+/// span. Whichever thread answers the request (the loop for inline routes
+/// and refusals, a worker for compiles) lays its spans on the timeline and
+/// renders the response, which sets the status. The loop starts the write
+/// clock when it queues the response, and [`Telemetry::finish_request`]
+/// closes the trace when the last byte flushes.
 #[derive(Debug)]
-pub struct TraceSeed {
+pub struct Trace {
     /// Request id (inbound `X-Oneqd-Request-Id` or minted).
     pub id: String,
-    /// The request path, for the trace record.
+    /// The request path, for the trace record (empty for a refused
+    /// request, which never parsed to a path).
     pub route: String,
     /// Bounded route class for histogram labels ([`ROUTE_COMPILE`] /
     /// [`ROUTE_BATCH`] / [`ROUTE_INLINE`]).
     pub route_class: &'static str,
     /// HTTP status of the response.
     pub status: u16,
-    /// Cache outcome for compile routes, `"inline"` otherwise.
+    /// `"inline"` for inline routes; for compile routes the cache outcome
+    /// or batch tally, `"error"` until the handler resolves one.
     pub outcome: String,
     /// Spans recorded so far, offset from request start.
     pub spans: Vec<Span>,
-    /// Nanoseconds from request start to response-queue time (the `write`
-    /// span starts here).
+    /// Nanoseconds from request start to the end of the timeline so far:
+    /// once the response is queued, where the `write` span starts.
     pub total_ns: u64,
-}
-
-/// A [`TraceSeed`] waiting on its response flush.
-#[derive(Debug)]
-pub struct PendingTrace {
-    /// The assembled pre-write trace.
-    pub seed: TraceSeed,
     /// When the response was queued on the connection.
-    pub write_started: Instant,
+    write_started: Option<Instant>,
 }
 
-impl PendingTrace {
-    /// Starts the write clock on a seed.
-    pub fn begin_write(seed: TraceSeed) -> PendingTrace {
-        PendingTrace {
-            seed,
-            write_started: Instant::now(),
+impl Trace {
+    /// Lays a `name` span of `ns` at the end of the timeline.
+    pub fn lap(&mut self, name: &'static str, ns: u64) {
+        self.spans.push(Span::new(name, self.total_ns, ns));
+        self.total_ns = self.total_ns.saturating_add(ns);
+    }
+
+    /// Runs the request's handler as its `handle` span. The spans the
+    /// handler adds are offsets from its own start; they are re-based onto
+    /// the request's timeline and follow `handle`, which encloses them.
+    pub fn handle<R>(&mut self, handler: impl FnOnce(&mut Trace) -> R) -> R {
+        let base = self.total_ns;
+        let first = self.spans.len();
+        let started = Instant::now();
+        let out = handler(self);
+        let ns = duration_ns(started.elapsed());
+        for span in &mut self.spans[first..] {
+            span.start_ns = span.start_ns.saturating_add(base);
         }
+        self.spans.insert(first, Span::new("handle", base, ns));
+        self.total_ns = base.saturating_add(ns);
+        out
+    }
+
+    /// Starts the write clock: the response was just queued.
+    pub fn begin_write(&mut self) {
+        self.write_started = Some(Instant::now());
     }
 }
 
@@ -370,9 +388,35 @@ impl Telemetry {
         }
     }
 
-    /// Records a parsed request's read time.
-    pub fn observe_read(&self, ns: u64) {
-        self.read_hist.record(ns);
+    /// Opens the trace of a request whose head was just read (or refused):
+    /// records its read time from `read_started` (its first byte), resolves
+    /// its id from `inbound_id`, and lays the `read` span.
+    pub fn open_trace(
+        &self,
+        read_started: Option<Instant>,
+        inbound_id: Option<&str>,
+        route: &str,
+        route_class: &'static str,
+    ) -> Trace {
+        let read_ns = read_started.map_or(0, |t| duration_ns(t.elapsed()));
+        self.read_hist.record(read_ns);
+        let outcome = if route_class == ROUTE_INLINE {
+            "inline"
+        } else {
+            "error"
+        };
+        let mut trace = Trace {
+            id: self.request_id(inbound_id),
+            route: route.to_string(),
+            route_class,
+            status: 0,
+            outcome: outcome.to_string(),
+            spans: Vec::new(),
+            total_ns: 0,
+            write_started: None,
+        };
+        trace.lap("read", read_ns);
+        trace
     }
 
     /// Records a compile job's time on the queue.
@@ -397,10 +441,11 @@ impl Telemetry {
     }
 
     /// Records one compile-cache resolution: the outcome tier, the
-    /// lookup-to-result time, and — when this request actually executed
-    /// the compiler — the per-stage breakdown plus the compiler-internals
-    /// profile counters. `request_id` becomes the exemplar on every
-    /// histogram bucket this observation lands in.
+    /// lookup-to-result time, and — when this request executed the compile
+    /// — its parse and wall clocks, plus the per-stage breakdown and the
+    /// compiler-internals profile counters when the compiler ran.
+    /// `request_id` becomes the exemplar on every histogram bucket this
+    /// observation lands in.
     pub fn observe_cache_outcome(
         &self,
         tier: &str,
@@ -414,18 +459,22 @@ impl Telemetry {
         if let Some((_, hist)) = self.tier_hists.iter().find(|(t, _)| *t == tier) {
             hist.record_with_exemplar(lookup_ns, request_id);
         }
-        if let Some(timings) = timings {
-            self.observe_stage("parse", timings.parse_ns, request_id);
-            for (stage, ns) in timings.profile.stages() {
-                self.observe_stage(stage.name(), ns, request_id);
-            }
-            self.observe_stage("wall", timings.wall_ns, request_id);
-            for (counter, _, value) in timings.profile.counters() {
-                match self.profile_series.iter().find(|(c, _)| *c == counter) {
-                    Some((_, ProfileSeries::Sum(series))) => series.add(value),
-                    Some((_, ProfileSeries::Max(series))) => series.set_max(value),
-                    None => {}
-                }
+        let Some(timings) = timings else {
+            return;
+        };
+        self.observe_stage("parse", timings.parse_ns, request_id);
+        self.observe_stage("wall", timings.wall_ns, request_id);
+        let Some(profile) = &timings.profile else {
+            return;
+        };
+        for (stage, ns) in profile.stages() {
+            self.observe_stage(stage.name(), ns, request_id);
+        }
+        for (counter, _, value) in profile.counters() {
+            match self.profile_series.iter().find(|(c, _)| *c == counter) {
+                Some((_, ProfileSeries::Sum(series))) => series.add(value),
+                Some((_, ProfileSeries::Max(series))) => series.set_max(value),
+                None => {}
             }
         }
     }
@@ -440,28 +489,26 @@ impl Telemetry {
     /// `write` span, records the write and end-to-end histograms, pushes
     /// the record to the ring, and writes the JSONL sink when the request
     /// clears the `--slow-ms` gate.
-    pub fn finish_request(&self, pending: PendingTrace, conn: u64) {
-        let write_ns = duration_ns(pending.write_started.elapsed());
-        let seed = pending.seed;
-        let total_ns = seed.total_ns.saturating_add(write_ns);
+    pub fn finish_request(&self, mut trace: Trace, conn: u64) {
+        let write_ns = trace.write_started.map_or(0, |t| duration_ns(t.elapsed()));
+        trace.lap("write", write_ns);
         self.write_hist.record(write_ns);
         if let Some((_, hist)) = self
             .request_hists
             .iter()
-            .find(|(route, _)| *route == seed.route_class)
+            .find(|(route, _)| *route == trace.route_class)
         {
-            hist.record_with_exemplar(total_ns, &seed.id);
+            hist.record_with_exemplar(trace.total_ns, &trace.id);
         }
-        let mut spans = seed.spans;
-        spans.push(Span::new("write", seed.total_ns, write_ns));
+        let total_ns = trace.total_ns;
         let record = TraceRecord {
-            id: seed.id,
+            id: trace.id,
             conn,
-            route: seed.route,
-            status: seed.status,
-            outcome: seed.outcome,
+            route: trace.route,
+            status: trace.status,
+            outcome: trace.outcome,
             total_ns,
-            spans,
+            spans: trace.spans,
         };
         if let Some(sink) = &self.sink {
             if total_ns >= self.slow_ns {
@@ -483,16 +530,21 @@ impl Telemetry {
 mod tests {
     use super::*;
 
-    fn seed(id: &str, total_ns: u64) -> TraceSeed {
-        TraceSeed {
+    /// A compile trace `total_ns` long whose response was just queued.
+    fn queued(id: &str, total_ns: u64) -> Trace {
+        let mut trace = Trace {
             id: id.to_string(),
             route: "/v1/compile".to_string(),
             route_class: ROUTE_COMPILE,
             status: 200,
             outcome: "miss".to_string(),
-            spans: vec![Span::new("read", 0, total_ns)],
-            total_ns,
-        }
+            spans: Vec::new(),
+            total_ns: 0,
+            write_started: None,
+        };
+        trace.lap("read", total_ns);
+        trace.begin_write();
+        trace
     }
 
     #[test]
@@ -508,7 +560,7 @@ mod tests {
     #[test]
     fn finished_requests_land_in_ring_and_histograms() {
         let telemetry = Telemetry::new(None, 0).unwrap();
-        telemetry.finish_request(PendingTrace::begin_write(seed("r1", 1_000)), 7);
+        telemetry.finish_request(queued("r1", 1_000), 7);
         assert_eq!(telemetry.traces.len(), 1);
         let record = &telemetry.traces.recent(1)[0];
         assert_eq!(record.id, "r1");
@@ -537,9 +589,9 @@ mod tests {
         let path = dir.join("trace.jsonl");
         let telemetry = Telemetry::new(Some(&path), 10).unwrap();
         // 1 µs total: below the 10 ms gate, ring only.
-        telemetry.finish_request(PendingTrace::begin_write(seed("fast", 1_000)), 1);
+        telemetry.finish_request(queued("fast", 1_000), 1);
         // 20 ms total (pre-write): clears the gate.
-        telemetry.finish_request(PendingTrace::begin_write(seed("slow", 20_000_000)), 2);
+        telemetry.finish_request(queued("slow", 20_000_000), 2);
         assert_eq!(telemetry.traces.len(), 2, "ring ignores the gate");
         let log = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = log.lines().collect();
@@ -553,8 +605,20 @@ mod tests {
     #[test]
     fn cache_outcomes_feed_tier_and_stage_series() {
         let telemetry = Telemetry::new(None, 0).unwrap();
-        let timings = RecordTimings::default();
+        let timings = RecordTimings {
+            profile: Some(CompileProfile::default()),
+            ..RecordTimings::default()
+        };
         telemetry.observe_cache_outcome("miss", 5_000, "req-miss", Some(&timings));
+        // A source that failed to parse: its clocks, no compiler profile.
+        // They land in another bucket than the miss's, whose exemplar
+        // therefore survives.
+        let parse_only = RecordTimings {
+            parse_ns: 2_000_000,
+            wall_ns: 2_000_000,
+            profile: None,
+        };
+        telemetry.observe_cache_outcome("bypass", 900, "req-422", Some(&parse_only));
         telemetry.observe_cache_outcome("memory", 800, "req-mem", None);
         telemetry.observe_cache_outcome("not-a-tier", 1, "req-x", None); // ignored
         let snap = telemetry.registry.snapshot();
@@ -574,7 +638,9 @@ mod tests {
             let hist = snap
                 .histogram("oneqd_compile_stage_seconds", &[("stage", stage)])
                 .unwrap_or_else(|| panic!("stage {stage} registered"));
-            assert_eq!(hist.count, 1, "one executed compile observed for {stage}");
+            let clocked_by_both = stage == "parse" || stage == "wall";
+            let want = if clocked_by_both { 2 } else { 1 };
+            assert_eq!(hist.count, want, "executed compiles observed for {stage}");
             assert!(
                 hist.exemplars
                     .iter()
@@ -603,7 +669,7 @@ mod tests {
     #[test]
     fn request_exemplars_survive_to_the_rendered_exposition() {
         let telemetry = Telemetry::new(None, 0).unwrap();
-        telemetry.finish_request(PendingTrace::begin_write(seed("slow-one", 5_000_000)), 3);
+        telemetry.finish_request(queued("slow-one", 5_000_000), 3);
         let text = telemetry.registry.snapshot().render_prometheus();
         assert!(
             text.contains("# {request_id=\"slow-one\"}"),

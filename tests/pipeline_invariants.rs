@@ -194,18 +194,9 @@ fn in_layer_edges_are_realized_by_coupling() {
     ] {
         let geometry = LayerGeometry::new(16, 16).with_topology(topology);
         let opt = CompilerOptions::new(geometry);
-        let capacity = geometry.area() * opt.fill_percent * 8 / 100;
         for kind in BenchKind::ALL {
             let pattern = translate::from_circuit(&kind.circuit(16, SEED));
-            let parts = partition(
-                &pattern,
-                &PartitionOptions {
-                    max_dependency_layers: opt.max_dependency_layers,
-                    capacity_hint: Some(capacity.max(64)),
-                    enforce_planarity: opt.enforce_planarity,
-                    resource_kind: opt.resource_kind,
-                },
-            );
+            let parts = partition(&pattern, &opt.partition_options());
             for (i, part) in parts.partitions.iter().enumerate() {
                 let fg = fusion_graph::generate_embedded(
                     &part.subgraph,

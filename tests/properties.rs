@@ -564,7 +564,7 @@ fn edge_orders_match_on_the_generator_families() {
 /// baseline-sized square and on the square with x2 extended layers, built
 /// the way `Compiler::compile_pattern` builds them, each with a label.
 fn paper_fusion_graphs() -> Vec<(String, Graph)> {
-    use oneq::{fusion_graph, partition, CompilerOptions, PartitionOptions};
+    use oneq::{fusion_graph, partition, CompilerOptions};
     use oneq_bench::{BenchKind, SEED};
     let mut graphs = Vec::new();
     for kind in BenchKind::ALL {
@@ -575,19 +575,7 @@ fn paper_fusion_graphs() -> Vec<(String, Graph)> {
             for extension in [1, 2] {
                 let opt =
                     CompilerOptions::new(LayerGeometry::square(side)).with_extension(extension);
-                let area = ExtendedLayer::new(opt.geometry, extension)
-                    .geometry()
-                    .area();
-                let capacity = area.saturating_mul(opt.fill_percent).saturating_mul(8) / 100;
-                let parts = partition::partition(
-                    &pattern,
-                    &PartitionOptions {
-                        max_dependency_layers: opt.max_dependency_layers,
-                        capacity_hint: Some(capacity.max(64)),
-                        enforce_planarity: opt.enforce_planarity,
-                        resource_kind: opt.resource_kind,
-                    },
-                );
+                let parts = partition::partition(&pattern, &opt.partition_options());
                 for (i, part) in parts.partitions.iter().enumerate() {
                     let fg = fusion_graph::generate_embedded(
                         &part.subgraph,

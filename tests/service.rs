@@ -104,17 +104,18 @@ fn json_u64(body: &str, name: &str) -> u64 {
     json_f64(body, name) as u64
 }
 
-/// Polls `GET /v1/traces/{id}` until the ring holds the trace: it closes
-/// when the response's last byte flushes, an instant after the client
-/// has read it.
-fn wait_for_trace(handle: &ServerHandle, id: &str) {
+/// Polls `GET /v1/traces/{id}` until the ring holds the trace, and
+/// returns its record: a trace closes when the response's last byte
+/// flushes, an instant after the client has read it.
+fn wait_for_trace(handle: &ServerHandle, id: &str) -> String {
     let deadline = Instant::now() + TIMEOUT;
     let target = format!("/v1/traces/{id}");
-    while http::request(handle.addr(), "GET", &target, b"", TIMEOUT)
-        .expect("GET /v1/traces/{id}")
-        .status
-        != 200
-    {
+    loop {
+        let resp = http::request(handle.addr(), "GET", &target, b"", TIMEOUT)
+            .expect("GET /v1/traces/{id}");
+        if resp.status == 200 {
+            return String::from_utf8(resp.body).expect("trace record");
+        }
         assert!(
             Instant::now() < deadline,
             "trace {id} never reached the ring"
@@ -1490,6 +1491,96 @@ fn request_id_is_echoed_or_minted_on_every_route() {
     ids.sort();
     ids.dedup();
     assert_eq!(ids.len(), 3, "minted ids are distinct");
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// Writes one raw request on a fresh connection and reads the response.
+fn exchange(handle: &ServerHandle, wire: &[u8]) -> http::ClientResponse {
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("read timeout");
+    stream.write_all(wire).expect("send request");
+    http::read_client_response(&mut std::io::BufReader::new(stream)).expect("a response")
+}
+
+/// The raw bytes of one `Connection: close` request.
+fn wire(method: &str, target: &str, headers: &str, body: &[u8]) -> Vec<u8> {
+    let head = format!(
+        "{method} {target} HTTP/1.1\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n",
+        body.len()
+    );
+    [head.as_bytes(), body].concat()
+}
+
+/// Every error path, one row each: the response carries an
+/// `X-Oneqd-Request-Id`; `GET /v1/traces/{id}` returns a trace with the
+/// response's status; an error envelope adds exactly one to
+/// `oneqd_http_errors_total` and a 422 compile record none; the 422's
+/// trace shows its parse. Rows are checked to the end and their failures
+/// reported together.
+#[test]
+fn every_error_path_is_identified_traced_and_counted() {
+    let _cpu = shared_cpu();
+    let handle = spawn_server_with(ServerConfig {
+        max_body: 1024,
+        ..ServerConfig::default()
+    });
+    // (status, request bytes); a row is named by its status and request
+    // line. Only the 413 row sends an inbound id; it must be adopted.
+    let inbound = "X-Oneqd-Request-Id: my-big-one\r\n";
+    let rows = [
+        (400, b"GARBAGE\r\n\r\n".to_vec()),
+        (413, wire("POST", "/v1/compile", inbound, &[b'x'; 4096])),
+        (404, wire("GET", "/v1/nope", "", b"")),
+        (405, wire("POST", "/v1/stats", "", b"")),
+        (405, wire("GET", "/v1/compile", "", b"")),
+        (405, wire("POST", "/v1/traces/x", "", b"")),
+        (400, wire("GET", "/v1/traces?bogus=1", "", b"")),
+        (404, wire("GET", "/v1/traces/unknown", "", b"")),
+        (400, wire("POST", "/v1/compile", "", &[0xff, 0xfe, 0xfd])),
+        (400, wire("POST", "/v1/compile-batch", "", b"not json\n")),
+        (422, wire("POST", "/v1/compile", "", b"not qasm")),
+    ];
+    let http_errors = || {
+        let metrics = http::request(handle.addr(), "GET", "/v1/metrics", b"", TIMEOUT)
+            .expect("GET /v1/metrics");
+        let text = String::from_utf8(metrics.body).expect("exposition text");
+        metric_u64(&text, "oneqd_http_errors_total")
+    };
+    let mut failures = Vec::new();
+    for (status, request) in rows {
+        let line = request.split(|&b| b == b'\r').next().unwrap_or_default();
+        let what = format!("{status} {}", String::from_utf8_lossy(line));
+        let mut fail = |why: String| failures.push(format!("{what}: {why}"));
+        let before = http_errors();
+        let resp = exchange(&handle, &request);
+        let counted = http_errors() - before;
+        if resp.status != status {
+            fail(format!("status {} instead of {status}", resp.status));
+        }
+        let envelopes = u64::from(status != 422);
+        if counted != envelopes {
+            fail(format!(
+                "oneqd_http_errors_total rose by {counted}, not {envelopes}"
+            ));
+        }
+        let Some(id) = resp.header("x-oneqd-request-id") else {
+            fail("no X-Oneqd-Request-Id on the response".to_string());
+            continue;
+        };
+        if status == 413 && id != "my-big-one" {
+            fail(format!("request id {id:?} instead of the inbound one"));
+        }
+        let trace = wait_for_trace(&handle, id);
+        if json_u64(&trace, "status") != u64::from(status) {
+            fail(format!("trace status differs from {status}: {trace}"));
+        }
+        if status == 422 && !trace.contains("\"name\": \"compile.parse\"") {
+            fail(format!("no compile.parse span: {trace}"));
+        }
+    }
+    assert!(failures.is_empty(), "error paths:\n{}", failures.join("\n"));
     handle.shutdown().expect("clean shutdown");
 }
 
