@@ -8,7 +8,7 @@
 //! paths.
 
 use oneq_circuit::{Circuit, Gate, Qubit};
-use oneq_hardware::{CellGrid, LayerGeometry, Position};
+use oneq_hardware::{LayerGeometry, Position};
 use std::collections::BTreeMap;
 
 /// A routed circuit: every multi-qubit gate acts on grid neighbours.
@@ -39,10 +39,11 @@ pub fn route_on_grid(circuit: &Circuit, side: usize) -> RoutedCircuit {
     assert!(side * side >= n, "grid too small for {n} qubits");
 
     let mut pos = initial_placement(circuit, side);
-    // Occupancy on a dense grid: position -> logical qubit.
-    let mut occupant: CellGrid<usize> = CellGrid::new(LayerGeometry::square(side));
+    // Occupancy by row-major cell index: position -> logical qubit.
+    let grid = LayerGeometry::square(side);
+    let mut occupant: Vec<Option<usize>> = vec![None; grid.area()];
     for (q, &p) in pos.iter().enumerate() {
-        occupant.set(p, q);
+        occupant[grid.index_of(p)] = Some(q);
     }
 
     let mut out = Circuit::new(n);
@@ -55,19 +56,17 @@ pub fn route_on_grid(circuit: &Circuit, side: usize) -> RoutedCircuit {
             // Walk qubit a toward b one grid step at a time.
             while pos[a].manhattan(pos[b]) > 1 {
                 let next = step_toward(pos[a], pos[b]);
-                if let Some(&other) = occupant.get(next) {
+                let (here, there) = (grid.index_of(pos[a]), grid.index_of(next));
+                // An occupied next cell swaps its qubit back; a free one
+                // lets the qubit just move (its strip bends).
+                if let Some(other) = occupant[there] {
                     out.push(Gate::Swap(Qubit::new(a), Qubit::new(other)))
                         .expect("swap operands valid");
                     swaps += 1;
-                    occupant.set(pos[a], other);
-                    occupant.set(next, a);
-                    pos.swap(a, other);
-                } else {
-                    // Free cell: the qubit just moves (its strip bends).
-                    occupant.remove(pos[a]);
-                    occupant.set(next, a);
-                    pos[a] = next;
+                    pos[other] = pos[a];
                 }
+                occupant.swap(here, there);
+                pos[a] = next;
             }
             assert_eq!(
                 pos[a].manhattan(pos[b]),

@@ -1,14 +1,14 @@
 //! Dense, row-major occupancy grids for layer layouts.
 //!
-//! The mapping engine (paper §6) and the baseline router both track which
-//! grid cell holds what. Hashed cell maps make those queries O(1) but give
-//! up two things a compiler hot path needs: *deterministic iteration*
+//! The mapping engine (paper §6) tracks which grid cell holds what on
+//! each layer it builds. Hashed cell maps make those queries O(1) but give
+//! up two things a compiler hot path needs: *deterministic order*
 //! (hashed order varies between otherwise identical runs, so tie-breaking
 //! — and therefore layouts and reported metrics — drifts) and *cache
 //! locality*. [`CellGrid`] stores cells in a flat `Vec` indexed
-//! `row * cols + col`: queries stay O(1), iteration is row-major and
-//! deterministic by construction, and the incremental bounding box makes
-//! the mapper's `occupied_area` cost term O(1) per candidate.
+//! `row * cols + col`: queries stay O(1), and because a layer only gains
+//! cells, its bounding box grows with each set and the mapper's
+//! `occupied_area` cost term is O(1) per candidate.
 //!
 //! [`BfsScratch`] is the companion: reusable breadth-first-search
 //! bookkeeping (visited marks, predecessor links, queue) that the in-layer
@@ -16,25 +16,13 @@
 //! reallocating per call.
 
 use crate::geometry::{LayerGeometry, Position};
-use std::cell::Cell;
 use std::collections::VecDeque;
 
-/// Cached bounding-box state: either an up-to-date `(rmin, rmax, cmin,
-/// cmax)` of the occupied cells (`None` when empty), or dirty after a
-/// boundary-cell removal — recomputed lazily on the next read, so users
-/// that never read the bounding box (e.g. the baseline SWAP router, which
-/// moves occupants constantly) never pay the O(area) rescan.
-#[derive(Debug, Clone, Copy)]
-enum BboxCache {
-    Clean(Option<(usize, usize, usize, usize)>),
-    Dirty,
-}
-
-/// A dense, row-major occupancy grid over a [`LayerGeometry`].
+/// A dense, row-major, add-only occupancy grid over a [`LayerGeometry`].
 ///
-/// Each cell is either free or holds a `T`. Iteration order is row-major
-/// (row 0 left to right, then row 1, …) and therefore identical across
-/// runs — the property the hashed predecessor of this type lacked.
+/// Each cell is either free or holds a `T`; a set cell is never freed
+/// again (a placed layer only gains cells), so the bounding box of the
+/// occupied cells is a plain field that [`CellGrid::set`] grows.
 ///
 /// # Example
 ///
@@ -54,7 +42,7 @@ pub struct CellGrid<T> {
     geometry: LayerGeometry,
     cells: Vec<Option<T>>,
     occupied: usize,
-    bbox: Cell<BboxCache>,
+    bbox: Option<(usize, usize, usize, usize)>,
 }
 
 impl<T> CellGrid<T> {
@@ -66,7 +54,7 @@ impl<T> CellGrid<T> {
             geometry,
             cells,
             occupied: 0,
-            bbox: Cell::new(BboxCache::Clean(None)),
+            bbox: None,
         }
     }
 
@@ -110,48 +98,7 @@ impl<T> CellGrid<T> {
         let old = self.cells[idx].replace(value);
         if old.is_none() {
             self.occupied += 1;
-            if let BboxCache::Clean(bbox) = self.bbox.get() {
-                self.bbox.set(BboxCache::Clean(Some(match bbox {
-                    None => (p.row, p.row, p.col, p.col),
-                    Some((rmin, rmax, cmin, cmax)) => (
-                        rmin.min(p.row),
-                        rmax.max(p.row),
-                        cmin.min(p.col),
-                        cmax.max(p.col),
-                    ),
-                })));
-            }
-        }
-        old
-    }
-
-    /// Frees `p`, returning its occupant. Removing a cell on the bounding
-    /// box's edge only marks the box dirty; the O(area) rescan happens
-    /// lazily on the next [`CellGrid::bounding_box`] read, so
-    /// movement-style users that never read it (the baseline router) keep
-    /// O(1) removal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` lies outside the grid.
-    pub fn remove(&mut self, p: Position) -> Option<T> {
-        let idx = self.geometry.index_of(p);
-        let old = self.cells[idx].take();
-        if old.is_some() {
-            self.occupied -= 1;
-            if let BboxCache::Clean(Some((rmin, rmax, cmin, cmax))) = self.bbox.get() {
-                if p.row == rmin || p.row == rmax || p.col == cmin || p.col == cmax {
-                    self.bbox.set(BboxCache::Dirty);
-                }
-            }
-        }
-        old
-    }
-
-    fn recompute_bbox(&self) -> Option<(usize, usize, usize, usize)> {
-        let mut bbox: Option<(usize, usize, usize, usize)> = None;
-        for (p, _) in self.iter() {
-            bbox = Some(match bbox {
+            self.bbox = Some(match self.bbox {
                 None => (p.row, p.row, p.col, p.col),
                 Some((rmin, rmax, cmin, cmax)) => (
                     rmin.min(p.row),
@@ -161,7 +108,7 @@ impl<T> CellGrid<T> {
                 ),
             });
         }
-        bbox
+        old
     }
 
     /// Number of occupied cells.
@@ -182,28 +129,10 @@ impl<T> CellGrid<T> {
         }
     }
 
-    /// Bounding box of all occupied cells as `(rmin, rmax, cmin, cmax)`.
-    /// O(1) while cells are only added; the first read after a
-    /// boundary-cell removal rescans the grid.
+    /// Bounding box of all occupied cells as `(rmin, rmax, cmin, cmax)`,
+    /// `None` when empty.
     pub fn bounding_box(&self) -> Option<(usize, usize, usize, usize)> {
-        match self.bbox.get() {
-            BboxCache::Clean(bbox) => bbox,
-            BboxCache::Dirty => {
-                let bbox = self.recompute_bbox();
-                self.bbox.set(BboxCache::Clean(bbox));
-                bbox
-            }
-        }
-    }
-
-    /// Row-major iterator over the occupied cells — the deterministic
-    /// replacement for hashed-map iteration.
-    pub fn iter(&self) -> impl Iterator<Item = (Position, &T)> + '_ {
-        let cols = self.geometry.cols();
-        self.cells
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, c)| c.as_ref().map(|v| (Position::new(i / cols, i % cols), v)))
+        self.bbox
     }
 }
 
@@ -313,7 +242,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_get_remove_roundtrip() {
+    fn set_get_roundtrip() {
         let mut grid: CellGrid<char> = CellGrid::new(LayerGeometry::new(4, 4));
         let p = Position::new(2, 3);
         assert!(grid.is_free(p));
@@ -321,10 +250,8 @@ mod tests {
         assert!(!grid.is_free(p));
         assert_eq!(grid.get(p), Some(&'a'));
         assert_eq!(grid.set(p, 'b'), Some('a'));
+        assert_eq!(grid.get(p), Some(&'b'));
         assert_eq!(grid.occupied_cells(), 1);
-        assert_eq!(grid.remove(p), Some('b'));
-        assert!(grid.is_free(p));
-        assert_eq!(grid.occupied_cells(), 0);
     }
 
     #[test]
@@ -336,150 +263,22 @@ mod tests {
     }
 
     #[test]
-    fn iteration_is_row_major() {
-        let mut grid: CellGrid<u32> = CellGrid::new(LayerGeometry::new(3, 3));
-        // Insert in scrambled order; iteration must come back row-major.
-        for p in [
-            Position::new(2, 0),
-            Position::new(0, 1),
-            Position::new(1, 2),
-            Position::new(0, 0),
-        ] {
-            grid.set(p, (p.row * 3 + p.col) as u32);
-        }
-        let order: Vec<Position> = grid.iter().map(|(p, _)| p).collect();
-        assert_eq!(
-            order,
-            vec![
-                Position::new(0, 0),
-                Position::new(0, 1),
-                Position::new(1, 2),
-                Position::new(2, 0),
-            ]
-        );
-    }
-
-    #[test]
-    fn bounding_box_grows_and_shrinks() {
+    fn bounding_box_grows_with_each_set() {
         let mut grid: CellGrid<()> = CellGrid::new(LayerGeometry::new(8, 8));
         assert_eq!(grid.bounding_box_area(), 0);
+        assert!(grid.is_empty());
         grid.set(Position::new(2, 2), ());
         assert_eq!(grid.bounding_box_area(), 1);
         grid.set(Position::new(4, 5), ());
         assert_eq!(grid.bounding_box_area(), 12);
-        grid.remove(Position::new(4, 5));
-        assert_eq!(grid.bounding_box_area(), 1);
-        grid.remove(Position::new(2, 2));
-        assert_eq!(grid.bounding_box_area(), 0);
-        assert!(grid.is_empty());
-    }
-
-    #[test]
-    fn interior_removal_keeps_bbox() {
-        let mut grid: CellGrid<()> = CellGrid::new(LayerGeometry::new(5, 5));
-        for p in [
-            Position::new(0, 0),
-            Position::new(2, 2),
-            Position::new(4, 4),
-        ] {
-            grid.set(p, ());
-        }
-        grid.remove(Position::new(2, 2));
-        assert_eq!(grid.bounding_box(), Some((0, 4, 0, 4)));
-    }
-
-    /// Brute-force reference bounding box.
-    fn naive_bbox(grid: &CellGrid<u8>) -> Option<(usize, usize, usize, usize)> {
-        let mut bbox: Option<(usize, usize, usize, usize)> = None;
-        for (p, _) in grid.iter() {
-            bbox = Some(match bbox {
-                None => (p.row, p.row, p.col, p.col),
-                Some((rmin, rmax, cmin, cmax)) => (
-                    rmin.min(p.row),
-                    rmax.max(p.row),
-                    cmin.min(p.col),
-                    cmax.max(p.col),
-                ),
-            });
-        }
-        bbox
-    }
-
-    #[test]
-    fn bbox_shrinks_then_regrows_through_vacate_reoccupy() {
-        // The mapping hot path vacates boundary cells (node shuffles) and
-        // re-occupies nearby, repeatedly; the incremental box must track
-        // every shrink-then-regrow exactly.
-        let mut grid: CellGrid<u8> = CellGrid::new(LayerGeometry::new(10, 10));
-        for p in [
-            Position::new(1, 1),
-            Position::new(1, 8),
-            Position::new(8, 1),
-            Position::new(8, 8),
-            Position::new(4, 4),
-        ] {
-            grid.set(p, 0);
-        }
-        assert_eq!(grid.bounding_box(), Some((1, 8, 1, 8)));
-        // Vacate one extreme corner: the box shrinks on the next read.
-        grid.remove(Position::new(8, 8));
-        assert_eq!(
-            grid.bounding_box(),
-            Some((1, 8, 1, 8)),
-            "other extremes hold the box"
-        );
-        grid.remove(Position::new(8, 1));
-        assert_eq!(
-            grid.bounding_box(),
-            Some((1, 4, 1, 8)),
-            "bottom row vacated"
-        );
-        grid.remove(Position::new(1, 8));
-        assert_eq!(grid.bounding_box(), Some((1, 4, 1, 4)));
-        // Re-occupy beyond the shrunken box: it must regrow incrementally.
-        grid.set(Position::new(9, 2), 0);
-        assert_eq!(grid.bounding_box(), Some((1, 9, 1, 4)));
-        // Vacate + immediately re-occupy the same boundary cell.
-        grid.remove(Position::new(9, 2));
-        grid.set(Position::new(9, 2), 0);
-        assert_eq!(grid.bounding_box(), Some((1, 9, 1, 4)));
-        assert_eq!(grid.bounding_box(), naive_bbox(&grid));
-    }
-
-    #[test]
-    fn bbox_set_while_dirty_is_counted_on_the_next_read() {
-        // Removing a boundary cell marks the cached box dirty; a set that
-        // lands while it is dirty must still be reflected by the rescan.
-        let mut grid: CellGrid<u8> = CellGrid::new(LayerGeometry::new(8, 8));
-        grid.set(Position::new(2, 2), 0);
-        grid.set(Position::new(5, 5), 0);
-        assert_eq!(grid.bounding_box(), Some((2, 5, 2, 5)));
-        grid.remove(Position::new(5, 5)); // dirties the cache...
-        grid.set(Position::new(7, 0), 0); // ...and this set sees it dirty
-        grid.set(Position::new(0, 7), 0);
-        assert_eq!(grid.bounding_box(), Some((0, 7, 0, 7)));
-        assert_eq!(grid.bounding_box(), naive_bbox(&grid));
-    }
-
-    #[test]
-    fn bbox_empty_regrow_cycles() {
-        let mut grid: CellGrid<u8> = CellGrid::new(LayerGeometry::new(6, 6));
-        for _ in 0..3 {
-            grid.set(Position::new(3, 2), 0);
-            grid.set(Position::new(1, 4), 0);
-            assert_eq!(grid.bounding_box(), Some((1, 3, 2, 4)));
-            grid.remove(Position::new(3, 2));
-            grid.remove(Position::new(1, 4));
-            assert_eq!(grid.bounding_box(), None, "fully vacated grid has no box");
-            assert_eq!(grid.bounding_box_area(), 0);
-        }
+        grid.set(Position::new(3, 3), ());
+        assert_eq!(grid.bounding_box(), Some((2, 4, 2, 5)), "an interior set");
     }
 
     #[test]
     fn bbox_matches_brute_force_under_random_churn() {
         // Deterministic LCG so the sequence is reproducible without the
-        // rand shim; interleave reads at varying cadences so both the
-        // incremental path and the lazy rescan path are exercised.
+        // rand shim; sets land on free and occupied cells alike.
         let mut state = 0x2023_cafe_u64;
         let mut next = move || {
             state = state
@@ -487,22 +286,23 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
-        let geometry = LayerGeometry::new(7, 9);
-        let mut grid: CellGrid<u8> = CellGrid::new(geometry);
-        for step in 0..2000 {
-            let p = Position::new(next() % 7, next() % 9);
-            if next() % 2 == 0 {
-                grid.set(p, 1);
-            } else {
-                grid.remove(p);
-            }
-            // Read on a varying cadence: sometimes right after a dirtying
-            // remove, sometimes after a burst of writes.
-            if step % (1 + next() % 5) == 0 {
-                assert_eq!(grid.bounding_box(), naive_bbox(&grid), "step {step}");
-            }
+        let mut grid: CellGrid<u8> = CellGrid::new(LayerGeometry::new(17, 19));
+        let mut set = Vec::new();
+        for step in 0..400 {
+            let p = Position::new(next() % 17, next() % 19);
+            grid.set(p, 1);
+            set.push(p);
+            let naive = (
+                set.iter().map(|p| p.row).min().unwrap(),
+                set.iter().map(|p| p.row).max().unwrap(),
+                set.iter().map(|p| p.col).min().unwrap(),
+                set.iter().map(|p| p.col).max().unwrap(),
+            );
+            assert_eq!(grid.bounding_box(), Some(naive), "step {step}");
         }
-        assert_eq!(grid.bounding_box(), naive_bbox(&grid));
+        set.sort_by_key(|p| (p.row, p.col));
+        set.dedup();
+        assert_eq!(grid.occupied_cells(), set.len());
     }
 
     #[test]

@@ -40,13 +40,6 @@ impl Span {
         self.attrs = attrs;
         self
     }
-
-    /// The same span re-based `offset_ns` later — used when splicing a
-    /// handler's relative spans into the whole-request timeline.
-    pub fn shifted(mut self, offset_ns: u64) -> Self {
-        self.start_ns = self.start_ns.saturating_add(offset_ns);
-        self
-    }
 }
 
 /// A completed request trace: identity, outcome, and its span tree.

@@ -15,7 +15,7 @@
 //!                             concurrent /v1/compile-batch line compiles
 //!                             (default: available parallelism)
 //!   --cache-capacity N        cached compile responses (default 256)
-//!   --cache-shards N          cache mutex stripes (default 8)
+//!   --cache-shards N          cache mutex stripes (default 8; at most the capacity)
 //!   --cache-dir PATH          persistent disk spill tier: an append-only
 //!                             CRC-guarded record log surviving restarts
 //!                             (default: off, memory-only). The directory

@@ -15,20 +15,33 @@
 //! [`Registry`], registered when the cache is built, so `GET /v1/stats`
 //! and `GET /v1/metrics` read them directly.
 //!
-//! [`SingleFlight`] is the coalescing layer *in front of* the cache: N
-//! concurrent misses on one digest elect one leader that compiles while
-//! the followers block on its result, so a thundering herd on a cold key
-//! runs exactly one compile instead of N.
-//!
-//! [`TieredCache`] stacks the persistent disk tier
-//! ([`SpillTier`]) *behind* the LRU: lookups go
-//! memory → disk → (caller compiles), a disk hit is promoted into
-//! memory, and a fill lands in memory immediately and on disk
-//! write-behind.
+//! [`TieredCache`] is what the daemon serves through. It stacks the
+//! persistent disk tier ([`SpillTier`]) *behind* the LRU, and its one
+//! entry point, [`TieredCache::get_or_compile`], runs the whole miss
+//! protocol: lookups go memory → disk → compile, a disk hit is promoted
+//! into memory, a fill lands in memory at once and on disk write-behind,
+//! and concurrent misses on one digest elect one leader that compiles
+//! while the followers wait for its bytes, so a thundering herd on a cold
+//! key runs exactly one compile instead of N. The outcome of each call is
+//! one of the `OUTCOME_*` labels, which `oneqd` sends in its
+//! `X-Oneqd-Cache` header.
 
 use crate::spill::{SpillStats, SpillTier};
 use oneq_obs::{Counter, Registry};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+
+/// `X-Oneqd-Cache` label: served from the in-memory tier.
+pub const OUTCOME_MEMORY: &str = "memory";
+/// `X-Oneqd-Cache` label: served from the disk spill tier (and promoted
+/// into memory).
+pub const OUTCOME_DISK: &str = "disk";
+/// `X-Oneqd-Cache` label: compiled fresh (and cached on success).
+pub const OUTCOME_MISS: &str = "miss";
+/// `X-Oneqd-Cache` label: served from a concurrent leader's in-flight
+/// compile.
+pub const OUTCOME_COALESCED: &str = "coalesced";
+/// `X-Oneqd-Cache` label: cache skipped (`timings=1` or `bypass=1`).
+pub const OUTCOME_BYPASS: &str = "bypass";
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 const SHA256_K: [u32; 64] = [
@@ -129,33 +142,33 @@ struct Entry {
     value: Arc<str>,
 }
 
-/// One stripe: a digest-keyed LRU with the most recently used entry at
-/// the back of the vec. Capacities are small (tens of entries per
-/// shard), so the O(len) scan-and-rotate is cheaper than pointer-chasing
-/// a list.
-#[derive(Default)]
+/// One stripe: a digest-keyed LRU of at most `capacity` entries, with the
+/// most recently used entry at the back of the vec. Capacities are small
+/// (tens of entries per shard), so the O(len) scan-and-rotate is cheaper
+/// than pointer-chasing a list.
 struct Shard {
     entries: Vec<Entry>,
+    capacity: usize,
 }
 
 /// The sharded LRU. All methods take `&self`; interior mutability is one
 /// mutex per shard.
 pub struct CompileCache {
     shards: Box<[Mutex<Shard>]>,
-    shard_capacity: usize,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
 }
 
 impl CompileCache {
-    /// A cache holding at most `capacity` entries striped over `shards`
-    /// mutexes (both clamped to ≥ 1; per-shard capacity rounds up). Its
-    /// counters and its fixed shape (capacity, shards) are registered in
+    /// A cache holding at most `capacity` entries (clamped to ≥ 1), split
+    /// exactly over `min(shards, capacity)` mutex stripes: the first
+    /// `capacity % stripes` stripes hold one entry more than the others.
+    /// Its counters and its shape (capacity, stripes) are registered in
     /// `registry`.
     pub fn new(capacity: usize, shards: usize, registry: &Registry) -> CompileCache {
-        let shards = shards.max(1);
-        let shard_capacity = capacity.max(1).div_ceil(shards);
+        let capacity = capacity.max(1);
+        let stripes = shards.clamp(1, capacity);
         let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
         let gauge = |name: &str, help: &str, value: usize| {
             registry.gauge(name, help, &[]).set(value as u64);
@@ -163,16 +176,19 @@ impl CompileCache {
         gauge(
             "oneqd_cache_memory_capacity",
             "Configured memory-tier capacity.",
-            shard_capacity * shards,
+            capacity,
         );
         gauge(
             "oneqd_cache_memory_shards",
             "Mutex stripes in the memory tier.",
-            shards,
+            stripes,
         );
+        let shard = |i: usize| Shard {
+            entries: Vec::new(),
+            capacity: capacity / stripes + usize::from(i < capacity % stripes),
+        };
         CompileCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity,
+            shards: (0..stripes).map(|i| Mutex::new(shard(i))).collect(),
             hits: counter("oneqd_cache_memory_hits_total", "Memory-tier cache hits."),
             misses: counter(
                 "oneqd_cache_memory_misses_total",
@@ -194,41 +210,28 @@ impl CompileCache {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<str>> {
-        self.get_digest(&sha256(key.as_bytes()))
+        self.lookup(&sha256(key.as_bytes()), true)
     }
 
-    /// Digest-addressed lookup (the key was already hashed — e.g. to join
-    /// a [`SingleFlight`]), refreshing recency on a hit.
-    pub fn get_digest(&self, digest: &[u8; 32]) -> Option<Arc<str>> {
+    /// Digest-addressed lookup. A `counted` lookup is a request's one
+    /// logical lookup: it counts a hit or a miss and refreshes recency on
+    /// a hit. An uncounted one, a single-flight leader's re-check, does
+    /// neither.
+    fn lookup(&self, digest: &[u8; 32], counted: bool) -> Option<Arc<str>> {
         let mut shard = self.shard_of(digest).lock().expect("cache shard poisoned");
         let pos = shard.entries.iter().position(|e| e.digest == *digest);
-        match pos {
-            Some(pos) => {
-                let entry = shard.entries.remove(pos);
-                let value = Arc::clone(&entry.value);
-                shard.entries.push(entry);
-                self.hits.inc();
-                Some(value)
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+        if !counted {
+            return pos.map(|pos| Arc::clone(&shard.entries[pos].value));
         }
-    }
-
-    /// Counter-free lookup: no hit/miss accounting, no recency refresh.
-    /// Used by a freshly elected single-flight leader to double-check the
-    /// cache (a previous leader may have filled it between this thread's
-    /// miss and its election) without double-counting the request's one
-    /// logical lookup.
-    pub fn peek_digest(&self, digest: &[u8; 32]) -> Option<Arc<str>> {
-        let shard = self.shard_of(digest).lock().expect("cache shard poisoned");
-        shard
-            .entries
-            .iter()
-            .find(|e| e.digest == *digest)
-            .map(|e| Arc::clone(&e.value))
+        let Some(pos) = pos else {
+            self.misses.inc();
+            return None;
+        };
+        let entry = shard.entries.remove(pos);
+        let value = Arc::clone(&entry.value);
+        shard.entries.push(entry);
+        self.hits.inc();
+        Some(value)
     }
 
     /// Inserts (or refreshes) `key → value`, evicting the least recently
@@ -237,8 +240,7 @@ impl CompileCache {
         self.insert_digest(sha256(key.as_bytes()), value);
     }
 
-    /// Digest-addressed insert.
-    pub fn insert_digest(&self, digest: [u8; 32], value: Arc<str>) {
+    fn insert_digest(&self, digest: [u8; 32], value: Arc<str>) {
         let mut shard = self.shard_of(&digest).lock().expect("cache shard poisoned");
         if let Some(pos) = shard.entries.iter().position(|e| e.digest == digest) {
             // Two threads can race the same miss; the second insert just
@@ -249,7 +251,7 @@ impl CompileCache {
             return;
         }
         shard.entries.push(Entry { digest, value });
-        if shard.entries.len() > self.shard_capacity {
+        if shard.entries.len() > shard.capacity {
             shard.entries.remove(0);
             self.evictions.inc();
         }
@@ -269,28 +271,15 @@ impl CompileCache {
     }
 }
 
-/// Which tier satisfied a [`TieredCache`] lookup — reported to clients
-/// verbatim in the `X-Oneqd-Cache` header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// Served from the in-memory LRU.
-    Memory,
-    /// Served from the disk spill tier (and promoted into memory).
-    Disk,
-}
-
-/// The two-level cache: the in-memory LRU in front, the persistent
-/// [`SpillTier`] (optional — `oneqd --cache-dir`) behind it.
-///
-/// Lookup order is memory → disk; a disk hit is *promoted* (inserted
-/// into the LRU) so a warm key pays the disk read once. Fills via
-/// [`TieredCache::fill`] insert into memory synchronously and enqueue
-/// the disk append write-behind, so the compile path never blocks on
-/// I/O. Without a disk tier this degrades to exactly the PR-5 behavior.
+/// The two-level cache the daemon serves through: the in-memory LRU in
+/// front, the persistent [`SpillTier`] (optional — `oneqd --cache-dir`)
+/// behind it, and the in-flight table that coalesces concurrent misses.
+/// Its one entry point is [`TieredCache::get_or_compile`].
 pub struct TieredCache {
     memory: CompileCache,
     disk: Option<SpillTier>,
     fills: Counter,
+    flights: SingleFlight,
 }
 
 impl TieredCache {
@@ -310,42 +299,75 @@ impl TieredCache {
                 "Compile results inserted into the cache.",
                 &[],
             ),
+            flights: SingleFlight::new(registry),
         }
     }
 
-    /// Looks `digest` up memory-first, then disk. A disk hit is promoted
-    /// into the memory tier before returning.
-    pub fn get_digest(&self, digest: &[u8; 32]) -> Option<(Arc<str>, Tier)> {
-        if let Some(value) = self.memory.get_digest(digest) {
-            return Some((value, Tier::Memory));
+    /// Serves `digest`, running `compile` only when no tier holds the
+    /// record and no other call is compiling it. Returns the record
+    /// bytes, whether the record is ok, the `X-Oneqd-Cache` outcome, and
+    /// `compile`'s third value when this call compiled.
+    ///
+    /// In order:
+    /// 1. Look in memory, counting the lookup (the request's one logical
+    ///    lookup), then on disk; a disk hit is promoted into memory.
+    /// 2. Join the in-flight table. A follower waits for its leader and
+    ///    serves the leader's bytes (`coalesced`).
+    /// 3. The leader looks again without counting: a previous leader may
+    ///    have filled the cache between this call's miss and its
+    ///    election. A disk hit here still counts; it is one.
+    /// 4. Compile. An ok record is filled (into memory now, onto disk
+    ///    write-behind) *before* it is published, so a call that missed
+    ///    earlier either finds the flight or, electing itself, finds the
+    ///    fill on its second look: one compile per key.
+    /// 5. An error record is neither cached nor published, and a panic
+    ///    unwinds through the leader: either aborts the flight, and each
+    ///    follower compiles its own record. Error bytes are per source:
+    ///    two sources can share a digest yet differ in raw bytes (CRLF,
+    ///    trailing whitespace), and an error's spans point into them.
+    pub fn get_or_compile<T>(
+        &self,
+        digest: [u8; 32],
+        compile: impl FnOnce() -> (Arc<str>, bool, T),
+    ) -> (Arc<str>, bool, &'static str, Option<T>) {
+        if let Some((body, outcome)) = self.lookup(&digest, true) {
+            return (body, true, outcome, None);
+        }
+        let leader = match self.flights.join(digest) {
+            FlightRole::Follower(Some(body)) => return (body, true, OUTCOME_COALESCED, None),
+            FlightRole::Follower(None) => None,
+            FlightRole::Leader(leader) => {
+                if let Some((body, outcome)) = self.lookup(&digest, false) {
+                    leader.publish(Arc::clone(&body));
+                    return (body, true, outcome, None);
+                }
+                Some(leader)
+            }
+        };
+        let (body, ok, compiled) = compile();
+        if ok {
+            self.fills.inc();
+            self.memory.insert_digest(digest, Arc::clone(&body));
+            if let Some(disk) = &self.disk {
+                disk.append(digest, Arc::clone(&body));
+            }
+            if let Some(leader) = leader {
+                leader.publish(Arc::clone(&body));
+            }
+        }
+        // An error record drops `leader` unpublished, aborting the flight.
+        (body, ok, OUTCOME_MISS, Some(compiled))
+    }
+
+    /// Memory, then disk; a disk hit is promoted into memory. `counted`
+    /// applies to the memory tier only (see [`CompileCache::lookup`]).
+    fn lookup(&self, digest: &[u8; 32], counted: bool) -> Option<(Arc<str>, &'static str)> {
+        if let Some(value) = self.memory.lookup(digest, counted) {
+            return Some((value, OUTCOME_MEMORY));
         }
         let value = self.disk.as_ref()?.get(digest)?;
         self.memory.insert_digest(*digest, Arc::clone(&value));
-        Some((value, Tier::Disk))
-    }
-
-    /// Counter-free memory peek, then a disk read: the single-flight
-    /// leader's double-check (see [`CompileCache::peek_digest`]). The
-    /// memory tier's hit/miss counters stay untouched — the request's one
-    /// logical lookup was already counted — but a disk hit still counts
-    /// as a disk hit (it *is* one) and still promotes.
-    pub fn peek_digest(&self, digest: &[u8; 32]) -> Option<(Arc<str>, Tier)> {
-        if let Some(value) = self.memory.peek_digest(digest) {
-            return Some((value, Tier::Memory));
-        }
-        let value = self.disk.as_ref()?.get(digest)?;
-        self.memory.insert_digest(*digest, Arc::clone(&value));
-        Some((value, Tier::Disk))
-    }
-
-    /// Fills `digest → value` after a compile: into memory now, onto
-    /// disk write-behind.
-    pub fn fill(&self, digest: [u8; 32], value: Arc<str>) {
-        self.fills.inc();
-        self.memory.insert_digest(digest, Arc::clone(&value));
-        if let Some(disk) = &self.disk {
-            disk.append(digest, value);
-        }
+        Some((value, OUTCOME_DISK))
     }
 
     /// Entries resident in the in-memory tier.
@@ -357,31 +379,22 @@ impl TieredCache {
     pub fn disk_stats(&self) -> Option<SpillStats> {
         self.disk.as_ref().map(SpillTier::stats)
     }
-
-    /// Blocks until every write-behind append so far is on disk. A no-op
-    /// without a disk tier; tests and shutdown use this.
-    pub fn flush_disk(&self) {
-        if let Some(disk) = &self.disk {
-            disk.flush();
-        }
-    }
 }
 
-/// The role [`SingleFlight::join`] hands back for a digest.
-pub enum FlightRole<'a> {
-    /// This thread compiles; it must call [`FlightLeader::publish`] (or
-    /// drop the guard, which aborts the flight and wakes followers).
+/// What [`SingleFlight::join`] hands back for a digest.
+enum FlightRole<'a> {
+    /// This call compiles. Dropping the guard without publishing aborts
+    /// the flight.
     Leader(FlightLeader<'a>),
-    /// Another thread was already compiling this digest. `Some` carries
-    /// its published `(body, ok)`; `None` means the leader aborted
-    /// without publishing (it panicked) and the follower should compile
-    /// for itself.
-    Follower(Option<(Arc<str>, bool)>),
+    /// Another call was already compiling this digest. `Some` carries the
+    /// bytes it published; `None` means it aborted, and this call
+    /// compiles for itself.
+    Follower(Option<Arc<str>>),
 }
 
 enum FlightState {
     Pending,
-    Done(Arc<str>, bool),
+    Done(Arc<str>),
     Aborted,
 }
 
@@ -390,28 +403,17 @@ struct Flight {
     cv: Condvar,
 }
 
-/// Request coalescing in front of the cache: concurrent misses on one
-/// digest elect a single leader; followers block until the leader
-/// publishes and then return its bytes. The in-flight table holds only
-/// keys currently being compiled, so it stays tiny (bounded by worker
-/// count) and one mutex suffices.
-///
-/// Exactly-once protocol (the part that keeps a storm at one compile):
-/// the leader must insert its result into the [`CompileCache`] *before*
-/// calling [`FlightLeader::publish`] — publish removes the flight from
-/// the table, and any request that missed the cache earlier will either
-/// find the flight (and follow) or, finding neither, elect itself leader
-/// and see the filled cache on its double-check
-/// ([`CompileCache::peek_digest`]).
-pub struct SingleFlight {
+/// The in-flight table of a [`TieredCache`]: concurrent misses on one
+/// digest elect a single leader, and followers block until it publishes
+/// or aborts. The table holds only digests being compiled, so it stays
+/// tiny (bounded by the compile budget) and one mutex suffices.
+struct SingleFlight {
     inflight: Mutex<Vec<([u8; 32], Arc<Flight>)>>,
     coalesced: Counter,
 }
 
 impl SingleFlight {
-    /// An empty coalescing table, counting coalesced serves into
-    /// `registry`.
-    pub fn new(registry: &Registry) -> SingleFlight {
+    fn new(registry: &Registry) -> SingleFlight {
         SingleFlight {
             inflight: Mutex::default(),
             coalesced: registry.counter(
@@ -424,7 +426,7 @@ impl SingleFlight {
 
     /// Joins the flight for `digest`: the first caller becomes the
     /// leader, everyone else blocks until the leader publishes or aborts.
-    pub fn join(&self, digest: [u8; 32]) -> FlightRole<'_> {
+    fn join(&self, digest: [u8; 32]) -> FlightRole<'_> {
         let mut inflight = self.inflight.lock().expect("single-flight table poisoned");
         if let Some((_, flight)) = inflight.iter().find(|(d, _)| *d == digest) {
             let flight = Arc::clone(flight);
@@ -434,9 +436,9 @@ impl SingleFlight {
                 state = flight.cv.wait(state).expect("flight state poisoned");
             }
             return match &*state {
-                FlightState::Done(body, ok) => {
+                FlightState::Done(body) => {
                     self.coalesced.inc();
-                    FlightRole::Follower(Some((Arc::clone(body), *ok)))
+                    FlightRole::Follower(Some(Arc::clone(body)))
                 }
                 FlightState::Aborted => FlightRole::Follower(None),
                 FlightState::Pending => unreachable!("wait loop exits only on a final state"),
@@ -451,56 +453,61 @@ impl SingleFlight {
             owner: self,
             digest,
             flight,
-            published: false,
+            published: None,
         })
     }
 
-    /// Digests currently being compiled (test/stats visibility).
-    pub fn in_flight(&self) -> usize {
+    /// Digests currently being compiled.
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.inflight
             .lock()
             .expect("single-flight table poisoned")
             .len()
     }
-
-    fn finish(&self, digest: &[u8; 32], flight: &Flight, state: FlightState) {
-        let mut inflight = self.inflight.lock().expect("single-flight table poisoned");
-        if let Some(pos) = inflight.iter().position(|(d, _)| d == digest) {
-            inflight.swap_remove(pos);
-        }
-        drop(inflight);
-        *flight.state.lock().expect("flight state poisoned") = state;
-        flight.cv.notify_all();
-    }
 }
 
-/// The leader's obligation: publish a result (or abort by dropping).
-pub struct FlightLeader<'a> {
+/// A leader's hold on its flight. Dropping it retires the flight: with
+/// the published bytes, or as an abort when nothing was published (an
+/// error record, or a compile that unwound).
+struct FlightLeader<'a> {
     owner: &'a SingleFlight,
     digest: [u8; 32],
     flight: Arc<Flight>,
-    published: bool,
+    published: Option<Arc<str>>,
 }
 
 impl FlightLeader<'_> {
-    /// Publishes the compiled `(body, ok)` to every follower and retires
-    /// the flight. Call only *after* inserting a cacheable result into
-    /// the cache — see the ordering note on [`SingleFlight`].
-    pub fn publish(mut self, body: Arc<str>, ok: bool) {
-        self.published = true;
-        self.owner
-            .finish(&self.digest, &self.flight, FlightState::Done(body, ok));
+    /// Hands `body` to every follower and retires the flight.
+    fn publish(mut self, body: Arc<str>) {
+        self.published = Some(body);
     }
 }
 
 impl Drop for FlightLeader<'_> {
     fn drop(&mut self) {
-        // Panic safety: a leader that unwinds without publishing must not
-        // strand its followers on the condvar forever.
-        if !self.published {
-            self.owner
-                .finish(&self.digest, &self.flight, FlightState::Aborted);
+        // This runs while a panicking compile unwinds, so it must not
+        // panic itself; every update of both mutexes is a single step
+        // that leaves them valid, so a poisoned guard is safe to reuse.
+        let mut inflight = self
+            .owner
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(pos) = inflight.iter().position(|(d, _)| *d == self.digest) {
+            inflight.swap_remove(pos);
         }
+        drop(inflight);
+        let state = match self.published.take() {
+            Some(body) => FlightState::Done(body),
+            None => FlightState::Aborted,
+        };
+        *self
+            .flight
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = state;
+        self.flight.cv.notify_all();
     }
 }
 
@@ -612,92 +619,180 @@ mod tests {
     }
 
     #[test]
+    fn memory_tier_holds_exactly_its_capacity() {
+        // 5 entries over 8 requested stripes: 5 stripes of one entry each,
+        // not 8 stripes rounded up to one.
+        let registry = Registry::new();
+        let cache = CompileCache::new(5, 8, &registry);
+        for i in 0..100 {
+            cache.insert(&format!("key-{i}"), arc("v"));
+        }
+        assert!(cache.len() <= 5, "{} entries resident", cache.len());
+        assert_eq!(read(&registry, "oneqd_cache_memory_capacity"), 5);
+        assert_eq!(read(&registry, "oneqd_cache_memory_shards"), 5);
+        // An uneven split still sums to the capacity.
+        let cache = CompileCache::new(10, 8, &Registry::new());
+        for i in 0..100 {
+            cache.insert(&format!("key-{i}"), arc("v"));
+        }
+        assert!(cache.len() <= 10, "{} entries resident", cache.len());
+    }
+
+    /// Spins until the flight for `digest` is shared by `holders` Arcs:
+    /// the table's, the leader's, and one per follower waiting on it.
+    fn await_holders(cache: &TieredCache, digest: &[u8; 32], holders: usize) {
+        loop {
+            let inflight = cache.flights.inflight.lock().unwrap();
+            let flight = inflight.iter().find(|(d, _)| d == digest);
+            if flight.is_some_and(|(_, f)| Arc::strong_count(f) == holders) {
+                return;
+            }
+            drop(inflight);
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
     fn single_flight_coalesces_followers_deterministically() {
         let registry = Registry::new();
-        let flights = SingleFlight::new(&registry);
+        let cache = TieredCache::new(8, 1, None, &registry);
         let digest = sha256(b"storm-key");
-        let followers = 6usize;
-
+        let threads = 7usize;
+        let compiles = Mutex::new(0usize);
         std::thread::scope(|scope| {
-            let FlightRole::Leader(leader) = flights.join(digest) else {
-                panic!("first join must lead");
-            };
-            assert_eq!(flights.in_flight(), 1);
-            // Observing the flight's Arc strong count makes coalescing
-            // deterministic instead of timing-dependent: one reference in
-            // the table, one in the leader guard, one here, plus one per
-            // follower that has found the flight. A follower that cloned
-            // the Arc is guaranteed to observe the published state (the
-            // wait loop re-checks under the same mutex publish takes).
-            let flight = Arc::clone(&leader.flight);
-            for _ in 0..followers {
-                let flights = &flights;
-                scope.spawn(move || match flights.join(digest) {
-                    FlightRole::Follower(Some((body, ok))) => {
-                        assert_eq!(&*body, "result");
-                        assert!(ok);
-                    }
-                    _ => panic!("expected a published follower result"),
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    let (body, ok, outcome, compiled) = cache.get_or_compile(digest, || {
+                        *compiles.lock().unwrap() += 1;
+                        // The leader publishes only once every other
+                        // thread follows it, so coalescing does not
+                        // depend on timing.
+                        await_holders(&cache, &digest, 2 + threads - 1);
+                        (arc("result"), true, ())
+                    });
+                    assert_eq!((&*body, ok), ("result", true));
+                    assert_eq!(compiled.is_some(), outcome == OUTCOME_MISS);
                 });
             }
-            while Arc::strong_count(&flight) < 3 + followers {
-                std::thread::yield_now();
-            }
-            leader.publish(arc("result"), true);
         });
-        assert_eq!(flights.in_flight(), 0);
+        assert_eq!(*compiles.lock().unwrap(), 1, "one compile per key");
+        assert_eq!(cache.flights.in_flight(), 0);
+        assert_eq!(read(&registry, "oneqd_coalesced_total"), threads as u64 - 1);
         assert_eq!(
-            read(&registry, "oneqd_coalesced_total"),
-            followers as u64,
-            "every follower was served from the leader's flight"
+            read(&registry, "oneqd_cache_memory_misses_total"),
+            threads as u64
         );
+        assert_eq!(read(&registry, "oneqd_cache_fills_total"), 1);
+        let (body, _, outcome, compiled) = cache
+            .get_or_compile(digest, || -> (Arc<str>, bool, ()) {
+                unreachable!("the storm filled the cache")
+            });
+        assert_eq!((&*body, outcome), ("result", OUTCOME_MEMORY));
+        assert!(compiled.is_none());
+    }
+
+    #[test]
+    fn single_flight_error_records_are_neither_cached_nor_shared() {
+        let registry = Registry::new();
+        let cache = TieredCache::new(8, 1, None, &registry);
+        let digest = sha256(b"error-key");
+        let threads = 4usize;
+        let compiles = Mutex::new(0usize);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (cache, compiles) = (&cache, &compiles);
+                scope.spawn(move || {
+                    let own = format!("error {t}");
+                    let (body, ok, outcome, compiled) = cache.get_or_compile(digest, || {
+                        let first = {
+                            let mut compiles = compiles.lock().unwrap();
+                            *compiles += 1;
+                            *compiles == 1
+                        };
+                        if first {
+                            await_holders(cache, &digest, 2 + threads - 1);
+                        }
+                        (Arc::from(own.as_str()), false, t)
+                    });
+                    assert_eq!((&*body, ok, outcome), (own.as_str(), false, OUTCOME_MISS));
+                    assert_eq!(compiled, Some(t), "each thread compiled its own record");
+                });
+            }
+        });
+        assert_eq!(*compiles.lock().unwrap(), threads);
+        assert_eq!(cache.flights.in_flight(), 0);
+        assert!(cache.memory.is_empty(), "error records are not cached");
+        assert_eq!(read(&registry, "oneqd_cache_fills_total"), 0);
+        assert_eq!(read(&registry, "oneqd_coalesced_total"), 0);
     }
 
     #[test]
     fn single_flight_aborted_leader_releases_followers() {
         let registry = Registry::new();
-        let flights = SingleFlight::new(&registry);
+        let cache = TieredCache::new(8, 1, None, &registry);
         let digest = sha256(b"abort-key");
-        let FlightRole::Leader(leader) = flights.join(digest) else {
-            panic!("first join must lead");
-        };
         std::thread::scope(|scope| {
-            let follower = scope.spawn(|| flights.join(digest));
-            // Give the follower a moment to block, then abort by drop.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            drop(leader);
-            match follower.join().expect("follower thread") {
-                FlightRole::Follower(None) => {}
-                FlightRole::Follower(Some(_)) => panic!("aborted flight published a result"),
-                FlightRole::Leader(_) => panic!("follower joined a live flight"),
-            }
+            let leader = scope.spawn(|| {
+                cache.get_or_compile(digest, || -> (Arc<str>, bool, ()) {
+                    await_holders(&cache, &digest, 3);
+                    panic!("compile panicked");
+                })
+            });
+            // The follower joins the leader's flight, which then aborts;
+            // it compiles its own record.
+            await_holders(&cache, &digest, 2);
+            let (body, ok, outcome, _) =
+                cache.get_or_compile(digest, || (arc("follower"), true, ()));
+            assert_eq!((&*body, ok, outcome), ("follower", true, OUTCOME_MISS));
+            assert!(leader.join().is_err(), "the leader's panic propagates");
         });
-        assert_eq!(flights.in_flight(), 0);
+        assert_eq!(cache.flights.in_flight(), 0);
         assert_eq!(
             read(&registry, "oneqd_coalesced_total"),
             0,
             "aborts are not coalesced serves"
         );
-        // The digest is free again: the next join leads.
-        assert!(matches!(flights.join(digest), FlightRole::Leader(_)));
+
+        // A lone leader that panics frees its digest: the next call leads.
+        let digest = sha256(b"lone-key");
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compile(digest, || -> (Arc<str>, bool, ()) { panic!("boom") })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(cache.flights.in_flight(), 0);
+        let (body, _, outcome, compiled) =
+            cache.get_or_compile(digest, || (arc("again"), true, ()));
+        assert_eq!(
+            (&*body, outcome, compiled),
+            ("again", OUTCOME_MISS, Some(()))
+        );
     }
 
     #[test]
     fn single_flight_distinct_digests_fly_independently() {
-        let flights = SingleFlight::new(&Registry::new());
-        let a = sha256(b"a");
-        let b = sha256(b"b");
-        let FlightRole::Leader(la) = flights.join(a) else {
-            panic!("lead a");
-        };
-        let FlightRole::Leader(lb) = flights.join(b) else {
-            panic!("lead b");
-        };
-        assert_eq!(flights.in_flight(), 2);
-        la.publish(arc("A"), true);
-        assert_eq!(flights.in_flight(), 1);
-        lb.publish(arc("B"), false);
-        assert_eq!(flights.in_flight(), 0);
+        let registry = Registry::new();
+        let cache = TieredCache::new(8, 1, None, &registry);
+        // Both leaders compile at once: neither waits on the other's
+        // digest.
+        let both_compiling = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for key in ["a", "b"] {
+                let (cache, both_compiling) = (&cache, &both_compiling);
+                scope.spawn(move || {
+                    let (body, _, outcome, _) =
+                        cache.get_or_compile(sha256(key.as_bytes()), || {
+                            both_compiling.wait();
+                            assert_eq!(cache.flights.in_flight(), 2);
+                            both_compiling.wait();
+                            (Arc::from(key), true, ())
+                        });
+                    assert_eq!((&*body, outcome), (key, OUTCOME_MISS));
+                });
+            }
+        });
+        assert_eq!(cache.flights.in_flight(), 0);
+        assert_eq!(read(&registry, "oneqd_coalesced_total"), 0);
+        assert_eq!(read(&registry, "oneqd_cache_fills_total"), 2);
     }
 
     #[test]
@@ -705,13 +800,15 @@ mod tests {
         let registry = Registry::new();
         let tier = TieredCache::new(4, 1, None, &registry);
         let digest = sha256(b"k");
-        assert!(tier.get_digest(&digest).is_none());
-        tier.fill(digest, arc("v"));
-        assert!(matches!(tier.get_digest(&digest), Some((_, Tier::Memory))));
-        assert!(matches!(tier.peek_digest(&digest), Some((_, Tier::Memory))));
+        let (_, _, outcome, compiled) = tier.get_or_compile(digest, || (arc("v"), true, 7));
+        assert_eq!((outcome, compiled), (OUTCOME_MISS, Some(7)));
+        let (body, _, outcome, compiled) = tier.get_or_compile(digest, || unreachable!());
+        assert_eq!(
+            (&*body, outcome, compiled),
+            ("v", OUTCOME_MEMORY, None::<()>)
+        );
         assert_eq!(read(&registry, "oneqd_cache_fills_total"), 1);
         assert!(tier.disk_stats().is_none());
-        tier.flush_disk(); // no-op, must not panic
     }
 
     #[test]
@@ -729,18 +826,22 @@ mod tests {
         // LRU, leaving it disk-only.
         let tier = TieredCache::new(1, 1, Some(spill), &registry);
         let (a, b) = (sha256(b"a"), sha256(b"b"));
-        tier.fill(a, arc("A"));
-        tier.fill(b, arc("B"));
-        tier.flush_disk();
+        let serve = |digest: [u8; 32]| {
+            let (body, _, outcome, _) = tier.get_or_compile(digest, || -> (Arc<str>, bool, ()) {
+                unreachable!("a disk or memory hit")
+            });
+            (body.to_string(), outcome)
+        };
+        tier.get_or_compile(a, || (arc("A"), true, ()));
+        tier.get_or_compile(b, || (arc("B"), true, ()));
+        tier.disk.as_ref().unwrap().flush();
         assert_eq!(tier.memory_len(), 1);
 
-        let (value, from) = tier.get_digest(&a).expect("disk still holds a");
-        assert_eq!((&*value, from), ("A", Tier::Disk));
+        assert_eq!(serve(a), ("A".to_string(), OUTCOME_DISK));
         // Promotion: the same key now answers from memory.
-        let (value, from) = tier.get_digest(&a).expect("promoted");
-        assert_eq!((&*value, from), ("A", Tier::Memory));
+        assert_eq!(serve(a), ("A".to_string(), OUTCOME_MEMORY));
         // And b, evicted by the promotion, comes back from disk too.
-        assert!(matches!(tier.peek_digest(&b), Some((_, Tier::Disk))));
+        assert_eq!(serve(b), ("B".to_string(), OUTCOME_DISK));
 
         assert_eq!(read(&registry, "oneqd_cache_fills_total"), 2);
         assert_eq!(read(&registry, "oneqd_spill_appends_total"), 2);

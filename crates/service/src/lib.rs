@@ -26,15 +26,16 @@
 //! * a sharded, mutex-striped, content-addressed LRU cache ([`cache`])
 //!   keyed by a hand-written SHA-256 digest over canonicalized source
 //!   bytes × compile config (entries hold the 32-byte digest, never the
-//!   source), fronted by a single-flight coalescing layer
-//!   ([`cache::SingleFlight`]) so N racing misses on one key run one
-//!   compile;
-//! * an optional persistent disk tier behind the LRU
-//!   ([`cache::TieredCache`], [`spill`], [`segment`]): an append-only,
-//!   CRC-guarded record log that survives restarts (`oneqd
-//!   --cache-dir`), so a warm restart answers previously-compiled
-//!   sources from disk instead of recompiling — the on-disk format is
-//!   specified in `docs/CACHE_FORMAT.md`;
+//!   source);
+//! * an optional persistent disk tier behind the LRU ([`spill`],
+//!   [`segment`]): an append-only, CRC-guarded record log that survives
+//!   restarts (`oneqd --cache-dir`), so a warm restart answers
+//!   previously-compiled sources from disk instead of recompiling — the
+//!   on-disk format is specified in `docs/CACHE_FORMAT.md`;
+//! * one entry point over both tiers,
+//!   [`cache::TieredCache::get_or_compile`], which runs the whole miss
+//!   protocol: memory, then disk, then one compile per key, with N racing
+//!   misses on one key coalesced onto a single leader's compile;
 //! * graceful shutdown on SIGTERM/ctrl-c ([`signal`]);
 //! * end-to-end telemetry ([`telemetry`], built on the `oneq-obs` crate):
 //!   every request carries an `X-Oneqd-Request-Id` (inbound or minted)

@@ -61,17 +61,17 @@
 //! `/v1/compile` responses are byte-identical to `oneqc`'s JSONL
 //! records (one record + `\n`) for the same source and config, and —
 //! unless the request bypasses — are served through the tiered
-//! content-addressed cache ([`TieredCache`]: in-memory LRU, then the
-//! optional disk spill tier) behind a [`SingleFlight`] coalescing
-//! layer, with the outcome exposed in an
-//! `X-Oneqd-Cache: memory|disk|miss|coalesced|bypass` header.
+//! content-addressed cache's one entry point
+//! ([`TieredCache::get_or_compile`]: in-memory LRU, then the optional
+//! disk spill tier, then one coalesced compile), with the outcome exposed
+//! in an `X-Oneqd-Cache: memory|disk|miss|coalesced|bypass` header.
 //!
 //! Shutdown: once the stop flag fires the loop stops accepting, closes
 //! idle sessions, lets in-flight requests finish writing, and joins the
 //! worker pool — bounded by the slowest in-flight exchange, not by an
 //! accept call blocked forever.
 
-use crate::cache::{sha256, FlightRole, SingleFlight, Tier, TieredCache};
+use crate::cache::{sha256, TieredCache};
 use crate::compile::RecordTimings;
 use crate::http::{write_response, Connection, Request};
 use crate::json::{self, ObjWriter};
@@ -89,6 +89,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+pub use crate::cache::{
+    OUTCOME_BYPASS, OUTCOME_COALESCED, OUTCOME_DISK, OUTCOME_MEMORY, OUTCOME_MISS,
+};
 
 /// Tunables for a server instance.
 #[derive(Debug, Clone)]
@@ -195,14 +199,12 @@ impl Drop for SemaphoreGuard<'_> {
 
 /// Shared request/connection/cache accounting, surfaced through
 /// `GET /v1/stats` and `GET /v1/metrics`. Every counter and gauge here is
-/// a registry handle; the components behind `cache` and `flights` hold
-/// their own.
+/// a registry handle; the cache holds its own.
 pub struct ServiceState {
     started: Instant,
-    /// The tiered compile cache (memory LRU + optional disk spill).
+    /// The tiered compile cache (memory LRU, optional disk spill, and
+    /// the in-flight table that coalesces concurrent misses).
     pub cache: TieredCache,
-    /// The coalescing layer in front of the cache.
-    pub flights: SingleFlight,
     /// The metrics registry, trace ring, and request-id mint.
     pub telemetry: Telemetry,
     batch_slots: Semaphore,
@@ -290,7 +292,6 @@ impl ServiceState {
         Ok(ServiceState {
             started: Instant::now(),
             cache: TieredCache::new(config.cache_capacity, config.cache_shards, disk, reg),
-            flights: SingleFlight::new(reg),
             batch_slots: Semaphore::new(config.workers),
             connections: counter("oneqd_connections_total", "Connections accepted."),
             requests: counter(
@@ -1175,19 +1176,6 @@ mod event_loop {
     }
 }
 
-/// `X-Oneqd-Cache` label: served from the in-memory tier.
-pub const OUTCOME_MEMORY: &str = "memory";
-/// `X-Oneqd-Cache` label: served from the disk spill tier (and promoted
-/// into memory).
-pub const OUTCOME_DISK: &str = "disk";
-/// `X-Oneqd-Cache` label: compiled fresh (and cached on success).
-pub const OUTCOME_MISS: &str = "miss";
-/// `X-Oneqd-Cache` label: served from a concurrent leader's in-flight
-/// compile.
-pub const OUTCOME_COALESCED: &str = "coalesced";
-/// `X-Oneqd-Cache` label: cache skipped (`timings=1` or `bypass=1`).
-pub const OUTCOME_BYPASS: &str = "bypass";
-
 /// What a [`compile_via_cache`] call observed, for the request trace:
 /// how long the lookup-or-compile took end to end, and — when this call
 /// executed the compile — its timings.
@@ -1196,7 +1184,8 @@ struct CompileTrace {
     timings: Option<RecordTimings>,
 }
 
-/// Serves one [`CompileRequest`] through cache + single-flight. Returns
+/// Serves one [`CompileRequest`] through [`TieredCache::get_or_compile`]
+/// (or past it, when the request bypasses the cache). Returns
 /// `(record bytes incl. trailing newline, ok, outcome label, trace)`.
 /// This is the one path behind both `/v1/compile` and each
 /// `/v1/compile-batch` line, so telemetry recorded here (per-tier
@@ -1229,66 +1218,22 @@ fn compile_via_cache_inner(
     req: &CompileRequest,
     slots: Option<&Semaphore>,
 ) -> (Arc<str>, bool, &'static str, Option<RecordTimings>) {
-    let run = |state: &ServiceState| -> (Arc<str>, bool, Option<RecordTimings>) {
+    let run = || {
         let _slot = slots.map(Semaphore::acquire);
         state.compile_executions.inc();
         let (record, ok, timings) = req.record_timed();
-        (Arc::from(format!("{record}\n").as_str()), ok, Some(timings))
+        (Arc::from(format!("{record}\n").as_str()), ok, timings)
     };
 
     // Timed compiles are inherently non-deterministic and `bypass=1` is
     // an explicit opt-out: neither reads nor warms the cache.
     if !req.cacheable() {
-        let (body, ok, timings) = run(state);
-        return (body, ok, OUTCOME_BYPASS, timings);
+        let (body, ok, timings) = run();
+        return (body, ok, OUTCOME_BYPASS, Some(timings));
     }
 
     let digest = sha256(req.fingerprint().as_bytes());
-    if let Some((cached, tier)) = state.cache.get_digest(&digest) {
-        return (cached, true, tier_label(tier), None);
-    }
-    match state.flights.join(digest) {
-        FlightRole::Follower(Some((body, ok))) => (body, ok, OUTCOME_COALESCED, None),
-        FlightRole::Follower(None) => {
-            // The leader aborted without publishing — it hit a compile
-            // error (error bytes are per-source, never shared) or it
-            // panicked. Compile for ourselves rather than re-coalescing
-            // into a failed key.
-            let (body, ok, timings) = run(state);
-            if ok {
-                state.cache.fill(digest, Arc::clone(&body));
-            }
-            (body, ok, OUTCOME_MISS, timings)
-        }
-        FlightRole::Leader(leader) => {
-            // Double-check: a previous leader may have filled the cache
-            // between this thread's miss and its election. `peek` avoids
-            // double-counting the request's one logical lookup in the
-            // memory tier (a disk hit here still counts — it is one).
-            if let Some((cached, tier)) = state.cache.peek_digest(&digest) {
-                leader.publish(Arc::clone(&cached), true);
-                return (cached, true, tier_label(tier), None);
-            }
-            let (body, ok, timings) = run(state);
-            if ok {
-                // Error records are cheap to recompute and their spans
-                // depend on pre-canonicalization bytes, so only successes
-                // are cached — and only successes are published: two
-                // sources can share a digest yet differ in raw bytes
-                // (CRLF, trailing whitespace), so handing a follower the
-                // leader's *error* bytes could break the byte-identity
-                // contract for the follower's own source. Dropping the
-                // guard aborts the flight and each follower recompiles
-                // its own error record. The fill MUST precede `publish`
-                // — see the exactly-once note on `SingleFlight`.
-                state.cache.fill(digest, Arc::clone(&body));
-                leader.publish(Arc::clone(&body), ok);
-            } else {
-                drop(leader);
-            }
-            (body, ok, OUTCOME_MISS, timings)
-        }
-    }
+    state.cache.get_or_compile(digest, run)
 }
 
 /// Renders the `GET /v1/traces` body (`oneqd-traces/v1`): ring totals
@@ -1348,14 +1293,6 @@ fn traces_body(state: &ServiceState, request: &Request) -> Result<String, String
     }
     body.push_str("]}\n");
     Ok(body)
-}
-
-/// The `X-Oneqd-Cache` token for a cache hit's tier.
-fn tier_label(tier: Tier) -> &'static str {
-    match tier {
-        Tier::Memory => OUTCOME_MEMORY,
-        Tier::Disk => OUTCOME_DISK,
-    }
 }
 
 /// The `cache` span plus, when this request executed the compile, its

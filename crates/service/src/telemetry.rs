@@ -23,10 +23,8 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use crate::cache::{OUTCOME_BYPASS, OUTCOME_COALESCED, OUTCOME_DISK, OUTCOME_MEMORY, OUTCOME_MISS};
 use crate::compile::RecordTimings;
-use crate::server::{
-    OUTCOME_BYPASS, OUTCOME_COALESCED, OUTCOME_DISK, OUTCOME_MEMORY, OUTCOME_MISS,
-};
 use oneq::{CompileProfile, Fold, Stage};
 use oneq_obs::{
     duration_ns, Counter, Gauge, Histogram, Registry, RequestIds, Span, TraceBuffer, TraceRecord,
