@@ -19,30 +19,31 @@
 //!
 //! # Memory
 //!
-//! While a graph maps, each of its layers is a dense, row-major grid (24
-//! bytes a cell) that the placement and routing probes read in O(1). A
-//! finished layer is never mapped again, so [`map_graph`] returns each
-//! one as a sparse [`LayerLayout`] (its placements, routing cells and
-//! bounding box) and drops the grids: what outlives a partition grows
-//! with what was placed, not with the layer's area.
+//! While a graph maps, each of its layers is its sparse [`LayerLayout`]
+//! (placements, routing cells and bounding box, grown as cells fill) plus
+//! one `u32` a cell, row-major: the index of the node on the cell, or a
+//! free or a routing marker. The placement and routing probes read that
+//! array in O(1). A finished layer is never mapped again, so
+//! [`map_graph`] returns the records and drops the arrays: what outlives
+//! a partition grows with what was placed, not with the layer's area.
 //!
 //! # Determinism
 //!
-//! The entire placement path runs on dense, row-major grids
-//! ([`oneq_hardware::CellGrid`]) and on vectors indexed by node id or by
-//! flat cell index: no hashed container anywhere, so compiling the same
-//! circuit twice always yields bit-identical layouts, depth, and fusion
-//! counts. Tie-breaks are fixed and documented: edges are ordered by
-//! sorted keys, candidate cells are scored in coupling-neighbourhood
-//! order, BFS frontiers expand in that same order, and nearest-free-cell
-//! searches scan Manhattan rings in row-major order (see the private
-//! `Mapper::pick_seed_cell`). The coupling-neighbourhood order is the
-//! order of a row of the mapper's neighbour table, which a compile
-//! builds once from [`LayerGeometry::neighbors`] (a [`map_graph`] call
-//! on its own builds its own); a test holds every row to that order.
+//! The entire placement path runs on dense, row-major cell arrays and on
+//! vectors indexed by node id or by flat cell index: no hashed container
+//! anywhere, so compiling the same circuit twice always yields
+//! bit-identical layouts, depth, and fusion counts. Tie-breaks are fixed
+//! and documented: edges are ordered by sorted keys, candidate cells are
+//! scored in coupling-neighbourhood order, BFS frontiers expand in that
+//! same order, and nearest-free-cell searches scan Manhattan rings in
+//! row-major order (see the private `Mapper::pick_seed_cell`). The
+//! coupling-neighbourhood order is the order of a row of the mapper's
+//! neighbour table, which a compile builds once from
+//! [`LayerGeometry::neighbors`] (a [`map_graph`] call on its own builds
+//! its own); a test holds every row to that order.
 
 use oneq_graph::{biconnected, Edge, Graph, NodeId};
-use oneq_hardware::{BfsScratch, CellGrid, LayerGeometry, Position, MAX_NEIGHBORS};
+use oneq_hardware::{LayerGeometry, Position, MAX_NEIGHBORS};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
@@ -147,47 +148,83 @@ impl LayerLayout {
     }
 }
 
-/// A layer of the graph being mapped: the dense grid the placement and
-/// routing probes read, plus the lists its [`LayerLayout`] is made of.
-/// The mapper keeps every layer of the graph as one of these until the
-/// graph is mapped, since in-layer routing may still run on an older
-/// layer.
+/// The mark of a working layer's free cell.
+const FREE: u32 = u32::MAX;
+/// The mark of a working layer's routing cell; the edge it forwards is in
+/// the layer's record.
+const ROUTING: u32 = u32::MAX - 1;
+
+/// A layer of the graph being mapped: its record, grown as cells fill,
+/// plus one `u32` a cell (row-major) that the placement and routing
+/// probes read: the index of the node on the cell, [`FREE`] or
+/// [`ROUTING`]. The mapper keeps every layer of the graph as one of these
+/// until the graph is mapped, since in-layer routing may still run on an
+/// older layer.
 struct WorkingLayer {
-    grid: CellGrid<CellUse>,
-    placed: Vec<(NodeId, Position)>,
-    routing: Vec<(Position, Edge)>,
+    layout: LayerLayout,
+    cells: Vec<u32>,
 }
 
 impl WorkingLayer {
     fn new(geometry: LayerGeometry) -> Self {
         WorkingLayer {
-            grid: CellGrid::new(geometry),
-            placed: Vec::new(),
-            routing: Vec::new(),
+            layout: LayerLayout {
+                geometry,
+                placed: Vec::new(),
+                routing: Vec::new(),
+                bbox: None,
+            },
+            cells: vec![FREE; geometry.area()],
         }
+    }
+
+    /// Whether `p` lies on the layer and is free.
+    fn is_free(&self, p: Position) -> bool {
+        let geometry = self.layout.geometry;
+        geometry.contains(p) && self.cells[geometry.index_of(p)] == FREE
+    }
+
+    /// The node on cell `i`, if a node occupies it.
+    fn node_at(&self, i: usize) -> Option<NodeId> {
+        let c = self.cells[i];
+        (c < ROUTING).then(|| NodeId::new(c as usize))
     }
 
     fn place(&mut self, n: NodeId, p: Position) {
-        debug_assert!(self.grid.is_free(p), "cell {p} already used");
-        self.grid.set(p, CellUse::Node(n));
-        self.placed.push((n, p));
+        assert!(
+            n.index() < ROUTING as usize,
+            "node {} has no room below the cell marks",
+            n.index()
+        );
+        self.occupy(p, n.index() as u32);
+        self.layout.placed.push((n, p));
     }
 
     fn add_routing(&mut self, p: Position, edge: Edge) {
-        debug_assert!(self.grid.is_free(p), "cell {p} already used");
-        self.grid.set(p, CellUse::Routing(edge));
-        self.routing.push((p, edge));
+        self.occupy(p, ROUTING);
+        self.layout.routing.push((p, edge));
     }
 
-    /// The layer's record; the grid is dropped. Moves the two lists and
-    /// reads the grid's incremental bounding box: no scan of the area.
+    /// Marks the free cell `p` with `mark` and grows the bounding box.
+    fn occupy(&mut self, p: Position, mark: u32) {
+        let cell = &mut self.cells[self.layout.geometry.index_of(p)];
+        debug_assert_eq!(*cell, FREE, "cell {p} already used");
+        *cell = mark;
+        let bbox = &mut self.layout.bbox;
+        *bbox = Some(match *bbox {
+            None => (p.row, p.row, p.col, p.col),
+            Some((rmin, rmax, cmin, cmax)) => (
+                rmin.min(p.row),
+                rmax.max(p.row),
+                cmin.min(p.col),
+                cmax.max(p.col),
+            ),
+        });
+    }
+
+    /// The layer's record; the cell array is dropped.
     fn finish(self) -> LayerLayout {
-        LayerLayout {
-            geometry: self.grid.geometry(),
-            bbox: self.grid.bounding_box(),
-            placed: self.placed,
-            routing: self.routing,
-        }
+        self.layout
     }
 }
 
@@ -521,7 +558,7 @@ impl<'g> Mapper<'g> {
             node_place: vec![None; n],
             direct_fusions: 0,
             routed_fusions: 0,
-            scratch: BfsScratch::new(),
+            scratch: BfsScratch::default(),
             path: Vec::new(),
             seed_cursor: RingCursor::new(center_of(geometry)),
             seed_scans: 0,
@@ -622,32 +659,33 @@ impl<'g> Mapper<'g> {
     }
 
     /// Plans the shuffles and turns every layer into its record, dropping
-    /// the working grids.
+    /// the cell arrays.
     fn finish(self, shuffled: Vec<ShuffleEdge>) -> MappingResult {
-        let pairs: Vec<(Position, Position)> =
-            shuffled.iter().map(|s| (s.from.1, s.to.1)).collect();
-        let (shuffle_layers, shuffle_fusions) = plan_position_shuffles(&pairs, self.geometry);
-
+        // The records first, so the cell arrays are gone before the
+        // shuffle planner sizes its own words by the area.
+        let layouts: Vec<LayerLayout> = self.layers.into_iter().map(WorkingLayer::finish).collect();
         // The mapper only ever adds cells, so the end-of-run occupancy of
         // each layer IS its high-water mark.
         let profile = MapProfile {
-            bfs_searches: self.scratch.searches(),
-            bfs_expansions: self.scratch.visits(),
-            scratch_grows: self.scratch.grows(),
-            scratch_reuses: self.scratch.reuses(),
+            bfs_searches: self.scratch.searches,
+            bfs_expansions: self.scratch.visits,
+            scratch_grows: self.scratch.grows,
+            scratch_reuses: self.scratch.reuses,
             seed_scans: self.seed_scans,
             seed_scan_radius_max: self.seed_scan_radius_max,
-            occupancy_peak: self
-                .layers
+            occupancy_peak: layouts
                 .iter()
-                .map(|l| l.grid.occupied_cells() as u64)
+                .map(|l| l.occupied_cells() as u64)
                 .max()
                 .unwrap_or(0),
-            routing_cells: self.layers.iter().map(|l| l.routing.len() as u64).sum(),
+            routing_cells: layouts.iter().map(|l| l.routing_cells() as u64).sum(),
         };
 
+        let pairs: Vec<(Position, Position)> =
+            shuffled.iter().map(|s| (s.from.1, s.to.1)).collect();
+        let (shuffle_layers, shuffle_fusions) = plan_position_shuffles(&pairs, self.geometry);
         MappingResult {
-            layouts: self.layers.into_iter().map(WorkingLayer::finish).collect(),
+            layouts,
             shuffled,
             shuffle_layers,
             direct_fusions: self.direct_fusions,
@@ -742,7 +780,7 @@ impl<'g> Mapper<'g> {
             self.geometry
                 .neighbors(p)
                 .into_iter()
-                .filter(|&q| self.layers[cur].grid.is_free(q))
+                .filter(|&q| self.layers[cur].is_free(q))
                 .count(),
             "free count of {p} diverged from a recount"
         );
@@ -763,7 +801,7 @@ impl<'g> Mapper<'g> {
         }
         let cur = self.cur();
         for &q in &row[..len] {
-            if let Some(&CellUse::Node(n)) = self.layers[cur].grid.at(q as usize) {
+            if let Some(n) = self.layers[cur].node_at(q as usize) {
                 self.reclassify(n);
             }
         }
@@ -787,11 +825,11 @@ impl<'g> Mapper<'g> {
     /// and the cursor only moves forward. It is counted as a scan like
     /// any other.
     fn pick_seed_cell(&mut self) -> Option<Position> {
-        let grid = &self.layers[self.cur()].grid;
-        let found = self.seed_cursor.next_free(grid);
+        let layer = &self.layers[self.cur()];
+        let found = self.seed_cursor.next_free(layer);
         debug_assert_eq!(
             found,
-            nearest_free_cell(grid, self.seed_cursor.target),
+            nearest_free_cell(layer, self.seed_cursor.target),
             "the seed cursor diverged from the ring scan"
         );
         self.count_scan(self.seed_cursor.target, found)
@@ -799,7 +837,7 @@ impl<'g> Mapper<'g> {
 
     /// [`nearest_free_cell`] on the current layer, counted as a scan.
     fn tracked_nearest_free(&mut self, target: Position) -> Option<Position> {
-        let found = nearest_free_cell(&self.layers[self.cur()].grid, target);
+        let found = nearest_free_cell(&self.layers[self.cur()], target);
         self.count_scan(target, found)
     }
 
@@ -839,7 +877,7 @@ impl<'g> Mapper<'g> {
         let mut direct = [0usize; MAX_NEIGHBORS];
         let mut nd = 0;
         for &q in self.table.row(a) {
-            if self.layers[cur].grid.at(q as usize).is_none() {
+            if self.layers[cur].cells[q as usize] == FREE {
                 direct[nd] = q as usize;
                 nd += 1;
             }
@@ -866,7 +904,7 @@ impl<'g> Mapper<'g> {
             let open = self.remaining[node.index()].saturating_sub(1).min(3);
             let free = &self.free;
             let found = bfs_free_path(
-                &self.layers[cur].grid,
+                &self.layers[cur],
                 self.table,
                 a,
                 &mut self.scratch,
@@ -912,7 +950,7 @@ impl<'g> Mapper<'g> {
         // routed path has the length >= 2 the hardware requires. It ends
         // on a cell coupled to `pb`.
         let found = bfs_free_path(
-            &self.layers[layer].grid,
+            &self.layers[layer],
             table,
             a,
             &mut self.scratch,
@@ -938,20 +976,20 @@ impl<'g> Mapper<'g> {
 
     /// The paper's heuristic cost of a tentative placement.
     ///
-    /// All terms run on the dense grid: the area term extends the grid's
-    /// incremental bounding box with the tentative cells (O(path)). The
-    /// blocking terms start from the current layer's class counts, which
-    /// `Mapper` keeps up to date as cells fill and edges map, and
-    /// re-assess only the placed nodes coupled to a tentative cell (the
-    /// candidate cell plus the routed path) and the candidate itself: no
-    /// other node's free-neighbour count can change.
+    /// All terms run on the layer's cell array and record: the area term
+    /// extends the record's bounding box with the tentative cells
+    /// (O(path)). The blocking terms start from the current layer's class
+    /// counts, which `Mapper` keeps up to date as cells fill and edges
+    /// map, and re-assess only the placed nodes coupled to a tentative
+    /// cell (the candidate cell plus the routed path) and the candidate
+    /// itself: no other node's free-neighbour count can change.
     fn score_placement(&mut self, node: NodeId, cand: usize, path: &[usize]) -> f64 {
-        let grid = &self.layers[self.cur()].grid;
+        let layer = &self.layers[self.cur()];
         let table = self.table;
         // Occupied-area term with the tentative cells added.
         let c = table.position(cand);
         let (mut rmin, mut rmax, mut cmin, mut cmax) =
-            grid.bounding_box().unwrap_or((c.row, c.row, c.col, c.col));
+            layer.layout.bbox.unwrap_or((c.row, c.row, c.col, c.col));
         for p in std::iter::once(cand)
             .chain(path.iter().copied())
             .map(|i| table.position(i))
@@ -973,10 +1011,10 @@ impl<'g> Mapper<'g> {
         let mut cand_free = usize::from(self.free[cand]);
         for t in std::iter::once(cand).chain(path.iter().copied()) {
             for &q in table.row(t) {
-                match grid.at(q as usize) {
-                    Some(&CellUse::Node(n)) => touched.push((n, q)),
+                match layer.node_at(q as usize) {
+                    Some(n) => touched.push((n, q)),
                     None if q as usize == cand => cand_free -= 1,
-                    _ => {}
+                    None => {}
                 }
             }
         }
@@ -1010,7 +1048,7 @@ impl<'g> Mapper<'g> {
         let layer = &self.layers[self.cur()];
         let cand = self.table.position(cand);
         let tentatively_free = |q: Position| {
-            layer.grid.is_free(q) && q != cand && !path.iter().any(|&i| self.table.position(i) == q)
+            layer.is_free(q) && q != cand && !path.iter().any(|&i| self.table.position(i) == q)
         };
         let geometry = self.geometry;
         let mut partially = 0usize;
@@ -1027,7 +1065,7 @@ impl<'g> Mapper<'g> {
                 partially += 1;
             }
         };
-        for &(n, p) in &layer.placed {
+        for &(n, p) in &layer.layout.placed {
             assess(p, self.remaining[n.index()]);
         }
         assess(cand, self.remaining[node.index()].saturating_sub(1));
@@ -1065,8 +1103,8 @@ fn center_of(geometry: LayerGeometry) -> Position {
 /// therefore: **smallest distance first, then smallest row, then smallest
 /// column** — fixed by construction, independent of any container's
 /// iteration order, and O(cells visited) instead of a full-area scan.
-fn nearest_free_cell(grid: &CellGrid<CellUse>, target: Position) -> Option<Position> {
-    let geom = grid.geometry();
+fn nearest_free_cell(layer: &WorkingLayer, target: Position) -> Option<Position> {
+    let geom = layer.layout.geometry;
     // Any in-grid cell is within rows+cols of any in-grid target.
     let max_d = geom.rows() + geom.cols();
     for d in 0..=max_d {
@@ -1076,7 +1114,7 @@ fn nearest_free_cell(grid: &CellGrid<CellUse>, target: Position) -> Option<Posit
             let k = d - target.row.abs_diff(r);
             if let Some(c) = target.col.checked_sub(k) {
                 let p = Position::new(r, c);
-                if grid.is_free(p) {
+                if layer.is_free(p) {
                     return Some(p);
                 }
             }
@@ -1084,7 +1122,7 @@ fn nearest_free_cell(grid: &CellGrid<CellUse>, target: Position) -> Option<Posit
                 let c = target.col + k;
                 if c < geom.cols() {
                     let p = Position::new(r, c);
-                    if grid.is_free(p) {
+                    if layer.is_free(p) {
                         return Some(p);
                     }
                 }
@@ -1124,8 +1162,8 @@ impl RingCursor {
     /// The first free cell at or after the cursor in ring order, or `None`
     /// when the layer is full. The cursor stays on the cell it returns:
     /// the cell is free until someone occupies it.
-    fn next_free(&mut self, grid: &CellGrid<CellUse>) -> Option<Position> {
-        let geom = grid.geometry();
+    fn next_free(&mut self, layer: &WorkingLayer) -> Option<Position> {
+        let geom = layer.layout.geometry;
         let t = self.target;
         while self.radius <= geom.rows() + geom.cols() {
             let last_row = (t.row + self.radius).min(geom.rows() - 1);
@@ -1134,7 +1172,7 @@ impl RingCursor {
                 if !self.east {
                     if let Some(c) = t.col.checked_sub(k) {
                         let p = Position::new(self.row, c);
-                        if grid.is_free(p) {
+                        if layer.is_free(p) {
                             return Some(p);
                         }
                     }
@@ -1142,7 +1180,7 @@ impl RingCursor {
                 }
                 if k > 0 && t.col + k < geom.cols() {
                     let p = Position::new(self.row, t.col + k);
-                    if grid.is_free(p) {
+                    if layer.is_free(p) {
                         return Some(p);
                     }
                 }
@@ -1249,7 +1287,74 @@ fn bfs_by_degree(graph: &Graph, mut visit: impl FnMut(NodeId, &[bool], &mut Vec<
     }
 }
 
-/// BFS through free cells of `grid` from cell `from`'s free neighbours to
+/// Reusable breadth-first-search bookkeeping over a layer's cells: visited
+/// marks, predecessor links and the queue, as flat buffers sized to the
+/// area. [`BfsScratch::begin`] re-arms it in O(1) (an epoch bump), so a
+/// mapper running thousands of searches allocates the buffers once. The
+/// counters are lifetime totals, reported in [`MapProfile`].
+#[derive(Debug, Default)]
+struct BfsScratch {
+    mark: Vec<u32>,
+    prev: Vec<u32>,
+    epoch: u32,
+    /// The frontier as `(cell index, depth)` pairs.
+    queue: VecDeque<(u32, u32)>,
+    /// Searches started (`begin` calls).
+    searches: u64,
+    /// Cells newly visited (successful `try_visit` calls): the BFS
+    /// expansion count.
+    visits: u64,
+    /// `begin` calls that had to grow the buffers.
+    grows: u64,
+    /// `begin` calls that reused the buffers as they were.
+    reuses: u64,
+}
+
+impl BfsScratch {
+    /// Starts a fresh search over `area` cells: clears the queue and
+    /// invalidates all marks in O(1).
+    fn begin(&mut self, area: usize) {
+        self.searches += 1;
+        if self.mark.len() < area {
+            self.mark.resize(area, 0);
+            self.prev.resize(area, 0);
+            self.grows += 1;
+        } else {
+            self.reuses += 1;
+        }
+        if self.epoch == u32::MAX {
+            self.mark.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.queue.clear();
+    }
+
+    /// Marks `cell` as visited with predecessor `prev`; returns `false`
+    /// when the cell was already visited this search.
+    fn try_visit(&mut self, cell: usize, prev: usize) -> bool {
+        if self.mark[cell] == self.epoch {
+            return false;
+        }
+        self.mark[cell] = self.epoch;
+        self.prev[cell] = prev as u32;
+        self.visits += 1;
+        true
+    }
+
+    /// `true` when `cell` was visited this search.
+    fn is_visited(&self, cell: usize) -> bool {
+        self.mark[cell] == self.epoch
+    }
+
+    /// Predecessor of a visited `cell`.
+    fn prev(&self, cell: usize) -> usize {
+        debug_assert!(self.is_visited(cell));
+        self.prev[cell] as usize
+    }
+}
+
+/// BFS through free cells of `layer` from cell `from`'s free neighbours to
 /// the first cell that passes `goal(cell, depth)`, where depth 1 is a
 /// neighbour of `from`, expanding each cell's `table` row in order.
 /// Fills `path` with the cells from `from` (exclusive) to that cell
@@ -1258,17 +1363,17 @@ fn bfs_by_degree(graph: &Graph, mut visit: impl FnMut(NodeId, &[bool], &mut Vec<
 /// flat cell indices with the reusable [`BfsScratch`] and the caller's
 /// path buffer: no per-call allocation.
 fn bfs_free_path(
-    grid: &CellGrid<CellUse>,
+    layer: &WorkingLayer,
     table: &NeighborTable,
     from: usize,
     bfs: &mut BfsScratch,
     path: &mut Vec<usize>,
     goal: impl Fn(usize, u32) -> bool,
 ) -> bool {
-    bfs.begin(grid.geometry().area());
+    bfs.begin(layer.cells.len());
     bfs.try_visit(from, from);
     for &q in table.row(from) {
-        if grid.at(q as usize).is_none() {
+        if layer.cells[q as usize] == FREE {
             bfs.try_visit(q as usize, from);
             bfs.queue.push_back((q, 1));
         }
@@ -1290,7 +1395,7 @@ fn bfs_free_path(
             continue;
         }
         for &q in table.row(p) {
-            if grid.at(q as usize).is_none() && bfs.try_visit(q as usize, p) {
+            if layer.cells[q as usize] == FREE && bfs.try_visit(q as usize, p) {
                 bfs.queue.push_back((q, depth + 1));
             }
         }
@@ -1541,7 +1646,7 @@ mod tests {
     }
 
     /// `plan_position_shuffles` as it was before the per-cell layer
-    /// bitsets: scan one occupancy grid per shuffle layer for each pair.
+    /// bitsets: scan one occupancy array per shuffle layer for each pair.
     fn first_fit_on_cell_grids(
         pairs: &[(Position, Position)],
         geometry: LayerGeometry,
@@ -1551,7 +1656,7 @@ mod tests {
         }
         let mut sorted: Vec<&(Position, Position)> = pairs.iter().collect();
         sorted.sort_by_key(|(a, b)| a.manhattan(*b));
-        let mut layers: Vec<CellGrid<()>> = vec![CellGrid::new(geometry)];
+        let mut layers: Vec<Vec<bool>> = vec![vec![false; geometry.area()]];
         let mut fusions = 0usize;
         for (pa, pb) in sorted {
             let cells = geometry.path_between(*pa, *pb);
@@ -1562,16 +1667,16 @@ mod tests {
             };
             let slot = layers
                 .iter()
-                .position(|used| interior.iter().all(|&c| used.is_free(c)));
+                .position(|used| interior.iter().all(|&c| !used[geometry.index_of(c)]));
             let slot = match slot {
                 Some(s) => s,
                 None => {
-                    layers.push(CellGrid::new(geometry));
+                    layers.push(vec![false; geometry.area()]);
                     layers.len() - 1
                 }
             };
             for &c in interior {
-                layers[slot].set(c, ());
+                layers[slot][geometry.index_of(c)] = true;
             }
             fusions += cells.len() + 1;
         }
@@ -1644,13 +1749,13 @@ mod tests {
         let target = Position::new(2, 2);
         layer.place(NodeId::new(0), target);
         assert_eq!(
-            nearest_free_cell(&layer.grid, target),
+            nearest_free_cell(&layer, target),
             Some(Position::new(1, 2)),
             "smallest row first"
         );
         layer.place(NodeId::new(1), Position::new(1, 2));
         assert_eq!(
-            nearest_free_cell(&layer.grid, target),
+            nearest_free_cell(&layer, target),
             Some(Position::new(2, 1)),
             "then smallest column"
         );
@@ -1663,7 +1768,7 @@ mod tests {
         for (i, p) in geom.positions().enumerate() {
             layer.place(NodeId::new(i), p);
         }
-        assert_eq!(nearest_free_cell(&layer.grid, Position::new(0, 0)), None);
+        assert_eq!(nearest_free_cell(&layer, Position::new(0, 0)), None);
     }
 
     #[test]
@@ -1672,7 +1777,7 @@ mod tests {
         let mut layer = WorkingLayer::new(LayerGeometry::new(3, 3));
         layer.place(NodeId::new(0), Position::new(0, 0));
         assert_eq!(
-            nearest_free_cell(&layer.grid, Position::new(0, 0)),
+            nearest_free_cell(&layer, Position::new(0, 0)),
             Some(Position::new(0, 1))
         );
     }
@@ -1713,15 +1818,15 @@ mod tests {
                         // query must not move the cursor past a free cell.
                         for _ in 0..rng.gen_range(0..3) {
                             assert_eq!(
-                                cursor.next_free(&layer.grid),
-                                nearest_free_cell(&layer.grid, target),
+                                cursor.next_free(&layer),
+                                nearest_free_cell(&layer, target),
                                 "{geometry} around {target}, {i} cells filled"
                             );
                         }
                         layer.place(NodeId::new(i), p);
                     }
-                    assert_eq!(cursor.next_free(&layer.grid), None);
-                    assert_eq!(nearest_free_cell(&layer.grid, target), None);
+                    assert_eq!(cursor.next_free(&layer), None);
+                    assert_eq!(nearest_free_cell(&layer, target), None);
                 }
             }
         }
@@ -1785,12 +1890,12 @@ mod tests {
                     } else {
                         mapper.add_routing(mapper.cur(), i, edge);
                     }
-                    let grid = &mapper.layers[mapper.cur()].grid;
+                    let working = &mapper.layers[mapper.cur()];
                     for p in geometry.positions() {
                         let recount = geometry
                             .neighbors(p)
                             .into_iter()
-                            .filter(|&q| grid.is_free(q))
+                            .filter(|&q| working.is_free(q))
                             .count();
                         assert_eq!(
                             usize::from(mapper.free[geometry.index_of(p)]),
@@ -1903,17 +2008,14 @@ mod tests {
         }
     }
 
-    /// Maps `g` and returns the result with a copy of every working grid
-    /// as it stood when the graph was mapped.
-    fn map_keeping_grids(
-        g: &Graph,
-        geometry: LayerGeometry,
-    ) -> (MappingResult, Vec<CellGrid<CellUse>>) {
+    /// Maps `g` and returns the result with a copy of every working
+    /// layer's cell array as it stood when the graph was mapped.
+    fn map_keeping_cells(g: &Graph, geometry: LayerGeometry) -> (MappingResult, Vec<Vec<u32>>) {
         let table = NeighborTable::new(geometry);
         let mut mapper = Mapper::new(g, &table, opts());
         let shuffled = mapper.map_edges();
-        let grids = mapper.layers.iter().map(|l| l.grid.clone()).collect();
-        (mapper.finish(shuffled), grids)
+        let cells = mapper.layers.iter().map(|l| l.cells.clone()).collect();
+        (mapper.finish(shuffled), cells)
     }
 
     #[test]
@@ -1932,24 +2034,30 @@ mod tests {
                 let n = rng.gen_range(2..80);
                 let m = rng.gen_range(n - 1..=2 * n);
                 let g = generators::gnm(n, m, &mut rng);
-                let (r, grids) = map_keeping_grids(&g, geometry);
-                assert_eq!(r.layouts.len(), grids.len());
-                for (i, (layout, grid)) in r.layouts.iter().zip(&grids).enumerate() {
+                let (r, arrays) = map_keeping_cells(&g, geometry);
+                assert_eq!(r.layouts.len(), arrays.len());
+                for (i, (layout, cells)) in r.layouts.iter().zip(&arrays).enumerate() {
                     let what = format!("{geometry}, case {case}, layer {i}");
                     assert_eq!(layout.geometry(), geometry, "{what}");
+                    assert_eq!(cells.len(), geometry.area(), "{what}");
                     for p in geometry.positions() {
-                        assert_eq!(layout.cell(p), grid.get(p).copied(), "{what} at {p}");
+                        let mark = match layout.cell(p) {
+                            None => FREE,
+                            Some(CellUse::Node(n)) => n.index() as u32,
+                            Some(CellUse::Routing(_)) => ROUTING,
+                        };
+                        assert_eq!(mark, cells[geometry.index_of(p)], "{what} at {p}");
                     }
-                    assert_eq!(layout.occupied_cells(), grid.occupied_cells(), "{what}");
+                    let occupied = cells.iter().filter(|&&c| c != FREE).count();
+                    assert_eq!(layout.occupied_cells(), occupied, "{what}");
                     assert_eq!(
                         layout.occupied_cells(),
                         layout.placed_count() + layout.routing_cells(),
                         "{what}"
                     );
-                    assert_eq!(layout.occupied_area(), grid.bounding_box_area(), "{what}");
                     routed += layout.routing_cells();
                 }
-                layers += grids.len();
+                layers += arrays.len();
                 // The record is what `map_graph` returns.
                 let direct = map_graph(&g, geometry, &opts());
                 assert_eq!(direct.placement, r.placement);
@@ -1958,5 +2066,43 @@ mod tests {
         }
         assert!(layers > 48, "no case spilled onto a second layer");
         assert!(routed > 0, "no case routed");
+    }
+
+    #[test]
+    fn bfs_scratch_epochs_invalidate() {
+        let mut bfs = BfsScratch::default();
+        bfs.begin(9);
+        assert!(bfs.try_visit(3, 1));
+        assert!(bfs.is_visited(3));
+        bfs.begin(9);
+        assert!(!bfs.is_visited(3), "new search forgets old marks");
+        assert!(bfs.try_visit(3, 2));
+        assert_eq!(bfs.prev(3), 2);
+    }
+
+    #[test]
+    fn bfs_scratch_grows_to_larger_areas() {
+        let mut bfs = BfsScratch::default();
+        bfs.begin(4);
+        assert!(bfs.try_visit(3, 0));
+        bfs.begin(100);
+        assert!(bfs.try_visit(99, 98));
+        assert_eq!(bfs.prev(99), 98);
+    }
+
+    #[test]
+    fn bfs_scratch_profiling_counters_track_lifetime_activity() {
+        let mut bfs = BfsScratch::default();
+        bfs.begin(16); // first begin allocates
+        assert!(bfs.try_visit(0, 0));
+        assert!(bfs.try_visit(1, 0));
+        assert!(!bfs.try_visit(1, 0), "revisit does not count");
+        bfs.begin(16); // same area: reuse
+        assert!(bfs.try_visit(2, 0));
+        bfs.begin(64); // larger area: grow
+        assert_eq!(bfs.searches, 3);
+        assert_eq!(bfs.visits, 3);
+        assert_eq!(bfs.grows, 2);
+        assert_eq!(bfs.reuses, 1);
     }
 }

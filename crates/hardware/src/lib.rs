@@ -15,8 +15,6 @@
 //! * physical-layer geometry ([`LayerGeometry`], [`Position`]) including
 //!   the rectangular aspect-ratio variants of Fig. 13 and the *extended
 //!   physical layers* of Fig. 5(b) ([`ExtendedLayer`]),
-//! * the dense cell grid and BFS scratch the mapper routes on
-//!   ([`CellGrid`], [`BfsScratch`]),
 //! * fused-state arithmetic and a loss/fidelity estimate ([`fusion`]).
 //!
 //! # Example
@@ -34,10 +32,8 @@
 
 pub mod fusion;
 mod geometry;
-mod grid;
 mod resource;
 
 pub use fusion::ErrorModel;
 pub use geometry::{ExtendedLayer, LayerGeometry, Position, Topology, MAX_NEIGHBORS};
-pub use grid::{BfsScratch, CellGrid};
 pub use resource::{respects_degree_budget, ResourceKind};

@@ -160,13 +160,15 @@ fn main() {
         .expect("freshly bound listener has an address");
     // Scripts (CI, tests) wait for this exact line before sending traffic.
     println!("oneqd: listening on http://{local}");
+    // The cache shape in force, which may have fewer stripes than asked.
+    let metrics = server.state().metrics_snapshot();
     println!(
         "oneqd: {} workers, cache capacity {} over {} shard(s), \
          keep-alive {} req/conn, idle timeout {} ms, io timeout {} ms, \
          max connections {}",
         config.workers,
-        config.cache_capacity,
-        config.cache_shards,
+        metrics.gauge("oneqd_cache_memory_capacity", &[]),
+        metrics.gauge("oneqd_cache_memory_shards", &[]),
         config.keep_alive_requests,
         config.idle_timeout.as_millis(),
         config.io_timeout.as_millis(),

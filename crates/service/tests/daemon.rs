@@ -210,12 +210,19 @@ fn daemon_serves_and_shuts_down_gracefully_on_sigterm() {
 
 #[test]
 fn daemon_sigterm_without_traffic_still_exits_cleanly() {
-    let daemon = Daemon::spawn(&[]);
+    // A capacity of 4 clamps the 8 default stripes to 4, and the banner
+    // reports the shape in force.
+    let daemon = Daemon::spawn(&["--cache-capacity", "4"]);
     // Prove it is actually up before killing it.
     let health =
         http::request(daemon.addr, "GET", "/v1/healthz", b"", TIMEOUT).expect("GET /v1/healthz");
     assert_eq!(health.status, 200);
-    assert_eq!(daemon.terminate().0, Some(0));
+    let (code, rest) = daemon.terminate();
+    assert_eq!(code, Some(0));
+    assert!(
+        rest.contains("cache capacity 4 over 4 shard(s)"),
+        "banner after the address line: {rest}"
+    );
 }
 
 #[test]

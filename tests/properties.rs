@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) over the core data structures and the
-//! invariants DESIGN.md commits to, and equivalence tests of the
+//! invariants DESIGN.md commits to, equivalence tests of the
 //! index-addressed graph and edge orders against the hashed code they
-//! replaced, kept here as references.
+//! replaced, kept here as references, and a seeded fuzz of the compile
+//! request parsers.
 
 use oneq_graph::{
     biconnected, generators, mps, planarity, traversal, Edge, Embedding, Graph, GraphError, NodeId,
@@ -617,5 +618,138 @@ fn assert_bridge_marks_match_the_blocks(g: &Graph, what: &str) {
 fn bridge_marks_match_the_blocks_on_the_paper_fusion_graphs() {
     for (what, g) in &paper_fusion_graphs() {
         assert_bridge_marks_match_the_blocks(g, what);
+    }
+}
+
+/// Knob names the compile request parsers know, and one they do not.
+const KNOB_NAMES: [&str; 9] = [
+    "side",
+    "rows",
+    "cols",
+    "extension",
+    "resource",
+    "timings",
+    "bypass",
+    "file",
+    "colour",
+];
+
+/// Knob values: a valid dimension, zero, a signed number, the cell bound
+/// and one past it, one past `u64`, a resource, a flag, nothing, a good
+/// and a bad percent escape, a bare `+` and non-ASCII text.
+const KNOB_VALUES: [&str; 13] = [
+    "7",
+    "0",
+    "+5",
+    "1048576",
+    "1048577",
+    "18446744073709551616",
+    "line4",
+    "true",
+    "",
+    "%41",
+    "%zz",
+    "+",
+    "ψ·量子",
+];
+
+/// The transports' separators: a query's `=` and `&`, a JSONL line's
+/// punctuation and a flag's `--`.
+const KNOB_SEPARATORS: [&str; 8] = ["=", "&", "{", "}", ":", ",", "\"", "--"];
+
+/// Every piece of the vocabulary: the names, the values, the separators.
+fn knob_pieces() -> Vec<&'static str> {
+    KNOB_NAMES
+        .iter()
+        .chain(&KNOB_VALUES)
+        .chain(&KNOB_SEPARATORS)
+        .copied()
+        .collect()
+}
+
+/// `parse` returns (no panic), and a request it accepts comes back equal
+/// through its `/v1/compile` query target and the query parser.
+fn check_knob_parser(
+    input: &dyn std::fmt::Debug,
+    parse: impl FnOnce() -> Result<oneq_service::request::CompileRequest, String>
+        + std::panic::UnwindSafe,
+) -> Result<(), TestCaseError> {
+    use oneq_service::{http, request::CompileRequest};
+    let Ok(parsed) = std::panic::catch_unwind(parse) else {
+        return Err(TestCaseError::fail(format!(
+            "a parser panicked on {input:?}"
+        )));
+    };
+    let Ok(request) = parsed else {
+        return Ok(());
+    };
+    let target = request.query_target("/v1/compile");
+    let query = target.strip_prefix("/v1/compile?").expect("a query target");
+    let back = CompileRequest::from_query(&http::parse_query(query), &request.source);
+    prop_assert_eq!(back, Ok(request), "{} from {:?}", target, input);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// Each case parses its knobs as a query string, a JSONL line and an
+    /// argument vector, once well formed and once as a soup of the
+    /// vocabulary's pieces.
+    #[test]
+    fn fuzzed_knobs_never_panic_the_request_parsers(
+        knobs in proptest::collection::vec(
+            (0..KNOB_NAMES.len(), 0..KNOB_VALUES.len(), any::<bool>()),
+            0..5usize,
+        ),
+        picks in proptest::collection::vec(0..knob_pieces().len(), 0..16usize),
+    ) {
+        use oneq_service::request::CompileRequest;
+        let pieces = knob_pieces();
+        let soup: Vec<&str> = picks.iter().map(|&i| pieces[i]).collect();
+        let knobs: Vec<(&str, &str, bool)> =
+            knobs.iter().map(|&(n, v, raw)| (KNOB_NAMES[n], KNOB_VALUES[v], raw)).collect();
+
+        let pairs: Vec<String> = knobs.iter().map(|(n, v, _)| format!("{n}={v}")).collect();
+        for query in [pairs.join("&"), soup.concat()] {
+            let parsed = oneq_service::http::parse_query(&query);
+            check_knob_parser(&query, || CompileRequest::from_query(&parsed, "OPENQASM 2.0;"))?;
+        }
+
+        // Raw members are JSON literals where the value is one (`7`,
+        // `true`) and malformed lines where it is not.
+        let members = knobs.iter().map(|(n, v, raw)| {
+            if *raw {
+                format!(", \"{n}\": {v}")
+            } else {
+                format!(", \"{n}\": \"{v}\"")
+            }
+        });
+        let line = format!("{{\"source\": \"OPENQASM 2.0;\"{}}}", members.collect::<String>());
+        for line in [line, soup.concat()] {
+            check_knob_parser(&line, || CompileRequest::from_jsonl_line(&line))?;
+        }
+
+        // A raw flag goes without its value (`--timings` needs none).
+        let mut flags = Vec::new();
+        for (n, v, raw) in &knobs {
+            flags.push(format!("--{n}"));
+            if !raw {
+                flags.push(v.to_string());
+            }
+        }
+        let words: Vec<String> = soup
+            .iter()
+            .map(|w| {
+                if KNOB_NAMES.contains(w) {
+                    format!("--{w}")
+                } else {
+                    w.to_string()
+                }
+            })
+            .collect();
+        for args in [flags, words] {
+            check_knob_parser(&args, || CompileRequest::from_args(&args).map(|(r, _)| r))?;
+        }
     }
 }

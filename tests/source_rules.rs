@@ -8,9 +8,8 @@
 //! - every `/v1/...` route the code names is documented in
 //!   `docs/OBSERVABILITY.md` or `README.md`;
 //! - the non-test code of the compile's hot path ([`HOT_PATH`]: the
-//!   mapper's `mapping.rs` and `grid.rs`, and the planarity buffers of
-//!   `planarity.rs` and `biconnected.rs`) has no `.to_vec()` and no
-//!   `collect::<Vec`;
+//!   mapper's `mapping.rs`, and the planarity buffers of `planarity.rs`
+//!   and `biconnected.rs`) has no `.to_vec()` and no `collect::<Vec`;
 //! - the non-test code of the compile path from the graph type to the
 //!   shuffle planner ([`HASH_FREE`]) names no `HashMap` or `HashSet`:
 //!   every key there is a dense index, so state is index-addressed.
@@ -44,22 +43,20 @@ const ATOMICS: [(&str, usize); 6] = [
 
 /// The compile's hot path, whose buffers are reused: the mapper's, and
 /// the planarity test's that partition runs once per layer.
-const HOT_PATH: [&str; 4] = [
+const HOT_PATH: [&str; 3] = [
     "crates/core/src/mapping.rs",
-    "crates/hardware/src/grid.rs",
     "crates/graph/src/planarity.rs",
     "crates/graph/src/biconnected.rs",
 ];
 
 /// The compile path whose state is index-addressed: no hashed container
 /// in its non-test code.
-const HASH_FREE: [&str; 7] = [
+const HASH_FREE: [&str; 6] = [
     "crates/graph/src/graph.rs",
     "crates/core/src/fusion_graph.rs",
     "crates/core/src/mapping.rs",
     "crates/core/src/partition.rs",
     "crates/core/src/pipeline.rs",
-    "crates/hardware/src/grid.rs",
     "crates/hardware/src/geometry.rs",
 ];
 
