@@ -15,7 +15,7 @@
 //! * physical-layer geometry ([`LayerGeometry`], [`Position`]) including
 //!   the rectangular aspect-ratio variants of Fig. 13 and the *extended
 //!   physical layers* of Fig. 5(b) ([`ExtendedLayer`]),
-//! * fused-state arithmetic and a loss/fidelity estimate ([`fusion`]).
+//! * fused-state arithmetic ([`fusion`]).
 //!
 //! # Example
 //!
@@ -34,6 +34,5 @@ pub mod fusion;
 mod geometry;
 mod resource;
 
-pub use fusion::ErrorModel;
 pub use geometry::{ExtendedLayer, LayerGeometry, Position, Topology, MAX_NEIGHBORS};
 pub use resource::{respects_degree_budget, ResourceKind};

@@ -56,8 +56,12 @@ pub struct TraceRecord {
     /// Cache outcome for compile routes (`memory`/`disk`/`miss`/`coalesced`/
     /// `bypass`), empty otherwise.
     pub outcome: String,
-    /// End-to-end duration (first request byte to last response byte).
+    /// End-to-end duration (first request byte to last response byte)
+    /// as the sum of the request's laps.
     pub total_ns: u64,
+    /// Wall time from the first request byte to the last response byte
+    /// that no lap covers: the wall clock minus `total_ns`.
+    pub unaccounted_ns: u64,
     /// Timed phases, in start order.
     pub spans: Vec<Span>,
 }
@@ -77,12 +81,14 @@ impl TraceRecord {
     ///     status: 200,
     ///     outcome: "miss".to_string(),
     ///     total_ns: 1500,
+    ///     unaccounted_ns: 20,
     ///     spans: vec![Span::new("read", 0, 500)],
     /// };
     /// assert_eq!(
     ///     record.to_json(),
     ///     "{\"request_id\": \"abc-1\", \"conn\": 3, \"route\": \"/v1/compile\", \
-    ///      \"status\": 200, \"outcome\": \"miss\", \"total_ns\": 1500, \"spans\": \
+    ///      \"status\": 200, \"outcome\": \"miss\", \"total_ns\": 1500, \
+    ///      \"unaccounted_ns\": 20, \"spans\": \
     ///      [{\"name\": \"read\", \"start_ns\": 0, \"dur_ns\": 500}]}"
     /// );
     /// ```
@@ -100,6 +106,8 @@ impl TraceRecord {
         push_json_string(&mut out, &self.outcome);
         out.push_str(", \"total_ns\": ");
         out.push_str(&self.total_ns.to_string());
+        out.push_str(", \"unaccounted_ns\": ");
+        out.push_str(&self.unaccounted_ns.to_string());
         out.push_str(", \"spans\": [");
         for (i, span) in self.spans.iter().enumerate() {
             if i > 0 {
@@ -338,6 +346,7 @@ mod tests {
             status: 200,
             outcome: String::new(),
             total_ns: 10,
+            unaccounted_ns: 0,
             spans: Vec::new(),
         }
     }
@@ -396,6 +405,7 @@ mod tests {
             status,
             outcome: String::new(),
             total_ns,
+            unaccounted_ns: 0,
             spans: Vec::new(),
         }
     }

@@ -142,6 +142,22 @@ struct Entry {
     value: Arc<str>,
 }
 
+/// What a memory-tier lookup counts toward the tier's hit and miss
+/// counters.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Count {
+    /// A request's one logical lookup: a hit or a miss, and a hit's
+    /// recency is refreshed.
+    Outcome,
+    /// The event loop's probe: a hit counts and is refreshed as above; a
+    /// miss counts nothing, since the request goes on to a worker whose
+    /// counted lookup records its one outcome.
+    Hit,
+    /// A single-flight leader's re-check: nothing counts and nothing is
+    /// refreshed.
+    Nothing,
+}
+
 /// One stripe: a digest-keyed LRU of at most `capacity` entries, with the
 /// most recently used entry at the back of the vec. Capacities are small
 /// (tens of entries per shard), so the O(len) scan-and-rotate is cheaper
@@ -210,21 +226,20 @@ impl CompileCache {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<str>> {
-        self.lookup(&sha256(key.as_bytes()), true)
+        self.lookup(&sha256(key.as_bytes()), Count::Outcome)
     }
 
-    /// Digest-addressed lookup. A `counted` lookup is a request's one
-    /// logical lookup: it counts a hit or a miss and refreshes recency on
-    /// a hit. An uncounted one, a single-flight leader's re-check, does
-    /// neither.
-    fn lookup(&self, digest: &[u8; 32], counted: bool) -> Option<Arc<str>> {
+    /// Digest-addressed lookup, counted as `count` says.
+    fn lookup(&self, digest: &[u8; 32], count: Count) -> Option<Arc<str>> {
         let mut shard = self.shard_of(digest).lock().expect("cache shard poisoned");
         let pos = shard.entries.iter().position(|e| e.digest == *digest);
-        if !counted {
+        if count == Count::Nothing {
             return pos.map(|pos| Arc::clone(&shard.entries[pos].value));
         }
         let Some(pos) = pos else {
-            self.misses.inc();
+            if count == Count::Outcome {
+                self.misses.inc();
+            }
             return None;
         };
         let entry = shard.entries.remove(pos);
@@ -330,14 +345,14 @@ impl TieredCache {
         digest: [u8; 32],
         compile: impl FnOnce() -> (Arc<str>, bool, T),
     ) -> (Arc<str>, bool, &'static str, Option<T>) {
-        if let Some((body, outcome)) = self.lookup(&digest, true) {
+        if let Some((body, outcome)) = self.lookup(&digest, Count::Outcome) {
             return (body, true, outcome, None);
         }
         let leader = match self.flights.join(digest) {
             FlightRole::Follower(Some(body)) => return (body, true, OUTCOME_COALESCED, None),
             FlightRole::Follower(None) => None,
             FlightRole::Leader(leader) => {
-                if let Some((body, outcome)) = self.lookup(&digest, false) {
+                if let Some((body, outcome)) = self.lookup(&digest, Count::Nothing) {
                     leader.publish(Arc::clone(&body));
                     return (body, true, outcome, None);
                 }
@@ -359,15 +374,25 @@ impl TieredCache {
         (body, ok, OUTCOME_MISS, Some(compiled))
     }
 
-    /// Memory, then disk; a disk hit is promoted into memory. `counted`
-    /// applies to the memory tier only (see [`CompileCache::lookup`]).
-    fn lookup(&self, digest: &[u8; 32], counted: bool) -> Option<(Arc<str>, &'static str)> {
-        if let Some(value) = self.memory.lookup(digest, counted) {
+    /// Memory, then disk; a disk hit is promoted into memory. `count`
+    /// applies to the memory tier only.
+    fn lookup(&self, digest: &[u8; 32], count: Count) -> Option<(Arc<str>, &'static str)> {
+        if let Some(value) = self.memory.lookup(digest, count) {
             return Some((value, OUTCOME_MEMORY));
         }
         let value = self.disk.as_ref()?.get(digest)?;
         self.memory.insert_digest(*digest, Arc::clone(&value));
         Some((value, OUTCOME_DISK))
+    }
+
+    /// Looks in the memory tier alone, for a caller that must not block
+    /// (`oneqd`'s event loop): no disk read, no in-flight table, no
+    /// compile. A hit counts and is refreshed like any request's lookup.
+    /// A miss counts nothing: the request then goes through
+    /// [`TieredCache::get_or_compile`], whose counted lookup records its
+    /// one memory-tier outcome.
+    pub fn probe_memory(&self, digest: &[u8; 32]) -> Option<Arc<str>> {
+        self.memory.lookup(digest, Count::Hit)
     }
 
     /// Entries resident in the in-memory tier.
@@ -809,6 +834,34 @@ mod tests {
         );
         assert_eq!(read(&registry, "oneqd_cache_fills_total"), 1);
         assert!(tier.disk_stats().is_none());
+    }
+
+    #[test]
+    fn a_memory_probe_counts_and_refreshes_hits_and_leaves_misses_uncounted() {
+        let registry = Registry::new();
+        let tier = TieredCache::new(2, 1, None, &registry);
+        let (a, b, c) = (sha256(b"a"), sha256(b"b"), sha256(b"c"));
+        let outcomes = || {
+            (
+                read(&registry, "oneqd_cache_memory_hits_total"),
+                read(&registry, "oneqd_cache_memory_misses_total"),
+            )
+        };
+        // A probe miss counts nothing; the request's counted lookup in
+        // `get_or_compile` then counts its one miss.
+        assert!(tier.probe_memory(&a).is_none());
+        assert_eq!(outcomes(), (0, 0));
+        let (_, _, outcome, _) = tier.get_or_compile(a, || (arc("A"), true, ()));
+        assert_eq!((outcome, outcomes()), (OUTCOME_MISS, (0, 1)));
+        tier.get_or_compile(b, || (arc("B"), true, ()));
+        // A probe hit counts and refreshes recency: `b`, not `a`, is
+        // evicted by the next fill.
+        assert_eq!(tier.probe_memory(&a).as_deref(), Some("A"));
+        assert_eq!(outcomes(), (1, 2));
+        tier.get_or_compile(c, || (arc("C"), true, ()));
+        assert!(tier.probe_memory(&b).is_none());
+        assert_eq!(tier.probe_memory(&a).as_deref(), Some("A"));
+        assert_eq!(outcomes(), (2, 3));
     }
 
     #[test]

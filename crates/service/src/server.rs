@@ -28,9 +28,13 @@
 //! completion comes back over a channel (plus a waker nudge) as fully
 //! rendered response bytes the loop writes out as the socket accepts
 //! them. Trivial routes (`healthz`, `stats`, 404/405) are answered on
-//! the loop itself. A compile handler that panics is caught on its
-//! worker: the request completes with a 500 and `Connection: close`,
-//! and the worker takes the next job.
+//! the loop itself, and so is a `/v1/compile` whose body (at most
+//! `LOOP_BODY_CAP`, 64 KiB) decodes to a memory-tier hit: the loop hashes
+//! its cache key and probes the memory tier, and only a miss, an
+//! uncacheable request or a larger body goes to the pool, which alone
+//! reads the disk tier or compiles. A handler that panics, on a worker
+//! or on the loop, is caught: the request completes with a 500 and
+//! `Connection: close`, and its thread serves the next request.
 //!
 //! Connections are *sessions*: requests are read off one socket until
 //! the client sends `Connection: close`, the per-connection request cap
@@ -987,9 +991,10 @@ mod event_loop {
             }
         }
 
-        /// Handles one complete request: answers trivial routes on the
-        /// loop, dispatches compile work to the pool. Returns `false`
-        /// when the connection is now owned by a worker (stop pumping).
+        /// Handles one complete request: answers trivial routes and
+        /// memory-tier hits on the loop, dispatches the rest of the
+        /// compile work to the pool. Returns `false` when the connection
+        /// is now owned by a worker (stop pumping).
         fn on_request(&mut self, slot: usize, request: Request) -> bool {
             self.state.requests.inc();
             let conn = self.conns[slot].as_mut().expect("conn is live");
@@ -1014,12 +1019,45 @@ mod event_loop {
                 &request.path,
                 route_class,
             );
+            let state = &self.state;
             if route_class == ROUTE_INLINE {
-                let bytes =
-                    trace.handle(|trace| route_inline(&self.state, &request, disposition, trace));
+                let bytes = trace.handle(|trace| route_inline(state, &request, disposition, trace));
                 self.respond(slot, bytes, !keep, trace, 0);
                 return true;
             }
+            let mut decoded = None;
+            if route_class == ROUTE_COMPILE {
+                state.compile_requests.inc();
+                if request.body.len() <= LOOP_BODY_CAP {
+                    // A memory hit is answered here, as its `handle` lap;
+                    // what goes to the pool laps the loop's work as `probe`.
+                    let answer = trace.lap_named(
+                        |trace| {
+                            run_guarded(state, trace, |trace| {
+                                compile_on_loop(state, &request, disposition, trace)
+                            })
+                        },
+                        |answer| match answer {
+                            Ok(OnLoop::ToPool(_)) => "probe",
+                            _ => "handle",
+                        },
+                    );
+                    match answer {
+                        Ok(OnLoop::ToPool(keyed)) => decoded = Some(keyed),
+                        Ok(OnLoop::Answered(bytes)) => {
+                            self.respond(slot, bytes, !keep, trace, 0);
+                            return true;
+                        }
+                        Err(error) => {
+                            self.respond(slot, error, true, trace, 0);
+                            return true;
+                        }
+                    }
+                }
+            } else {
+                state.batch_requests.inc();
+            }
+            let conn = self.conns[slot].as_mut().expect("conn is live");
             conn.set_state(ConnState::Dispatched);
             let id = conn.id();
             let state = Arc::clone(&self.state);
@@ -1031,15 +1069,19 @@ mod event_loop {
                 let queue_ns = duration_ns(enqueued.elapsed());
                 state.telemetry.observe_queue_wait(queue_ns);
                 trace.lap("queue", queue_ns);
-                let (bytes, panicked) = trace.handle(|trace| {
+                let answer = trace.handle(|trace| {
                     run_guarded(&state, trace, |trace| {
                         if route_class == ROUTE_COMPILE {
-                            handle_compile(&state, &request, disposition, trace)
+                            handle_compile(&state, &request, decoded, disposition, trace)
                         } else {
                             handle_batch(&state, &config, &request, disposition, trace)
                         }
                     })
                 });
+                let (bytes, panicked) = match answer {
+                    Ok(bytes) => (bytes, false),
+                    Err(bytes) => (bytes, true),
+                };
                 // The loop may have dropped the receiver during
                 // shutdown; a dead letter is fine.
                 let _ = done.send(Completion {
@@ -1107,7 +1149,7 @@ mod event_loop {
     }
 
     /// Routes the requests the loop answers itself — everything except
-    /// the two POST compile routes, which go to the pool.
+    /// the two POST compile routes, which `on_request` serves.
     fn route_inline(
         state: &ServiceState,
         request: &Request,
@@ -1176,6 +1218,79 @@ mod event_loop {
     }
 }
 
+/// Largest `/v1/compile` body the event loop decodes, hashes and probes
+/// the memory tier for itself. The hash runs at 120–200 MB/s, so this
+/// bounds the loop's work on one request to about half a millisecond; a
+/// larger body goes to the pool undecoded.
+const LOOP_BODY_CAP: usize = 64 * 1024;
+
+/// A `/v1/compile` request decoded from its body and query, with its
+/// cache key when the request is cacheable.
+struct Decoded {
+    req: CompileRequest,
+    digest: Option<[u8; 32]>,
+}
+
+/// What the event loop made of a `/v1/compile` request.
+enum OnLoop {
+    /// The response: a memory-tier hit, or a 400 for a request that does
+    /// not decode.
+    Answered(Vec<u8>),
+    /// A memory-tier miss or an uncacheable request, for the pool.
+    ToPool(Decoded),
+}
+
+/// The cache key of a cacheable request: the SHA-256 of its fingerprint.
+fn cache_key(req: &CompileRequest) -> [u8; 32] {
+    sha256(req.fingerprint().as_bytes())
+}
+
+/// Decodes a `/v1/compile` body and query; the error is a 400's message.
+fn decode_compile(request: &Request) -> Result<CompileRequest, String> {
+    let source =
+        std::str::from_utf8(&request.body).map_err(|_| "request body is not UTF-8".to_string())?;
+    CompileRequest::from_query(&request.query, source)
+}
+
+/// The event loop's part of `POST /v1/compile`, for a body of at most
+/// [`LOOP_BODY_CAP`]: decodes the request, hashes its cache key and
+/// probes the memory tier, all without blocking. A hit is answered here
+/// with the bytes, header and telemetry a worker's memory hit has, and so
+/// is a request that does not decode. Anything else goes to the pool,
+/// decoded and keyed, so no request is decoded or hashed twice.
+fn compile_on_loop(
+    state: &ServiceState,
+    request: &Request,
+    conn: Connection,
+    trace: &mut Trace,
+) -> OnLoop {
+    let started = Instant::now();
+    let req = match decode_compile(request) {
+        Ok(req) => req,
+        Err(msg) => return OnLoop::Answered(render_error(state, trace, 400, &msg, &[], conn)),
+    };
+    if !req.cacheable() {
+        return OnLoop::ToPool(Decoded { req, digest: None });
+    }
+    let cache_off = duration_ns(started.elapsed());
+    let digest = cache_key(&req);
+    let Some(body) = state.cache.probe_memory(&digest) else {
+        return OnLoop::ToPool(Decoded {
+            req,
+            digest: Some(digest),
+        });
+    };
+    let lookup = CompileTrace {
+        lookup_ns: duration_ns(started.elapsed()).saturating_sub(cache_off),
+        timings: None,
+    };
+    state
+        .telemetry
+        .observe_cache_outcome(OUTCOME_MEMORY, lookup.lookup_ns, &trace.id, None);
+    let outcome = (body, true, OUTCOME_MEMORY, lookup);
+    OnLoop::Answered(render_compile(state, trace, outcome, cache_off, conn))
+}
+
 /// What a [`compile_via_cache`] call observed, for the request trace:
 /// how long the lookup-or-compile took end to end, and — when this call
 /// executed the compile — its timings.
@@ -1190,19 +1305,21 @@ struct CompileTrace {
 /// This is the one path behind both `/v1/compile` and each
 /// `/v1/compile-batch` line, so telemetry recorded here (per-tier
 /// outcome counters and lookup histograms, per-stage compile
-/// histograms) covers both routes. `slots` is the global batch-compile
-/// budget (None on the single route, whose concurrency is already
-/// bounded by the worker pool): a permit is held only around an
-/// *actual* compile — cache hits and coalesced followers must not pin
-/// the budget while doing no work.
+/// histograms) covers both routes. `digest` is the request's cache key
+/// when the event loop already hashed it, else it is hashed here. `slots`
+/// is the global batch-compile budget (None on the single route, whose
+/// concurrency is already bounded by the worker pool): a permit is held
+/// only around an *actual* compile — cache hits and coalesced followers
+/// must not pin the budget while doing no work.
 fn compile_via_cache(
     state: &ServiceState,
     req: &CompileRequest,
+    digest: Option<[u8; 32]>,
     slots: Option<&Semaphore>,
     req_id: &str,
 ) -> (Arc<str>, bool, &'static str, CompileTrace) {
     let started = Instant::now();
-    let (body, ok, outcome, timings) = compile_via_cache_inner(state, req, slots);
+    let (body, ok, outcome, timings) = compile_via_cache_inner(state, req, digest, slots);
     let trace = CompileTrace {
         lookup_ns: duration_ns(started.elapsed()),
         timings,
@@ -1216,6 +1333,7 @@ fn compile_via_cache(
 fn compile_via_cache_inner(
     state: &ServiceState,
     req: &CompileRequest,
+    digest: Option<[u8; 32]>,
     slots: Option<&Semaphore>,
 ) -> (Arc<str>, bool, &'static str, Option<RecordTimings>) {
     let run = || {
@@ -1232,7 +1350,7 @@ fn compile_via_cache_inner(
         return (body, ok, OUTCOME_BYPASS, Some(timings));
     }
 
-    let digest = sha256(req.fingerprint().as_bytes());
+    let digest = digest.unwrap_or_else(|| cache_key(req));
     state.cache.get_or_compile(digest, run)
 }
 
@@ -1346,50 +1464,59 @@ fn compile_spans(cache_off: u64, trace: &CompileTrace) -> Vec<Span> {
     spans
 }
 
-/// Runs a pool job's handler so that a panic cannot take its worker
-/// thread or its connection with it: the panic becomes a `500` error
-/// envelope with `Connection: close` (the returned flag), traced with
-/// outcome `error`. A panic in a batch line's scoped thread re-raises
-/// from `thread::scope` inside `handler`, so it lands here too.
-fn run_guarded(
+/// Runs a compile handler, on a pool worker or on the event loop, so
+/// that a panic cannot take its thread or its connection with it: the
+/// panic becomes the `Err` of a `500` error envelope (to be sent with
+/// `Connection: close`), traced with outcome `error`. A panic in a batch
+/// line's scoped thread re-raises from `thread::scope` inside `handler`,
+/// so it lands here too.
+fn run_guarded<R>(
     state: &ServiceState,
     trace: &mut Trace,
-    handler: impl FnOnce(&mut Trace) -> Vec<u8>,
-) -> (Vec<u8>, bool) {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(trace))) {
-        Ok(bytes) => (bytes, false),
-        Err(_) => {
-            trace.outcome = "error".to_string();
-            let message = "internal error: the compile job panicked";
-            let bytes = render_error(state, trace, 500, message, &[], Connection::Close);
-            (bytes, true)
-        }
-    }
+    handler: impl FnOnce(&mut Trace) -> R,
+) -> Result<R, Vec<u8>> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(trace))).map_err(|_| {
+        trace.outcome = "error".to_string();
+        let message = "internal error: the compile job panicked";
+        render_error(state, trace, 500, message, &[], Connection::Close)
+    })
 }
 
-/// Serves `POST /v1/compile`, returning the fully rendered response
-/// bytes; its outcome and spans go on `trace`. Runs on a pool worker; it
-/// touches only the shared state, so the event loop never waits on a
-/// compile.
+/// Serves `POST /v1/compile` on a pool worker, returning the fully
+/// rendered response bytes; its outcome and spans go on `trace`.
+/// `decoded` is what the event loop made of the body; `None` for a body
+/// over [`LOOP_BODY_CAP`], which is decoded here. The handler touches only
+/// the shared state, so the event loop never waits on a compile.
 fn handle_compile(
     state: &ServiceState,
     request: &Request,
+    decoded: Option<Decoded>,
     conn: Connection,
     trace: &mut Trace,
 ) -> Vec<u8> {
-    state.compile_requests.inc();
     let started = Instant::now();
-    let source = match std::str::from_utf8(&request.body) {
-        Ok(s) => s,
-        Err(_) => return render_error(state, trace, 400, "request body is not UTF-8", &[], conn),
+    let Decoded { req, digest } = match decoded {
+        Some(decoded) => decoded,
+        None => match decode_compile(request) {
+            Ok(req) => Decoded { req, digest: None },
+            Err(msg) => return render_error(state, trace, 400, &msg, &[], conn),
+        },
     };
-    let req = match CompileRequest::from_query(&request.query, source) {
-        Ok(req) => req,
-        Err(msg) => return render_error(state, trace, 400, &msg, &[], conn),
-    };
-
     let cache_off = duration_ns(started.elapsed());
-    let (body, ok, outcome, lookup) = compile_via_cache(state, &req, None, &trace.id);
+    let outcome = compile_via_cache(state, &req, digest, None, &trace.id);
+    render_compile(state, trace, outcome, cache_off, conn)
+}
+
+/// Renders a `/v1/compile` response from what the cache served: counts
+/// the record ok or in error, sets the trace's outcome and lays its
+/// `cache` (and `compile.*`) spans from `cache_off`.
+fn render_compile(
+    state: &ServiceState,
+    trace: &mut Trace,
+    (body, ok, outcome, lookup): (Arc<str>, bool, &'static str, CompileTrace),
+    cache_off: u64,
+    conn: Connection,
+) -> Vec<u8> {
     if ok {
         state.compile_ok.inc();
     } else {
@@ -1413,7 +1540,6 @@ fn handle_batch(
     conn: Connection,
     trace: &mut Trace,
 ) -> Vec<u8> {
-    state.batch_requests.inc();
     let text = match std::str::from_utf8(&request.body) {
         Ok(s) => s,
         Err(_) => return render_error(state, trace, 400, "request body is not UTF-8", &[], conn),
@@ -1454,7 +1580,7 @@ fn handle_batch(
     let jobs = config.workers.max(1);
     let req_id = trace.id.as_str();
     let results = run_indexed(jobs, &requests, |_, req| {
-        compile_via_cache(state, req, Some(&state.batch_slots), req_id)
+        compile_via_cache(state, req, None, Some(&state.batch_slots), req_id)
     });
 
     state.batch_records.add(results.len() as u64);
@@ -1557,16 +1683,17 @@ mod tests {
         assert!(pool.execute(move || {
             let telemetry = &guarded.telemetry;
             let mut trace = telemetry.open_trace(None, Some("rid-1"), "/v1/compile", ROUTE_COMPILE);
-            let (bytes, close) = run_guarded(&guarded, &mut trace, |_| {
+            let answer = run_guarded(&guarded, &mut trace, |_| -> Vec<u8> {
                 panic!("a compile bug");
             });
             assert_eq!(trace.outcome, "error");
-            panicking.send((bytes, trace.status, close)).unwrap();
+            panicking.send((answer, trace.status)).unwrap();
         }));
-        assert!(pool.execute(move || tx.send((b"next".to_vec(), 0, false)).unwrap()));
+        assert!(pool.execute(move || tx.send((Ok(b"next".to_vec()), 0)).unwrap()));
 
         let timeout = Duration::from_secs(10);
-        let (bytes, status, close) = rx.recv_timeout(timeout).expect("the guarded job completes");
+        let (answer, status) = rx.recv_timeout(timeout).expect("the guarded job completes");
+        let bytes = answer.expect_err("the panic is answered, for a session that closes");
         let text = String::from_utf8(bytes).unwrap();
         for part in [
             "HTTP/1.1 500 Internal Server Error\r\n",
@@ -1576,12 +1703,12 @@ mod tests {
         ] {
             assert!(text.contains(part), "missing {part:?} in {text}");
         }
-        assert_eq!((status, close), (500, true));
+        assert_eq!(status, 500);
         assert_eq!(state.http_errors.get(), 1);
         let next = rx
             .recv_timeout(timeout)
             .expect("the one worker survived the panic");
-        assert_eq!(next.0, b"next");
+        assert_eq!(next.0, Ok(b"next".to_vec()));
         pool.shutdown();
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! Tracing follows the same request across threads: the event loop opens
 //! the [`Trace`] when the request finishes parsing (or is refused), the
-//! thread that answers it (the loop for inline routes, a worker for
-//! compiles) appends its spans (queue wait, cache lookup, compile stages),
-//! and the loop closes it when the last response byte is flushed. Closed
+//! thread that answers it (the loop for inline routes and memory-tier
+//! hits, a worker for every other compile) appends its spans (queue wait,
+//! cache lookup, compile stages), and the loop closes it when the last
+//! response byte is flushed. Closed
 //! traces go to a bounded in-memory ring (always) and to the `--trace-log`
 //! JSONL file (when configured), gated by `--slow-ms`.
 
@@ -126,11 +127,15 @@ pub const TIERS: [&str; 5] = [
 /// closes it.
 ///
 /// [`Telemetry::open_trace`] opens it on the event loop with its `read`
-/// span. Whichever thread answers the request (the loop for inline routes
-/// and refusals, a worker for compiles) lays its spans on the timeline and
-/// renders the response, which sets the status. The loop starts the write
-/// clock when it queues the response, and [`Telemetry::finish_request`]
-/// closes the trace when the last byte flushes.
+/// span. Whichever thread answers the request (the loop for inline routes,
+/// refusals and memory-tier hits, a worker for every other compile) lays
+/// its spans on the timeline and renders the response, which sets the
+/// status. The loop starts the write clock when it queues the response,
+/// and [`Telemetry::finish_request`] closes the trace when the last byte
+/// flushes. The laps of the timeline (`read`, `probe`, `queue`, `handle`,
+/// `write`) sum to `total_ns`; the wall time they leave out, such as a
+/// worker's completion waiting for the loop, is the record's
+/// `unaccounted_ns`.
 #[derive(Debug)]
 pub struct Trace {
     /// Request id (inbound `X-Oneqd-Request-Id` or minted).
@@ -151,6 +156,8 @@ pub struct Trace {
     /// Nanoseconds from request start to the end of the timeline so far:
     /// once the response is queued, where the `write` span starts.
     pub total_ns: u64,
+    /// The request's first byte: the origin of its wall clock.
+    started: Instant,
     /// When the response was queued on the connection.
     write_started: Option<Instant>,
 }
@@ -162,19 +169,30 @@ impl Trace {
         self.total_ns = self.total_ns.saturating_add(ns);
     }
 
-    /// Runs the request's handler as its `handle` span. The spans the
-    /// handler adds are offsets from its own start; they are re-based onto
-    /// the request's timeline and follow `handle`, which encloses them.
+    /// Runs the request's handler as its `handle` lap; see
+    /// [`Trace::lap_named`].
     pub fn handle<R>(&mut self, handler: impl FnOnce(&mut Trace) -> R) -> R {
+        self.lap_named(handler, |_| "handle")
+    }
+
+    /// Runs `work` as the next lap of the timeline, named by `name` from
+    /// what `work` returned. The spans `work` adds are offsets from its
+    /// own start; they are re-based onto the request's timeline and follow
+    /// the lap, which encloses them.
+    pub fn lap_named<R>(
+        &mut self,
+        work: impl FnOnce(&mut Trace) -> R,
+        name: impl FnOnce(&R) -> &'static str,
+    ) -> R {
         let base = self.total_ns;
         let first = self.spans.len();
         let started = Instant::now();
-        let out = handler(self);
+        let out = work(self);
         let ns = duration_ns(started.elapsed());
         for span in &mut self.spans[first..] {
             span.start_ns = span.start_ns.saturating_add(base);
         }
-        self.spans.insert(first, Span::new("handle", base, ns));
+        self.spans.insert(first, Span::new(name(&out), base, ns));
         self.total_ns = base.saturating_add(ns);
         out
     }
@@ -396,7 +414,9 @@ impl Telemetry {
         route: &str,
         route_class: &'static str,
     ) -> Trace {
-        let read_ns = read_started.map_or(0, |t| duration_ns(t.elapsed()));
+        let opened = Instant::now();
+        let started = read_started.unwrap_or(opened);
+        let read_ns = duration_ns(opened.saturating_duration_since(started));
         self.read_hist.record(read_ns);
         let outcome = if route_class == ROUTE_INLINE {
             "inline"
@@ -411,6 +431,7 @@ impl Telemetry {
             outcome: outcome.to_string(),
             spans: Vec::new(),
             total_ns: 0,
+            started,
             write_started: None,
         };
         trace.lap("read", read_ns);
@@ -488,8 +509,12 @@ impl Telemetry {
     /// the record to the ring, and writes the JSONL sink when the request
     /// clears the `--slow-ms` gate.
     pub fn finish_request(&self, mut trace: Trace, conn: u64) {
-        let write_ns = trace.write_started.map_or(0, |t| duration_ns(t.elapsed()));
+        let flushed = Instant::now();
+        let write_ns = trace
+            .write_started
+            .map_or(0, |t| duration_ns(flushed.saturating_duration_since(t)));
         trace.lap("write", write_ns);
+        let wall_ns = duration_ns(flushed.saturating_duration_since(trace.started));
         self.write_hist.record(write_ns);
         if let Some((_, hist)) = self
             .request_hists
@@ -506,6 +531,7 @@ impl Telemetry {
             status: trace.status,
             outcome: trace.outcome,
             total_ns,
+            unaccounted_ns: wall_ns.saturating_sub(total_ns),
             spans: trace.spans,
         };
         if let Some(sink) = &self.sink {
@@ -538,6 +564,7 @@ mod tests {
             outcome: "miss".to_string(),
             spans: Vec::new(),
             total_ns: 0,
+            started: Instant::now(),
             write_started: None,
         };
         trace.lap("read", total_ns);
@@ -574,6 +601,27 @@ mod tests {
             .histogram("oneqd_request_seconds", &[("route", ROUTE_COMPILE)])
             .expect("request histogram");
         assert_eq!(hist.count, 1);
+    }
+
+    #[test]
+    fn wall_time_outside_the_laps_is_unaccounted() {
+        let telemetry = Telemetry::new(None, 0).unwrap();
+        let first_byte = Instant::now();
+        let mut trace = telemetry.open_trace(Some(first_byte), None, "/v1/compile", ROUTE_COMPILE);
+        trace.handle(|_| ());
+        // A completion waiting for the loop: no lap covers it.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        trace.begin_write();
+        telemetry.finish_request(trace, 1);
+        let record = &telemetry.traces.recent(1)[0];
+        assert!(
+            record.unaccounted_ns >= 20_000_000,
+            "{} ns unaccounted",
+            record.unaccounted_ns
+        );
+        let wall = duration_ns(first_byte.elapsed());
+        assert!(record.total_ns + record.unaccounted_ns <= wall);
+        assert!(record.to_json().contains("\"unaccounted_ns\": "));
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! QAOA maxcut workload: compile a problem-graph-driven circuit, compare
-//! against the cluster-state baseline, and estimate program fidelity with
-//! the hardware error model.
+//! QAOA maxcut workload: compile a problem-graph-driven circuit and
+//! compare it against the cluster-state baseline.
 //!
 //! ```bash
 //! cargo run --release -p oneq --example qaoa_maxcut
@@ -8,7 +7,7 @@
 
 use oneq::{Compiler, CompilerOptions};
 use oneq_circuit::benchmarks;
-use oneq_hardware::{ErrorModel, LayerGeometry, ResourceKind};
+use oneq_hardware::{LayerGeometry, ResourceKind};
 
 fn main() {
     // Maxcut instance: a 8-node ring plus two chords.
@@ -41,15 +40,5 @@ fn main() {
         "improvement: depth {:.0}x, fusions {:.0}x",
         baseline.depth as f64 / program.depth as f64,
         baseline.fusions as f64 / program.fusions as f64
-    );
-
-    // Fidelity estimate: fusions dominate; photons idle one cycle per
-    // layer of depth on average in this coarse model.
-    let model = ErrorModel::default();
-    let ours = model.estimate_fidelity(program.fusions, program.depth);
-    let base = model.estimate_fidelity(baseline.fusions, baseline.depth);
-    println!(
-        "estimated fidelity: oneq {:.3} vs baseline {:.3e}",
-        ours, base
     );
 }

@@ -790,6 +790,105 @@ fn single_flight_storm_compiles_once_with_byte_identical_responses() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// A memory hit is answered on the event loop, so it does not wait for
+/// the one worker: it comes back while that worker compiles QFT-80.
+#[test]
+fn a_memory_hit_is_answered_while_the_only_worker_compiles() {
+    let _cpu = shared_cpu();
+    let handle = spawn_server_with(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let handle = &handle;
+    let path = &fixture_files()[0];
+    let label = path.display().to_string();
+    let source = std::fs::read(path).expect("read fixture");
+    let expected = oneqc_jsonl(&[&label]);
+    let warm = post_compile(handle, &label, &source);
+    assert_eq!(warm.header("x-oneqd-cache"), Some("miss"));
+
+    let executions = || json_u64(&get_stats(handle), "compile_executions");
+    let before = executions();
+    std::thread::scope(|scope| {
+        let (done, compiled) = std::sync::mpsc::channel();
+        let slow = scope.spawn(move || {
+            let qft = oneq_circuit::benchmarks::qft(80).to_qasm();
+            let resp = post_compile(handle, "qft-80.qasm", qft.as_bytes());
+            done.send(()).expect("the test waits for the compile");
+            resp
+        });
+        // The loop answers `/v1/stats` itself, so this sees the worker
+        // start the compile.
+        let deadline = Instant::now() + TIMEOUT;
+        while executions() == before {
+            assert!(
+                Instant::now() < deadline,
+                "the QFT-80 compile never started"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let hit = post_compile(handle, &label, &source);
+        let responded = compiled.try_recv().is_ok();
+        // The compile fills the cache before its response leaves, so one
+        // fill (the warm-up's) means it was still running.
+        let fills = json_u64(&get_stats(handle), "fills");
+        assert_eq!(hit.status, 200);
+        assert_eq!(hit.header("x-oneqd-cache"), Some("memory"));
+        assert_eq!(hit.body, expected.as_bytes(), "the hit differs from oneqc");
+        assert!(
+            !responded && fills == 1,
+            "the memory hit waited for the QFT-80 compile ({fills} fills)"
+        );
+        let slow = slow.join().expect("the QFT-80 client");
+        assert_eq!(slow.status, 200);
+        assert_eq!(slow.header("x-oneqd-cache"), Some("miss"));
+    });
+}
+
+/// Every trace records the wall time its laps leave out. A hit on the
+/// loop and a miss on a worker both carry `unaccounted_ns`, and the
+/// server's wall clock, `total_ns + unaccounted_ns`, fits inside the
+/// client's round trip; only the miss has a `queue` lap.
+#[test]
+fn compile_traces_carry_the_wall_time_their_laps_leave_out() {
+    // Both ends of the exchange are timed, so nothing else in this binary
+    // competes for the CPU between the server's flush and the client's
+    // read.
+    let _cpu = exclusive_cpu();
+    let handle = spawn_server();
+    let path = &fixture_files()[0];
+    let label = path.display().to_string();
+    let source = std::fs::read(path).expect("read fixture");
+    let target = format!("/v1/compile?file={}", http::percent_encode(&label));
+    for (id, outcome, queued) in [("wall-miss", "miss", true), ("wall-hit", "memory", false)] {
+        let sent = Instant::now();
+        let resp = http::request_with_headers(
+            handle.addr(),
+            "POST",
+            &target,
+            &[("X-Oneqd-Request-Id", id)],
+            &source,
+            TIMEOUT,
+        )
+        .expect("compile");
+        let round_trip = sent.elapsed().as_nanos() as u64;
+        assert_eq!(resp.header("x-oneqd-cache"), Some(outcome), "{id}");
+        let trace = wait_for_trace(&handle, id);
+        assert!(trace.contains("\"unaccounted_ns\": "), "{trace}");
+        let wall = json_u64(&trace, "total_ns") + json_u64(&trace, "unaccounted_ns");
+        assert!(
+            wall <= round_trip,
+            "{id}: server wall {wall} ns exceeds the client's {round_trip} ns: {trace}"
+        );
+        assert_eq!(
+            trace.contains("\"name\": \"queue\""),
+            queued,
+            "{id}: {trace}"
+        );
+    }
+    handle.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn event_loop_holds_a_thousand_connections_and_evicts_slow_clients() {
     const FLEET: usize = 1000;
@@ -1214,13 +1313,45 @@ fn metrics_endpoint_agrees_with_stats_and_counts_every_stage() {
     let _cpu = shared_cpu();
     let handle = spawn_server();
     let files = fixture_files();
-    // One miss then one memory hit per fixture.
+    // One miss then one memory hit per fixture, the hit on the loop.
     for path in &files {
         let label = path.display().to_string();
         let source = std::fs::read(path).expect("read fixture");
         assert_eq!(post_compile(&handle, &label, &source).status, 200);
         assert_eq!(post_compile(&handle, &label, &source).status, 200);
     }
+    // A fixture padded past the loop's 64 KiB cap by a trailing comment
+    // is decoded on a worker: a miss, then a memory hit through the pool
+    // with the miss's bytes.
+    let label = files[0].display().to_string();
+    let mut padded = std::fs::read(&files[0]).expect("read fixture");
+    padded.extend_from_slice(format!("\n//{}\n", "x".repeat(64 * 1024)).as_bytes());
+    let target = format!("/v1/compile?file={}", http::percent_encode(&label));
+    let mut padded_bodies = Vec::new();
+    for (id, outcome) in [("padded-miss", "miss"), ("padded-hit", "memory")] {
+        let resp = http::request_with_headers(
+            handle.addr(),
+            "POST",
+            &target,
+            &[("X-Oneqd-Request-Id", id)],
+            &padded,
+            TIMEOUT,
+        )
+        .expect("padded compile");
+        assert_eq!(resp.status, 200, "{id}");
+        assert_eq!(resp.header("x-oneqd-cache"), Some(outcome), "{id}");
+        padded_bodies.push(resp.body);
+    }
+    assert_eq!(padded_bodies[0], padded_bodies[1], "the pool hit's bytes");
+    let trace = wait_for_trace(&handle, "padded-hit");
+    assert!(
+        trace.contains("\"name\": \"queue\""),
+        "through the pool: {trace}"
+    );
+    // And one request that bypasses the cache: not a memory-tier outcome.
+    let bypass = format!("{target}&bypass=1");
+    let resp = http::request(handle.addr(), "POST", &bypass, &padded, TIMEOUT).expect("bypass");
+    assert_eq!(resp.header("x-oneqd-cache"), Some("bypass"));
 
     let stats = get_stats(&handle);
     let resp =
@@ -1252,9 +1383,10 @@ fn metrics_endpoint_agrees_with_stats_and_counts_every_stage() {
         assert!(text.contains(ty), "missing `{ty}` in metrics:\n{text}");
     }
 
-    // Every pipeline stage histogram saw exactly the cold compiles (the
-    // hit pass compiled nothing).
+    // Every pipeline stage histogram saw exactly the cold compiles and the
+    // bypass (the hits compiled nothing).
     let n = files.len() as u64;
+    let (misses, memory_hits, bypasses) = (n + 1, n + 1, 1);
     for stage in [
         "parse",
         "translate",
@@ -1269,23 +1401,50 @@ fn metrics_endpoint_agrees_with_stats_and_counts_every_stage() {
                 &text,
                 &format!("oneqd_compile_stage_seconds_count{{stage=\"{stage}\"}}")
             ),
-            n,
-            "stage `{stage}` counted one sample per cold compile"
+            misses + bypasses,
+            "stage `{stage}` counted one sample per executed compile"
         );
     }
-    // Per-tier outcome counters match the request pattern.
-    assert_eq!(
-        metric_u64(&text, "oneqd_cache_outcomes_total{tier=\"miss\"}"),
-        n
-    );
-    assert_eq!(
-        metric_u64(&text, "oneqd_cache_outcomes_total{tier=\"memory\"}"),
-        n
-    );
-    assert_eq!(
-        metric_u64(&text, "oneqd_cache_lookup_seconds_count{tier=\"memory\"}"),
-        n
-    );
+    // Per-tier outcome counters match the request pattern, and every
+    // cacheable compile request, answered on the loop or on a worker,
+    // counts exactly one memory-tier outcome with one lookup sample.
+    let series = |name: &str| metric_u64(&text, name);
+    let cacheable = series("oneqd_route_requests_total{route=\"compile\"}")
+        - series("oneqd_cache_outcomes_total{tier=\"bypass\"}");
+    for (what, got, want) in [
+        (
+            "miss outcomes",
+            series("oneqd_cache_outcomes_total{tier=\"miss\"}"),
+            misses,
+        ),
+        (
+            "memory outcomes",
+            series("oneqd_cache_outcomes_total{tier=\"memory\"}"),
+            memory_hits,
+        ),
+        (
+            "bypass outcomes",
+            series("oneqd_cache_outcomes_total{tier=\"bypass\"}"),
+            bypasses,
+        ),
+        (
+            "cacheable compile requests",
+            cacheable,
+            misses + memory_hits,
+        ),
+        (
+            "memory-tier hits + misses",
+            series("oneqd_cache_memory_hits_total") + series("oneqd_cache_memory_misses_total"),
+            cacheable,
+        ),
+        (
+            "memory-tier lookup samples",
+            series("oneqd_cache_lookup_seconds_count{tier=\"memory\"}"),
+            series("oneqd_cache_outcomes_total{tier=\"memory\"}"),
+        ),
+    ] {
+        assert_eq!(got, want, "{what}");
+    }
 
     // Both surfaces render from one registry, so every overlapping
     // number the interleaved scrapes cannot perturb must agree exactly.
@@ -1335,7 +1494,7 @@ fn metrics_endpoint_agrees_with_stats_and_counts_every_stage() {
     }
     // The v5 telemetry block: every compile request above closed its
     // trace before its response finished flushing to us.
-    assert!(json_u64(&stats, "traces_recorded") >= 2 * n);
+    assert!(json_u64(&stats, "traces_recorded") >= 2 * n + 3);
     assert!(json_u64(&stats, "loop_iterations") > 0);
     handle.shutdown().expect("clean shutdown");
 }
